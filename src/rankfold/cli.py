@@ -277,15 +277,11 @@ def cmd_plotkin_roundtrip(args) -> int:
 
 
 def cmd_fold_prob(args) -> int:
-    field = PrimeField(args.q)
-    if args.square:
-        a = 1
-    else:
-        try:
-            a = field.smallest_nonresidue()
-        except RankfoldError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        a = 1 if args.square else PrimeField(args.q).smallest_nonresidue()
+    except (RankfoldError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     header = {
         "schema": SCHEMA,
         "command": "fold-prob",
@@ -298,7 +294,7 @@ def cmd_fold_prob(args) -> int:
     t0 = time.perf_counter()
     try:
         stats = fold_probability_experiment(args.q, args.m, args.t, a, args.trials, args.seed)
-    except RankfoldError as exc:
+    except (RankfoldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0

@@ -30,15 +30,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational."""
-    return Fraction(text)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def is_rational_square(c: Fraction) -> bool:
     """True iff c is the square of a rational."""
     if c < 0:

@@ -9,24 +9,19 @@ The error decoder is linearized Welch-Berlekamp: find a nonzero pair
 (V, N) with deg_q V <= t, deg_q N <= t + k - 1 and V(y_i) = N(g_i) for all
 i (one homogeneous linear system), recover the message polynomial as the
 exact left quotient of N by V, and verify the residual rank.  The erasure
-decoder solves (H R^T) x^T = H y^T for the unknown left factor of the
-error once its row space R is known.  Both report failure rather than
-return an unverified answer.
+decoders hand linalg.solve_erasures the code's parity checks, built once
+per code, and the error's known row space.  Both report failure rather
+than return an unverified answer.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import (
-    DecodingFailure,
-    DimensionMismatch,
-    LengthMismatch,
-    NoSolution,
-    NotUnique,
-)
+from .errors import DecodingFailure, DimensionMismatch, LengthMismatch
 from .gf import ExtField, QuadExtField, expand_to_base, reconstruct_from_base
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, solve_erasures
 
 
 class LinearizedPoly:
@@ -108,6 +103,12 @@ class LinearizedPoly:
 
     def __repr__(self):
         return f"LinearizedPoly(deg_q={self.qdegree})"
+
+
+def _syndrome(checks, v: Sequence, zero) -> list:
+    """Each check row dotted with v, skipping zero entries."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((x * row[j] for j, x in nz if row[j]), zero) for row in checks]
 
 
 def annihilator(field: ExtField, vectors: Sequence) -> LinearizedPoly:
@@ -218,6 +219,10 @@ class GabidulinCode:
         kern = G.kernel_basis()
         return ExactMatrix(field, kern) if kern else ExactMatrix(field, ())
 
+    @cached_property
+    def _parity_rows(self) -> tuple:
+        return self.parity_check_matrix().entries
+
     def decode_erasures(self, y: Sequence, support: ExactMatrix) -> list:
         """Recover the codeword when the error's row space (over GF(q), in
         the expanded matrix view) is known to lie in `support`."""
@@ -227,32 +232,8 @@ class GabidulinCode:
             raise LengthMismatch(f"need {self.n} symbols, got {len(y)}")
         if support.rows and support.cols != self.n:
             raise DimensionMismatch("support width must match the code length")
-        H = self.parity_check_matrix()
-        syn = [sum((h * v for h, v in zip(row, y)), field.zero) for row in H.rows_list()]
-        if support.rows == 0:
-            if any(syn):
-                raise DecodingFailure("nonzero syndrome with empty erasure support")
-            return y
-        R = [[field.coerce(int(e.val)) for e in row] for row in support.rows_list()]
-        cols = [
-            [sum((h * v for h, v in zip(hrow, rrow)), field.zero) for hrow in H.rows_list()]
-            for rrow in R
-        ]
-        M = ExactMatrix(field, tuple(tuple(col[i] for col in cols) for i in range(H.rows)), _raw=True)
-        try:
-            x = M.solve(syn)
-        except NoSolution as exc:
-            raise DecodingFailure(f"erasure system inconsistent: {exc}") from exc
-        except NotUnique as exc:
-            raise DecodingFailure("erasure support hides a codeword") from exc
-        out = []
-        for j in range(self.n):
-            acc = y[j]
-            for xi, rrow in zip(x, R):
-                if xi and rrow[j]:
-                    acc = acc - xi * rrow[j]
-            out.append(acc)
-        return out
+        gens = [[field.coerce(e) for e in row] for row in support.entries]
+        return solve_erasures(field, lambda v: _syndrome(self._parity_rows, v, field.zero), y, gens)
 
     def minimum_rank_codeword(self) -> list:
         """A codeword of rank exactly d = n - k + 1: the annihilator of the
@@ -325,11 +306,6 @@ class GabidulinMatrixCode:
 
     # -- quadratic-extension views ------------------------------------------------
 
-    def _split_ext(self, Y: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-        U = Y.map_entries(lambda e: self.base.element(e.u), self.base)
-        V = Y.map_entries(lambda e: self.base.element(e.v), self.base)
-        return U, V
-
     def decode_ext(self, Y: ExactMatrix, t: int) -> ExactMatrix:
         """Decode over GF(q^2) via the two GF(q) components.
 
@@ -340,58 +316,38 @@ class GabidulinMatrixCode:
         ext = Y.field
         if not isinstance(ext, QuadExtField) or ext.base != self.base:
             raise DimensionMismatch("expected a matrix over the quadratic extension")
-        U, V = self._split_ext(Y)
-        CU, _ = self.decode(U)
-        CV, _ = self.decode(V)
-        s = ext.sqrt_nonresidue
-        C = ExactMatrix(
-            ext,
-            [
-                [ext.coerce(cu.val) + s * ext.coerce(cv.val) for cu, cv in zip(ru, rv)]
-                for ru, rv in zip(CU.entries, CV.entries)
-            ],
-        )
+        C = ext.join_matrix(*(self.decode(part)[0] for part in ext.split_matrix(Y)))
         if (Y - C).rank() > t:
             raise DecodingFailure("extension residual rank exceeds the radius")
         return C
 
+    @cached_property
+    def _matrix_checks(self) -> Sequence:
+        """GF(q) parity checks of the matrix code, acting on matrices
+        flattened row by row; they also check its extension to GF(q^2)."""
+        flat = [[e for row in B.entries for e in row] for B in self.basis_codewords()]
+        if not flat:
+            return ExactMatrix.identity(self.base, self.rows * self.cols).entries
+        return ExactMatrix(self.base, flat).kernel_basis()
+
     def decode_erasures_ext(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
         """Erasure decoding over GF(q^2) with a known GF(q^2) row space.
 
-        Solves the flattened affine system codeword + A*support = Y for the
-        code coefficients and the left factor A together; ambiguity in the
-        codeword part is a failure.
+        The erasure space is spanned by the matrices with one row taken
+        from `support` and every other row zero.
         """
         ext = Y.field
         if not isinstance(ext, QuadExtField) or ext.base != self.base:
             raise DimensionMismatch("expected a matrix over the quadratic extension")
-        gens = [B.map_entries(lambda e: ext.coerce(e.val), ext) for B in self.basis_codewords()]
-        tt = support.rows
-        mrows, ncols = self.rows, self.cols
-        cols = []
-        for B in gens:
-            cols.append([B.entries[i][j] for i in range(mrows) for j in range(ncols)])
-        for i in range(mrows):
-            for l in range(tt):
-                col = [ext.zero] * (mrows * ncols)
-                for j in range(ncols):
-                    col[i * ncols + j] = support.entries[l][j]
-                cols.append(col)
-        M = ExactMatrix(ext, tuple(tuple(col[r] for col in cols) for r in range(mrows * ncols)), _raw=True)
-        b = [Y.entries[i][j] for i in range(mrows) for j in range(ncols)]
-        aug = M.hstack(ExactMatrix.column(ext, b))
-        R, pivots, rank = aug.rref()
-        if M.cols in pivots:
-            raise DecodingFailure("erasure system inconsistent")
-        x = [ext.zero] * M.cols
-        for row, pc in enumerate(pivots):
-            x[pc] = R.entries[row][M.cols]
-        ncode = len(gens)
-        for kv in M.kernel_basis():
-            if any(kv[:ncode]):
-                raise DecodingFailure("erasure support hides a codeword")
-        C = ExactMatrix.zeros(ext, mrows, ncols)
-        for coef, B in zip(x[:ncode], gens):
-            if coef:
-                C = C + B.scale(coef)
-        return C
+        if support.rows and support.cols != self.cols:
+            raise DimensionMismatch("support width must match the code length")
+        n = self.cols
+        gens = []
+        for i in range(self.rows):
+            for r in support.entries:
+                g = [ext.zero] * (self.rows * n)
+                g[i * n:(i + 1) * n] = r
+                gens.append(g)
+        y = [e for row in Y.entries for e in row]
+        c = solve_erasures(ext, lambda v: _syndrome(self._matrix_checks, v, ext.zero), y, gens)
+        return ExactMatrix(ext, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(self.rows)), _raw=True)

@@ -260,6 +260,19 @@ class QuadExtField:
     def random_element(self, rng) -> "QuadExtElement":
         return QuadExtElement(self, rng.randint(0, self.p - 1), rng.randint(0, self.p - 1))
 
+    def join_matrix(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
+        """The matrix U + sV from two matrices over GF(p)."""
+        rows = tuple(
+            tuple(QuadExtElement(self, u.val, v.val) for u, v in zip(ru, rv))
+            for ru, rv in zip(U.entries, V.entries)
+        )
+        return ExactMatrix(self, rows, _raw=True)
+
+    def split_matrix(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        """(U, V) with M = U + sV, both over GF(p); inverse of join_matrix."""
+        base = self.base
+        return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
+
     def to_json(self):
         return {"p": self.p, "nonresidue": self.n}
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, LengthMismatch, NoSolution, NotUnique
+from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique
 
 
 class ExactMatrix:
@@ -43,10 +43,6 @@ class ExactMatrix:
     def identity(field, n: int) -> "ExactMatrix":
         z, o = field.zero, field.one
         return ExactMatrix(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), _raw=True)
-
-    @staticmethod
-    def from_rows(field, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix(field, rows)
 
     @staticmethod
     def column(field, entries: Sequence) -> "ExactMatrix":
@@ -306,3 +302,33 @@ def random_rank_matrix(field, rng, rows, cols, rank) -> ExactMatrix:
         E = X @ Z
         if E.rank() == rank:
             return E
+
+
+def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[Sequence]) -> list:
+    """The word c = y - sum_k x_k g_k whose syndrome is zero.
+
+    `syndrome` maps a vector over `field` to its syndrome, and the
+    generators g_k span the erasure space.  x solves
+    sum_k x_k syndrome(g_k) = syndrome(y); it is unique exactly when no
+    nonzero combination of the generators is a codeword.  Raises
+    DecodingFailure when the system is inconsistent or ambiguous.
+    """
+    s_y = syndrome(y)
+    if not generators:
+        if any(s_y):
+            raise DecodingFailure("nonzero syndrome with empty erasure support")
+        return list(y)
+    M = ExactMatrix(field, tuple(zip(*(syndrome(g) for g in generators))), _raw=True)
+    try:
+        x = M.solve(s_y)
+    except NoSolution as exc:
+        raise DecodingFailure(f"erasure system inconsistent: {exc}") from exc
+    except NotUnique as exc:
+        raise DecodingFailure("erasure support hides a codeword") from exc
+    out = list(y)
+    for xk, g in zip(x, generators):
+        if xk:
+            for j, gj in enumerate(g):
+                if gj:
+                    out[j] = out[j] - xk * gj
+    return out

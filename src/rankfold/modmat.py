@@ -6,11 +6,13 @@ would dominate the runtime.  Here matrices are plain int64 arrays with
 entries reduced mod p and Gaussian elimination runs across a whole batch
 at once.
 
-Overflow discipline: elimination forms products of two reduced entries,
-so any p below 2^31 is safe in int64; batch elimination additionally
-builds a length-p inverse table, so it insists on small p.  Batched
-matrix products sum inner-dimension many products and check the bound
-explicitly.
+Overflow discipline: elimination over GF(p) forms products of two
+reduced entries, so any p below 2^31 is safe in int64.  Elimination over
+GF(p^2) forms products of three (the non-residue times two entries), so
+batch_rank_quad requires p < 2^21 and raises ValueError otherwise.  Batch
+elimination also builds a length-p inverse table, so it insists on
+p <= 2^22.  Batched matrix products sum inner-dimension many products
+and check the bound explicitly.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import numpy as np
 
 # Inverse tables are cheap for experiment-sized p and are cached per prime.
 _TABLE_LIMIT = 1 << 22
+# (2^21)^3 = 2^63: below this, nonresidue * u * v stays inside int64.
+_QUAD_LIMIT = 1 << 21
 _INV_TABLES: dict = {}
 
 
@@ -40,34 +44,6 @@ def inverse_table(p: int) -> np.ndarray:
             e >>= 1
         _INV_TABLES[p] = tab
     return tab
-
-
-def rank_mod(M, p: int) -> int:
-    """Rank of a single integer matrix mod p.
-
-    The rank of an integer matrix over Q is at least its rank mod any
-    prime, which makes this a fast certified lower bound for exact
-    minimum-distance checks.
-    """
-    A = np.array(M, dtype=np.int64) % p
-    n, m = A.shape
-    rank = 0
-    for col in range(m):
-        pivots = np.nonzero(A[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        r = rank + pivots[0]
-        if r != rank:
-            A[[rank, r]] = A[[r, rank]]
-        inv = pow(int(A[rank, col]), -1, p)
-        A[rank] = A[rank] * inv % p
-        rows = A[rank + 1:, col] != 0
-        if rows.any():
-            A[rank + 1:][rows] = (A[rank + 1:][rows] - np.outer(A[rank + 1:, col][rows], A[rank])) % p
-        rank += 1
-        if rank == n:
-            break
-    return rank
 
 
 def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
@@ -101,7 +77,10 @@ def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
 def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p^2) = GF(p)(sqrt(nonresidue)),
-    entries given as the pair (U, V) meaning U + V*sqrt(nonresidue)."""
+    entries given as the pair (U, V) meaning U + V*sqrt(nonresidue).
+    Needs p < 2^21, so that products of three residues fit in int64."""
+    if p >= _QUAD_LIMIT:
+        raise ValueError(f"p = {p} too large: GF(p^2) elimination needs p < 2^21")
     U = np.asarray(U, dtype=np.int64) % p
     V = np.asarray(V, dtype=np.int64) % p
     T, n, m = U.shape

@@ -9,21 +9,23 @@ Two m x n matrix codes C and D and a nonzero scalar a combine into a
 Multiplying by (s/sqrt(a) I | I) on the left and (I ; -s/sqrt(a) I) on
 the right kills the A-blocks and maps a codeword to (2s/sqrt(a)) B0 +
 2 B1, turning one decoding problem in the doubled space into error
-decoding in D followed by erasure decoding in C.  When a is a square the
-two sign choices stay over GF(q); otherwise a single fold works over
-GF(q^2).  The folded error keeps the original rank for all but a
-q^(t-m-1) fraction of rank-t errors (q^(2t-2m-2) over the extension),
-which the Monte Carlo harness at the bottom measures.
+decoding in D followed by erasure decoding in C.  doubling_decode runs
+that sequence once for every caller, over the quadratic algebra
+K[x]/(x^2 - a): GF(q) x GF(q) (the two sign choices) when a is a square,
+GF(q^2) otherwise, and a multiquadratic tower for the Reed-Muller codes.
+The folded error keeps the original rank for all but a q^(t-m-1)
+fraction of rank-t errors (q^(2t-2m-2) over the extension), which the
+Monte Carlo harness at the bottom measures.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from math import exp, lgamma, log, log1p
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
-from .errors import DecodingFailure, DimensionMismatch, NotASquare, ParameterMismatch
+from .errors import DecodingFailure, DimensionMismatch, ParameterMismatch
 from .gabidulin import GabidulinCode, GabidulinMatrixCode
 from .gf import ExtField, PrimeField, QuadExtField
 from .linalg import ExactMatrix
@@ -82,6 +84,68 @@ def plotkin_fold(Y: ExactMatrix, a, sign: int, sqrt_a, field) -> ExactMatrix:
     tl, tr, bl, br = Y.split_blocks(rows // 2, cols // 2)
     inv_a = field.coerce(a).inverse()
     return (tl - br).scale(b) + bl - tr.scale(inv_a)
+
+
+def doubling_decode(Y: ExactMatrix, a, algebra, decode_errors, decode_erasures) -> ExactMatrix:
+    """Decoder for a doubled code, shared by PlotkinCode and RMCode.
+
+    Y is a codeword [[A0 + B0, a(A1 - B1)], [A1 + B1, A0 - B0]] over K
+    plus an error, and `algebra` is K[x]/(x^2 - a) in some representation:
+    algebra.fold(Y) is (x^-1 I | I) Y (I ; -x^-1 I), which cancels the
+    A-blocks and leaves 2 B1 + (2x/a) B0 plus the folded error;
+    algebra.join(U, V) is U + xV and algebra.split undoes it.
+    decode_errors(W) returns the D-codeword nearest W and the row space of
+    their difference; decode_erasures(Z, support) returns the C-codeword
+    of Z whose difference from Z has its rows in `support`.
+
+    The steps: fold, decode D, peel B0 and B1 off Y, fold the bottom half
+    on the right only (A1 - (x/a) A0 plus error rows inside the folded
+    error's row space), erasure-decode C, and unpeel A0 and A1.
+    """
+    K = Y.field
+    half = K.coerce(2).inverse()
+    inv_a = K.coerce(a).inverse()
+    W_hat, support = decode_errors(algebra.fold(Y))
+    U, V = algebra.split(W_hat)
+    B1, B0 = U.scale(half), V.scale(half * a)
+    _, _, bl, br = Y.split_blocks(Y.rows // 2, Y.cols // 2)
+    U, V = algebra.split(decode_erasures(algebra.join(bl - B1, (br + B0).scale(-inv_a)), support))
+    return plotkin_encode(a, V.scale(-a), U, B0, B1)
+
+
+class _SplitAlgebra:
+    """K[x]/(x^2 - a) for a = r^2 in K: the product K x K, x -> (r, -r).
+    A matrix over it is the pair of its images (U + rV, U - rV)."""
+
+    def __init__(self, a, r):
+        self.a = a
+        self.r = r
+        self.half = r.field.coerce(2).inverse()
+
+    def fold(self, Y):
+        return tuple(plotkin_fold(Y, self.a, sign, self.r, self.r.field) for sign in (+1, -1))
+
+    def join(self, U, V):
+        rV = V.scale(self.r)
+        return U + rV, U - rV
+
+    def split(self, W):
+        P, M = W
+        return (P + M).scale(self.half), (P - M).scale(self.half / self.r)
+
+
+class _ExtAlgebra:
+    """K[x]/(x^2 - a) for a non-square a: GF(q^2) with s = sqrt(a) = x,
+    entries u + v s."""
+
+    def __init__(self, a):
+        self.a = a
+        self.ext = QuadExtField(a.field, int(a.val))
+        self.join = self.ext.join_matrix
+        self.split = self.ext.split_matrix
+
+    def fold(self, Y):
+        return plotkin_fold(Y, self.a, +1, self.ext.sqrt_nonresidue, self.ext)
 
 
 def plotkin_dim(code: "PlotkinCode") -> int:
@@ -204,75 +268,38 @@ class PlotkinCode:
     def decode(self, Y: ExactMatrix, t: int = None) -> tuple[ExactMatrix, ExactMatrix]:
         """Recover (codeword, error) from Y = codeword + rank-t error.
 
-        Square a stays over GF(q) with two fold/decode passes; non-square
-        a uses one pass over GF(q^2).  Either way the answer is verified
-        against Y before being returned, so a wrong silent answer is
-        impossible; anything else raises DecodingFailure.
+        Runs doubling_decode: a square a folds into GF(q) x GF(q), so D and
+        C decode each factor; a non-square a folds into GF(q^2), where D and
+        C decode through their extension decoders.  Either way the answer
+        is verified against Y before being returned, so a wrong silent
+        answer is impossible; anything else raises DecodingFailure.
         """
         if Y.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
         if t is None:
             t = self.radius
-        try:
-            sqrt_a = self.field.sqrt(self.a)
-        except NotASquare:
-            C_hat = self._decode_nonsquare(Y, t)
+        if self.field.is_square(self.a):
+            algebra = _SplitAlgebra(self.a, self.field.sqrt(self.a))
+
+            def decode_errors(W):
+                pairs = [self.D.decode(Wi, t) for Wi in W]
+                return tuple(c for c, _ in pairs), tuple(e.row_space_basis() for _, e in pairs)
+
+            def decode_erasures(Z, support):
+                return tuple(map(self.C.decode_erasures, Z, support))
         else:
-            C_hat = self._decode_square(Y, t, sqrt_a)
+            algebra = _ExtAlgebra(self.a)
+
+            def decode_errors(W):
+                W_hat = self.D.decode_ext(W, t)
+                return W_hat, (W - W_hat).row_space_basis()
+
+            decode_erasures = self.C.decode_erasures_ext
+        C_hat = doubling_decode(Y, self.a, algebra, decode_errors, decode_erasures)
         E_hat = Y - C_hat
         if E_hat.rank() > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")
         return C_hat, E_hat
-
-    def _decode_square(self, Y, t, sqrt_a) -> ExactMatrix:
-        field = self.field
-        half = field.element(2).inverse()
-        quarter = half * half
-        W1 = plotkin_fold(Y, self.a, +1, sqrt_a, field)
-        W2 = plotkin_fold(Y, self.a, -1, sqrt_a, field)
-        W1_hat, F1 = self.D.decode(W1, t)
-        W2_hat, F2 = self.D.decode(W2, t)
-        B1 = (W1_hat + W2_hat).scale(quarter)
-        B0 = (W1_hat - W2_hat).scale(quarter * sqrt_a)
-        Y_tilde = Y - ExactMatrix.block([[B0, B1.scale(-self.a)], [B1, B0.scale(-1)]])
-        left, right = self._halves(Y_tilde)
-        b = sqrt_a.inverse()
-        # bottom halves of the two partial folds; their error row spaces sit
-        # inside the corresponding full-fold error row spaces when the folds
-        # preserve rank
-        U1_noisy = (left - right.scale(b)).split_blocks(self.C.rows, self.C.cols)[2]
-        U2_noisy = (left + right.scale(b)).split_blocks(self.C.rows, self.C.cols)[2]
-        U1 = self.C.decode_erasures(U1_noisy, F1.row_space_basis())
-        U2 = self.C.decode_erasures(U2_noisy, F2.row_space_basis())
-        A1 = (U1 + U2).scale(half)
-        A0 = (U2 - U1).scale(half * sqrt_a)
-        return self.encode(A0, A1, B0, B1)
-
-    def _decode_nonsquare(self, Y, t) -> ExactMatrix:
-        field = self.field
-        ext = QuadExtField(field, int(self.a.val))
-        sqrt_a = ext.sqrt_nonresidue
-        W = plotkin_fold(Y, self.a, +1, sqrt_a, ext)
-        W_hat = self.D.decode_ext(W, t)
-        F = W - W_hat
-        half = field.element(2).inverse()
-        # entries of W_hat are 2*B1 + (2/a) B0 * sqrt(a)
-        B1 = W_hat.map_entries(lambda e: field.element(e.u), field).scale(half)
-        B0 = W_hat.map_entries(lambda e: field.element(e.v), field).scale(half * self.a)
-        Y_tilde = Y - ExactMatrix.block([[B0, B1.scale(-self.a)], [B1, B0.scale(-1)]])
-        left, right = self._halves(Y_tilde)
-        b = ext.coerce(sqrt_a).inverse()
-        partial = left.map_entries(ext.coerce, ext) - right.map_entries(ext.coerce, ext).scale(b)
-        U_noisy = partial.split_blocks(self.C.rows, self.C.cols)[2]
-        U = self.C.decode_erasures_ext(U_noisy, F.row_space_basis())
-        # entries of U are A1 - (1/a) A0 * sqrt(a)
-        A1 = U.map_entries(lambda e: field.element(e.u), field)
-        A0 = U.map_entries(lambda e: field.element(e.v), field).scale(-self.a)
-        return self.encode(A0, A1, B0, B1)
-
-    def _halves(self, Y):
-        tl, tr, bl, br = Y.split_blocks(self.C.rows, self.C.cols)
-        return tl.vstack(bl), tr.vstack(br)
 
     def __repr__(self):
         return (
@@ -297,14 +324,17 @@ def gabidulin_plotkin(q: int, m: int, k1: int, k2: int, a=1) -> PlotkinCode:
 
     With m = 2*k1 - k2, the D component corrects t = (m - k2)/2 = m - k1
     errors and the C component the same number of erasures, so the result
-    decodes rank-t errors in the 2m x 2m ambient.
+    decodes rank-t errors in the 2m x 2m ambient.  A non-square a folds
+    over GF(q^2), where D's extension decoder needs 2t <= m - k1, so the
+    radius halves.
     """
     if m != 2 * k1 - k2:
         raise ParameterMismatch(f"need m = 2*k1 - k2, got m={m}, k1={k1}, k2={k2}")
     field = _ext_field(q, m)
     C = GabidulinMatrixCode(GabidulinCode(field, k1))
     D = GabidulinMatrixCode(GabidulinCode(field, k2))
-    return PlotkinCode(C, D, a, radius=m - k1)
+    radius = m - k1 if field.base.is_square(a) else (m - k1) // 2
+    return PlotkinCode(C, D, a, radius=radius)
 
 
 def non_mrd_witness(code: PlotkinCode) -> tuple[ExactMatrix, int]:
@@ -320,6 +350,44 @@ def non_mrd_witness(code: PlotkinCode) -> tuple[ExactMatrix, int]:
     witness = code.encode(A0, zero, zero, zero)
     mrd = code.rows - code.dim // code.rows + 1
     return witness, mrd
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by the continued fraction of
+    Numerical Recipes (section 6.4) evaluated with Lentz's method."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)  # the fraction converges fast on this side
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / max(1.0 - (a + b) * x / (a + 1.0), tiny)
+    h = d
+    for m in range(1, 100000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return h * exp(lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log1p(-x)) / a
+
+
+def _beta_quantile(q: float, a: float, b: float) -> float:
+    """The x with I_x(a, b) = q, by bisection down to adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _betainc(a, b, mid) < q:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclasses.dataclass
@@ -339,10 +407,12 @@ class FoldStats:
         return self.drops / self.trials if self.trials else 0.0
 
     def ci95(self) -> tuple[float, float]:
-        """Exact (Clopper-Pearson) 95% interval for the drop probability."""
+        """Exact (Clopper-Pearson) 95% interval for the drop probability:
+        the 2.5% quantile of Beta(k, n-k+1) and the 97.5% quantile of
+        Beta(k+1, n-k)."""
         k, n = self.drops, self.trials
-        lo = 0.0 if k == 0 else float(beta_dist.ppf(0.025, k, n - k + 1))
-        hi = 1.0 if k == n else float(beta_dist.ppf(0.975, k + 1, n - k))
+        lo = 0.0 if k == 0 else _beta_quantile(0.025, k, n - k + 1)
+        hi = 1.0 if k == n else _beta_quantile(0.975, k + 1, n - k)
         return lo, hi
 
     @property
@@ -381,6 +451,8 @@ def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, see
     """
     if not 0 <= t < m:
         raise ParameterMismatch("need 0 <= t < m")
+    if trials < 0:
+        raise ParameterMismatch("need trials >= 0")
     field = PrimeField(q)
     a_el = field.coerce(a)
     if not a_el:

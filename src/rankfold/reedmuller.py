@@ -19,15 +19,14 @@ structure for codewords,
 
 with A-blocks of order r and B-blocks of order r-1 one level down the
 tower, and matching block recursions for generator and parity-check
-matrices.  The decoder exploits the same split: a "fold" (multiply by
-thin block matrices built from 1/sqrt(a_m)) cancels the A-blocks and
-hands the B-part plus a folded error to a decoder for the smaller code;
-the A-part is then recovered by erasure decoding, using the row space of
-the folded error as the erasure support.  Folding never increases the
-error rank; decoding succeeds whenever every iterated fold of the error
-keeps its rank, and every failure of that assumption is caught after
-the fact by rank checks, so the decoder never returns a wrong codeword
-silently.
+matrices.  This is the doubled-code shape of plotkin.py, so the decoder
+is plotkin.doubling_decode over the tower algebra base(sqrt(a_m)): the
+fold hands the B-part to the order r-1 code one level down (recursively)
+and the A-part comes back from erasure decoding in the order r code one
+level down.  Folding never increases the error rank; decoding succeeds
+whenever every iterated fold of the error keeps its rank, and every
+failure of that assumption is caught after the fact by rank checks, so
+the decoder never returns a wrong codeword silently.
 """
 
 from __future__ import annotations
@@ -37,16 +36,10 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import (
-    DecodingFailure,
-    DimensionMismatch,
-    LengthMismatch,
-    NoSolution,
-    NotUnique,
-    RankfoldError,
-)
+from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, RankfoldError
 from .exactfield import MQElement, MultiquadraticField, mq_field
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, solve_erasures
+from .plotkin import doubling_decode
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -337,9 +330,6 @@ class RMCode:
 
     # -- folding ------------------------------------------------------------------------
 
-    def _extended_base(self) -> MultiquadraticField:
-        return mq_field(self.field.gens[: self.base_height] + (self.field.gens[-1],))
-
     def fold(self, Y: ExactMatrix) -> ExactMatrix:
         """One folding step.
 
@@ -352,20 +342,11 @@ class RMCode:
         self._check_received(Y)
         if self.m == 0:
             raise DimensionMismatch("cannot fold a height-zero code")
-        a = self.field.gens[-1]
-        inv_a = Fraction(1) / a
-        ext = self._extended_base()
+        inv_a = Fraction(1) / self.field.gens[-1]
         h = self.size // 2
         tl, tr, bl, br = Y.split_blocks(h, h)
-        rows = []
-        for i in range(h):
-            row = []
-            for j in range(h):
-                u = bl.entries[i][j] - tr.entries[i][j].scale(inv_a)
-                v = (tl.entries[i][j] - br.entries[i][j]).scale(inv_a)
-                row.append(MQElement.join(ext, u, v))
-            rows.append(tuple(row))
-        return ExactMatrix(ext, tuple(rows), _raw=True)
+        return _Tower(self).join(bl - tr.map_entries(lambda e: e.scale(inv_a)),
+                                 (tl - br).map_entries(lambda e: e.scale(inv_a)))
 
     def folds_preserve_rank(self, E: ExactMatrix, rank: Optional[int] = None) -> bool:
         """True if every iterated fold of E down to the decoder's recursion
@@ -418,39 +399,20 @@ class RMCode:
     def erasure_decode(self, y: Sequence, support: ExactMatrix) -> list:
         """Recover the codeword from y = c + x . support.
 
-        The unknown left factor x solves (H support^T) x^T = H y^T; by
-        linearity its kernel consists of the left factors of codewords with
-        row space inside the support, so the solve is unique exactly when
-        no nonzero codeword hides in the erasure space.  Raises
-        DecodingFailure when the system is inconsistent or ambiguous.
+        The unknown left factor x solves (H support^T) x^T = H y^T, with
+        syndromes from fast_syndrome; by linearity its kernel consists of
+        the left factors of codewords with row space inside the support, so
+        the solve is unique exactly when no nonzero codeword hides in the
+        erasure space.  Raises DecodingFailure when the system is
+        inconsistent or ambiguous.
         """
         y = self._coerce_vector(y)
         if len(y) != self.size:
             raise LengthMismatch(f"need {self.size} entries, got {len(y)}")
         if support.rows and support.cols != self.size:
             raise DimensionMismatch("support width must match the code length")
-        rows = [[e.embed(self.field) if isinstance(e, MQElement) else self.field.coerce(e) for e in row] for row in support.rows_list()]
-        s_y = self.fast_syndrome(y)
-        if support.rows == 0:
-            if any(s_y):
-                raise DecodingFailure("nonzero syndrome with empty erasure support")
-            return y
-        cols = [self.fast_syndrome(row) for row in rows]
-        M = ExactMatrix(self.field, tuple(tuple(col[i] for col in cols) for i in range(len(s_y))), _raw=True)
-        try:
-            x = M.solve(s_y)
-        except NoSolution as exc:
-            raise DecodingFailure(f"erasure system inconsistent: {exc}") from exc
-        except NotUnique as exc:
-            raise DecodingFailure("erasure support hides a codeword; solution not unique") from exc
-        out = []
-        for j in range(self.size):
-            acc = y[j]
-            for k, xk in enumerate(x):
-                if xk and rows[k][j]:
-                    acc = acc - xk * rows[k][j]
-            out.append(acc)
-        return out
+        rows = [self._coerce_vector(row) for row in support.entries]
+        return solve_erasures(self.field, self.fast_syndrome, y, rows)
 
     def decode(self, Y: ExactMatrix) -> DecodeReport:
         """Fold-and-recurse decoder.
@@ -481,66 +443,47 @@ class RMCode:
             return ExactMatrix.zeros(self.base_field, self.size, self.size)
         if self.r >= self.m:
             return Y
-        a = self.field.gens[-1]
-        inv_a = Fraction(1) / a
-        h = self.size // 2
-        Yf = self.fold(Y)
-        sub = self.subcode()
-        subreport = sub.decode(Yf)
-        if not subreport.success:
-            trace.extend(subreport.trace)
-            raise DecodingFailure(f"inner decode at order {sub.r}: {subreport.reason}")
-        W = subreport.codeword
-        Eprime = Yf - W
-        ext = self._extended_base()
-        # W = (2/alpha) B0 + 2 B1; peel the two blocks off the split parts.
-        B0_rows, B1_rows = [], []
-        for i in range(h):
-            r0, r1 = [], []
-            for j in range(h):
-                u, v = W.entries[i][j].split()
-                r1.append(u.scale(Fraction(1, 2)))
-                r0.append(v.scale(a / 2))
-            B0_rows.append(tuple(r0))
-            B1_rows.append(tuple(r1))
-        B0 = ExactMatrix(self.base_field, tuple(B0_rows), _raw=True)
-        B1 = ExactMatrix(self.base_field, tuple(B1_rows), _raw=True)
-        Ytil = Y - ExactMatrix.block([[B0, B1.scale(-a)], [B1, -B0]])
-        # Partial fold on the right only; the bottom half carries the
-        # A-block combination plus an error whose rows live in the row
-        # space of the folded error.
-        bottom_rows = []
-        for i in range(h, 2 * h):
-            row = []
-            for j in range(h):
-                l = Ytil.entries[i][j]
-                rr = Ytil.entries[i][j + h]
-                row.append(MQElement.join(ext, l, rr.scale(-inv_a)))
-            bottom_rows.append(tuple(row))
-        F_hat = ExactMatrix(ext, tuple(bottom_rows), _raw=True)
-        support = Eprime.row_space_basis()
-        trace.append({"order": self.r, "height": self.m, "fold_rank": support.rows})
-        trace.extend(subreport.trace)
-        ecode = self._descend(self.r)
-        y_vec = ecode.vector_from_matrix(F_hat)
-        c_vec = ecode.erasure_decode(y_vec, support)
-        C_hat = ecode.matrix_from_vector(c_vec)
-        # C_hat = A1 - (1/alpha) A0.
-        A0_rows, A1_rows = [], []
-        for i in range(h):
-            r0, r1 = [], []
-            for j in range(h):
-                u, v = C_hat.entries[i][j].split()
-                r1.append(u)
-                r0.append(v.scale(-a))
-            A0_rows.append(tuple(r0))
-            A1_rows.append(tuple(r1))
-        A0 = ExactMatrix(self.base_field, tuple(A0_rows), _raw=True)
-        A1 = ExactMatrix(self.base_field, tuple(A1_rows), _raw=True)
-        return ExactMatrix.block([
-            [A0 + B0, (A1 - B1).scale(a)],
-            [A1 + B1, A0 - B0],
-        ])
+        sub, ecode = self.subcode(), self._descend(self.r)
+
+        def decode_errors(W):
+            report = sub.decode(W)
+            if not report.success:
+                trace.extend(report.trace)
+                raise DecodingFailure(f"inner decode at order {sub.r}: {report.reason}")
+            support = report.recovered_error.row_space_basis()
+            trace.append({"order": self.r, "height": self.m, "fold_rank": support.rows})
+            trace.extend(report.trace)
+            return report.codeword, support
+
+        def decode_erasures(Z, support):
+            return ecode.matrix_from_vector(ecode.erasure_decode(ecode.vector_from_matrix(Z), support))
+
+        return doubling_decode(Y, self.field.gens[-1], _Tower(self), decode_errors, decode_erasures)
 
     def __repr__(self):
         return f"RMCode(order={self.r}, height={self.m}, tower={self.field!r})"
+
+
+class _Tower:
+    """The base extended by alpha = sqrt(a), the code's last direction,
+    as base[x]/(x^2 - a): matrices over it have entries u + v alpha."""
+
+    def __init__(self, code: RMCode):
+        self.code = code
+        gens = code.field.gens
+        self.field = mq_field(gens[: code.base_height] + (gens[-1],))
+
+    def fold(self, Y: ExactMatrix) -> ExactMatrix:
+        return self.code.fold(Y)  # the public fold checks Y's field and shape
+
+    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
+        f = self.field
+        rows = tuple(
+            tuple(MQElement.join(f, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries)
+        )
+        return ExactMatrix(f, rows, _raw=True)
+
+    def split(self, W: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        parts = [[e.split() for e in row] for row in W.entries]
+        base = self.code.base_field
+        return tuple(ExactMatrix(base, tuple(tuple(p[i] for p in row) for row in parts), _raw=True) for i in (0, 1))

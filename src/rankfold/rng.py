@@ -50,14 +50,6 @@ class SplitMix64:
             if v < limit:
                 return lo + v % span
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
-    def shuffle(self, seq) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(0, i)
-            seq[i], seq[j] = seq[j], seq[i]
-
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-trial seed: scramble the run seed with the trial index."""

@@ -1,11 +1,14 @@
 """Experiment harness: exit codes, report shape, determinism, fixtures."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rankfold
 from rankfold import cli
 
 
@@ -140,6 +143,18 @@ def test_plotkin_roundtrip_report(capsys):
     assert summary["wrong"] == 0
 
 
+def test_plotkin_roundtrip_nonsquare_twist(capsys):
+    code, lines = run_main(
+        ["plotkin-roundtrip", "--q", "23", "--m", "8", "--k1", "6", "--k2", "4", "--a", "5",
+         "--trials", "4", "--seed", "3", "--jobs", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert lines[0]["t"] == 1
+    summary = [l for l in lines if "successes" in l][0]
+    assert summary["successes"] == summary["trials"] == 4 and summary["wrong"] == 0
+
+
 def test_plotkin_roundtrip_validates_params(capsys):
     code, _ = run_main(
         ["plotkin-roundtrip", "--q", "5", "--m", "8", "--k1", "6", "--k2", "2", "--jobs", "1"],
@@ -182,6 +197,15 @@ def test_fold_prob_validates_params(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", [["--trials", "-5"], ["--q", "21"]])
+def test_fold_prob_bad_input_is_an_error_line(capsys, bad):
+    argv = ["fold-prob", "--q", "5", "--m", "4", "--t", "1", "--no-square"]
+    code = cli.main(argv + bad)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_fold_prob_deterministic(capsys):
     argv = ["fold-prob", "--q", "5", "--m", "4", "--t", "1", "--trials", "2000",
             "--square", "--seed", "9"]
@@ -214,6 +238,16 @@ def test_console_invocation():
     )
     assert proc.returncode == 0
     assert '"drops": 0' in proc.stdout
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(rankfold.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rankfold; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_parallel_jobs_match_serial(capsys):

@@ -353,6 +353,25 @@ def test_ext_erasure_roundtrip():
     C = ext_codeword(mc, ext, rng)
     E = rank_error(ext, rng, 2, 8, 8)
     assert mc.decode_erasures_ext(C + E, E.row_space_basis()) == C
+    # a support of rank 2 that misses the error: rank(E - A R) <= 4 < d, so
+    # no codeword absorbs the difference and the system is inconsistent
+    other = rank_error(ext, rng, 2, 8, 8).row_space_basis()
+    assert other.vstack(E.row_space_basis()).rank() > 2
+    with pytest.raises(DecodingFailure, match="inconsistent"):
+        mc.decode_erasures_ext(C + E, other)
+
+
+def test_ext_erasure_agrees_with_base_erasure_on_base_errors():
+    rng = SplitMix64(21)
+    ext = QuadExtField(PrimeField(23))
+    mc = GabidulinMatrixCode(GabidulinCode(F238, 4))
+    for t in (1, 4):
+        C = mc.random_codeword(rng)
+        E = rank_error(PrimeField(23), rng, t, 8, 8)
+        support = E.row_space_basis()
+        base = mc.decode_erasures(C + E, support)
+        assert base == C
+        assert mc.decode_erasures_ext(embed_ext(C + E, ext), embed_ext(support, ext)) == embed_ext(base, ext)
 
 
 def test_ext_erasure_ambiguous_support_fails():
@@ -364,7 +383,7 @@ def test_ext_erasure_ambiguous_support_fails():
     support = W.row_space_basis()
     C = ext_codeword(mc, ext, rng)
     E = rank_error(ext, rng, 1, 8, 8)
-    with pytest.raises(DecodingFailure):
+    with pytest.raises(DecodingFailure, match="hides a codeword"):
         mc.decode_erasures_ext(C + E.scale(0), support.vstack(E.row_space_basis()))
 
 

@@ -1,5 +1,7 @@
 """Doubled matrix codes: assembly, duality, decoding, fold statistics."""
 
+import time
+
 import pytest
 
 from rankfold import DecodingFailure, SplitMix64
@@ -235,6 +237,19 @@ def test_decode_roundtrip_nonsquare():
         assert C_hat == W and E_hat == E
 
 
+def test_gabidulin_plotkin_nonsquare_roundtrip():
+    # a = 5 is not a square mod 23: the fold runs over GF(23^2), where D's
+    # extension decoder needs 2t <= m - k1, so the radius halves to 1
+    rng = SplitMix64(22)
+    code = gabidulin_plotkin(23, 8, 6, 4, a=5)
+    assert code.radius == 1
+    for _ in range(4):
+        C = code.random_codeword(rng)
+        E = random_rank_matrix(GF23, rng, 16, 16, 1)
+        C_hat, E_hat = code.decode(C + E)
+        assert C_hat == C and E_hat == E
+
+
 def test_decode_nonsquare_error_free():
     rng = SplitMix64(10)
     F58 = ExtField(5, 8)
@@ -291,6 +306,35 @@ def test_fold_stats_zero_rank_never_drops():
     st = fold_probability_experiment(5, 4, 0, 1, 300, 3)
     assert st.drops == 0 and st.rate == 0.0
     assert st.ci95()[0] == 0.0
+
+
+def test_fold_stats_rejects_negative_trials():
+    with pytest.raises(ParameterMismatch):
+        fold_probability_experiment(5, 4, 1, 1, -5, 3)
+
+
+# Clopper-Pearson bounds from scipy.stats.beta.ppf (scipy 1.17.1), as
+# (drops, trials, low, high).
+SCIPY_CI95 = [
+    (0, 1, 0.0, 0.975),
+    (1, 1, 0.025, 1.0),
+    (3, 10, 0.06673951117773447, 0.6524528500599973),
+    (10, 10, 0.6915028921812392, 1.0),
+    (0, 100000, 0.0, 3.68881141579242e-05),
+    (1, 100000, 2.531780477933314e-07, 5.571516034774275e-05),
+    (7, 100000, 2.8144078805036797e-05, 0.00014422140092234864),
+    (500, 1000, 0.46854917297179194, 0.531450827028208),
+    (25000, 50000, 0.49560749396550624, 0.5043925060344938),
+    (99999, 100000, 0.9999442848396523, 0.9999997468219523),
+]
+
+
+def test_fold_stats_ci95_matches_recorded_values():
+    start = time.perf_counter()
+    for k, n, lo, hi in SCIPY_CI95:
+        got = FoldStats(q=5, m=4, t=1, a=1, square=True, trials=n, drops=k).ci95()
+        assert got == pytest.approx((lo, hi), rel=1e-8, abs=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fold_stats_deterministic():
