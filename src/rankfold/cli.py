@@ -33,6 +33,7 @@ from .exactfield import mq_field
 from .gf import ExtField, PrimeField, QuadExtField
 from .linalg import ExactMatrix, random_rank_matrix
 from .plotkin import (
+    fold_drop_bound,
     fold_probability_experiment,
     gabidulin_plotkin,
     plotkin_dual_check,
@@ -61,6 +62,14 @@ def _emit(lines, out_path=None) -> int:
             print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
             return 2
     return 0
+
+
+def _campaign_args_ok(args) -> bool:
+    """False, after an error line, when --jobs or --trials is out of range."""
+    if args.jobs < 1 or args.trials < 0:
+        print("error: need --jobs >= 1 and --trials >= 0", file=sys.stderr)
+        return False
+    return True
 
 
 def _run_trials(init, initargs, trial, indices, jobs):
@@ -122,15 +131,19 @@ def _rm_replay(path):
             if not raw:
                 continue
             rec = json.loads(raw)
-            field = field_from_json(rec["field"])
-            code = RMCode(field, int(rec["r"]))
-            message = [field.element_from_json(x) for x in rec["message"]]
-            C = ExactMatrix.from_json(rec["expected"], code.base_field)
-            E = ExactMatrix.from_json(rec["error"], code.base_field)
-            if code.encode(message) != C:
+            try:
+                field = field_from_json(rec["field"])
+                code = RMCode(field, int(rec["r"]))
+                message = [field.element_from_json(x) for x in rec["message"]]
+                C = ExactMatrix.from_json(rec["expected"], code.base_field)
+                Y = C + ExactMatrix.from_json(rec["error"], code.base_field)
+                encodes = code.encode(message) == C
+            except (KeyError, TypeError, RankfoldError) as exc:
+                raise ValueError(f"record {index}: {exc!r}") from exc
+            if not encodes:
                 lines.append({"trial": index, "success": False, "reason": "fixture: message does not encode to expected"})
                 continue
-            report = code.decode(C + E)
+            report = code.decode(Y)
             line = {"trial": index, "success": bool(report.success)}
             if report.success:
                 line["exact"] = report.codeword == C
@@ -143,6 +156,8 @@ def _rm_replay(path):
 def cmd_rm_roundtrip(args) -> int:
     if not 0 <= args.r <= args.m <= 5:
         print("error: need 0 <= r <= m <= 5", file=sys.stderr)
+        return 1
+    if not _campaign_args_ok(args):
         return 1
     header = {
         "schema": SCHEMA,
@@ -161,7 +176,7 @@ def cmd_rm_roundtrip(args) -> int:
         except OSError as exc:
             print(f"error: cannot read {args.fixtures}: {exc}", file=sys.stderr)
             return 2
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: malformed fixture file: {exc}", file=sys.stderr)
             return 2
         header["fixtures"] = os.path.basename(args.fixtures)
@@ -225,6 +240,8 @@ def _pk_trial(index):
 
 
 def cmd_plotkin_roundtrip(args) -> int:
+    if not _campaign_args_ok(args):
+        return 1
     try:
         code = gabidulin_plotkin(args.q, args.m, args.k1, args.k2, args.a)
     except (RankfoldError, ValueError) as exc:
@@ -261,7 +278,7 @@ def cmd_plotkin_roundtrip(args) -> int:
         "wrong": wrong,
         "trials": args.trials,
         "success_rate": successes / args.trials if args.trials else 1.0,
-        "paper_bound": float(args.q) ** (t - args.m - 1),
+        "paper_bound": fold_drop_bound(args.q, args.m, t, code.field.is_square(code.a)),
     }
     lines = [header] + trial_lines + [summary]
     lines.append({"timings": {"total_s": elapsed, "mean_trial_s": elapsed / max(1, args.trials)}})

@@ -7,6 +7,13 @@ modulus (coefficient tuples (c_{m-1}, ..., c_0) compared lexicographically,
 i.e. minimal sum c_i * p^i), so two constructions of the same field agree
 bit for bit.
 
+GF(p^m) arithmetic is written once, as GF(p)[x] arithmetic on coefficient
+lists: _pmul (product), _psub (difference), _pdivmod (division with
+remainder) and _ppowmod (power mod f).  Reducing mod f (ExtField.element),
+multiplication, inversion by extended Euclid, the Frobenius matrices and
+the modulus check all run on these four, and one square-and-multiply
+(_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).
+
 The modulus check follows the classical criterion: f of degree m is
 irreducible over GF(p) iff x^(p^m) == x (mod f) and
 gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
@@ -14,6 +21,8 @@ gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
 
 from __future__ import annotations
 
+import operator
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatch, NotASquare, SingularBasis
@@ -219,6 +228,24 @@ class PrimeElement:
         return str(self.val)
 
 
+def _power(x, k: int, one, mul=operator.mul):
+    """x^k for k >= 0 by square and multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return out
+
+
+def _field_pow(x, k: int):
+    """x^k in GF(p^2) or GF(p^m); a negative k inverts first."""
+    if k < 0:
+        return x.inverse() ** (-k)
+    return _power(x, k, x.field.one)
+
+
 class QuadExtField:
     """GF(p^2) presented as GF(p)[s]/(s^2 - n) for a non-residue n.
 
@@ -369,16 +396,7 @@ class QuadExtElement:
     def __rtruediv__(self, x):
         return self.inverse() * x
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = self.field.one, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __pow__ = _field_pow
 
     def __eq__(self, other):
         if isinstance(other, QuadExtElement) and other.field != self.field:
@@ -400,7 +418,10 @@ class QuadExtElement:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient lists in increasing degree
+# GF(p)[x], coefficient lists in increasing degree.  Inputs may be any
+# sequences of integers.  _pmul multiplies over the integers and leaves the
+# reduction mod p to the others, whose results are lists reduced mod p and
+# trimmed (no zero leading coefficient).
 
 def _ptrim(f):
     while f and f[-1] == 0:
@@ -408,71 +429,52 @@ def _ptrim(f):
     return f
 
 
-def _pmulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
+def _pmul(f, g):
+    """f * g, coefficients not reduced."""
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pmodred(out, mod, p)
-
-
-def _pmodred(f, mod, p):
-    # mod is monic
-    f = list(f)
-    dm = len(mod) - 1
-    for d in range(len(f) - 1, dm - 1, -1):
-        c = f[d]
-        if c:
-            f[d] = 0
-            for i in range(dm):
-                f[d - dm + i] = (f[d - dm + i] - c * mod[i]) % p
-    return _ptrim(f[:dm] if len(f) > dm else f)
-
-
-def _ppow_p(f, mod, p):
-    # f^p mod `mod` by square and multiply
-    out = [1]
-    base = list(f)
-    k = p
-    while k:
-        if k & 1:
-            out = _pmulmod(out, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        k >>= 1
+                out[i + j] += a * b
     return out
 
 
-def _pgcd(f, g, p):
-    f, g = _ptrim(list(f)), _ptrim(list(g))
-    while g:
-        inv = pow(g[-1], -1, p)
-        g_m = [c * inv % p for c in g]
-        # f mod g_m
-        f = list(f)
-        while len(f) >= len(g_m) and f:
-            c = f[-1]
-            if c:
-                off = len(f) - len(g_m)
-                for i, b in enumerate(g_m):
-                    f[off + i] = (f[off + i] - c * b) % p
-            _ptrim(f)
-            if not f:
-                break
-        f, g = g, _ptrim(f)
-    return _ptrim(f)
+def _psub(f, g, p):
+    """f - g, padding the shorter one with zeros."""
+    return _ptrim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _pdivmod(f, g, p):
+    """(q, r) with f = q g + r and deg r < deg g; g must be reduced, trimmed and nonzero."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(r) - dg)  # empty when deg f < deg g
+    for d in range(len(r) - 1, dg - 1, -1):
+        c = r[d] * inv % p
+        if c:
+            q[d - dg] = c
+            for i in range(dg):
+                r[d - dg + i] -= c * g[i]
+    return _ptrim(q), _ptrim([c % p for c in r[:dg]])
+
+
+def _ppowmod(f, k: int, mod, p):
+    """f^k mod `mod`."""
+    return _power(f, k, [1], lambda a, b: _pdivmod(_pmul(a, b), mod, p)[1])
 
 
 def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     m = len(mod) - 1
-    h = [0, 1]  # x
+    h = [0, 1]  # x^(p^i) mod f
     for i in range(1, m):
-        h = _ppow_p(h, list(mod), p)
-        diff = _ptrim([(a - b) % p for a, b in zip(h + [0] * 2, [0, 1] + [0] * len(h))])
-        if len(_pgcd(diff, list(mod), p)) != 1:
+        h = _ppowmod(h, p, mod, p)
+        g, r = mod, _psub(h, [0, 1], p)
+        while r:  # Euclid: g ends as gcd(f, x^(p^i) - x)
+            g, r = r, _pdivmod(g, r, p)[1]
+        if len(g) != 1:
             return False
-    h = _ppow_p(h, list(mod), p)
-    return _ptrim([(a - b) % p for a, b in zip(h + [0] * 2, [0, 1] + [0] * len(h))]) == []
+    return not _psub(_ppowmod(h, p, mod, p), [0, 1], p)
 
 
 def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -500,7 +502,7 @@ class ExtField:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if m > 1 and not _is_irreducible(list(modulus), p):
+            if m > 1 and not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
         self.modulus = tuple(modulus)
         self.zero = ExtElement(self, (0,) * m)
@@ -513,11 +515,9 @@ class ExtField:
         return self.p ** self.m
 
     def element(self, coeffs: Sequence[int]) -> "ExtElement":
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.m:
-            coeffs = _pmodred(coeffs, list(self.modulus), self.p)
-        coeffs = coeffs + [0] * (self.m - len(coeffs))
-        return ExtElement(self, tuple(coeffs))
+        """The residue of a polynomial over GF(p), of any degree, mod f."""
+        r = _pdivmod(coeffs, self.modulus, self.p)[1]
+        return ExtElement(self, tuple(r + [0] * (self.m - len(r))))
 
     def coerce(self, x) -> "ExtElement":
         if isinstance(x, ExtElement):
@@ -543,14 +543,10 @@ class ExtField:
         i %= self.m
         mat = self._frob_mats.get(i)
         if mat is None:
-            cols = []
-            for j in range(self.m):
-                e = ExtElement(self, tuple(1 if k == j else 0 for k in range(self.m)))
-                f = e
-                for _ in range(i):
-                    f = f._pth_power()
-                cols.append(f.coeffs)
-            mat = tuple(tuple(cols[j][k] for j in range(self.m)) for k in range(self.m))
+            # column j is the image of x^j, that is h^j for h = x^(p^i)
+            h = _ppowmod([0, 1], self.p ** i, self.modulus, self.p)
+            cols = [self.element(_ppowmod(h, j, self.modulus, self.p)).coeffs for j in range(self.m)]
+            mat = tuple(zip(*cols))
             self._frob_mats[i] = mat
         return mat
 
@@ -624,61 +620,24 @@ class ExtElement:
         o = self._other(x)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        prod = [0] * (2 * self.field.m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        red = _pmodred(prod, list(self.field.modulus), p)
-        return ExtElement(self.field, tuple(red + [0] * (self.field.m - len(red))))
+        # o is often zero or a scalar: _pmul skips the zero coefficients of its first factor
+        return self.field.element(_pmul(o.coeffs, self.coeffs))
 
     __rmul__ = __mul__
 
-    def _pth_power(self) -> "ExtElement":
-        out = self.field.one
-        base = self
-        k = self.field.p
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> "ExtElement":
-        # extended Euclid in GF(p)[x]
+        """Extended Euclid in GF(p)[x]: s * self = r (mod f) at every step,
+        down to a constant r."""
         p = self.field.p
-        r0, r1 = list(self.field.modulus), _ptrim(list(self.coeffs))
+        r0, r1 = self.field.modulus, _ptrim(list(self.coeffs))
         if not r1:
             raise ZeroDivisionError("inverse of zero")
         s0, s1 = [], [1]
         while r1:
-            inv = pow(r1[-1], -1, p)
-            q = []
-            r = list(r0)
-            while len(r) >= len(r1) and _ptrim(r):
-                d = len(r) - len(r1)
-                c = r[-1] * inv % p
-                qt = [0] * d + [c]
-                q = _ptrim([(a + b) % p for a, b in zip(q + [0] * (d + 1), qt + [0] * len(q))])
-                for i in range(len(r1)):
-                    r[d + i] = (r[d + i] - c * r1[i]) % p
-                _ptrim(r)
-            # s_next = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + a * b) % p
-            s_next = _ptrim([(a - b) % p for a, b in zip(s0 + [0] * len(qs1), qs1 + [0] * len(s0))])
-            r0, r1 = _ptrim(list(r1)), _ptrim(r)
-            s0, s1 = s1, s_next
-        # r0 is the gcd (a unit); normalize
-        c = pow(r0[0], -1, p)
-        res = [a * c % p for a in s0]
-        res = _pmodred(res, list(self.field.modulus), p)
-        return ExtElement(self.field, tuple(res + [0] * (self.field.m - len(res))))
+            q, r = _pdivmod(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1), p)
+        return self.field.element(_pmul(s0, [pow(r0[0], -1, p)]))
 
     def __truediv__(self, x):
         o = self._other(x)
@@ -689,16 +648,7 @@ class ExtElement:
     def __rtruediv__(self, x):
         return self.inverse() * x
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = self.field.one, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __pow__ = _field_pow
 
     def __eq__(self, other):
         if isinstance(other, ExtElement) and other.field != self.field:

@@ -265,8 +265,9 @@ class PlotkinCode:
             out.append(self.encode(zero, zero, zero, H))
         return out
 
-    def decode(self, Y: ExactMatrix, t: int = None) -> tuple[ExactMatrix, ExactMatrix]:
-        """Recover (codeword, error) from Y = codeword + rank-t error.
+    def decode(self, Y: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        """Recover (codeword, error) from Y = codeword + an error of rank at
+        most the radius t.
 
         Runs doubling_decode: a square a folds into GF(q) x GF(q), so D and
         C decode each factor; a non-square a folds into GF(q^2), where D and
@@ -276,8 +277,7 @@ class PlotkinCode:
         """
         if Y.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
-        if t is None:
-            t = self.radius
+        t = self.radius
         if self.field.is_square(self.a):
             algebra = _SplitAlgebra(self.a, self.field.sqrt(self.a))
 
@@ -308,17 +308,6 @@ class PlotkinCode:
         )
 
 
-# field construction hunts for an irreducible modulus; do it once per (q, m)
-_EXT_FIELDS: dict = {}
-
-
-def _ext_field(q: int, m: int) -> ExtField:
-    key = (q, m)
-    if key not in _EXT_FIELDS:
-        _EXT_FIELDS[key] = ExtField(q, m)
-    return _EXT_FIELDS[key]
-
-
 def gabidulin_plotkin(q: int, m: int, k1: int, k2: int, a=1) -> PlotkinCode:
     """Doubled code from two Gabidulin components with matched radii.
 
@@ -330,7 +319,7 @@ def gabidulin_plotkin(q: int, m: int, k1: int, k2: int, a=1) -> PlotkinCode:
     """
     if m != 2 * k1 - k2:
         raise ParameterMismatch(f"need m = 2*k1 - k2, got m={m}, k1={k1}, k2={k2}")
-    field = _ext_field(q, m)
+    field = ExtField(q, m)
     C = GabidulinMatrixCode(GabidulinCode(field, k1))
     D = GabidulinMatrixCode(GabidulinCode(field, k2))
     radius = m - k1 if field.base.is_square(a) else (m - k1) // 2
@@ -390,6 +379,15 @@ def _beta_quantile(q: float, a: float, b: float) -> float:
             hi = mid
 
 
+def fold_drop_bound(q: int, m: int, t: int, square: bool) -> float:
+    """The paper's bound on the share of rank-t 2m x 2m errors over GF(q)
+    whose fold drops rank: q^(t-m-1) for a square twist, and its square
+    q^(2t-2m-2) for a non-square twist, which folds over GF(q^2)."""
+    if square:
+        return float(q) ** (t - m - 1)
+    return float(q) ** (2 * t - 2 * m - 2)
+
+
 @dataclasses.dataclass
 class FoldStats:
     """Monte Carlo tally of rank-dropping folds."""
@@ -417,9 +415,7 @@ class FoldStats:
 
     @property
     def paper_bound(self) -> float:
-        if self.square:
-            return float(self.q) ** (self.t - self.m - 1)
-        return float(self.q) ** (2 * self.t - 2 * self.m - 2)
+        return fold_drop_bound(self.q, self.m, self.t, self.square)
 
     def to_json(self) -> dict:
         lo, hi = self.ci95()

@@ -41,6 +41,9 @@ from .exactfield import MQElement, MultiquadraticField, mq_field
 from .linalg import ExactMatrix, solve_erasures
 from .plotkin import doubling_decode
 
+# RMCode.sample_error draws this many candidates before giving up
+_SAMPLE_ATTEMPTS = 200
+
 
 def _mask_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
@@ -362,7 +365,7 @@ class RMCode:
                 return False
         return True
 
-    def sample_error(self, rng, bound: int = 50, max_attempts: int = 200) -> ExactMatrix:
+    def sample_error(self, rng, bound: int = 50) -> ExactMatrix:
         """Random error of rank exactly t with fold-stable rank.
 
         Built as X Z with integer entries in [0, bound]; resampled until
@@ -372,7 +375,7 @@ class RMCode:
         t = self.t if 0 <= self.r < self.m else 0
         if t == 0:
             return ExactMatrix.zeros(self.base_field, self.size, self.size)
-        for _ in range(max_attempts):
+        for _ in range(_SAMPLE_ATTEMPTS):
             X = ExactMatrix(
                 self.base_field,
                 [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)],
@@ -386,7 +389,7 @@ class RMCode:
                 continue
             if self.folds_preserve_rank(E, t):
                 return E
-        raise RankfoldError(f"no rank-{t} error with stable folds in {max_attempts} attempts")
+        raise RankfoldError(f"no rank-{t} error with stable folds in {_SAMPLE_ATTEMPTS} attempts")
 
     # -- decoding -------------------------------------------------------------------------
 

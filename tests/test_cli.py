@@ -98,13 +98,21 @@ def test_rm_fixture_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    zero = {"rows": 2, "cols": 2, "entries": [[["0"], ["0"]], [["0"], ["0"]]]}
+    bad_records = [
+        {"field": {"p": 5}},
+        {"field": {"generators": ["2", "8"]}, "r": 0},  # 8 = 2 * 2^2 is a square in Q(sqrt 2)
+        {"field": None, "r": 0},
+        {"field": {"generators": ["2"]}, "r": 0, "message": [["0", "0"]],
+         "expected": zero, "error": dict(zero, rows=3)},  # declared shape disagrees with the entries
+    ]
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"field": {"p": 5}}\n')
-    code, _ = run_main(
-        ["rm-roundtrip", "--m", "3", "--r", "1", "--fixtures", str(bad), "--jobs", "1"],
-        capsys,
-    )
-    assert code == 2
+    for record in bad_records:
+        bad.write_text(json.dumps(record) + "\n")
+        code = cli.main(["rm-roundtrip", "--m", "3", "--r", "1", "--fixtures", str(bad), "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2, record
+        assert captured.err.startswith("error: malformed fixture file")
 
 
 def test_rm_out_file_matches_stdout(tmp_path, capsys):
@@ -153,6 +161,7 @@ def test_plotkin_roundtrip_nonsquare_twist(capsys):
     assert lines[0]["t"] == 1
     summary = [l for l in lines if "successes" in l][0]
     assert summary["successes"] == summary["trials"] == 4 and summary["wrong"] == 0
+    assert summary["paper_bound"] == pytest.approx(23.0 ** (2 * 1 - 2 * 8 - 2))
 
 
 def test_plotkin_roundtrip_validates_params(capsys):
@@ -161,6 +170,23 @@ def test_plotkin_roundtrip_validates_params(capsys):
         capsys,
     )
     assert code == 1
+
+
+RM_ARGS = ["rm-roundtrip", "--m", "3", "--r", "1"]
+PK_ARGS = ["plotkin-roundtrip", "--q", "5", "--m", "4", "--k1", "3", "--k2", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    RM_ARGS + ["--jobs", "0"],
+    RM_ARGS + ["--trials", "-3", "--jobs", "1"],
+    PK_ARGS + ["--jobs", "0"],
+    PK_ARGS + ["--trials", "-2", "--jobs", "1"],
+])
+def test_campaign_bad_counts_are_error_lines(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_fold_prob_report(capsys):
