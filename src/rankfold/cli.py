@@ -140,11 +140,12 @@ def _rm_replay(path):
                 encodes = code.encode(message) == C
             except (KeyError, TypeError, RankfoldError) as exc:
                 raise ValueError(f"record {index}: {exc!r}") from exc
+            line = {"trial": index, "m": code.m, "r": code.r}
             if not encodes:
-                lines.append({"trial": index, "success": False, "reason": "fixture: message does not encode to expected"})
+                lines.append(dict(line, success=False, reason="fixture: message does not encode to expected"))
                 continue
             report = code.decode(Y)
-            line = {"trial": index, "success": bool(report.success)}
+            line["success"] = bool(report.success)
             if report.success:
                 line["exact"] = report.codeword == C
             else:
@@ -159,18 +160,12 @@ def cmd_rm_roundtrip(args) -> int:
         return 1
     if not _campaign_args_ok(args):
         return 1
-    header = {
-        "schema": SCHEMA,
-        "command": "rm-roundtrip",
-        "m": args.m,
-        "r": args.r,
-        "trials": args.trials,
-        "bound": args.bound,
-        "seed": args.seed,
-    }
+    header = {"schema": SCHEMA, "command": "rm-roundtrip"}
     t0 = time.perf_counter()
     fixtures = []
     if args.fixtures:
+        # A replay decodes each record's own code; the sampling parameters
+        # are unused, so the header does not report them.
         try:
             trial_lines = _rm_replay(args.fixtures)
         except OSError as exc:
@@ -181,6 +176,7 @@ def cmd_rm_roundtrip(args) -> int:
             return 2
         header["fixtures"] = os.path.basename(args.fixtures)
     else:
+        header.update(m=args.m, r=args.r, trials=args.trials, bound=args.bound, seed=args.seed)
         results = _run_trials(
             _rm_init,
             (args.m, args.r, args.seed, args.bound, bool(args.dump_fixtures)),

@@ -12,14 +12,24 @@ order.  Every generator must stay a non-square as the tower grows
 (otherwise the extension degree collapses and the coordinates stop
 being unique); this is checked at construction time.
 
-All arithmetic is exact, backed by fractions.Fraction.  Elements are
-immutable, so they can be shared freely between threads and processes.
+Coordinates are fractions.Fraction, and all arithmetic is exact.  With
+basis monomials as bitmasks S, T, the product of two monomials is
+alpha_S * alpha_T = w[S & T] * alpha_(S ^ T), where w[S] is the product of
+the a_k with k in S.  Each field builds once the integer table
+W[S] = w[S] * D, where D is the product of the generators' denominators
+(1 for integer generators).  A product clears each operand's denominators
+(their lcm dx, dy), accumulates X_i * Y_j * W[i & j] into coordinate i ^ j
+in Python ints, and builds each output Fraction once, over dx * dy * D.
+Python ints are unbounded, so the kernel needs no overflow bound.
+Inverses use the norm recursion over the top generator, with products
+through the same kernel.  Elements are immutable, so they can be shared
+freely between threads and processes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
@@ -75,68 +85,48 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# coordinate-level arithmetic (lists of Fractions, length 2^len(gens))
+# coordinate-level arithmetic (sequences of Fractions, length 2^height)
 
-def _add(x, y):
-    return [u + v for u, v in zip(x, y)]
-
-
-def _neg(x):
-    return [-u for u in x]
-
-
-def _scale(c, x):
-    return [c * u for u in x]
-
-
-def _mul(x, y, gens):
-    # Recursive multiplication over the top split x = x0 + x1*alpha.  The
-    # schoolbook four-product recursion is used, skipping sub-products whose
-    # operand half is identically zero; generator and parity-check entries
-    # are single basis monomials, for which this prunes to O(m) work.
-    if not gens:
-        return [x[0] * y[0]]
-    h = len(x) // 2
-    sub = gens[:-1]
-    a = gens[-1]
-    x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
-    nx0, nx1, ny0, ny1 = any(x0), any(x1), any(y0), any(y1)
-    lo = hi = None
-    if nx0 and ny0:
-        lo = _mul(x0, y0, sub)
-    if nx1 and ny1:
-        p = _scale(a, _mul(x1, y1, sub))
-        lo = p if lo is None else _add(lo, p)
-    if nx0 and ny1:
-        hi = _mul(x0, y1, sub)
-    if nx1 and ny0:
-        p = _mul(x1, y0, sub)
-        hi = p if hi is None else _add(hi, p)
-    if lo is None:
-        lo = [_ZERO] * h
-    if hi is None:
-        hi = [_ZERO] * h
-    return lo + hi
+def _mul(x, y, W, D):
+    """Product of two coordinate sequences of one (sub)tower, through the
+    integer table W of the module docstring.  A tower's table serves all of
+    its subtowers, since only indices below len(x) are read."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    xs = [(i, c) for i, c in enumerate(x) if c]
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    if not xs or not ys:
+        return (_ZERO,) * len(x)
+    dx = lcm(*[c.denominator for _, c in xs])
+    dy = lcm(*[c.denominator for _, c in ys])
+    ys = [(j, c.numerator * (dy // c.denominator)) for j, c in ys]
+    out = [0] * len(x)
+    for i, c in xs:
+        u = c.numerator * (dx // c.denominator)
+        for j, v in ys:
+            out[i ^ j] += u * v * W[i & j]
+    den = dx * dy * D
+    return tuple(Fraction(s, den) if s else _ZERO for s in out)
 
 
-def _inv(x, gens):
+def _inv(x, gens, W, D):
     # (x0 + x1*alpha)^-1 = (x0 - x1*alpha) / (x0^2 - a*x1^2); the norm factor
     # is invertible in the subtower because the tower degree is exact.
     if not gens:
         if x[0] == 0:
             raise ZeroDivisionError("inverse of zero")
-        return [_ONE / x[0]]
+        return (_ONE / x[0],)
     h = len(x) // 2
     sub = gens[:-1]
     a = gens[-1]
     x0, x1 = x[:h], x[h:]
     if not any(x1):
-        return _inv(x0, sub) + [_ZERO] * h
+        return _inv(x0, sub, W, D) + (_ZERO,) * h
     if not any(x0):
-        return [_ZERO] * h + [c / a for c in _inv(x1, sub)]
-    d = _add(_mul(x0, x0, sub), _scale(-a, _mul(x1, x1, sub)))
-    di = _inv(d, sub)
-    return _mul(x0, di, sub) + _neg(_mul(x1, di, sub))
+        return (_ZERO,) * h + tuple(c / a for c in _inv(x1, sub, W, D))
+    d = tuple(u - a * v for u, v in zip(_mul(x0, x0, W, D), _mul(x1, x1, W, D)))
+    di = _inv(d, sub, W, D)
+    return _mul(x0, di, W, D) + tuple(-c for c in _mul(x1, di, W, D))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +166,13 @@ class MultiquadraticField:
         self.gens = gens
         self.m = len(gens)
         self.dim = 1 << self.m
+        # The product kernel's table: _W[S] = _D * (product of a_k, k in S),
+        # an integer because _D is the product of the generators' denominators.
+        self._D = prod(a.denominator for a in gens)
+        W = [self._D]
+        for a in gens:
+            W += [w * a.numerator // a.denominator for w in W]
+        self._W = tuple(W)
         self.zero = MQElement(self, (_ZERO,) * self.dim)
         self.one = MQElement(self, (_ONE,) + (_ZERO,) * (self.dim - 1))
 
@@ -276,7 +273,7 @@ class MQElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return MQElement(self.field, tuple(_add(self.coords, other.coords)))
+        return MQElement(self.field, tuple(u + v for u, v in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
@@ -290,22 +287,24 @@ class MQElement:
         return (-self) + other
 
     def __neg__(self):
-        return MQElement(self.field, tuple(_neg(self.coords)))
+        return MQElement(self.field, tuple(-u for u in self.coords))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return MQElement(self.field, tuple(_mul(list(self.coords), list(other.coords), list(self.field.gens))))
+        field = self.field
+        return MQElement(field, _mul(self.coords, other.coords, field._W, field._D))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "MQElement":
-        return MQElement(self.field, tuple(_inv(list(self.coords), list(self.field.gens))))
+        field = self.field
+        return MQElement(field, _inv(self.coords, field.gens, field._W, field._D))
 
     def scale(self, c) -> "MQElement":
-        """Multiply by a rational scalar, coordinate-wise; avoids the full
-        product recursion."""
+        """Multiply by a rational scalar, coordinate-wise; avoids the general
+        product."""
         c = Fraction(c)
         return MQElement(self.field, tuple(v * c for v in self.coords))
 
@@ -339,6 +338,9 @@ class MQElement:
         return any(self.coords)
 
     def __hash__(self):
+        # A rational element equals its value (see __eq__), so it hashes alike.
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.field.gens, self.coords))
 
     # -- tower structure ----------------------------------------------------

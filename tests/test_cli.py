@@ -84,11 +84,15 @@ def test_rm_fixture_dump_and_replay(tmp_path, capsys):
     assert all(
         set(rec) == {"field", "r", "m", "message", "error", "expected"} for rec in records
     )
-    replay = ["rm-roundtrip", "--m", "3", "--r", "1", "--fixtures", str(fx), "--jobs", "1"]
+    # the sampling flags disagree with the records; a replay must not report them
+    replay = ["rm-roundtrip", "--m", "2", "--r", "1", "--trials", "100", "--fixtures", str(fx), "--jobs", "1"]
     code, lines = run_main(replay, capsys)
     assert code == 0
-    summary = [l for l in lines if "successes" in l][0]
-    assert summary["successes"] == 3
+    header, trials, summary = lines[0], lines[1:4], lines[4]
+    assert header["fixtures"] == "fixtures.jsonl"
+    assert not {"m", "r", "trials", "bound", "seed"} & set(header)
+    assert all((l["m"], l["r"], l["success"]) == (3, 1, True) for l in trials)
+    assert (summary["successes"], summary["trials"]) == (3, 3)
 
 
 def test_rm_fixture_errors(tmp_path, capsys):

@@ -183,6 +183,16 @@ def test_scalar_coercion():
     assert Fraction(1, 3) + x == L.element([Fraction(1, 3), 1, 0, 0])
 
 
+def test_rational_elements_hash_like_their_value():
+    L = mq_field((2, 3))
+    for c in (3, 0, -7, Fraction(5, 4)):
+        assert L.scalar(c) == c and hash(L.scalar(c)) == hash(c)
+    assert {3: "v"}[L.scalar(3)] == "v"
+    assert {Fraction(5, 4): "v"}[L.scalar(Fraction(5, 4))] == "v"
+    x = L.element([1, 2, 0, 3])
+    assert hash(x) == hash(L.element([1, 2, 0, 3])) and x in {x: 1}
+
+
 def test_scale_matches_scalar_mul():
     L = mq_field((2, 3))
     rng = SplitMix64(9)
