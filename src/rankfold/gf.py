@@ -14,6 +14,15 @@ multiplication, inversion by extended Euclid, the Frobenius matrices and
 the modulus check all run on these four, and one square-and-multiply
 (_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).
 
+All three fields are GF(p)[x]/(f) for an f of degree m: f = x for GF(p),
+x^2 - n for GF(p^2) and the modulus for GF(p^m).  Each builds once, on
+the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
+(mul_tensor), and its `eliminate` hook hands ExactMatrix.rref to the
+numpy kernel modmat.rref_poly on (rows, cols, m) coefficient arrays.
+
+An int equals an element only when it is the element's canonical residue
+in [0, p), and elements of the base field hash like that int.
+
 The modulus check follows the classical criterion: f of degree m is
 irreducible over GF(p) iff x^(p^m) == x (mod f) and
 gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
@@ -22,9 +31,13 @@ gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from . import modmat
 from .errors import FieldMismatch, NotASquare, SingularBasis
 from .linalg import ExactMatrix
 
@@ -55,9 +68,44 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class _PolyQuotient:
+    """What GF(p), GF(p^2) and GF(p^m) share as GF(p)[x]/(f) with
+    deg f = `degree`: the multiplication tensor and the elimination hook.
+    Subclasses convert between elements and coefficient sequences."""
+
+    degree: int
+
+    @cached_property
+    def mul_tensor(self) -> np.ndarray:
+        """(m, m, m) array: T[i, j] holds the coefficients of x^(i+j) mod f."""
+        m = self.degree
+        basis = [self._from_coeffs([int(i == k) for k in range(m)]) for i in range(m)]
+        return np.array([[self._coeffs(a * b) for b in basis] for a in basis], dtype=np.int64)
+
+    def eliminate(self, entries) -> Optional[tuple[tuple, tuple[int, ...]]]:
+        """(rows, pivots) of the reduced row echelon form, computed by
+        modmat.rref_poly; None when m (p-1)^2 overflows int64, so that
+        ExactMatrix.rref eliminates generically."""
+        m = self.degree
+        if not modmat.poly_fits_int64(self.p, m):
+            return None
+        rows = len(entries)
+        cols = len(entries[0]) if rows else 0
+        coeffs = self._coeffs
+        A = np.array([coeffs(e) for row in entries for e in row], dtype=np.int64).reshape(rows, cols, m)
+        R, pivots = modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
+        make = self._from_coeffs
+        return tuple(tuple(make(v) for v in row) for row in R.tolist()), pivots
+
+    def _inverse_coeffs(self, coeffs):
+        return self._coeffs(self._from_coeffs(coeffs).inverse())
+
+
+class PrimeField(_PolyQuotient):
     """GF(p).  p may be 2 (needed by the characteristic-2 encoder variant),
     but square roots and the quadratic extension require p odd."""
+
+    degree = 1
 
     def __init__(self, p: int):
         if not is_probable_prime(p):
@@ -77,6 +125,13 @@ class PrimeField:
         if isinstance(x, int):
             return PrimeElement(self, x % self.p)
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+
+    @staticmethod
+    def _coeffs(x: "PrimeElement") -> tuple:
+        return (x.val,)
+
+    def _from_coeffs(self, coeffs) -> "PrimeElement":
+        return PrimeElement(self, coeffs[0])
 
     def random_element(self, rng) -> "PrimeElement":
         return PrimeElement(self, rng.randint(0, self.p - 1))
@@ -214,15 +269,17 @@ class PrimeElement:
         return PrimeElement(self.field, pow(self.val, n, self.field.p))
 
     def __eq__(self, other):
+        if isinstance(other, PrimeElement):
+            return self.field == other.field and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.field.p
-        return isinstance(other, PrimeElement) and self.field == other.field and self.val == other.val
+            return self.val == other
+        return NotImplemented
 
     def __bool__(self):
         return self.val != 0
 
     def __hash__(self):
-        return hash((self.field.p, self.val))
+        return hash(self.val)
 
     def __repr__(self):
         return str(self.val)
@@ -246,12 +303,14 @@ def _field_pow(x, k: int):
     return _power(x, k, x.field.one)
 
 
-class QuadExtField:
+class QuadExtField(_PolyQuotient):
     """GF(p^2) presented as GF(p)[s]/(s^2 - n) for a non-residue n.
 
     Constructing the extension from the non-residue of interest makes its
     square root available directly: sqrt(n) = s.
     """
+
+    degree = 2
 
     def __init__(self, base: PrimeField | int, nonresidue: Optional[int] = None):
         self.base = base if isinstance(base, PrimeField) else PrimeField(base)
@@ -283,6 +342,13 @@ class QuadExtField:
         if isinstance(x, int):
             return QuadExtElement(self, x % self.p, 0)
         raise TypeError(f"cannot coerce {x!r}")
+
+    @staticmethod
+    def _coeffs(x: "QuadExtElement") -> tuple:
+        return (x.u, x.v)
+
+    def _from_coeffs(self, coeffs) -> "QuadExtElement":
+        return QuadExtElement(self, coeffs[0], coeffs[1])
 
     def random_element(self, rng) -> "QuadExtElement":
         return QuadExtElement(self, rng.randint(0, self.p - 1), rng.randint(0, self.p - 1))
@@ -399,18 +465,22 @@ class QuadExtElement:
     __pow__ = _field_pow
 
     def __eq__(self, other):
-        if isinstance(other, QuadExtElement) and other.field != self.field:
-            return False
-        try:
-            pair = self._pair(other) if isinstance(other, (QuadExtElement, int, PrimeElement)) else None
-        except FieldMismatch:
-            return False
-        return pair is not None and (self.u, self.v) == pair
+        if isinstance(other, QuadExtElement):
+            return self.field == other.field and self.u == other.u and self.v == other.v
+        if isinstance(other, PrimeElement):
+            if other.field != self.field.base:
+                return False
+            other = other.val
+        if isinstance(other, int):
+            return self.v == 0 and self.u == other
+        return NotImplemented
 
     def __bool__(self):
         return self.u != 0 or self.v != 0
 
     def __hash__(self):
+        if self.v == 0:
+            return hash(self.u)
         return hash((self.field.p, self.field.n, self.u, self.v))
 
     def __repr__(self):
@@ -489,13 +559,13 @@ def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-class ExtField:
+class ExtField(_PolyQuotient):
     """GF(p^m) as GF(p)[x]/(f) with a deterministic default modulus."""
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         self.base = PrimeField(p)
         self.p = p
-        self.m = m
+        self.m = self.degree = m
         if modulus is None:
             modulus = _first_irreducible(p, m)
         else:
@@ -531,6 +601,13 @@ class ExtField:
         if isinstance(x, int):
             return self.element([x])
         raise TypeError(f"cannot coerce {x!r}")
+
+    @staticmethod
+    def _coeffs(x: "ExtElement") -> tuple:
+        return x.coeffs
+
+    def _from_coeffs(self, coeffs) -> "ExtElement":
+        return ExtElement(self, tuple(coeffs))
 
     def random_element(self, rng) -> "ExtElement":
         return ExtElement(self, tuple(rng.randint(0, self.p - 1) for _ in range(self.m)))
@@ -651,18 +728,22 @@ class ExtElement:
     __pow__ = _field_pow
 
     def __eq__(self, other):
-        if isinstance(other, ExtElement) and other.field != self.field:
-            return False
-        try:
-            o = self._other(other) if isinstance(other, (ExtElement, int, PrimeElement)) else None
-        except FieldMismatch:
-            return False
-        return o is not None and self.coeffs == o.coeffs
+        if isinstance(other, ExtElement):
+            return self.field == other.field and self.coeffs == other.coeffs
+        if isinstance(other, PrimeElement):
+            if other.field != self.field.base:
+                return False
+            other = other.val
+        if isinstance(other, int):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
 
     def __bool__(self):
         return any(self.coeffs)
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.p, self.field.m, self.coeffs))
 
     def __repr__(self):

@@ -2,10 +2,17 @@
 
 A field handle must expose `zero`, `one` and `coerce`; entries must
 support +, -, *, / and truth testing.  Rationals, multiquadratic towers
-and the finite fields in this package all qualify.  Elimination uses
-naive Gaussian steps with a deterministic pivot rule (first row with a
-nonzero entry in the current column), so results are reproducible and
-there is no numerical-stability concern: arithmetic is exact.
+and the finite fields in this package all qualify.  Elimination
+(gauss_jordan) uses naive Gaussian steps with a deterministic pivot rule
+(first row with a nonzero entry in the current column), so results are
+reproducible and there is no numerical-stability concern: arithmetic is
+exact.
+
+A field handle may also expose `eliminate(entries) -> (rows, pivots)`,
+returning the reduced row echelon form of a tuple of row tuples, or None
+to decline.  ExactMatrix.rref calls it first and falls back to
+gauss_jordan; the finite fields of gf reduce on numpy this way.  The
+reduced row echelon form is unique, so both paths give the same result.
 
 Matrices are immutable; all operations return fresh objects.
 """
@@ -177,35 +184,15 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form.
+        """Reduced row echelon form, by the field's `eliminate` hook when it
+        has one and accepts, else by gauss_jordan.
 
-        Returns (R, pivot_columns, rank).  Pivot selection is the first row
-        with a nonzero entry in the current column.
+        Returns (R, pivot_columns, rank).
         """
-        rows = [list(r) for r in self.entries]
-        pivots = []
-        pr = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if rows[r][c]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = self.field.one / rows[pr][c]
-            rows[pr] = [inv * e for e in rows[pr]]
-            for r in range(self.rows):
-                if r != pr and rows[r][c]:
-                    f = rows[r][c]
-                    rows[r] = [e - f * p for e, p in zip(rows[r], rows[pr])]
-            pivots.append(c)
-            pr += 1
-            if pr == self.rows:
-                break
-        R = ExactMatrix(self.field, tuple(tuple(r) for r in rows), _raw=True)
-        return R, tuple(pivots), len(pivots)
+        eliminate = getattr(self.field, "eliminate", None)
+        reduced = eliminate(self.entries) if eliminate is not None else None
+        rows, pivots = reduced if reduced is not None else gauss_jordan(self.field, self.entries)
+        return ExactMatrix(self.field, rows, _raw=True), pivots, len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -221,18 +208,8 @@ class ExactMatrix:
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel, one vector per free column."""
-        R, pivots, rank = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero, self.field.one
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for r, c in enumerate(pivots):
-                v[c] = -R.entries[r][f]
-            basis.append(v)
-        return basis
+        R, pivots, _ = self.rref()
+        return _kernel_from_rref(self.field, R.entries, pivots, self.cols)
 
     def solve(self, b: Sequence) -> list:
         """Solve A x = b for the unique x.
@@ -255,8 +232,8 @@ class ExactMatrix:
         if pivots and pivots[-1] == self.cols:
             raise NoSolution("inconsistent system")
         if rank < self.cols:
-            witness = self.kernel_basis()[0]
-            raise NotUnique(witness)
+            # no pivot in the last column: the other columns of R are A's RREF
+            raise NotUnique(_kernel_from_rref(self.field, R.entries, pivots, self.cols)[0])
         x = [self.field.zero] * self.cols
         for r, c in enumerate(pivots):
             x[c] = R.entries[r][self.cols]
@@ -286,6 +263,52 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
+
+
+def gauss_jordan(field, entries: Sequence[Sequence]) -> tuple[tuple, tuple[int, ...]]:
+    """(rows, pivots) of the reduced row echelon form, by Gauss-Jordan steps
+    in the field's own arithmetic.  The pivot of each column is its first
+    nonzero entry at or below the current row."""
+    rows = [list(r) for r in entries]
+    pivots = []
+    pr = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = None
+        for r in range(pr, len(rows)):
+            if rows[r][c]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = field.one / rows[pr][c]
+        rows[pr] = [inv * e for e in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [e - f * p for e, p in zip(rows[r], rows[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == len(rows):
+            break
+    return tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def _kernel_from_rref(field, R: Sequence[Sequence], pivots: Sequence[int], cols: int) -> list[list]:
+    """Kernel basis of a matrix with `cols` columns from its RREF rows R
+    (extra columns of R are ignored), one vector per free column."""
+    pivot_set = set(pivots)
+    zero, one = field.zero, field.one
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [zero] * cols
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f]
+        basis.append(v)
+    return basis
 
 
 def random_rank_matrix(field, rng, rows, cols, rank) -> ExactMatrix:

@@ -6,13 +6,22 @@ would dominate the runtime.  Here matrices are plain int64 arrays with
 entries reduced mod p and Gaussian elimination runs across a whole batch
 at once.
 
+rref_poly is the exact single-matrix kernel behind ExactMatrix.rref over
+the finite fields of gf.  Each of them is GF(p)[x]/(f) for an f of degree
+m, an entry is its length-m coefficient vector, and the field's
+multiplication tensor T[i, j] = x^(i+j) mod f turns the product by an
+element c into the m x m matrix sum_i c_i T[i].
+
 Overflow discipline: elimination over GF(p) forms products of two
 reduced entries, so any p below 2^31 is safe in int64.  Elimination over
 GF(p^2) forms products of three (the non-residue times two entries), so
 batch_rank_quad requires p < 2^21 and raises ValueError otherwise.  Batch
 elimination also builds a length-p inverse table, so it insists on
 p <= 2^22.  Batched matrix products sum inner-dimension many products
-and check the bound explicitly.
+and check the bound explicitly.  rref_poly sums m products of two
+residues, both when it builds a multiplication matrix from T and when it
+updates a row, so it needs m (p-1)^2 < 2^63 (poly_fits_int64) and raises
+ValueError otherwise; for m = 1 that is p <= 3037000500.
 """
 
 from __future__ import annotations
@@ -122,6 +131,56 @@ def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np
         V[sel] = (V[sel] - fu[:, :, None] * prv - fv[:, :, None] * pru) % p
         rank[sel] += 1
     return rank
+
+
+def poly_fits_int64(p: int, m: int) -> bool:
+    """Whether rref_poly can run over GF(p)[x]/(f) with deg f = m."""
+    return m * (p - 1) ** 2 < 2 ** 63
+
+
+def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of one matrix over GF(p)[x]/(f).
+
+    A is (R, C, m): entry (r, c) is the coefficient vector of a residue
+    mod f.  T is the (m, m, m) multiplication tensor of f, and
+    `inverse` maps the coefficient list of a nonzero entry to that of its
+    inverse.  The pivot of each column is its first nonzero entry at or
+    below the current row; the pivot row is scaled to a leading one and
+    the column is cleared in every other row at once.  Returns (R, pivot
+    columns); the input is not modified.
+    """
+    A = np.asarray(A, dtype=np.int64) % p
+    rows, cols, m = A.shape
+    if not poly_fits_int64(p, m):
+        raise ValueError(f"p = {p}, m = {m}: m (p-1)^2 overflows int64")
+    T = np.asarray(T, dtype=np.int64).reshape(m, m * m)
+    one = [1] + [0] * (m - 1)
+    pivots = []
+    for c in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        nonzero = A[pr:, c].any(axis=1)
+        r = pr + int(nonzero.argmax())
+        if not nonzero[r - pr]:
+            if not A[pr:, c:].any():
+                break  # the rows left are zero: no more pivots
+            continue
+        if r != pr:
+            A[[pr, r]] = A[[r, pr]]
+        # Sparse inputs often have a pivot of one, or nothing else in its column.
+        lead = A[pr, c].tolist()
+        if lead != one:
+            # row vector times the matrix of multiplication by the inverse
+            scale = np.asarray(inverse(lead), dtype=np.int64) @ T % p
+            A[pr, c:] = A[pr, c:] @ scale.reshape(m, m) % p
+        factors = A[:, c].copy()
+        factors[pr] = 0
+        if factors.any():
+            mult = (factors @ T % p).reshape(rows, m, m)
+            A[:, c:] = (A[:, c:] - np.einsum("cj,rjk->rck", A[pr, c:], mult)) % p
+        pivots.append(c)
+    return A, tuple(pivots)
 
 
 def batch_matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Prime fields, quadratic extensions, GF(p^m), and coordinate expansion."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankfold import FieldMismatch, NotASquare, SingularBasis, SplitMix64
 from rankfold.gf import (
@@ -138,6 +139,42 @@ def test_field_mismatch_is_not_equality():
     assert not (ExtField(5, 2).one == ExtField(5, 3).one)
     with pytest.raises(FieldMismatch):
         PrimeField(5).one + PrimeField(7).one
+
+
+def test_int_equals_only_the_canonical_residue():
+    for F in (PrimeField(5), QuadExtField(5), ExtField(5, 3)):
+        x = F.coerce(3)
+        assert x == 3 and 3 == x
+        assert x != 8 and x != -2
+        assert {3: "v"}[x] == "v"
+        assert {x: "v"}[3] == "v"
+    assert ExtField(5, 3).x != 0 and QuadExtField(5).sqrt_nonresidue != 0
+    # a base-field constant of an extension equals the prime-field element, both ways round
+    three = PrimeField(5).coerce(3)
+    for F in (QuadExtField(5), ExtField(5, 3)):
+        assert three == F.coerce(3) and F.coerce(3) == three
+
+
+_HASH_FIELDS = [PrimeField(5), PrimeField(7), QuadExtField(5), QuadExtField(7), ExtField(5, 2), ExtField(5, 3)]
+
+
+@st.composite
+def ints_and_elements(draw):
+    """An int, or an element that is a base-field constant half of the time."""
+    kind = draw(st.integers(-1, len(_HASH_FIELDS) - 1))
+    if kind < 0:
+        return draw(st.integers(-12, 12))
+    F = _HASH_FIELDS[kind]
+    if draw(st.booleans()):
+        return F.coerce(draw(st.integers(0, F.p - 1)))
+    coeffs = draw(st.lists(st.integers(0, F.p - 1), min_size=F.degree, max_size=F.degree))
+    return F._from_coeffs(coeffs)
+
+
+@given(ints_and_elements(), ints_and_elements())
+def test_equal_values_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_expand_to_base_roundtrip():

@@ -81,6 +81,27 @@ def test_solve_not_unique_carries_witness():
     assert all(sum(A[i, j] * w[j] for j in range(2)) == 0 for i in range(2))
 
 
+def test_not_unique_witness_is_the_first_kernel_vector():
+    rng = SplitMix64(9)
+    for field in (QQ, PrimeField(23)):
+        for _ in range(10):
+            A = _random_matrix(field, rng, 3, 5)
+            b = A @ ExactMatrix.column(field, [rng.randint(0, 9) for _ in range(5)])
+            with pytest.raises(NotUnique) as info:
+                A.solve(b)
+            assert info.value.witness == A.kernel_basis()[0]
+
+
+def test_solve_eliminates_once(monkeypatch):
+    A = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 7]])
+    calls = []
+    rref = ExactMatrix.rref
+    monkeypatch.setattr(ExactMatrix, "rref", lambda self: calls.append(self.shape) or rref(self))
+    with pytest.raises(NotUnique):
+        A.solve([1, 2])
+    assert calls == [(2, 4)]
+
+
 def test_kernel_basis_annihilates():
     rng = SplitMix64(6)
     for _ in range(20):

@@ -1,11 +1,13 @@
-"""Batched modular rank kernels against the exact matrix layer."""
+"""Modular kernels against the exact matrix layer: the batched rank
+kernels, and the finite-field elimination kernel against the generic one."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rankfold import SplitMix64
-from rankfold.gf import QuadExtField
-from rankfold.linalg import random_rank_matrix
+from rankfold import NoSolution, NotUnique, SplitMix64, modmat
+from rankfold.gf import ExtField, PrimeField, QuadExtField
+from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
 from rankfold.modmat import batch_rank_quad
 
 
@@ -34,3 +36,142 @@ def test_batch_rank_quad_rejects_overflowing_prime():
     assert exact == [2] * 20
     with pytest.raises(ValueError):
         batch_rank_quad(U, V, 4194301, nr)
+
+
+# -- rref_poly: the finite-field elimination kernel behind ExactMatrix.rref ----
+# gauss_jordan, the generic elimination that Q and towers use, is the oracle.
+
+KERNEL_FIELDS = [PrimeField(2), PrimeField(23), QuadExtField(23, 5), ExtField(2, 5), ExtField(3, 4), ExtField(23, 8)]
+FIELD_IDS = [repr(F) for F in KERNEL_FIELDS]
+
+
+def assert_matches_oracle(M):
+    """The kernel's (R, pivots) equal gauss_jordan's, and rref/rank agree."""
+    reduced = M.field.eliminate(M.entries)
+    assert reduced is not None
+    expected = gauss_jordan(M.field, M.entries)
+    assert reduced == expected
+    R, pivots, rank = M.rref()
+    assert (R.entries, pivots) == expected and rank == len(pivots) == M.rank()
+
+
+def unit_triangular(F, rng, n, lower):
+    return ExactMatrix(F, [[F.one if i == j else F.random_element(rng) if (i > j) == lower else F.zero
+                            for j in range(n)] for i in range(n)])
+
+
+def planted(F, rng, rows, cols, rank):
+    """rows x cols of rank exactly `rank`, built without elimination:
+    L D U with L, U unit triangular and D holding `rank` leading ones."""
+    D = ExactMatrix(F, [[F.one if i == j < rank else F.zero for j in range(cols)] for i in range(rows)])
+    return unit_triangular(F, rng, rows, True) @ D @ unit_triangular(F, rng, cols, False)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=FIELD_IDS)
+def test_rref_poly_fixed_shapes_match_generic_elimination(F):
+    rng = SplitMix64(41)
+    z, o = F.zero, F.one
+    x = F.random_element(rng) or o
+    cases = [
+        ExactMatrix(F, ()),  # no rows
+        ExactMatrix(F, ((), ())),  # no columns
+        ExactMatrix.zeros(F, 3, 4),
+        ExactMatrix.identity(F, 4),
+        ExactMatrix(F, [[z, x, o, x]]),  # 1 x n
+        ExactMatrix(F, [[z], [z], [x], [o]]),  # n x 1
+        ExactMatrix(F, [[z, x, z, o], [z, x * x, z, x], [z, z, z, z]]),  # zero columns, dependent rows
+    ]
+    for rows, cols, rank in ((5, 7, 2), (7, 5, 3), (6, 6, 5), (8, 9, 8), (4, 4, 1)):
+        cases.append(planted(F, rng, rows, cols, rank))
+    for M in cases:
+        assert_matches_oracle(M)
+
+
+@st.composite
+def kernel_inputs(draw):
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    rank = draw(st.integers(0, min(rows, cols)))
+    coeffs = st.lists(st.integers(0, F.p - 1), min_size=F.degree, max_size=F.degree)
+    element = coeffs.map(F._from_coeffs)
+    X = [[draw(element) for _ in range(rank)] for _ in range(rows)]
+    Z = [[draw(element) for _ in range(cols)] for _ in range(rank)]
+    M = ExactMatrix(F, X) @ ExactMatrix(F, Z) if rows and rank else ExactMatrix.zeros(F, rows, cols)
+    # zero some rows and columns on top of the planted rank deficiency
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    entries = [[F.zero if i in zero_rows or j in zero_cols else e for j, e in enumerate(row)]
+               for i, row in enumerate(M.entries)]
+    return ExactMatrix(F, entries, _raw=True) if rows else ExactMatrix(F, ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_rref_poly_matches_generic_elimination(M):
+    assert_matches_oracle(M)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=FIELD_IDS)
+def test_solve_and_kernel_through_rref_poly(F):
+    rng = SplitMix64(43)
+    # full column rank: solve recovers x
+    A = planted(F, rng, 6, 4, 4)
+    x = [F.random_element(rng) for _ in range(4)]
+    b = A @ ExactMatrix.column(F, x)
+    assert A.solve(b) == x
+    # a kernel: its basis annihilates A, and NotUnique carries its first vector
+    B = planted(F, rng, 4, 6, 3)
+    kern = B.kernel_basis()
+    assert len(kern) == 3
+    for v in kern:
+        assert (B @ ExactMatrix.column(F, v)).is_zero()
+    with pytest.raises(NotUnique) as info:
+        B.solve(B @ ExactMatrix.column(F, x + [F.one, F.zero]))
+    assert info.value.witness == kern[0]
+    # an inconsistent right-hand side: B has rank 3 < 4 rows
+    outside = next(e for e in ExactMatrix.identity(F, 4).entries if B.hstack(ExactMatrix.column(F, e)).rank() == 4)
+    with pytest.raises(NoSolution):
+        B.solve(list(outside))
+
+
+def test_rref_poly_within_int64_bound_at_the_largest_prime():
+    # 3037000493 is the largest prime with (p-1)^2 < 2^63: the kernel runs,
+    # and entries near p-1 push its sums to the edge of int64
+    p = 3037000493
+    F = PrimeField(p)
+    assert modmat.poly_fits_int64(p, 1)
+    rng = SplitMix64(47)
+    big = [[F.element(p - 1 - rng.randint(0, 3)) for _ in range(5)] for _ in range(4)]
+    for M in (ExactMatrix(F, big), planted(F, rng, 5, 6, 4)):
+        assert_matches_oracle(M)
+
+
+def test_rref_beyond_int64_bound_uses_generic_elimination(monkeypatch):
+    # 3037000507 is the smallest prime with (p-1)^2 >= 2^63
+    p = 3037000507
+    F = PrimeField(p)
+    assert not modmat.poly_fits_int64(p, 1)
+    rng = SplitMix64(53)
+    M = ExactMatrix(F, [[F.element(p - 1 - rng.randint(0, 3)) for _ in range(5)] for _ in range(4)])
+    with pytest.raises(ValueError):
+        modmat.rref_poly(np.array([[[p - 1]]]), F.mul_tensor, p, F._inverse_coeffs)
+
+    def forbidden(*args):
+        raise AssertionError("rref_poly called beyond its bound")
+
+    monkeypatch.setattr(modmat, "rref_poly", forbidden)
+    assert F.eliminate(M.entries) is None
+    R, pivots, rank = M.rref()
+    assert (R.entries, pivots) == gauss_jordan(F, M.entries) and rank == 4
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=FIELD_IDS)
+def test_mul_tensor_is_the_field_product(F):
+    rng = SplitMix64(59)
+    T = F.mul_tensor
+    assert T.shape == (F.degree,) * 3
+    for _ in range(20):
+        a, c = F.random_element(rng), F.random_element(rng)
+        # multiplication by c is the matrix sum_i c_i T[i]
+        mult = np.tensordot(np.array(F._coeffs(c)), T, 1) % F.p
+        assert F._from_coeffs((np.array(F._coeffs(a)) @ mult % F.p).tolist()) == a * c
