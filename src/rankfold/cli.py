@@ -155,8 +155,8 @@ def _rm_replay(path):
 
 
 def cmd_rm_roundtrip(args) -> int:
-    if not 0 <= args.r <= args.m <= 5:
-        print("error: need 0 <= r <= m <= 5", file=sys.stderr)
+    if not 0 <= args.r <= args.m <= len(TOWER_PRIMES):
+        print(f"error: need 0 <= r <= m <= {len(TOWER_PRIMES)}", file=sys.stderr)
         return 1
     if not _campaign_args_ok(args):
         return 1

@@ -52,7 +52,8 @@ class NoSolution(RankfoldError):
 class NotUnique(RankfoldError):
     """Linear system is underdetermined.
 
-    Carries a nonzero kernel vector as a witness.
+    Carries a nonzero kernel vector as a witness, or None where the raiser
+    (the batched modular solve) only detects the rank deficit.
     """
 
     def __init__(self, witness, message=None):

@@ -24,13 +24,27 @@ Python ints are unbounded, so the kernel needs no overflow bound.
 Inverses use the norm recursion over the top generator, with products
 through the same kernel.  Elements are immutable, so they can be shared
 freely between threads and processes.
+
+Modular images.  For an odd prime p at which every a_k is a nonzero
+square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
+per choice of signs sqrt(a_k) -> +-r_k; together they identify L mod p
+with GF(p)^(2^m), so a linear system over L becomes 2^m independent
+systems over GF(p).  A field finds such primes on first use (below 2^28,
+by a deterministic Miller-Rabin test) and keeps them on the instance as
+SignEmbedding objects: `forward` scales coordinate S by the product of
+the r_k with k in S and applies a Walsh-Hadamard transform mod p, and
+`inverse` undoes it.  crt_extend and rational_reconstruction (Wang 1981)
+lift residues back to rationals.  Nothing here trusts a lift: callers
+certify it in exact arithmetic (see RMCode.erasure_decode).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
-from typing import Iterable, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
 
@@ -130,6 +144,128 @@ def _inv(x, gens, W, D):
 
 
 # ---------------------------------------------------------------------------
+# sign embeddings modulo primes, and the lift back to Q
+
+# Embedding primes lie below this bound, so that batched products mod p of
+# inner dimension up to 2^(63 - 2*28) = 128 fit in int64.
+_EMBED_PRIME_LIMIT = 1 << 28
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 and 11 decide every
+    n below 2,152,302,898,747."""
+    if n >= 2_152_302_898_747:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p, by
+    Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then r * c^(2^(s-i-1)) halves t's order
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+class SignEmbedding:
+    """The 2^m sign embeddings of a tower modulo one prime p.
+
+    Every generator a_k is a nonzero square mod p, with a fixed root r_k,
+    and r_S is the product of the r_k with k in S.  Each sign pattern t
+    (bit k set sends sqrt(a_k) to -r_k) is a ring map onto GF(p) from the
+    elements whose coordinates have denominators prime to p,
+
+        phi_t(x) = sum_S x_S r_S (-1)^|S & t|,
+
+    and together the 2^m maps identify those elements mod p with
+    GF(p)^(2^m).  `forward` scales coordinate S by r_S and applies the
+    Walsh-Hadamard transform; `inverse` applies it again and divides by
+    2^m r_S.  `tables` holds data derived per prime by the field's users,
+    such as a code's embedded parity checks.
+    """
+
+    def __init__(self, p: int, gens: Sequence[Fraction]):
+        self.p = p
+        self.roots = tuple(sqrt_mod(a.numerator * pow(a.denominator, -1, p), p) for a in gens)
+        scale = [1]
+        hadamard = np.ones((1, 1), dtype=np.int64)
+        for r in self.roots:
+            scale += [s * r % p for s in scale]
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        self._scale = np.array(scale, dtype=np.int64)
+        inv_dim = pow(len(scale), -1, p)
+        self._unscale = np.array([pow(s, -1, p) * inv_dim % p for s in scale], dtype=np.int64)
+        self._hadamard = hadamard
+        self.tables: dict = {}
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Coordinates mod p on the last axis to their values in the 2^m
+        embeddings, indexed by sign pattern."""
+        return (np.asarray(X, dtype=np.int64) * self._scale % self.p) @ self._hadamard % self.p
+
+    def inverse(self, V: np.ndarray) -> np.ndarray:
+        """Values in the 2^m embeddings on the last axis back to coordinates
+        mod p."""
+        return (np.asarray(V, dtype=np.int64) @ self._hadamard % self.p) * self._unscale % self.p
+
+
+def crt_extend(residues: Sequence[int], modulus: int, new: Sequence[int], p: int) -> list[int]:
+    """The residues mod modulus * p that agree with `residues` mod modulus
+    and with `new` mod p (modulus and p coprime)."""
+    m_inv = pow(modulus, -1, p)
+    return [u + modulus * ((r - u) * m_inv % p) for u, r in zip(residues, new)]
+
+
+def rational_reconstruction(u: int, modulus: int) -> Optional[Fraction]:
+    """The fraction n/d = u mod modulus with |n| and d at most
+    sqrt(modulus / 2), or None if there is none (Wang 1981): the extended
+    Euclidean remainder sequence of (modulus, u) stops at the first
+    remainder within the bound."""
+    bound = isqrt(modulus // 2)
+    r0, r1 = modulus, u % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
 
 _FIELD_CACHE: dict[tuple[Fraction, ...], "MultiquadraticField"] = {}
 
@@ -173,6 +309,8 @@ class MultiquadraticField:
         for a in gens:
             W += [w * a.numerator // a.denominator for w in W]
         self._W = tuple(W)
+        self._embeddings: list[SignEmbedding] = []
+        self._prime_cursor = _EMBED_PRIME_LIMIT - 1
         self.zero = MQElement(self, (_ZERO,) * self.dim)
         self.one = MQElement(self, (_ONE,) + (_ZERO,) * (self.dim - 1))
 
@@ -212,6 +350,27 @@ class MultiquadraticField:
     def random_element(self, rng, bound: int) -> "MQElement":
         """Element with integer coordinates drawn uniformly from [0, bound]."""
         return MQElement(self, tuple(Fraction(rng.randint(0, bound)) for _ in range(self.dim)))
+
+    # -- sign embeddings mod p -----------------------------------------------
+
+    def sign_embedding(self, i: int) -> SignEmbedding:
+        """The sign embeddings modulo the i-th embedding prime (from 0).
+
+        The primes are found on first use, downwards from 2^28, and kept on
+        this field: the odd primes p for which every generator is a nonzero
+        square mod p (Euler's criterion on numerator times denominator).
+        """
+        while len(self._embeddings) <= i:
+            p = self._prime_cursor
+            while not (is_prime(p) and all(
+                pow(a.numerator * a.denominator % p, (p - 1) // 2, p) == 1 for a in self.gens
+            )):
+                p -= 2
+                if p < 3:
+                    raise ValueError(f"{self} has too few embedding primes below 2^28")
+            self._prime_cursor = p - 2
+            self._embeddings.append(SignEmbedding(p, self.gens))
+        return self._embeddings[i]
 
     # -- structure ---------------------------------------------------------
 

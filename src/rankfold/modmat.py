@@ -21,12 +21,17 @@ p <= 2^22.  Batched matrix products sum inner-dimension many products
 and check the bound explicitly.  rref_poly sums m products of two
 residues, both when it builds a multiplication matrix from T and when it
 updates a row, so it needs m (p-1)^2 < 2^63 (poly_fits_int64) and raises
-ValueError otherwise; for m = 1 that is p <= 3037000500.
+ValueError otherwise; for m = 1 that is p <= 3037000500.  batch_solve_mod,
+the batched solve behind the tower's modular erasure decode, eliminates
+fraction-free with no inverse table: each update is a difference of two
+products of residues, so it has the same bound, (p-1)^2 < 2^63.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NoSolution, NotUnique
 
 # Inverse tables are cheap for experiment-sized p and are cached per prime.
 _TABLE_LIMIT = 1 << 22
@@ -181,6 +186,54 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
             A[:, c:] = (A[:, c:] - np.einsum("cj,rjk->rck", A[pr, c:], mult)) % p
         pivots.append(c)
     return A, tuple(pivots)
+
+
+def batch_solve_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """Solutions of a (B, R, C+1) batch of linear systems over GF(p).
+
+    System b has coefficient matrix A[b, :, :C] and right-hand side
+    A[b, :, C].  All B systems are eliminated in lockstep, fraction-free:
+    column c pivots on its first nonzero entry at or below row c, and every
+    other row becomes pivot * row - entry * (pivot row).  That keeps each
+    step to products of two residues and leaves one diagonal entry per
+    unknown, divided out at the end by one batched Fermat inverse.  Returns
+    the (B, C) solutions.  Raises NotUnique (witness None) when some system
+    has column rank below C, and NoSolution when every system has full
+    column rank but some system is inconsistent.
+
+    Overflow bound: a row update is a difference of two products of
+    residues, so the kernel needs (p-1)^2 < 2^63, that is p <= 3037000500
+    (poly_fits_int64(p, 1)), and raises ValueError beyond it.
+    """
+    if not poly_fits_int64(p, 1):
+        raise ValueError(f"p = {p}: (p-1)^2 overflows int64")
+    A = np.asarray(A, dtype=np.int64) % p
+    B, R, C = A.shape[0], A.shape[1], A.shape[2] - 1
+    if C > R:
+        raise NotUnique(None, f"{C} unknowns in {R} equations")
+    batch = np.arange(B)
+    for c in range(C):
+        nonzero = A[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            raise NotUnique(None, f"no pivot for unknown {c} mod {p}")
+        piv = c + nonzero.argmax(axis=1)
+        swap = A[batch, piv].copy()
+        A[batch, piv] = A[batch, c]
+        A[batch, c] = swap
+        factors = A[:, :, c].copy()
+        factors[:, c] = 0
+        A = (A * swap[:, c, None, None] - factors[:, :, None] * swap[:, None, :]) % p
+    if A[:, C:, C].any():
+        raise NoSolution(f"inconsistent system mod {p}")
+    diag = A[:, range(C), range(C)]
+    inv = np.ones_like(diag)
+    e = p - 2
+    while e:  # diag^(p-2), by square and multiply
+        if e & 1:
+            inv = inv * diag % p
+        diag = diag * diag % p
+        e >>= 1
+    return A[:, :C, C] * inv % p
 
 
 def batch_matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -27,26 +27,56 @@ level down.  Folding never increases the error rank; decoding succeeds
 whenever every iterated fold of the error keeps its rank, and every
 failure of that assumption is caught after the fact by rank checks, so
 the decoder never returns a wrong codeword silently.
+
+The erasure step solves for the left factor x from syndromes.  Over the
+tower that exact solve is the slow part (its entries grow to hundreds of
+bits while the solution stays small), so erasure_decode first solves in
+the sign embeddings modulo a few primes (exactfield.SignEmbedding): the
+parity-check matrix, embedded once per prime and kept on the field's
+embedding, times the support rows and the received word gives 2^m
+syndrome systems over GF(p), solved in one batch by
+modmat.batch_solve_mod.  CRT and rational reconstruction lift x, and the
+result is certified exactly: the lifted word must have exact syndrome
+zero, and the syndrome matrix must have full column rank mod p in every
+embedding, which makes x the exact system's only solution.  Any doubt (a
+rank deficit or inconsistency mod p, a prime dividing a denominator, no
+stable lift within the prime budget, a failed certificate) hands the
+system to linalg.solve_erasures, so results and failure reasons are those
+of the exact path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
-from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, RankfoldError
-from .exactfield import MQElement, MultiquadraticField, mq_field
+import numpy as np
+
+from . import modmat
+from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, RankfoldError
+from .exactfield import MQElement, MultiquadraticField, crt_extend, mq_field, rational_reconstruction
 from .linalg import ExactMatrix, solve_erasures
 from .plotkin import doubling_decode
 
 # RMCode.sample_error draws this many candidates before giving up
 _SAMPLE_ATTEMPTS = 200
+# The embedded erasure solve reconstructs from at most this many primes
+# (about 220 bits) before it leaves the system to the exact solver.
+_PRIME_BUDGET = 8
 
 
 def _mask_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _integer_coords(elements: Sequence[MQElement]) -> tuple[int, list[int]]:
+    """(d, V): the least d > 0 for which d times the elements have integer
+    coordinates, and those coordinates in order."""
+    coords = [c for e in elements for c in e.coords]
+    d = lcm(*[c.denominator for c in coords])
+    return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
 class ThetaPolynomial:
@@ -406,8 +436,10 @@ class RMCode:
         syndromes from fast_syndrome; by linearity its kernel consists of
         the left factors of codewords with row space inside the support, so
         the solve is unique exactly when no nonzero codeword hides in the
-        erasure space.  Raises DecodingFailure when the system is
-        inconsistent or ambiguous.
+        erasure space.  A nonempty support is first solved mod primes and
+        certified (_erasure_decode_embedded); the exact solve_erasures
+        decides whatever that path leaves open.  Raises DecodingFailure when
+        the system is inconsistent or ambiguous.
         """
         y = self._coerce_vector(y)
         if len(y) != self.size:
@@ -415,7 +447,97 @@ class RMCode:
         if support.rows and support.cols != self.size:
             raise DimensionMismatch("support width must match the code length")
         rows = [self._coerce_vector(row) for row in support.entries]
+        if rows:
+            c = self._erasure_decode_embedded(y, rows)
+            if c is not None:
+                return c
         return solve_erasures(self.field, self.fast_syndrome, y, rows)
+
+    def _embedded_checks(self, emb) -> np.ndarray:
+        """The parity-check matrix in the sign embeddings mod emb.p, as a
+        (2^M, n-k, n) array (M the tower height), kept on the embedding."""
+        key = ("H", self._code_gens, self.r)
+        H = emb.tables.get(key)
+        if H is None:
+            rows = _check_rows(self.field, self._code_gens, self.r)
+            # the denominators divide products of the generators' numerators and
+            # denominators, all prime to p
+            d, coords = _integer_coords([e for row in rows for e in row])
+            coords = np.array([u % emb.p for u in coords], dtype=np.int64) * pow(d, -1, emb.p) % emb.p
+            H = emb.forward(coords.reshape(len(rows), self.size, self.field.dim))
+            H = emb.tables[key] = np.ascontiguousarray(H.transpose(2, 0, 1))
+        return H
+
+    def _erasure_decode_embedded(self, y: list, rows: list) -> Optional[list]:
+        """erasure_decode through the sign embeddings mod p, certified
+        exactly; None wherever the exact solver must decide.
+
+        With x from _embedded_solution, c = y - sum_k x_k g_k is computed
+        exactly and certified in two steps:
+
+        1. fast_syndrome(c) is exactly zero, so x solves the exact system;
+        2. the syndrome matrix had full column rank mod p in every
+           embedding.  Its entries have denominators prime to p (the
+           primes avoid the generators' numerators and denominators, and
+           the support rows' denominators are checked), so a nonzero
+           maximal minor mod p is nonzero over L: the exact system has
+           full column rank, and x is its only solution.
+
+        So c is what solve_erasures returns, bit for bit.
+        """
+        x = self._embedded_solution(y, rows)
+        if x is None:
+            return None
+        c = list(y)
+        for xk, g in zip(x, rows):
+            if xk:
+                for j, gj in enumerate(g):
+                    if gj:
+                        c[j] = c[j] - xk * gj
+        return None if any(self.fast_syndrome(c)) else c
+
+    def _embedded_solution(self, y: list, rows: list) -> Optional[list]:
+        """The x with sum_k x_k H g_k = H y, solved mod primes in the sign
+        embeddings and lifted to the tower; not yet certified.
+
+        Each support row g_k and y is scaled once to integer coordinates,
+        v = V / d_v, so that mod p it is (V mod p) / d_v.  For each
+        embedding prime p, the syndromes come from the embedded parity
+        checks, one batched GF(p) solve gives x in every embedding, and the
+        inverse embedding gives its coordinates mod p.  These are combined
+        by CRT and lifted by rational reconstruction until a lift agrees
+        with the next prime's residues.  Returns None on a rank deficit or
+        an inconsistent system mod p (in any embedding), on a prime dividing
+        some d_v, and when no lift agrees within _PRIME_BUDGET primes.
+        """
+        field, n, k = self.field, self.size, len(rows)
+        if n * (field.sign_embedding(0).p - 1) ** 2 >= 2 ** 63:
+            return None  # the syndrome product would overflow int64
+        scales, ints = zip(*[_integer_coords(v) for v in rows + [y]])
+        lift = residues = None
+        modulus = 1
+        for i in range(_PRIME_BUDGET):
+            emb = field.sign_embedding(i)
+            p = emb.p
+            if any(d % p == 0 for d in scales):
+                return None
+            V = np.array([[u % p for u in vec] for vec in ints], dtype=np.int64)
+            V = V * np.array([[pow(d, -1, p)] for d in scales], dtype=np.int64) % p
+            V = emb.forward(V.reshape(k + 1, n, field.dim))
+            S = modmat.batch_matmul_mod(self._embedded_checks(emb), V.transpose(2, 1, 0), p)
+            try:
+                X = modmat.batch_solve_mod(S, p)
+            except (NoSolution, NotUnique):
+                return None
+            new = emb.inverse(X.T).ravel().tolist()
+            if lift is not None and all((q.numerator - r * q.denominator) % p == 0 for q, r in zip(lift, new)):
+                return [MQElement(field, tuple(lift[j:j + field.dim])) for j in range(0, len(lift), field.dim)]
+            residues = new if residues is None else crt_extend(residues, modulus, new, p)
+            modulus *= p
+            lift = [rational_reconstruction(u, modulus) for u in residues]
+            if None in lift:
+                lift = None
+        return None
 
     def decode(self, Y: ExactMatrix) -> DecodeReport:
         """Fold-and-recurse decoder.

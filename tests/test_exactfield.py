@@ -2,10 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rankfold import DegreeCollapse, FieldMismatch, QQ, SplitMix64, TowerHeightZero, mq_field
-from rankfold.exactfield import MQElement, is_rational_square
+from rankfold.exactfield import (
+    MQElement,
+    MultiquadraticField,
+    crt_extend,
+    is_prime,
+    is_rational_square,
+    rational_reconstruction,
+    sqrt_mod,
+)
 from rankfold.serial import field_from_json
 
 
@@ -223,3 +232,84 @@ def test_rng_determinism():
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
     c = SplitMix64(43)
     assert a.next_u64() != c.next_u64()
+
+
+# -- sign embeddings mod p ------------------------------------------------------------
+
+
+def residues(x, p):
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in x.coords]
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    for n in range((1 << 28) - 400, 1 << 28):
+        assert is_prime(n) == trial(n)
+    # Carmichael numbers, and strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5, 7
+    for n in (561, 41041, 2047, 1373653, 3215031751):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(2_152_302_898_747 + 2)
+
+
+def test_embedding_primes_split_the_tower():
+    gens = (-1, Fraction(3, 5), 7)
+    L = mq_field(gens)
+    primes = [L.sign_embedding(i).p for i in range(4)]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 4
+    for i, p in enumerate(primes):
+        emb = L.sign_embedding(i)
+        assert is_prime(p) and p < 1 << 28
+        for a, r in zip(L.gens, emb.roots):
+            assert (r * r - a.numerator * pow(a.denominator, -1, p)) % p == 0 and r % p
+    # kept on the instance: an equal field built apart finds the same primes itself
+    assert L.sign_embedding(0) is L.sign_embedding(0)
+    other = MultiquadraticField(gens)
+    assert other.sign_embedding(0) is not L.sign_embedding(0) and other.sign_embedding(0).p == primes[0]
+
+
+@pytest.mark.parametrize("gens", [(2, 3, 5, 7), (-1, Fraction(3, 5), 7), ()])
+def test_sign_embedding_is_a_ring_isomorphism_mod_p(gens):
+    L = mq_field(gens)
+    rng = SplitMix64(91)
+    for i in range(2):
+        emb = L.sign_embedding(i)
+        p = emb.p
+        for _ in range(10):
+            x = L.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(L.dim)])
+            z = L.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(L.dim)])
+            fx, fz = emb.forward(residues(x, p)), emb.forward(residues(z, p))
+            assert (emb.forward(residues(x * z, p)) == fx * fz % p).all()
+            assert (emb.forward(residues(x + z, p)) == (fx + fz) % p).all()
+            assert emb.inverse(fx).tolist() == residues(x, p)
+        # sign pattern t sends sqrt(a_k) to -r_k exactly when bit k of t is set
+        for k in range(L.m):
+            t = np.arange(L.dim)
+            want = np.where(t >> k & 1, p - emb.roots[k], emb.roots[k])
+            assert (emb.forward(residues(L.alpha(k + 1), p)) == want).all()
+
+
+def test_sqrt_mod_of_every_residue():
+    for p in (3, 13, 17, 41, 97, 257, 65537):  # 257 and 65537: p - 1 = 2^s
+        squares = {x * x % p for x in range(p)}
+        assert all(sqrt_mod(a, p) ** 2 % p == a for a in squares)
+
+
+def test_crt_and_rational_reconstruction():
+    p, q = 268435399, 268435367
+    rng = SplitMix64(93)
+    for _ in range(50):
+        x = Fraction(rng.randint(-(1 << 26), 1 << 26), rng.randint(1, 1 << 26))
+        u = [x.numerator * pow(x.denominator, -1, r) % r for r in (p, q)]
+        both = crt_extend([u[0]], p, [u[1]], q)[0]
+        assert both % p == u[0] and both % q == u[1]
+        assert rational_reconstruction(both, p * q) == x
+    # beyond sqrt(modulus / 2) there is no reconstruction, or a different one
+    tall = Fraction(1 << 40, 3)
+    u = tall.numerator * pow(3, -1, p * q) % (p * q)
+    assert rational_reconstruction(u, p * q) != tall
+    assert rational_reconstruction(0, p) == 0
+    assert rational_reconstruction(p - 1, p) == -1

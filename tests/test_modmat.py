@@ -175,3 +175,99 @@ def test_mul_tensor_is_the_field_product(F):
         # multiplication by c is the matrix sum_i c_i T[i]
         mult = np.tensordot(np.array(F._coeffs(c)), T, 1) % F.p
         assert F._from_coeffs((np.array(F._coeffs(a)) @ mult % F.p).tolist()) == a * c
+
+
+# -- batch_solve_mod: the batched solve behind the embedded erasure decode ----
+# ExactMatrix.solve over PrimeField is the oracle.
+
+
+def solve_oracle(p, A):
+    """Per system: its solution, NotUnique when its column rank is short,
+    else NoSolution when it is inconsistent."""
+    F = PrimeField(p)
+    out = []
+    for system in A:
+        cols = system.shape[1] - 1
+        M = ExactMatrix(F, [[F.element(int(v)) for v in row[:cols]] for row in system])
+        b = [F.element(int(v)) for v in system[:, cols]]
+        if cols and M.rank() < cols:
+            out.append(NotUnique)
+        elif not cols:
+            out.append([] if not any(b) else NoSolution)
+        else:
+            try:
+                out.append([v.val for v in M.solve(b)])
+            except NoSolution:
+                out.append(NoSolution)
+    return out
+
+
+def assert_solve_matches_oracle(p, A):
+    expected = solve_oracle(p, A)
+    if NotUnique in expected:
+        with pytest.raises(NotUnique):
+            modmat.batch_solve_mod(A, p)
+    elif NoSolution in expected:
+        with pytest.raises(NoSolution):
+            modmat.batch_solve_mod(A, p)
+    else:
+        assert modmat.batch_solve_mod(A, p).tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_batch_solve_mod_matches_exact_solve(batch, rows, unknowns, seed):
+    # over GF(7) random systems are often deficient or inconsistent
+    A = np.random.default_rng(seed).integers(0, 7, size=(batch, rows, unknowns + 1))
+    assert_solve_matches_oracle(7, A)
+
+
+def planted_systems(p, count, rows, cols, seed, near_top=False):
+    """(count, rows, cols + 1) consistent systems, of full column rank when
+    planted; with near_top, all entries and unknowns are drawn from p-4..p-1."""
+    F = PrimeField(p)
+    rng = SplitMix64(seed)
+
+    def draw():
+        return F.element(p - 1 - rng.randint(0, 3)) if near_top else F.random_element(rng)
+
+    out = []
+    for _ in range(count):
+        M = ExactMatrix(F, [[draw() for _ in range(cols)] for _ in range(rows)]) if near_top \
+            else planted(F, rng, rows, cols, cols)
+        b = M @ ExactMatrix.column(F, [draw() for _ in range(cols)])
+        out.append([[e.val for e in row] + [v.val] for row, (v,) in zip(M.entries, b.entries)])
+    A = np.array(out, dtype=np.int64)
+    if rows > cols:
+        A[0, 0] = 0  # a zero top row forces a row swap
+    return A
+
+
+@pytest.mark.parametrize("p", [23, 268435399])
+def test_batch_solve_mod_planted_full_rank(p):
+    A = planted_systems(p, 32, 7, 5, 61)
+    assert_solve_matches_oracle(p, A)
+    # one deficient system, or one inconsistent system, spoils the batch
+    deficient = A.copy()
+    deficient[3, :, 1] = deficient[3, :, 0]
+    with pytest.raises(NotUnique):
+        modmat.batch_solve_mod(deficient, p)
+    inconsistent = A.copy()
+    inconsistent[5, :, -1] = (inconsistent[5, :, -1] + np.arange(7)) % p
+    assert_solve_matches_oracle(p, inconsistent)
+    with pytest.raises(NotUnique):
+        modmat.batch_solve_mod(A[:, :4], p)  # 5 unknowns in 4 equations
+
+
+def test_batch_solve_mod_within_int64_bound_at_the_largest_prime():
+    # at the largest prime with (p-1)^2 < 2^63 the row updates reach the
+    # edge of int64 on entries near p-1; one prime further the kernel refuses
+    p = 3037000493
+    assert modmat.poly_fits_int64(p, 1)
+    A = planted_systems(p, 8, 6, 4, 67, near_top=True)
+    assert all(isinstance(x, list) for x in solve_oracle(p, A))
+    assert_solve_matches_oracle(p, A)
+    p = 3037000507
+    assert not modmat.poly_fits_int64(p, 1)
+    with pytest.raises(ValueError):
+        modmat.batch_solve_mod(np.array([[[p - 1, p - 2]]]), p)

@@ -6,8 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from rankfold import DecodingFailure, SplitMix64, mq_field
-from rankfold.linalg import ExactMatrix
+from rankfold import DecodingFailure, NoSolution, NotUnique, SplitMix64, modmat, mq_field, reedmuller
+from rankfold.linalg import ExactMatrix, solve_erasures
 from rankfold.modmat import batch_rank_mod
 from rankfold.reedmuller import RMCode, ThetaPolynomial
 
@@ -304,6 +304,169 @@ def test_erasure_decode_at_distance_fails():
     c = code.vector_from_matrix(code.encode(code.random_message(rng, 7)))
     with pytest.raises(DecodingFailure):
         code.erasure_decode(c, R)
+
+
+# -- the embedded erasure decode --------------------------------------------------
+# solve_erasures(field, fast_syndrome, ...), the exact path, is the oracle.
+
+ODD_TOWER = (-1, Fraction(3, 5), 7)
+
+
+def exact_outcome(code, y, rows):
+    """What the exact path returns, or its DecodingFailure message."""
+    try:
+        return solve_erasures(code.field, code.fast_syndrome, y, rows)
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+def decode_outcome(code, y, support):
+    try:
+        return code.erasure_decode(y, support)
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+def erasure_instance(code, rng, k, x_coord=None):
+    """(c, y, support) with y = c + sum_k x_k g_k: a codeword c, support rows
+    g_k from the echelon basis of a random integer matrix (so they carry
+    fractions) and tower elements x_k (default: small fractions)."""
+    c = code.vector_from_matrix(code.encode(code.random_message(rng, 7)))
+    G = ExactMatrix(code.base_field, [[rng.randint(-9, 9) for _ in range(code.size)] for _ in range(k)])
+    G = G.row_space_basis()
+    x_coord = x_coord or (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    y = list(c)
+    for g in G.entries:
+        xk = code.field.element([x_coord() for _ in range(code.field.dim)])
+        y = [yj + xk * gj.embed(code.field) for yj, gj in zip(y, g)]
+    return c, y, G
+
+
+def fast_and_rows(code, y, G):
+    y = code._coerce_vector(y)
+    rows = [code._coerce_vector(row) for row in G.entries]
+    return code._erasure_decode_embedded(y, rows), y, rows
+
+
+@pytest.fixture
+def kernel_outcomes(monkeypatch):
+    """Each batch_solve_mod call's outcome: 'solved' or the exception type."""
+    seen = []
+    solve = modmat.batch_solve_mod
+
+    def spy(S, p):
+        try:
+            X = solve(S, p)
+        except (NoSolution, NotUnique) as exc:
+            seen.append(type(exc))
+            raise
+        seen.append("solved")
+        return X
+
+    monkeypatch.setattr(modmat, "batch_solve_mod", spy)
+    return seen
+
+
+@pytest.mark.parametrize("gens, r", [(PRIMES[:3], 0), (PRIMES[:3], 1), (PRIMES[:4], 1), (PRIMES[:4], 2),
+                                     (ODD_TOWER, 0), (ODD_TOWER, 1)])
+def test_embedded_erasure_decode_equals_exact_path(gens, r):
+    code = RMCode(mq_field(gens), r)
+    rng = SplitMix64(101 + r)
+    for _ in range(3):
+        c, y, G = erasure_instance(code, rng, min(3, code.min_rank - 1))
+        fast, y, rows = fast_and_rows(code, y, G)
+        assert fast is not None
+        assert fast == exact_outcome(code, y, rows) == c
+        assert code.erasure_decode(y, G) == c
+
+
+@pytest.mark.parametrize("gens, r, seed", [(PRIMES[:4], 1, 5), (PRIMES[:5], 1, 7), (ODD_TOWER, 0, 3),
+                                           (ODD_TOWER, 1, 3)])
+def test_decoder_erasure_solves_are_certified_and_exact(monkeypatch, gens, r, seed):
+    # the erasure systems the decoder itself builds, one level down a rotated tower
+    seen = []
+    fast_path = RMCode._erasure_decode_embedded
+
+    def spy(self, y, rows):
+        out = fast_path(self, y, rows)
+        seen.append((self, y, rows, out))
+        return out
+
+    monkeypatch.setattr(RMCode, "_erasure_decode_embedded", spy)
+    code = RMCode(mq_field(gens), r)
+    rng = SplitMix64(seed)
+    C = code.encode(code.random_message(rng))
+    E = code.sample_error(rng)
+    rep = code.decode(C + E)
+    assert rep.success and rep.codeword == C and rep.recovered_error == E
+    assert len(seen) == r + 1
+    for ecode, y, rows, out in seen:
+        assert ecode.base_height > 0 and rows
+        assert out is not None and out == exact_outcome(ecode, y, rows)
+
+
+def test_ambiguous_support_falls_back_to_the_exact_failure(kernel_outcomes):
+    # the row space of a minimum-rank codeword: the syndrome matrix loses rank
+    rng = SplitMix64(103)
+    code = RMCode(tower(3), 1)
+    R = _min_rank_codeword(code).row_space_basis()
+    c = code.vector_from_matrix(code.encode(code.random_message(rng, 7)))
+    fast, y, rows = fast_and_rows(code, c, R)
+    assert fast is None and kernel_outcomes == [NotUnique]
+    assert decode_outcome(code, c, R) == exact_outcome(code, y, rows) == "erasure support hides a codeword"
+
+
+def test_inconsistent_system_falls_back_to_the_exact_failure(kernel_outcomes):
+    # one erasure plus a change outside it: full column rank, no solution
+    rng = SplitMix64(104)
+    code = RMCode(tower(3), 1)
+    c, y, G = erasure_instance(code, rng, 1)
+    y[0] = y[0] + 1
+    fast, y, rows = fast_and_rows(code, y, G)
+    assert fast is None and kernel_outcomes == [NoSolution]
+    expected = "erasure system inconsistent: inconsistent system"
+    assert decode_outcome(code, y, G) == exact_outcome(code, y, rows) == expected
+
+
+def test_solution_beyond_the_prime_budget_falls_back(kernel_outcomes):
+    # 200-bit coordinates need about 400 bits of primes; the budget holds fewer
+    rng = SplitMix64(105)
+    code = RMCode(tower(3), 1)
+    c, y, G = erasure_instance(code, rng, 2, lambda: Fraction(3 ** 126 + rng.randint(0, 99), 7 ** 71 + 1))
+    assert reedmuller._PRIME_BUDGET * code.field.sign_embedding(0).p.bit_length() < 2 * 200
+    fast, y, rows = fast_and_rows(code, y, G)
+    assert fast is None and kernel_outcomes == ["solved"] * reedmuller._PRIME_BUDGET
+    assert decode_outcome(code, y, G) == exact_outcome(code, y, rows) == c
+
+
+def test_prime_dividing_a_denominator_falls_back(kernel_outcomes):
+    rng = SplitMix64(106)
+    code = RMCode(tower(3), 1)
+    p = code.field.sign_embedding(0).p
+    c, y, G = erasure_instance(code, rng, 2, lambda: Fraction(rng.randint(1, 9), p))
+    fast, y, rows = fast_and_rows(code, y, G)
+    assert fast is None and kernel_outcomes == []
+    assert decode_outcome(code, y, G) == exact_outcome(code, y, rows) == c
+
+
+def test_certificate_rejects_a_perturbed_lift(monkeypatch):
+    # one reconstructed coordinate off by 1/7: the exact syndrome of the
+    # lifted word is nonzero, and the decode still returns the exact answer
+    rng = SplitMix64(107)
+    code = RMCode(tower(4), 1)
+    c, y, G = erasure_instance(code, rng, 3)
+    lift = RMCode._embedded_solution
+
+    def perturbed(self, y, rows):
+        x = lift(self, y, rows)
+        coords = list(x[1].coords)
+        coords[5] += Fraction(1, 7)
+        return [x[0], self.field.element(coords)] + x[2:]
+
+    monkeypatch.setattr(RMCode, "_embedded_solution", perturbed)
+    fast, y, rows = fast_and_rows(code, y, G)
+    assert fast is None
+    assert code.erasure_decode(y, G) == exact_outcome(code, y, rows) == c
 
 
 # -- full decoding -----------------------------------------------------------------
