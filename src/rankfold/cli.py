@@ -8,7 +8,6 @@ Subcommands:
 * plotkin-roundtrip: the same campaign for the doubled Gabidulin codes
   over GF(q);
 * fold-prob: Monte Carlo estimate of the fold rank-drop probability;
-* syndrome-bench: naive vs recursive syndrome timings (CSV);
 * selftest: quick structural self-checks.
 
 Reports are JSON lines with a "schema" header; all randomness flows from
@@ -23,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from multiprocessing import Pool
@@ -315,54 +313,6 @@ def cmd_fold_prob(args) -> int:
     return _emit(lines, args.out)
 
 
-# -- syndrome-bench -------------------------------------------------------------------
-
-
-def cmd_syndrome_bench(args) -> int:
-    if not 1 <= args.m_max <= 6:
-        print("error: need 1 <= m-max <= 6", file=sys.stderr)
-        return 1
-    rows = []
-    ratios = {}
-    mismatches = 0
-    for m in range(1, args.m_max + 1):
-        r = 0 if m == 1 else 1
-        code = RMCode(standard_tower(m), r)
-        rng = SplitMix64(derive_seed(args.seed, m))
-        naive_times, fast_times = [], []
-        code.fast_syndrome([code.field.random_element(rng, 9) for _ in range(code.size)])
-        for rep in range(args.reps):
-            y = [code.field.random_element(rng, 9) for _ in range(code.size)]
-            t0 = time.perf_counter()
-            slow = code.naive_syndrome(y)
-            t1 = time.perf_counter()
-            fast = code.fast_syndrome(y)
-            t2 = time.perf_counter()
-            if list(slow) != list(fast):
-                mismatches += 1
-            naive_times.append(t1 - t0)
-            fast_times.append(t2 - t1)
-            rows.append((m, rep, t1 - t0, t2 - t1))
-        ratios[str(m)] = statistics.median(naive_times) / statistics.median(fast_times)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write("m,rep,naive_s,fast_s\n")
-                for m, rep, ns, fs in rows:
-                    fh.write(f"{m},{rep},{ns:.9f},{fs:.9f}\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    lines = [
-        {"schema": SCHEMA, "command": "syndrome-bench", "m_max": args.m_max, "reps": args.reps, "seed": args.seed},
-        {"median_ratio": ratios, "mismatches": mismatches},
-    ]
-    rc = _emit(lines)
-    if rc:
-        return rc
-    return 0 if mismatches == 0 else 1
-
-
 # -- selftest ----------------------------------------------------------------------------
 
 
@@ -530,13 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fold_prob)
-
-    p = sub.add_parser("syndrome-bench", help="naive vs recursive syndrome timings")
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(fn=cmd_syndrome_bench)
 
     p = sub.add_parser("selftest", help="quick structural self-checks")
     p.add_argument("--out")

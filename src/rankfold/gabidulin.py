@@ -269,16 +269,18 @@ class GabidulinMatrixCode:
         self.field = code.field
         self.base = code.field.base
         self.basis = tuple(code.field.coerce(b) for b in basis) if basis else tuple(code.field.polynomial_basis())
+        # None stands for the polynomial basis, whose coordinates need no inversion.
+        self._expansion_basis = self.basis if basis else None
         self.rows = code.field.m
         self.cols = code.n
         # GF(q)-dimension of the matrix code
         self.dim = code.field.m * code.k
 
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
-        return expand_to_base(self.field, vec, self.basis)
+        return expand_to_base(self.field, vec, self._expansion_basis)
 
     def to_vector(self, M: ExactMatrix) -> list:
-        return reconstruct_from_base(self.field, M, self.basis)
+        return reconstruct_from_base(self.field, M, self._expansion_basis)
 
     def encode(self, message: Sequence) -> ExactMatrix:
         return self.to_matrix(self.code.encode(message))

@@ -197,10 +197,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return self.rref()[2]
 
-    def rank_over(self, field, embed: Callable) -> int:
-        """Rank after mapping entries through `embed` into another field."""
-        return self.map_entries(embed, field).rank()
-
     def row_space_basis(self) -> "ExactMatrix":
         """Echelon basis of the row space (possibly with zero rows dropped)."""
         R, _, rank = self.rref()

@@ -6,25 +6,23 @@ would dominate the runtime.  Here matrices are plain int64 arrays with
 entries reduced mod p and Gaussian elimination runs across a whole batch
 at once.
 
-rref_poly is the exact single-matrix kernel behind ExactMatrix.rref over
-the finite fields of gf.  Each of them is GF(p)[x]/(f) for an f of degree
-m, an entry is its length-m coefficient vector, and the field's
-multiplication tensor T[i, j] = x^(i+j) mod f turns the product by an
-element c into the m x m matrix sum_i c_i T[i].
+Every field here is GF(p)[x]/(f) for an f of degree m: GF(p) itself
+(m = 1), GF(p^2) = GF(p)[x]/(x^2 - nonresidue), and the fields of gf.  An
+entry is its length-m coefficient vector, and the field's multiplication
+tensor T[i, j] = x^(i+j) mod f turns the product by an element c into the
+m x m matrix sum_i c_i T[i].  rref_poly eliminates one matrix this way and
+is the kernel behind ExactMatrix.rref over the fields of gf; batch_rref
+eliminates a batch in lockstep and is the kernel behind batch_rank_mod,
+batch_rank_quad and batch_solve_mod.
 
-Overflow discipline: elimination over GF(p) forms products of two
-reduced entries, so any p below 2^31 is safe in int64.  Elimination over
-GF(p^2) forms products of three (the non-residue times two entries), so
-batch_rank_quad requires p < 2^21 and raises ValueError otherwise.  Batch
-elimination also builds a length-p inverse table, so it insists on
-p <= 2^22.  Batched matrix products sum inner-dimension many products
-and check the bound explicitly.  rref_poly sums m products of two
-residues, both when it builds a multiplication matrix from T and when it
-updates a row, so it needs m (p-1)^2 < 2^63 (poly_fits_int64) and raises
-ValueError otherwise; for m = 1 that is p <= 3037000500.  batch_solve_mod,
-the batched solve behind the tower's modular erasure decode, eliminates
-fraction-free with no inverse table: each update is a difference of two
-products of residues, so it has the same bound, (p-1)^2 < 2^63.
+Overflow discipline: one rule, m (p-1)^2 < 2^63 (poly_fits_int64).  The
+kernels never form more than a sum of m products of two residues, whether
+they build a multiplication matrix from T, update a row, take a GF(p^2)
+norm or raise a pivot to the power p - 2, and they reduce mod p before
+the next product.  Beyond the bound they raise ValueError: over GF(p)
+from p = 3037000507 on, over GF(p^2) from p = 2147483659 on.
+Batched matrix products sum inner-dimension many products and check that
+bound explicitly.
 """
 
 from __future__ import annotations
@@ -33,113 +31,12 @@ import numpy as np
 
 from .errors import NoSolution, NotUnique
 
-# Inverse tables are cheap for experiment-sized p and are cached per prime.
-_TABLE_LIMIT = 1 << 22
-# (2^21)^3 = 2^63: below this, nonresidue * u * v stays inside int64.
-_QUAD_LIMIT = 1 << 21
-_INV_TABLES: dict = {}
-
-
-def inverse_table(p: int) -> np.ndarray:
-    """Table inv[v] with v * inv[v] = 1 mod p for 1 <= v < p."""
-    if p > _TABLE_LIMIT:
-        raise ValueError(f"p = {p} too large for a table of inverses")
-    tab = _INV_TABLES.get(p)
-    if tab is None:
-        # inv[v] = v^(p-2) for all v at once, by square and multiply.
-        v = np.arange(p, dtype=np.int64)
-        tab = np.ones(p, dtype=np.int64)
-        e = p - 2
-        base = v.copy()
-        while e:
-            if e & 1:
-                tab = tab * base % p
-            base = base * base % p
-            e >>= 1
-        _INV_TABLES[p] = tab
-    return tab
-
-
-def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a (T, n, m) batch over GF(p), eliminated in lockstep."""
-    A = np.asarray(mats, dtype=np.int64) % p
-    T, n, m = A.shape
-    inv = inverse_table(p)
-    rank = np.zeros(T, dtype=np.int64)
-    rowidx = np.arange(n)
-    for col in range(m):
-        colvals = A[:, :, col]
-        cand = (colvals != 0) & (rowidx[None, :] >= rank[:, None])
-        has = cand.any(axis=1)
-        sel = np.nonzero(has)[0]
-        if sel.size == 0:
-            continue
-        piv = cand[sel].argmax(axis=1)
-        cur = rank[sel]
-        # Swap the pivot row up, normalize it, then clear the column below.
-        tmp = A[sel, cur, :].copy()
-        A[sel, cur, :] = A[sel, piv, :]
-        A[sel, piv, :] = tmp
-        pv = inv[A[sel, cur, col]]
-        A[sel, cur, :] = A[sel, cur, :] * pv[:, None] % p
-        below = rowidx[None, :] > cur[:, None]
-        factors = np.where(below, A[sel, :, col], 0)
-        A[sel] = (A[sel] - factors[:, :, None] * A[sel, cur, None, :]) % p
-        rank[sel] += 1
-    return rank
-
-
-def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np.ndarray:
-    """Ranks of a batch of matrices over GF(p^2) = GF(p)(sqrt(nonresidue)),
-    entries given as the pair (U, V) meaning U + V*sqrt(nonresidue).
-    Needs p < 2^21, so that products of three residues fit in int64."""
-    if p >= _QUAD_LIMIT:
-        raise ValueError(f"p = {p} too large: GF(p^2) elimination needs p < 2^21")
-    U = np.asarray(U, dtype=np.int64) % p
-    V = np.asarray(V, dtype=np.int64) % p
-    T, n, m = U.shape
-    inv = inverse_table(p)
-    nr = nonresidue % p
-    rank = np.zeros(T, dtype=np.int64)
-    rowidx = np.arange(n)
-    for col in range(m):
-        nz = (U[:, :, col] != 0) | (V[:, :, col] != 0)
-        cand = nz & (rowidx[None, :] >= rank[:, None])
-        has = cand.any(axis=1)
-        sel = np.nonzero(has)[0]
-        if sel.size == 0:
-            continue
-        piv = cand[sel].argmax(axis=1)
-        cur = rank[sel]
-        for X in (U, V):
-            tmp = X[sel, cur, :].copy()
-            X[sel, cur, :] = X[sel, piv, :]
-            X[sel, piv, :] = tmp
-        # Pivot inverse: (u - v s) / (u^2 - n v^2) with s^2 = n.
-        pu = U[sel, cur, col]
-        pv = V[sel, cur, col]
-        norm = (pu * pu - nr * pv * pv) % p
-        ninv = inv[norm]
-        iu = pu * ninv % p
-        iv = (-pv) * ninv % p
-        ru, rv = U[sel, cur, :], V[sel, cur, :]
-        nu = (ru * iu[:, None] + nr * rv * iv[:, None]) % p
-        nv = (ru * iv[:, None] + rv * iu[:, None]) % p
-        U[sel, cur, :] = nu
-        V[sel, cur, :] = nv
-        below = rowidx[None, :] > cur[:, None]
-        fu = np.where(below, U[sel, :, col], 0)
-        fv = np.where(below, V[sel, :, col], 0)
-        pru = U[sel, cur, None, :]
-        prv = V[sel, cur, None, :]
-        U[sel] = (U[sel] - fu[:, :, None] * pru - nr * fv[:, :, None] * prv) % p
-        V[sel] = (V[sel] - fu[:, :, None] * prv - fv[:, :, None] * pru) % p
-        rank[sel] += 1
-    return rank
+# GF(p) as a quotient of degree m = 1: its multiplication tensor is [[[1]]].
+_PRIME_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
 
 
 def poly_fits_int64(p: int, m: int) -> bool:
-    """Whether rref_poly can run over GF(p)[x]/(f) with deg f = m."""
+    """Whether rref_poly and batch_rref can run over GF(p)[x]/(f) with deg f = m."""
     return m * (p - 1) ** 2 < 2 ** 63
 
 
@@ -188,52 +85,121 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
     return A, tuple(pivots)
 
 
+def batch_rref(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a batch of matrices over GF(p)[x]/(f),
+    eliminated in lockstep.
+
+    A is (m, B, R, C), component-major: A[:, b, r, c] is the coefficient
+    vector of entry (r, c) of member b, reduced mod p.  It is reduced in
+    place.  T is the (m, m, m) multiplication tensor of f, and `inverse`
+    maps an (m, S) array of nonzero entries to their inverses.  Column by
+    column, every member with a nonzero entry at or below its own rank
+    pivots on the first one, scales the pivot row to a leading one and
+    clears the column in every other row; the other members are left as
+    they are.  Returns (A, ranks).  Raises ValueError unless
+    poly_fits_int64(p, m).
+    """
+    m, B, R, C = A.shape
+    if not poly_fits_int64(p, m):
+        raise ValueError(f"p = {p}, m = {m}: m (p-1)^2 overflows int64")
+    rank = np.zeros(B, dtype=np.int64)
+    rows = np.arange(R)
+    for c in range(C):
+        live = rows >= rank[:, None]
+        cand = A[..., c].any(axis=0) & live
+        sel = np.flatnonzero(cand.any(axis=1))
+        if not sel.size:
+            if not (A[..., c:].any(axis=(0, 3)) & live).any():
+                break  # the rows left are zero: no more pivots
+            continue
+        piv, cur = cand[sel].argmax(axis=1), rank[sel]
+        A[:, sel, cur, c:], A[:, sel, piv, c:] = A[:, sel, piv, c:], A[:, sel, cur, c:]
+        # pivot rows times the matrices of multiplication by the inverses
+        scale = np.einsum("is,ijk->sjk", inverse(A[:, sel, cur, c]), T) % p
+        prow = np.einsum("jsc,sjk->ksc", A[:, sel, cur, c:], scale) % p
+        A[:, sel, cur, c:] = prow
+        factors = A[..., c][:, sel]
+        factors[:, np.arange(sel.size), cur] = 0
+        mult = np.einsum("isr,ijk->jksr", factors, T) % p
+        # A view when every member pivots, so that A is updated in place;
+        # a component at a time keeps the temporaries small.
+        bulk = sel if sel.size < B else slice(None)
+        for k in range(m):
+            X = A[k, bulk, :, c:]
+            X -= np.einsum("jsc,jsr->src", prow, mult[:, k])
+            X %= p
+            A[k, bulk, :, c:] = X  # a no-op for a view
+        rank[sel] += 1
+    return A, rank
+
+
+def inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the nonzero residues x.  Up to 64 are taken one
+    by one with pow; more at once as x^(p-2), by square and multiply in
+    numpy.  Each step of that power is a few numpy calls, which for
+    primes near 2^28 cost more than 64 pows."""
+    if x.size <= 64:
+        return np.array([pow(v, -1, p) for v in x.ravel().tolist()], dtype=np.int64).reshape(x.shape)
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a (T, n, m) batch over GF(p), eliminated in lockstep.
+    Needs (p-1)^2 < 2^63, that is p <= 3037000500."""
+    A = np.asarray(mats, dtype=np.int64) % p
+    return batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))[1]
+
+
+def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np.ndarray:
+    """Ranks of a batch of matrices over GF(p^2) = GF(p)(sqrt(nonresidue)),
+    entries given as the pair (U, V) meaning U + V*sqrt(nonresidue).
+    Needs 2 (p-1)^2 < 2^63, that is p <= 2^31."""
+    nr = nonresidue % p
+    A = np.array((U, V), dtype=np.int64)
+    A %= p
+    # x^2 = nr: the tensor of GF(p)[x]/(x^2 - nr)
+    T = np.array([[[1, 0], [0, 1]], [[0, 1], [nr, 0]]], dtype=np.int64)
+
+    def inverse(lead):  # 1/(u + v s) = (u - v s) / (u^2 - nr v^2) with s^2 = nr
+        u, v = lead
+        norm_inv = inverse_mod((u * u - nr * v % p * v) % p, p)
+        return np.array((u * norm_inv, -v * norm_inv)) % p
+
+    return batch_rref(A, T, p, inverse)[1]
+
+
 def batch_solve_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Solutions of a (B, R, C+1) batch of linear systems over GF(p).
 
     System b has coefficient matrix A[b, :, :C] and right-hand side
-    A[b, :, C].  All B systems are eliminated in lockstep, fraction-free:
-    column c pivots on its first nonzero entry at or below row c, and every
-    other row becomes pivot * row - entry * (pivot row).  That keeps each
-    step to products of two residues and leaves one diagonal entry per
-    unknown, divided out at the end by one batched Fermat inverse.  Returns
-    the (B, C) solutions.  Raises NotUnique (witness None) when some system
-    has column rank below C, and NoSolution when every system has full
-    column rank but some system is inconsistent.
-
-    Overflow bound: a row update is a difference of two products of
-    residues, so the kernel needs (p-1)^2 < 2^63, that is p <= 3037000500
+    A[b, :, C].  All B systems are brought to reduced echelon form by
+    batch_rref, so a system with a unique solution ends as the identity
+    over its solution.  Returns the (B, C) solutions.  Raises NotUnique
+    (witness None) when some system has column rank below C, and
+    NoSolution when every system has full column rank but some system is
+    inconsistent.  Needs (p-1)^2 < 2^63, that is p <= 3037000500
     (poly_fits_int64(p, 1)), and raises ValueError beyond it.
     """
-    if not poly_fits_int64(p, 1):
-        raise ValueError(f"p = {p}: (p-1)^2 overflows int64")
     A = np.asarray(A, dtype=np.int64) % p
+    A = batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))[0][0]
     B, R, C = A.shape[0], A.shape[1], A.shape[2] - 1
     if C > R:
         raise NotUnique(None, f"{C} unknowns in {R} equations")
-    batch = np.arange(B)
-    for c in range(C):
-        nonzero = A[:, c:, c] != 0
-        if not nonzero.any(axis=1).all():
-            raise NotUnique(None, f"no pivot for unknown {c} mod {p}")
-        piv = c + nonzero.argmax(axis=1)
-        swap = A[batch, piv].copy()
-        A[batch, piv] = A[batch, c]
-        A[batch, c] = swap
-        factors = A[:, :, c].copy()
-        factors[:, c] = 0
-        A = (A * swap[:, c, None, None] - factors[:, :, None] * swap[:, None, :]) % p
+    # Given pivots for unknowns 0..c-1, unknown c has one exactly when
+    # entry (c, c) of the reduced form is one.
+    short = (A[:, range(C), range(C)] != 1).any(axis=0)
+    if short.any():
+        raise NotUnique(None, f"no pivot for unknown {int(short.argmax())} mod {p}")
     if A[:, C:, C].any():
         raise NoSolution(f"inconsistent system mod {p}")
-    diag = A[:, range(C), range(C)]
-    inv = np.ones_like(diag)
-    e = p - 2
-    while e:  # diag^(p-2), by square and multiply
-        if e & 1:
-            inv = inv * diag % p
-        diag = diag * diag % p
-        e >>= 1
-    return A[:, :C, C] * inv % p
+    return A[:, :C, C]
 
 
 def batch_matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -243,7 +209,9 @@ def batch_matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     k = A.shape[-1]
     if k * (p - 1) ** 2 >= 2 ** 63:
         raise ValueError("inner dimension times p^2 would overflow int64")
-    return np.matmul(A, B) % p
+    out = np.matmul(A, B)
+    out %= p  # in place: the product may be the largest array of a run
+    return out
 
 
 def sample_rank_exact(rng: np.random.Generator, p: int, count: int,

@@ -436,6 +436,20 @@ class FoldStats:
 _FOLD_CHUNK = 4096
 
 
+def _fold_errors(E: np.ndarray, q: int, a: int, b: int | None) -> list:
+    """The folds (I | b I) E (b I ; I) of a batch of 2m x 2m errors over
+    GF(q), as the matrix arguments of batch_rank_mod (b = 1/sqrt(a) in
+    GF(q)) or of batch_rank_quad (b = None: b = sqrt(a) lies in GF(q^2),
+    and the fold is U + V sqrt(a)).  Each product is reduced mod q before
+    the sum, so that every q the rank kernels accept stays inside int64."""
+    m = E.shape[1] // 2
+    E00, E01 = E[:, :m, :m], E[:, :m, m:]
+    E10, E11 = E[:, m:, :m], E[:, m:, m:]
+    if b is None:
+        return [(E01 + a % q * E10) % q, (E00 + E11) % q]
+    return [(b * E00 % q + E01 + b * b % q * E10 % q + b * E11 % q) % q]
+
+
 def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, seed: int) -> FoldStats:
     """Sample uniform rank-t 2m x 2m errors over GF(q) and count how often
     the fold (I | b I) E (b' I ; I) drops rank.
@@ -454,26 +468,19 @@ def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, see
     if not a_el:
         raise ParameterMismatch("the twist scalar must be nonzero")
     square = field.is_square(a_el)
-    if square:
-        b = int(field.sqrt(a_el).inverse().val)
+    b = int(field.sqrt(a_el).inverse().val) if square else None
     drops = 0
     done = 0
     chunk_index = 0
     while done < trials:
         count = min(_FOLD_CHUNK, trials - done)
         rng = np.random.default_rng(derive_seed(seed, chunk_index))
-        E = sample_rank_exact(rng, q, count, 2 * m, 2 * m, t)
-        E00, E01 = E[:, :m, :m], E[:, :m, m:]
-        E10, E11 = E[:, m:, :m], E[:, m:, m:]
         if t == 0:
             ranks = np.zeros(count, dtype=np.int64)
-        elif square:
-            folded = (b * E00 + E01 + (b * b % q) * E10 + b * E11) % q
-            ranks = batch_rank_mod(folded, q)
         else:
-            U = (E01 + (a % q) * E10) % q
-            V = (E00 + E11) % q
-            ranks = batch_rank_quad(U, V, q, a % q)
+            # The errors are not held while the folds are ranked.
+            folds = _fold_errors(sample_rank_exact(rng, q, count, 2 * m, 2 * m, t), q, a, b)
+            ranks = batch_rank_mod(*folds, q) if square else batch_rank_quad(*folds, q, a % q)
         drops += int(np.count_nonzero(ranks < t))
         done += count
         chunk_index += 1

@@ -257,21 +257,6 @@ def test_fold_prob_deterministic(capsys):
     assert drop_timings(lines_a) == drop_timings(lines_b)
 
 
-def test_syndrome_bench(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, lines = run_main(
-        ["syndrome-bench", "--m-max", "3", "--reps", "3", "--out", str(out)],
-        capsys,
-    )
-    assert code == 0
-    ratios = [l for l in lines if "median_ratio" in l][0]
-    assert ratios["mismatches"] == 0
-    assert set(ratios["median_ratio"]) == {"1", "2", "3"}
-    rows = out.read_text().splitlines()
-    assert rows[0] == "m,rep,naive_s,fast_s"
-    assert len(rows) == 1 + 3 * 3
-
-
 def test_console_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "rankfold.cli", "fold-prob", "--q", "5", "--m", "4",

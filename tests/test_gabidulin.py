@@ -302,6 +302,24 @@ def test_matrix_basis_codewords_span():
     assert flat.rank() == mc.dim
 
 
+def test_matrix_code_default_basis_runs_no_rref(monkeypatch):
+    # the default polynomial basis is the identity, so expanding a word
+    # inverts nothing, and gives what the explicit basis gives
+    rng = SplitMix64(15)
+    code = GabidulinCode(F53, 2)
+    vec = code.encode(code.random_message(rng))
+    expected = expand_to_base(F53, vec, F53.polynomial_basis())
+    mc = GabidulinMatrixCode(code)
+
+    def forbidden(self):
+        raise AssertionError("rref called for the default basis")
+
+    monkeypatch.setattr(ExactMatrix, "rref", forbidden)
+    Y = mc.to_matrix(vec)
+    assert Y == expected
+    assert mc.to_vector(Y) == vec
+
+
 def test_matrix_code_custom_basis():
     rng = SplitMix64(16)
     code = GabidulinCode(F53, 2)

@@ -143,16 +143,6 @@ def test_matmul_block_compatibility():
     assert C == A @ B
 
 
-def test_rank_over_extension():
-    # rank is preserved under field embedding
-    K = mq_field(())
-    L = mq_field((2,))
-    A = ExactMatrix(K, [[1, 2], [2, 4]])
-    assert A.rank_over(L, lambda e: e.embed(L)) == 1
-    B = ExactMatrix(K, [[1, 0], [0, 1]])
-    assert B.rank_over(L, lambda e: e.embed(L)) == 2
-
-
 def test_map_entries():
     F = PrimeField(5)
     A = ExactMatrix(QQ, [[1, 7], [3, 4]])

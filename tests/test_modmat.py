@@ -1,14 +1,15 @@
-"""Modular kernels against the exact matrix layer: the batched rank
-kernels, and the finite-field elimination kernel against the generic one."""
+"""Modular kernels against the exact matrix layer: the batched rank and
+solve kernels, and the finite-field elimination kernel against the
+generic one."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankfold import NoSolution, NotUnique, SplitMix64, modmat
-from rankfold.gf import ExtField, PrimeField, QuadExtField
+from rankfold.gf import ExtField, PrimeField, QuadExtField, is_probable_prime
 from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
-from rankfold.modmat import batch_rank_quad
+from rankfold.modmat import batch_rank_mod, batch_rank_quad
 
 
 def planted_rank2(p, count, seed):
@@ -23,19 +24,86 @@ def planted_rank2(p, count, seed):
 
 
 def test_batch_rank_quad_planted_rank2_below_limit():
-    # the largest prime below 2^21: products of three residues fit in int64
+    # the largest prime below 2^21, the bound of an earlier GF(p^2) kernel
     U, V, nr, exact = planted_rank2(2097143, 20, 31)
     assert exact == [2] * 20
     assert batch_rank_quad(U, V, 2097143, nr).tolist() == exact
 
 
+@pytest.mark.parametrize("p", [4194301, 2147483647])
+def test_batch_rank_quad_planted_rank2_up_to_the_int64_bound(p):
+    # 2^31 - 1 is the largest prime with 2 (p-1)^2 < 2^63
+    assert modmat.poly_fits_int64(p, 2)
+    U, V, nr, exact = planted_rank2(p, 80, 32)
+    assert exact == [2] * 80
+    assert batch_rank_quad(U, V, p, nr).tolist() == exact
+
+
 def test_batch_rank_quad_rejects_overflowing_prime():
-    # p = 4194301 passes the inverse-table limit, but nr * v * v overflows
-    # int64: every planted rank came out wrong before the guard
-    U, V, nr, exact = planted_rank2(4194301, 20, 32)
-    assert exact == [2] * 20
+    # 2147483659 is the smallest prime with 2 (p-1)^2 >= 2^63
+    p = 2147483659
+    assert is_probable_prime(p) and not modmat.poly_fits_int64(p, 2)
+    nr = PrimeField(p).smallest_nonresidue()
     with pytest.raises(ValueError):
-        batch_rank_quad(U, V, 4194301, nr)
+        batch_rank_quad(np.full((1, 2, 2), p - 1), np.full((1, 2, 2), p - 2), p, nr)
+
+
+@pytest.mark.parametrize("p", [2, 3, 23, 268435399, 2147483647, 3037000493])
+def test_inverse_mod_one_by_one_and_batched(p):
+    # up to 64 residues take pow each, more take the batched Fermat power
+    rng = np.random.default_rng(p)
+    for size in (1, 5, 64, 65, 300):
+        x = rng.integers(1, p, size=(1, size)) if p > 2 else np.ones((1, size), dtype=np.int64)
+        inv = modmat.inverse_mod(x, p)
+        assert inv.shape == x.shape
+        assert (x * inv % p == 1).all()
+
+
+def rank_oracle(p, nr, A):
+    """ExactMatrix.rank of each member of a component-major batch: over
+    GF(p) for one component, over GF(p)(sqrt(nr)) for two."""
+    if len(A) == 1:
+        F = PrimeField(p)
+        return [ExactMatrix(F, [[F.element(int(v)) for v in row] for row in M]).rank() for M in A[0]]
+    F = QuadExtField(p, nr)
+    return [ExactMatrix(F, [[F.element(int(u), int(v)) for u, v in zip(ru, rv)] for ru, rv in zip(*M)]).rank()
+            for M in zip(A[0], A[1])]
+
+
+@st.composite
+def rank_batches(draw):
+    """(p, non-residue or None, (components, B, R, C) batch): each member
+    has a planted rank of its own (zero members included) and some rows
+    zeroed, so that in one column members pivot on different rows and
+    some have no pivot."""
+    quad = draw(st.booleans())
+    # small primes, where random members often lose rank, and the largest
+    # prime of each kernel's int64 bound
+    p = draw(st.sampled_from([3, 7, 23, 2147483647] if quad else [2, 3, 7, 23, 3037000493]))
+    nr = PrimeField(p).smallest_nonresidue() if quad else None
+    # more than 64 members take the batched pivot inverses
+    batch, rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.zeros((2 if quad else 1, batch, rows, cols), dtype=object)
+    for b in range(batch):
+        r = draw(st.integers(0, min(rows, cols)))
+        # Python ints: the planted products overflow int64 at the large primes
+        X = rng.integers(0, p, size=(len(A), rows, r)).astype(object)
+        Z = rng.integers(0, p, size=(len(A), r, cols)).astype(object)
+        if quad:  # (x0 + x1 s)(z0 + z1 s) with s^2 = nr
+            A[:, b] = X[0] @ Z[0] + nr * (X[1] @ Z[1]), X[0] @ Z[1] + X[1] @ Z[0]
+        else:
+            A[0, b] = X[0] @ Z[0]
+        A[:, b, rng.random(rows) < 0.3] = 0
+    return p, nr, (A % p).astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_batches())
+def test_batch_ranks_match_exact_rank(case):
+    p, nr, A = case
+    ranks = batch_rank_mod(A[0], p) if nr is None else batch_rank_quad(A[0], A[1], p, nr)
+    assert ranks.tolist() == rank_oracle(p, nr, A)
 
 
 # -- rref_poly: the finite-field elimination kernel behind ExactMatrix.rref ----

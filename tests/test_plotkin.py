@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from rankfold import DecodingFailure, SplitMix64
+from rankfold import DecodingFailure, SplitMix64, plotkin
 from rankfold.errors import ParameterMismatch
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
 from rankfold.gf import ExtField, PrimeField
@@ -359,6 +359,40 @@ def test_fold_stats_nonsquare_bound():
     assert not st.square
     assert st.paper_bound == 5.0 ** (2 * 1 - 2 * 4 - 2)
     assert st.ci95()[1] <= 100 * st.paper_bound
+
+
+@pytest.mark.parametrize("a", [265, PrimeField(2147483647).smallest_nonresidue()])
+def test_fold_experiment_folds_exactly_at_2_31(monkeypatch, a):
+    """At q = 2^31 - 1 a square-twist fold sums products near 2^62; the
+    matrices that the rank kernels receive are the folds in Python ints."""
+    q, m = 2147483647, 4
+    F = PrimeField(q)
+    square = F.is_square(F.coerce(a))
+    assert square == (a == 265)
+    seen = {}
+
+    def spy(name, fn):
+        def call(*args):
+            seen[name] = args, fn(*args)
+            return seen[name][1]
+        return call
+
+    for name in ("sample_rank_exact", "batch_rank_mod", "batch_rank_quad"):
+        monkeypatch.setattr(plotkin, name, spy(name, getattr(plotkin, name)))
+    stats = fold_probability_experiment(q, m, 1, a, 256, 5)
+    errors = seen["sample_rank_exact"][1].tolist()
+    if square:
+        b = int(F.sqrt(F.coerce(a)).inverse().val)
+        fold = [[[(b * E[r][c] + E[r][m + c] + b * b * E[m + r][c] + b * E[m + r][m + c]) % q
+                  for c in range(m)] for r in range(m)] for E in errors]
+        (mats, p), ranks = seen["batch_rank_mod"]
+        assert p == q and mats.tolist() == fold
+    else:
+        U = [[[(E[r][m + c] + a * E[m + r][c]) % q for c in range(m)] for r in range(m)] for E in errors]
+        V = [[[(E[r][c] + E[m + r][m + c]) % q for c in range(m)] for r in range(m)] for E in errors]
+        (got_u, got_v, p, nr), ranks = seen["batch_rank_quad"]
+        assert (p, nr) == (q, a) and got_u.tolist() == U and got_v.tolist() == V
+    assert stats.drops == int((ranks < 1).sum())
 
 
 def test_fold_stats_matches_exact_recount():
