@@ -25,22 +25,41 @@ Inverses use the norm recursion over the top generator, with products
 through the same kernel.  Elements are immutable, so they can be shared
 freely between threads and processes.
 
+Elimination.  MultiquadraticField.eliminate is the hook through which
+linalg.ExactMatrix.rref reduces matrices over a tower.  It runs
+Gauss-Jordan with gauss_jordan's pivot rule on integer rows: a row is a
+list of Python-int coordinates over one common denominator d.  The pivot
+row is scaled by the pivot's exact inverse.  Each other row y = Y / dy
+with b = y_c becomes y - b * x for the pivot row x = X / dx, formed as
+(Y * dx * D - X * b) / (dy * dx * D), where X * b is the same integer
+product (through W) that multiplication uses.  The row is then divided
+by the gcd of its integers and its denominator: it holds the rational
+values of gauss_jordan's row over their least common denominator, so
+its integers do not grow from step to step beyond those values.
+Fractions are built once, at the end.  Over Q (height 0) a row is a flat
+list of ints.  The reduced row echelon form is unique, so the result
+equals gauss_jordan's, bit for bit.
+
 Modular images.  For an odd prime p at which every a_k is a nonzero
 square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
 per choice of signs sqrt(a_k) -> +-r_k; together they identify L mod p
 with GF(p)^(2^m), so a linear system over L becomes 2^m independent
 systems over GF(p).  A field finds such primes on first use (below 2^28,
-by a deterministic Miller-Rabin test) and keeps them on the instance as
-SignEmbedding objects: `forward` scales coordinate S by the product of
-the r_k with k in S and applies a Walsh-Hadamard transform mod p, and
-`inverse` undoes it.  crt_extend and rational_reconstruction (Wang 1981)
-lift residues back to rationals.  Nothing here trusts a lift: callers
-certify it in exact arithmetic (see RMCode.erasure_decode).
+by a deterministic Miller-Rabin test); the search is shared by mq_field
+between orderings of the same generators, such as the rotated towers of
+a Reed-Muller decode.  Each field keeps its own SignEmbedding objects,
+since the roots follow its generator order: `forward` scales coordinate
+S by the product of the r_k with k in S and applies a Walsh-Hadamard
+transform mod p, and `inverse` undoes it.  crt_extend and
+rational_reconstruction (Wang 1981) lift residues back to rationals.
+Nothing here trusts a lift: callers certify it in exact arithmetic (see
+RMCode.erasure_decode).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -101,24 +120,36 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 # coordinate-level arithmetic (sequences of Fractions, length 2^height)
 
+def _mul_into(out, xs, ys, W):
+    """Add D times the product of two integer coordinate vectors into the
+    list out: xs and ys are their nonzero (index, value) pairs, W the
+    integer table of the module docstring.  A tower's table serves all of
+    its subtowers, since only indices below len(out) are read."""
+    for i, u in xs:
+        for j, v in ys:
+            out[i ^ j] += u * v * W[i & j]
+
+
+def _nonzero(coords):
+    return [(i, c) for i, c in enumerate(coords) if c]
+
+
 def _mul(x, y, W, D):
-    """Product of two coordinate sequences of one (sub)tower, through the
-    integer table W of the module docstring.  A tower's table serves all of
-    its subtowers, since only indices below len(x) are read."""
+    """Product of two coordinate sequences of one (sub)tower."""
     if len(x) == 1:
         return (x[0] * y[0],)
-    xs = [(i, c) for i, c in enumerate(x) if c]
-    ys = [(j, c) for j, c in enumerate(y) if c]
+    xs, ys = _nonzero(x), _nonzero(y)
     if not xs or not ys:
         return (_ZERO,) * len(x)
     dx = lcm(*[c.denominator for _, c in xs])
     dy = lcm(*[c.denominator for _, c in ys])
-    ys = [(j, c.numerator * (dy // c.denominator)) for j, c in ys]
     out = [0] * len(x)
-    for i, c in xs:
-        u = c.numerator * (dx // c.denominator)
-        for j, v in ys:
-            out[i ^ j] += u * v * W[i & j]
+    _mul_into(
+        out,
+        [(i, c.numerator * (dx // c.denominator)) for i, c in xs],
+        [(j, c.numerator * (dy // c.denominator)) for j, c in ys],
+        W,
+    )
     den = dx * dy * D
     return tuple(Fraction(s, den) if s else _ZERO for s in out)
 
@@ -243,6 +274,31 @@ class SignEmbedding:
         return (np.asarray(V, dtype=np.int64) @ self._hadamard % self.p) * self._unscale % self.p
 
 
+class _EmbeddingPrimes:
+    """The odd primes p below 2^28 at which every generator is a nonzero
+    square mod p (Euler's criterion on numerator times denominator), in
+    decreasing order, found on first use by a downward search.  The set
+    does not depend on the order of the generators."""
+
+    def __init__(self, gens: Sequence[Fraction]):
+        self.gens = tuple(gens)
+        self.primes: list[int] = []
+        self._cursor = _EMBED_PRIME_LIMIT - 1
+
+    def __getitem__(self, i: int) -> int:
+        while len(self.primes) <= i:
+            p = self._cursor
+            while not (is_prime(p) and all(
+                pow(a.numerator * a.denominator % p, (p - 1) // 2, p) == 1 for a in self.gens
+            )):
+                p -= 2
+                if p < 3:
+                    raise ValueError(f"too few embedding primes below 2^28 for {self.gens}")
+            self._cursor = p - 2
+            self.primes.append(p)
+        return self.primes[i]
+
+
 def crt_extend(residues: Sequence[int], modulus: int, new: Sequence[int], p: int) -> list[int]:
     """The residues mod modulus * p that agree with `residues` mod modulus
     and with `new` mod p (modulus and p coprime)."""
@@ -276,6 +332,10 @@ def mq_field(generators: Iterable) -> "MultiquadraticField":
     field = _FIELD_CACHE.get(gens)
     if field is None:
         field = MultiquadraticField(gens)
+        # a reordering of a cached tower shares its prime search
+        twin = next((f for f in _FIELD_CACHE.values() if f.m == field.m and set(f.gens) == set(gens)), None)
+        if twin is not None:
+            field._primes = twin._primes
         _FIELD_CACHE[gens] = field
     return field
 
@@ -309,8 +369,11 @@ class MultiquadraticField:
         for a in gens:
             W += [w * a.numerator // a.denominator for w in W]
         self._W = tuple(W)
+        self._primes = _EmbeddingPrimes(gens)
         self._embeddings: list[SignEmbedding] = []
-        self._prime_cursor = _EMBED_PRIME_LIMIT - 1
+        # data derived from this field by its users, such as a code's
+        # generator and parity-check rows
+        self.tables: dict = {}
         self.zero = MQElement(self, (_ZERO,) * self.dim)
         self.one = MQElement(self, (_ONE,) + (_ZERO,) * (self.dim - 1))
 
@@ -354,23 +417,93 @@ class MultiquadraticField:
     # -- sign embeddings mod p -----------------------------------------------
 
     def sign_embedding(self, i: int) -> SignEmbedding:
-        """The sign embeddings modulo the i-th embedding prime (from 0).
-
-        The primes are found on first use, downwards from 2^28, and kept on
-        this field: the odd primes p for which every generator is a nonzero
-        square mod p (Euler's criterion on numerator times denominator).
-        """
+        """The sign embeddings modulo the i-th embedding prime (from 0),
+        built on first use and kept on this field.  The primes come from an
+        _EmbeddingPrimes search that mq_field shares between orderings of
+        the same generators; the roots follow this field's order."""
         while len(self._embeddings) <= i:
-            p = self._prime_cursor
-            while not (is_prime(p) and all(
-                pow(a.numerator * a.denominator % p, (p - 1) // 2, p) == 1 for a in self.gens
-            )):
-                p -= 2
-                if p < 3:
-                    raise ValueError(f"{self} has too few embedding primes below 2^28")
-            self._prime_cursor = p - 2
-            self._embeddings.append(SignEmbedding(p, self.gens))
+            self._embeddings.append(SignEmbedding(self._primes[len(self._embeddings)], self.gens))
         return self._embeddings[i]
+
+    # -- elimination ---------------------------------------------------------
+
+    def eliminate(self, entries: Sequence[Sequence["MQElement"]]) -> tuple[tuple, tuple[int, ...]]:
+        """(rows, pivots) of the reduced row echelon form of a matrix over
+        this field: the hook that linalg.ExactMatrix.rref consults.
+
+        Gauss-Jordan with linalg.gauss_jordan's pivot rule on integer rows
+        (module docstring).  Row y is Y / d: over Q, Y holds one int per
+        entry; above Q, one list of 2^m ints per entry.
+        """
+        W, D, dim = self._W, self._D, self.dim
+        flat = self.m == 0
+        nonzero = bool if flat else any
+
+        def reduced(Y, d):
+            g = gcd(d, *(Y if flat else chain.from_iterable(Y)))
+            if g == 1:
+                return Y, d
+            return ([s // g for s in Y] if flat else [[s // g for s in Yj] for Yj in Y]), d // g
+
+        rows = []
+        for row in entries:
+            coords = [c for e in row for c in e.coords]
+            d = lcm(*[c.denominator for c in coords])
+            Y = [c.numerator * (d // c.denominator) for c in coords]
+            rows.append((Y if flat else [Y[k:k + dim] for k in range(0, len(Y), dim)], d))
+        pivots: list[int] = []
+        pr = 0
+        for c in range(len(entries[0]) if entries else 0):
+            pivot_row = next((r for r in range(pr, len(rows)) if nonzero(rows[r][0][c])), None)
+            if pivot_row is None:
+                continue
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+            # the pivot row x = y / y_c
+            Y = rows[pr][0]
+            if flat:
+                X, dx = (Y, Y[c]) if Y[c] > 0 else ([-s for s in Y], -Y[c])
+            else:
+                iv = _inv(tuple(Fraction(s) for s in Y[c]), self.gens, W, D)
+                di = lcm(*[q.denominator for q in iv])
+                ivs = [(i, q.numerator * (di // q.denominator)) for i, q in _nonzero(iv)]
+                X = []
+                for Yj in Y:
+                    Xj = [0] * dim
+                    _mul_into(Xj, ivs, _nonzero(Yj), W)
+                    X.append(Xj)
+                dx = di * D
+            rows[pr] = X, dx = reduced(X, dx)
+            # every other row y with b = y_c != 0 becomes y - b * x
+            f = dx * D
+            if not flat:
+                xs = [(j, nz) for j, nz in enumerate(map(_nonzero, X)) if nz]
+            for r, (Y, dy) in enumerate(rows):
+                if r == pr or not nonzero(Y[c]):
+                    continue
+                if flat:
+                    b = Y[c]
+                    Y = [s * f - b * t for s, t in zip(Y, X)]
+                else:
+                    bs = [(i, -u) for i, u in _nonzero(Y[c])]
+                    Y = [[s * f for s in Yj] for Yj in Y]
+                    for j, nz in xs:
+                        _mul_into(Y[j], bs, nz, W)
+                rows[r] = reduced(Y, dy * f)
+            pivots.append(c)
+            pr += 1
+            if pr == len(rows):
+                break
+
+        def element(Yj, d):
+            if not any(Yj):
+                return self.zero
+            return MQElement(self, tuple(Fraction(s, d) if s else _ZERO for s in Yj))
+
+        if flat:
+            out = tuple(tuple(element((s,), d) for s in Y) for Y, d in rows)
+        else:
+            out = tuple(tuple(element(Yj, d) for Yj in Y) for Y, d in rows)
+        return out, tuple(pivots)
 
     # -- structure ---------------------------------------------------------
 

@@ -2,17 +2,20 @@
 
 A field handle must expose `zero`, `one` and `coerce`; entries must
 support +, -, *, / and truth testing.  Rationals, multiquadratic towers
-and the finite fields in this package all qualify.  Elimination
-(gauss_jordan) uses naive Gaussian steps with a deterministic pivot rule
-(first row with a nonzero entry in the current column), so results are
-reproducible and there is no numerical-stability concern: arithmetic is
-exact.
+and the finite fields in this package all qualify.  gauss_jordan
+eliminates with naive Gaussian steps in the field's own arithmetic and a
+deterministic pivot rule (first row with a nonzero entry in the current
+column), so results are reproducible and there is no numerical-stability
+concern: arithmetic is exact.
 
 A field handle may also expose `eliminate(entries) -> (rows, pivots)`,
 returning the reduced row echelon form of a tuple of row tuples, or None
 to decline.  ExactMatrix.rref calls it first and falls back to
-gauss_jordan; the finite fields of gf reduce on numpy this way.  The
-reduced row echelon form is unique, so both paths give the same result.
+gauss_jordan.  The finite fields of gf reduce on numpy this way, and
+multiquadratic towers on integer rows (exactfield).  So gauss_jordan
+serves the plain rationals (QQ) and is the tests' reference for the
+hooks.  The reduced row echelon form is unique, so every path gives the
+same result.
 
 Matrices are immutable; all operations return fresh objects.
 """

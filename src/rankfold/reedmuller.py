@@ -156,9 +156,6 @@ class DecodeReport:
     trace: list = dc_field(default_factory=list)
 
 
-_BLOCK_CACHE: dict = {}
-
-
 def _gen_rows(field: MultiquadraticField, gens_idx: tuple, r: int):
     """Rows of the generator matrix for order r on the given tower
     directions; each recursion level appends the (last direction) * row
@@ -167,15 +164,15 @@ def _gen_rows(field: MultiquadraticField, gens_idx: tuple, r: int):
         return []
     if not gens_idx:
         return [(field.one,)]
-    key = ("G", field.gens, gens_idx, min(r, len(gens_idx)))
-    rows = _BLOCK_CACHE.get(key)
+    key = ("G", gens_idx, min(r, len(gens_idx)))
+    rows = field.tables.get(key)
     if rows is not None:
         return rows
     top, rest = gens_idx[-1], gens_idx[:-1]
     alpha = field.alpha(top)
     rows = [row + tuple(alpha * e for e in row) for row in _gen_rows(field, rest, r)]
     rows += [row + tuple(-(alpha * e) for e in row) for row in _gen_rows(field, rest, r - 1)]
-    _BLOCK_CACHE[key] = rows
+    field.tables[key] = rows
     return rows
 
 
@@ -186,15 +183,15 @@ def _check_rows(field: MultiquadraticField, gens_idx: tuple, r: int):
     r = max(r, -1)
     if not gens_idx:
         return [] if r >= 0 else [(field.one,)]
-    key = ("H", field.gens, gens_idx, min(r, len(gens_idx)))
-    rows = _BLOCK_CACHE.get(key)
+    key = ("H", gens_idx, min(r, len(gens_idx)))
+    rows = field.tables.get(key)
     if rows is not None:
         return rows
     top, rest = gens_idx[-1], gens_idx[:-1]
     ainv = field.alpha(top).inverse()
     rows = [row + tuple(ainv * e for e in row) for row in _check_rows(field, rest, r)]
     rows += [row + tuple(-(ainv * e) for e in row) for row in _check_rows(field, rest, r - 1)]
-    _BLOCK_CACHE[key] = rows
+    field.tables[key] = rows
     return rows
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankfold import DegreeCollapse, FieldMismatch, QQ, SplitMix64, TowerHeightZero, mq_field
+from rankfold import DegreeCollapse, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield, mq_field
 from rankfold.exactfield import (
     MQElement,
     MultiquadraticField,
@@ -269,6 +269,21 @@ def test_embedding_primes_split_the_tower():
     assert L.sign_embedding(0) is L.sign_embedding(0)
     other = MultiquadraticField(gens)
     assert other.sign_embedding(0) is not L.sign_embedding(0) and other.sign_embedding(0).p == primes[0]
+
+
+def test_rotated_towers_share_one_prime_search(monkeypatch):
+    L = mq_field((2, 3, 5, 7))
+    primes = [L.sign_embedding(i).p for i in range(4)]
+    calls = []
+    monkeypatch.setattr(exactfield, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    rotated = mq_field((7, 2, 3, 5))
+    assert [rotated.sign_embedding(i).p for i in range(4)] == primes
+    assert calls == []
+    # the embeddings stay per field: their roots follow the generator order
+    for i in range(4):
+        roots = L.sign_embedding(i).roots
+        assert rotated.sign_embedding(i).roots == roots[3:] + roots[:3]
+        assert rotated.sign_embedding(i) is not L.sign_embedding(i)
 
 
 @pytest.mark.parametrize("gens", [(2, 3, 5, 7), (-1, Fraction(3, 5), 7), ()])

@@ -9,6 +9,7 @@ import pytest
 from rankfold import DecodingFailure, NoSolution, NotUnique, SplitMix64, modmat, mq_field, reedmuller
 from rankfold.linalg import ExactMatrix, solve_erasures
 from rankfold.modmat import batch_rank_mod
+from rankfold.exactfield import MultiquadraticField
 from rankfold.reedmuller import RMCode, ThetaPolynomial
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -247,6 +248,17 @@ def test_subcode_rotates_the_tower():
     assert subsub.base_height == 2
 
 
+def test_block_rows_live_on_their_own_field():
+    # generator and parity rows are kept per field instance, over that instance
+    gens = PRIMES[:3]
+    RMCode(mq_field(gens), 1).generator_matrix()
+    apart = MultiquadraticField(gens)
+    code = RMCode(apart, 1)
+    for M in (code.generator_matrix(), code.parity_check_matrix()):
+        assert all(e.field is apart for row in M.entries for e in row)
+    assert code.generator_matrix() == RMCode(mq_field(gens), 1).generator_matrix()
+
+
 # -- erasure decoding -----------------------------------------------------------
 
 
@@ -403,6 +415,34 @@ def test_decoder_erasure_solves_are_certified_and_exact(monkeypatch, gens, r, se
     for ecode, y, rows, out in seen:
         assert ecode.base_height > 0 and rows
         assert out is not None and out == exact_outcome(ecode, y, rows)
+
+
+def test_exact_erasure_systems_of_an_m5_decode_reduce_in_the_tower(monkeypatch):
+    # the exact path's augmented systems for the two erasure steps of an
+    # m=5 r=1 decode: n - k syndrome rows, one column per support row plus
+    # the right-hand side, and a unique solution
+    shapes = []
+    eliminate = MultiquadraticField.eliminate
+
+    def spy(self, entries):
+        out = eliminate(self, entries)
+        shapes.append((self.m, len(entries), len(entries[0]), out[1]))
+        return out
+
+    code = RMCode(mq_field(PRIMES[:5]), 1)
+    rng = SplitMix64(7)
+    C = code.encode(code.random_message(rng))
+    E = code.sample_error(rng)
+    seen = []
+    fast_path = RMCode._erasure_decode_embedded
+    monkeypatch.setattr(RMCode, "_erasure_decode_embedded",
+                        lambda self, y, rows: seen.append((self, y, rows)) or fast_path(self, y, rows))
+    assert code.decode(C + E).codeword == C
+    monkeypatch.setattr(MultiquadraticField, "eliminate", spy)
+    for ecode, y, rows in seen:
+        assert exact_outcome(ecode, y, rows) == fast_path(ecode, y, rows)
+    assert [s[:3] for s in shapes] == [(5, 7, 8), (5, 11, 8)]
+    assert all(pivots == tuple(range(7)) for *_, pivots in shapes)
 
 
 def test_ambiguous_support_falls_back_to_the_exact_failure(kernel_outcomes):
