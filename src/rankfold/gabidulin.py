@@ -12,6 +12,25 @@ exact left quotient of N by V, and verify the residual rank.  The erasure
 decoders hand linalg.solve_erasures the code's parity checks, built once
 per code, and the error's known row space.  Both report failure rather
 than return an unverified answer.
+
+Vectors over GF(q^m) are worked on as (n, m) int64 coefficient arrays
+(ExtField.coeff_array): row i holds the coefficients of entry i.  A code
+keeps the Moore array of its points, g_i^(q^j) for j < m, as one (n, m, m)
+array read off the field's Frobenius table.  From it come, without
+element arithmetic, the interpolation system [y_i^(q^j) | -g_i^(q^j)]
+that goes to modmat.rref_poly, the evaluation of f at every point through
+the field's multiplication tensor (encoding and re-encoding), the parity
+checks, and the residual check, which is the GF(q)-rank of the error's
+m x n coefficient matrix, again by rref_poly.  The matrix view applies an
+explicit basis as one (m, m) product each way, its inverse computed once
+per code.
+
+Overflow: every array step forms sums of at most m products of two
+residues, or of at most m residues, and reduces mod q before the next
+product, so the one rule is modmat.poly_fits_int64(q, m), that is
+m (q-1)^2 < 2^63.  GabidulinCode raises ParameterMismatch beyond it
+(from q = 2147483659 at m = 2).  LinearizedPoly and annihilator stay
+element-wise in Python integers, exact for any q.
 """
 
 from __future__ import annotations
@@ -19,9 +38,19 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import DecodingFailure, DimensionMismatch, LengthMismatch
-from .gf import ExtField, QuadExtField, expand_to_base, reconstruct_from_base
+import numpy as np
+
+from .errors import (
+    DecodingFailure,
+    DimensionMismatch,
+    FieldMismatch,
+    LengthMismatch,
+    ParameterMismatch,
+    SingularBasis,
+)
+from .gf import ExtField, PrimeElement, QuadExtField, basis_inverse
 from .linalg import ExactMatrix, solve_erasures
+from .modmat import poly_fits_int64
 
 
 class LinearizedPoly:
@@ -72,20 +101,20 @@ class LinearizedPoly:
         t = divisor.qdegree
         if t < 0:
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = divisor.coeffs[t]
         rem = list(self.coeffs)
         if len(rem) < t + 1:
             if any(rem):
                 raise ValueError("quotient would have negative degree")
             return LinearizedPoly(field, ())
         fdeg = len(rem) - 1 - t
+        lead_inv = divisor.coeffs[t].inverse()
         fcoeffs = [field.zero] * (fdeg + 1)
         inv_frob = (-t) % field.m if field.m else 0
         for d in range(fdeg, -1, -1):
             c = rem[t + d]
             if not c:
                 continue
-            fd = field.frobenius(c / lead, inv_frob)
+            fd = field.frobenius(c * lead_inv, inv_frob)
             fcoeffs[d] = fd
             for i, vi in enumerate(divisor.coeffs):
                 if vi:
@@ -135,6 +164,8 @@ class GabidulinCode:
     """Evaluation code of q-degree < k linearized polynomials."""
 
     def __init__(self, field: ExtField, k: int, points: Optional[Sequence] = None):
+        if not poly_fits_int64(field.p, field.m):
+            raise ParameterMismatch(f"GF({field.p}^{field.m}): m (q-1)^2 overflows int64")
         self.field = field
         if points is None:
             points = field.polynomial_basis()
@@ -144,40 +175,67 @@ class GabidulinCode:
             raise ValueError(f"dimension must be between 0 and {self.n}")
         if self.n > field.m:
             raise ValueError("more evaluation points than the extension degree")
-        if expand_to_base(field, self.points).rank() != self.n:
+        G = field.coeff_array(self.points)
+        if self._base_rank(G) != self.n:
             raise ValueError("evaluation points must be GF(q)-independent")
+        # Moore array: _moore[i, j] holds the coefficients of g_i^(q^j), j < m.
+        self._moore = field.frobenius_powers(G, field.m)
         self.k = k
         self.d = self.n - k + 1
         # half-distance error radius
         self.radius = (self.n - k) // 2
 
+    def _base_rank(self, X: np.ndarray) -> int:
+        """GF(q)-rank of the m x n matrix whose columns are the rows of the
+        (n, m) coefficient array X."""
+        return len(self.field.base.rref_coeffs(X.T[:, :, None])[1])
+
+    def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
+        """(n, m) coefficient array of f(g_i) for every point, where row j
+        of the (k', m) array `coeffs` (k' <= m) is the coefficient of
+        x^(q^j) in f.  Every sum is of at most m products of residues or of
+        k' residues, reduced mod q before the next product."""
+        p, k = self.field.p, len(coeffs)
+        mult = np.einsum("ji,ial->jal", coeffs, self.field.mul_tensor) % p
+        terms = np.einsum("nja,jal->njl", self._moore[:, :k], mult) % p
+        return terms.sum(axis=1) % p
+
     def encode(self, message: Sequence) -> list:
         if len(message) != self.k:
             raise LengthMismatch(f"message length must be {self.k}, got {len(message)}")
-        f = LinearizedPoly(self.field, message)
-        return [f(g) for g in self.points]
+        return self.field.from_coeff_array(self._evaluate(self.field.coeff_array(message)))
 
     def random_message(self, rng) -> list:
         return [self.field.random_element(rng) for _ in range(self.k)]
 
-    def _interpolate(self, y: Sequence, t: int) -> tuple:
+    def _kernel(self, A: np.ndarray) -> np.ndarray:
+        """Right kernel basis of the (rows, cols, m) coefficient array A,
+        one vector per free column of its RREF, in column order, as an
+        (nullity, cols, m) array (ExactMatrix.kernel_basis's vectors)."""
+        R, pivots = self.field.rref_coeffs(A)
+        cols = A.shape[1]
+        free = [c for c in range(cols) if c not in pivots]
+        K = np.zeros((len(free), cols, self.field.m), dtype=np.int64)
+        K[range(len(free)), free, 0] = 1
+        K[:, list(pivots)] = -R[: len(pivots), free].transpose(1, 0, 2) % self.field.p
+        return K
+
+    def _interpolate(self, Y: np.ndarray, t: int) -> Optional[tuple]:
         """Nonzero (V, N) with V(y_i) = N(g_i), deg_q V <= t,
-        deg_q N <= t + k - 1, or None if every kernel vector has V = 0."""
+        deg_q N <= t + k - 1, or None if every kernel vector has V = 0.
+        Y is the (n, m) coefficient array of the received word; row i of
+        the system is [y_i^(q^j), j <= t | -g_i^(q^j), j < t + k]."""
         field = self.field
         nv, nn = t + 1, t + self.k
-        rows = []
-        for gi, yi in zip(self.points, y):
-            row = [field.frobenius(yi, j) for j in range(nv)]
-            row += [-field.frobenius(gi, j) for j in range(nn)]
-            rows.append(row)
-        M = ExactMatrix(field, rows)
-        for vec in M.kernel_basis():
-            if any(vec[:nv]):
-                return (
-                    LinearizedPoly(field, vec[:nv]),
-                    LinearizedPoly(field, vec[nv:]),
-                )
-        return None
+        A = np.concatenate(
+            (field.frobenius_powers(Y, nv), -self._moore[:, np.arange(nn) % field.m] % field.p), axis=1
+        )
+        K = self._kernel(A)
+        with_v = np.flatnonzero(K[:, :nv].any(axis=(1, 2)))
+        if not with_v.size:
+            return None
+        vec = field.from_coeff_array(K[with_v[0]])
+        return LinearizedPoly(field, vec[:nv]), LinearizedPoly(field, vec[nv:])
 
     def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:
         """Correct up to t rank errors (default: half distance).
@@ -186,12 +244,13 @@ class GabidulinCode:
         codeword within radius t is found.  The final rank check makes a
         wrong silent answer impossible.
         """
-        y = [self.field.coerce(v) for v in y]
-        if len(y) != self.n:
-            raise LengthMismatch(f"need {self.n} symbols, got {len(y)}")
+        field = self.field
+        Y = field.coeff_array(y)
+        if len(Y) != self.n:
+            raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
         if t is None:
             t = self.radius
-        pair = self._interpolate(y, t)
+        pair = self._interpolate(Y, t)
         if pair is None:
             raise DecodingFailure("no interpolation pair with nonzero V")
         V, N = pair
@@ -201,23 +260,20 @@ class GabidulinCode:
             raise DecodingFailure(f"interpolation quotient not exact: {exc}") from exc
         if f.qdegree >= self.k:
             raise DecodingFailure("quotient degree exceeds the code dimension")
-        c = [f(g) for g in self.points]
-        e = [yi - ci for yi, ci in zip(y, c)]
-        if expand_to_base(self.field, e).rank() > t:
+        C = self._evaluate(field.coeff_array(f.coeffs))
+        E = (Y - C) % field.p
+        if self._base_rank(E) > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")
-        return c, e
+        return field.from_coeff_array(C), field.from_coeff_array(E)
 
     def parity_check_matrix(self) -> ExactMatrix:
-        """Rows spanning the dual: kernel of the Moore evaluation matrix."""
+        """Rows spanning the dual: kernel of the Moore evaluation matrix
+        [g_j^(q^i)], i < k."""
         field = self.field
         if self.k == 0:
             return ExactMatrix.identity(field, self.n)
-        G = ExactMatrix(
-            field,
-            [[field.frobenius(g, i) for g in self.points] for i in range(self.k)],
-        )
-        kern = G.kernel_basis()
-        return ExactMatrix(field, kern) if kern else ExactMatrix(field, ())
+        K = self._kernel(self._moore[:, : self.k].transpose(1, 0, 2))
+        return ExactMatrix(field, tuple(tuple(field.from_coeff_array(v)) for v in K), _raw=True)
 
     @cached_property
     def _parity_rows(self) -> tuple:
@@ -269,18 +325,37 @@ class GabidulinMatrixCode:
         self.field = code.field
         self.base = code.field.base
         self.basis = tuple(code.field.coerce(b) for b in basis) if basis else tuple(code.field.polynomial_basis())
-        # None stands for the polynomial basis, whose coordinates need no inversion.
-        self._expansion_basis = self.basis if basis else None
+        # Coordinate rows in the basis times _basis_array are coefficient
+        # rows; None for the polynomial basis, where the two are the same.
+        self._basis_array = code.field.coeff_array(self.basis) if basis else None
         self.rows = code.field.m
         self.cols = code.n
         # GF(q)-dimension of the matrix code
         self.dim = code.field.m * code.k
 
+    @cached_property
+    def _coordinate_map(self) -> np.ndarray:
+        """(m, m) array taking coefficient rows to coordinate rows in the
+        basis: the basis inverted once per code."""
+        inverse = basis_inverse(self.field, self.basis)
+        return np.array([[e.val for e in row] for row in inverse.entries], dtype=np.int64).T
+
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
-        return expand_to_base(self.field, vec, self._expansion_basis)
+        X = self.field.coeff_array(vec)
+        if self._basis_array is not None:
+            X = X @ self._coordinate_map % self.field.p
+        base = self.base
+        return ExactMatrix(base, tuple(tuple(PrimeElement(base, v) for v in row) for row in X.T.tolist()), _raw=True)
 
     def to_vector(self, M: ExactMatrix) -> list:
-        return reconstruct_from_base(self.field, M, self._expansion_basis)
+        if M.field != self.base:
+            raise FieldMismatch(f"matrix over {M.field}, expected {self.base}")
+        if M.rows != self.rows:
+            raise SingularBasis(f"matrix must have {self.rows} rows")
+        X = np.array([[e.val for e in row] for row in M.entries], dtype=np.int64).T
+        if self._basis_array is not None:
+            X = X @ self._basis_array
+        return self.field.from_coeff_array(X % self.field.p)
 
     def encode(self, message: Sequence) -> ExactMatrix:
         return self.to_matrix(self.code.encode(message))

@@ -10,15 +10,24 @@ bit for bit.
 GF(p^m) arithmetic is written once, as GF(p)[x] arithmetic on coefficient
 lists: _pmul (product), _psub (difference), _pdivmod (division with
 remainder) and _ppowmod (power mod f).  Reducing mod f (ExtField.element),
-multiplication, inversion by extended Euclid, the Frobenius matrices and
+multiplication, inversion by extended Euclid, the Frobenius table and
 the modulus check all run on these four, and one square-and-multiply
 (_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).
+
+Frobenius x -> x^(p^i) is GF(p)-linear.  ExtField builds once, on the
+instance, the (m, m, m) table F with F[i, j] = (x^j)^(p^i) mod f, so the
+map takes a coefficient row c to c @ F[i] mod p.  The element method
+frobenius reads it in Python integers, exact for any p; frobenius_powers
+applies it, as int64, to a whole (n, m) coefficient array (ExtField.coeff_array) in
+one product, whose sums of m products of residues need
+modmat.poly_fits_int64(p, m).
 
 All three fields are GF(p)[x]/(f) for an f of degree m: f = x for GF(p),
 x^2 - n for GF(p^2) and the modulus for GF(p^m).  Each builds once, on
 the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
 (mul_tensor), and its `eliminate` hook hands ExactMatrix.rref to the
-numpy kernel modmat.rref_poly on (rows, cols, m) coefficient arrays.
+numpy kernel modmat.rref_poly on (rows, cols, m) coefficient arrays, the
+same call (rref_coeffs) that array code makes directly.
 
 An int equals an element only when it is the element's canonical residue
 in [0, p), and elements of the base field hash like that int.
@@ -93,9 +102,15 @@ class _PolyQuotient:
         cols = len(entries[0]) if rows else 0
         coeffs = self._coeffs
         A = np.array([coeffs(e) for row in entries for e in row], dtype=np.int64).reshape(rows, cols, m)
-        R, pivots = modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
+        R, pivots = self.rref_coeffs(A)
         make = self._from_coeffs
         return tuple(tuple(make(v) for v in row) for row in R.tolist()), pivots
+
+    def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """modmat.rref_poly of a (rows, cols, m) coefficient array over this
+        field: (R, pivot columns).  Raises ValueError unless
+        poly_fits_int64(p, m)."""
+        return modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
 
     def _inverse_coeffs(self, coeffs):
         return self._coeffs(self._from_coeffs(coeffs).inverse())
@@ -578,7 +593,6 @@ class ExtField(_PolyQuotient):
         self.zero = ExtElement(self, (0,) * m)
         self.one = ExtElement(self, (1,) + (0,) * (m - 1))
         self.x = ExtElement(self, ((0, 1) + (0,) * (m - 2))[:m])
-        self._frob_mats: dict[int, tuple] = {}
 
     @property
     def order(self) -> int:
@@ -615,25 +629,44 @@ class ExtField(_PolyQuotient):
     def polynomial_basis(self) -> list["ExtElement"]:
         return [self.element([0] * i + [1]) for i in range(self.m)]
 
-    def _frobenius_matrix(self, i: int) -> tuple:
-        """Matrix of x -> x^(p^i) on coordinate columns, cached per power."""
-        i %= self.m
-        mat = self._frob_mats.get(i)
-        if mat is None:
-            # column j is the image of x^j, that is h^j for h = x^(p^i)
-            h = _ppowmod([0, 1], self.p ** i, self.modulus, self.p)
-            cols = [self.element(_ppowmod(h, j, self.modulus, self.p)).coeffs for j in range(self.m)]
-            mat = tuple(zip(*cols))
-            self._frob_mats[i] = mat
-        return mat
+    def coeff_array(self, vector: Iterable) -> np.ndarray:
+        """(n, m) int64 array whose row i holds the coefficients of entry i."""
+        return np.array([self.coerce(v).coeffs for v in vector], dtype=np.int64).reshape(-1, self.m)
+
+    def from_coeff_array(self, X: np.ndarray) -> list["ExtElement"]:
+        """Inverse of coeff_array; the rows must be reduced mod p."""
+        return [ExtElement(self, tuple(row)) for row in X.tolist()]
+
+    @cached_property
+    def frobenius_table(self) -> tuple:
+        """(m, m, m) nested tuples of Python ints: F[i][j] holds the
+        coefficients of (x^j)^(p^i), that is h^j for h = x^(p^i) mod f, so
+        that x -> x^(p^i) takes the coefficient row c to c @ F[i] mod p."""
+        p, f = self.p, self.modulus
+        table = []
+        for i in range(self.m):
+            h = _ppowmod([0, 1], p ** i, f, p)
+            table.append(tuple(self.element(_ppowmod(h, j, f, p)).coeffs for j in range(self.m)))
+        return tuple(table)
+
+    @cached_property
+    def _frobenius_array(self) -> np.ndarray:
+        """frobenius_table as an int64 array, for frobenius_powers only."""
+        return np.array(self.frobenius_table, dtype=np.int64)
 
     def frobenius(self, x: "ExtElement", i: int = 1) -> "ExtElement":
-        """x^(p^i), applied as a precomputed GF(p)-linear map."""
+        """x^(p^i), read off frobenius_table in Python integers."""
         x = self.coerce(x)
-        mat = self._frobenius_matrix(i)
+        rows = self.frobenius_table[i % self.m]
         p = self.p
-        coeffs = tuple(sum(mat[k][j] * x.coeffs[j] for j in range(self.m)) % p for k in range(self.m))
-        return ExtElement(self, coeffs)
+        return ExtElement(self, tuple(sum(c * t for c, t in zip(x.coeffs, col)) % p for col in zip(*rows)))
+
+    def frobenius_powers(self, X: np.ndarray, count: int) -> np.ndarray:
+        """(n, count, m) array of the powers x^(p^j), j < count, of the
+        entries of an (n, m) coefficient array; each is a sum of m products
+        of residues, so poly_fits_int64(p, m) must hold."""
+        F = self._frobenius_array[np.arange(count) % self.m]
+        return np.einsum("nj,ijk->nik", X, F) % self.p
 
     def to_json(self):
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -752,6 +785,22 @@ class ExtElement:
 
 # ---------------------------------------------------------------------------
 
+def basis_inverse(field: ExtField, basis: Sequence) -> ExactMatrix:
+    """The m x m matrix over GF(p) that takes the coefficient column of an
+    element of GF(p^m) to its coordinate column in `basis`."""
+    basis = [field.coerce(b) for b in basis]
+    if len(basis) != field.m:
+        raise SingularBasis(f"need {field.m} basis elements, got {len(basis)}")
+    gf = field.base
+    B = ExactMatrix(gf, [[b.coeffs[i] for b in basis] for i in range(field.m)])
+    aug = B.hstack(ExactMatrix.identity(gf, field.m))
+    R, pivots, _ = aug.rref()
+    # B is invertible exactly when all pivots fall in its own columns.
+    if tuple(pivots[: field.m]) != tuple(range(field.m)):
+        raise SingularBasis("basis elements are linearly dependent")
+    return ExactMatrix(gf, tuple(row[field.m:] for row in R.entries), _raw=True)
+
+
 def expand_to_base(field: ExtField, vector: Iterable, basis: Optional[Sequence] = None) -> ExactMatrix:
     """Write a vector over GF(p^m) as an m x n matrix over GF(p).
 
@@ -765,16 +814,7 @@ def expand_to_base(field: ExtField, vector: Iterable, basis: Optional[Sequence] 
     if basis is None:
         cols = [v.coeffs for v in vec]
     else:
-        basis = [field.coerce(b) for b in basis]
-        if len(basis) != field.m:
-            raise SingularBasis(f"need {field.m} basis elements, got {len(basis)}")
-        B = ExactMatrix(gf, [[b.coeffs[i] for b in basis] for i in range(field.m)])
-        aug = B.hstack(ExactMatrix.identity(gf, field.m))
-        R, pivots, _ = aug.rref()
-        # B is invertible exactly when all pivots fall in its own columns.
-        if tuple(pivots[: field.m]) != tuple(range(field.m)):
-            raise SingularBasis("basis elements are linearly dependent")
-        Binv = ExactMatrix(gf, tuple(row[field.m:] for row in R.entries), _raw=True)
+        Binv = basis_inverse(field, basis)
         cols = []
         for v in vec:
             coord = Binv @ ExactMatrix.column(gf, [gf.element(c) for c in v.coeffs])

@@ -3,6 +3,7 @@
 import pytest
 
 from rankfold import DecodingFailure, SplitMix64
+from rankfold.errors import FieldMismatch, ParameterMismatch
 from rankfold.gabidulin import (
     GabidulinCode,
     GabidulinMatrixCode,
@@ -232,7 +233,7 @@ def test_interpolation_pair_consistency():
     c = code.encode(code.random_message(rng))
     e, _ = vector_error(code, rng, 2)
     y = add(c, e)
-    V, N = code._interpolate(y, 2)
+    V, N = code._interpolate(F238.coeff_array(y), 2)
     assert V.qdegree >= 0
     for gi, yi in zip(code.points, y):
         assert V(yi) == N(gi)
@@ -328,6 +329,80 @@ def test_matrix_code_custom_basis():
     msg = code.random_message(rng)
     Y = mc.encode(msg)
     assert mc.to_vector(Y) == code.encode(msg)
+
+
+def random_basis(field, rng):
+    while True:
+        basis = [field.random_element(rng) for _ in range(field.m)]
+        if expand_to_base(field, basis).rank() == field.m:
+            return basis
+
+
+@pytest.mark.parametrize("field", [F53, F238], ids=["GF(5^3)", "GF(23^8)"])
+def test_matrix_code_random_basis_is_inverted_once(field, monkeypatch):
+    rng = SplitMix64(22)
+    basis = random_basis(field, rng)
+    mc = GabidulinMatrixCode(GabidulinCode(field, 2), basis=basis)
+    calls = []
+    rref = ExactMatrix.rref
+
+    def spy(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(ExactMatrix, "rref", spy)
+    vectors = [[field.random_element(rng) for _ in range(mc.cols)] for _ in range(10)]
+    matrices = [mc.to_matrix(v) for v in vectors]
+    assert len(calls) == 1
+    monkeypatch.setattr(ExactMatrix, "rref", rref)
+    for v, M in zip(vectors, matrices):
+        assert M == expand_to_base(field, v, basis)
+        assert mc.to_vector(M) == v
+
+
+def test_code_refuses_fields_beyond_the_int64_rule():
+    # 2147483659 is the first prime with 2 (p-1)^2 >= 2^63; x^2 + 1 is irreducible mod it
+    F = ExtField(2147483659, 2)
+    assert F.modulus == (1, 0, 1)
+    with pytest.raises(ParameterMismatch):
+        GabidulinCode(F, 1)
+    # the prime below it, 2^31 - 1, is within the rule: the array path there
+    # agrees with the element path
+    F = ExtField(2147483647, 2)
+    rng = SplitMix64(23)
+    code = GabidulinCode(F, 1)
+    msg = code.random_message(rng)
+    c = code.encode(msg)
+    assert c == [LinearizedPoly(F, msg)(g) for g in code.points]
+    assert code.decode_errors(c) == (c, [F.zero] * code.n)
+    for field, k in ((F238, 4), (F53, 2)):
+        assert GabidulinCode(field, k).n == field.m
+
+
+def test_element_path_stays_exact_beyond_the_int64_rule():
+    # 2^64 + 13 is prime: residues no longer fit int64, but the element
+    # methods work on Python ints and need no array
+    p = 2**64 + 13
+    F = ExtField(p, 2)
+    x, y = F.x + 3, F.x * 5 + 7
+    assert F.frobenius(x) == x ** p
+    assert F.frobenius(x, 2) == x
+    L = LinearizedPoly(F, [y, x])
+    assert L(x) == y * x + x * x ** p
+    M = LinearizedPoly(F, [x, F.one])
+    assert L.compose(M).left_divide(L) == M
+
+
+def test_matrix_decoders_refuse_a_foreign_prime_field():
+    code = GabidulinCode(F53, 2)
+    foreign = ExactMatrix(PrimeField(7), [[1, 2, 3], [4, 5, 6], [0, 1, 0]])
+    for mc in (GabidulinMatrixCode(code), GabidulinMatrixCode(code, basis=[b * 2 for b in F53.polynomial_basis()])):
+        with pytest.raises(FieldMismatch):
+            mc.to_vector(foreign)
+        with pytest.raises(FieldMismatch):
+            mc.decode(foreign)
+        with pytest.raises(FieldMismatch):
+            mc.decode_erasures(foreign, ExactMatrix(PrimeField(5), [[1, 0, 0]]))
 
 
 # -- quadratic-extension decoders --------------------------------------------------
