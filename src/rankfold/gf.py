@@ -823,7 +823,9 @@ def expand_to_base(field: ExtField, vector: Iterable, basis: Optional[Sequence] 
 
 
 def reconstruct_from_base(field: ExtField, matrix: ExactMatrix, basis: Optional[Sequence] = None) -> list:
-    """Inverse of expand_to_base: columns back to GF(p^m) entries."""
+    """Inverse of expand_to_base: columns over GF(p) back to GF(p^m) entries."""
+    if matrix.field != field.base:
+        raise FieldMismatch(f"expected a matrix over GF({field.p}), got one over {matrix.field}")
     if basis is None:
         basis = field.polynomial_basis()
     basis = [field.coerce(b) for b in basis]

@@ -214,20 +214,27 @@ def batch_matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def sample_rank_exact(rng: np.random.Generator, p: int, count: int,
-                      rows: int, cols: int, t: int) -> np.ndarray:
-    """Batch of `count` uniform rank-t matrices over GF(p), built as X Z
-    with X uniform over full-column-rank rows x t and Z uniform over
-    full-row-rank t x cols matrices (resampled until full rank), so the
-    column and row spaces are uniform t-dimensional subspaces."""
-    if t == 0:
-        return np.zeros((count, rows, cols), dtype=np.int64)
+def sample_rank_factors(rng: np.random.Generator, p: int, count: int,
+                        rows: int, cols: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (X, Z) of `count` uniform rank-t matrices X Z over GF(p): X
+    uniform over full-column-rank rows x t and Z over full-row-rank t x cols
+    matrices (resampled until full rank), so the column and row spaces of
+    X Z are uniform t-dimensional subspaces.  Needs poly_fits_int64(p, 1).
+    plotkin's fold experiment ranks P = X0 + b X1 and Q = b Z0 + Z1, the
+    factors of the fold P Q of X Z, within the rank kernels' own bounds."""
     X = rng.integers(0, p, size=(count, rows, t)).astype(np.int64)
     Z = rng.integers(0, p, size=(count, t, cols)).astype(np.int64)
     while True:
         bad = np.nonzero((batch_rank_mod(X, p) < t) | (batch_rank_mod(Z, p) < t))[0]
         if bad.size == 0:
-            break
+            return X, Z
         X[bad] = rng.integers(0, p, size=(bad.size, rows, t))
         Z[bad] = rng.integers(0, p, size=(bad.size, t, cols))
-    return batch_matmul_mod(X, Z, p)
+
+
+def sample_rank_exact(rng: np.random.Generator, p: int, count: int,
+                      rows: int, cols: int, t: int) -> np.ndarray:
+    """`count` uniform rank-t matrices over GF(p): the products of sample_rank_factors."""
+    if t == 0:
+        return np.zeros((count, rows, cols), dtype=np.int64)
+    return batch_matmul_mod(*sample_rank_factors(rng, p, count, rows, cols, t), p)

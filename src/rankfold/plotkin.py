@@ -29,7 +29,8 @@ from .errors import DecodingFailure, DimensionMismatch, ParameterMismatch
 from .gabidulin import GabidulinCode, GabidulinMatrixCode
 from .gf import ExtField, PrimeField, QuadExtField
 from .linalg import ExactMatrix
-from .modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact
+# sample_rank_exact stays bound here for tools that patch the module's names.
+from .modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors  # noqa: F401
 from .rng import derive_seed
 
 
@@ -436,28 +437,20 @@ class FoldStats:
 _FOLD_CHUNK = 4096
 
 
-def _fold_errors(E: np.ndarray, q: int, a: int, b: int | None) -> list:
-    """The folds (I | b I) E (b I ; I) of a batch of 2m x 2m errors over
-    GF(q), as the matrix arguments of batch_rank_mod (b = 1/sqrt(a) in
-    GF(q)) or of batch_rank_quad (b = None: b = sqrt(a) lies in GF(q^2),
-    and the fold is U + V sqrt(a)).  Each product is reduced mod q before
-    the sum, so that every q the rank kernels accept stays inside int64."""
-    m = E.shape[1] // 2
-    E00, E01 = E[:, :m, :m], E[:, :m, m:]
-    E10, E11 = E[:, m:, :m], E[:, m:, m:]
-    if b is None:
-        return [(E01 + a % q * E10) % q, (E00 + E11) % q]
-    return [(b * E00 % q + E01 + b * b % q * E10 % q + b * E11 % q) % q]
-
-
 def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, seed: int) -> FoldStats:
     """Sample uniform rank-t 2m x 2m errors over GF(q) and count how often
-    the fold (I | b I) E (b' I ; I) drops rank.
+    the fold (I | b I) E (b I ; I) drops rank.
 
-    Square a: b = b' = 1/sqrt(a) in GF(q), fold over GF(q).  Non-square a:
-    b = b' = sqrt(a) in GF(q^2), fold tracked as a (u, v) component pair.
+    Square a: b = 1/sqrt(a) in GF(q), fold over GF(q).  Non-square a:
+    b = sqrt(a) in GF(q^2), fold tracked as a (u, v) component pair.
     Chunked but chunk-deterministic: chunk i draws from a generator seeded
     with (seed, i), so the tally is a pure function of (params, seed).
+
+    E is never formed: with E = X Z, X = [X0; X1] and Z = [Z0 | Z1], the
+    fold is P Q with P = X0 + b X1 and Q = b Z0 + Z1, of rank t < m exactly
+    when P and Q both have rank t; over GF(q^2) they are the pairs (X0, X1)
+    and (Z1, Z0).  Only the rank kernels bound q, raising ValueError beyond
+    poly_fits_int64(q, 1) for a square twist and poly_fits_int64(q, 2) else.
     """
     if not 0 <= t < m:
         raise ParameterMismatch("need 0 <= t < m")
@@ -470,18 +463,16 @@ def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, see
     square = field.is_square(a_el)
     b = int(field.sqrt(a_el).inverse().val) if square else None
     drops = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
+    for chunk_index, done in enumerate(range(0, trials, _FOLD_CHUNK)):
         count = min(_FOLD_CHUNK, trials - done)
         rng = np.random.default_rng(derive_seed(seed, chunk_index))
-        if t == 0:
-            ranks = np.zeros(count, dtype=np.int64)
+        X, Z = sample_rank_factors(rng, q, count, 2 * m, 2 * m, t)
+        Zt = Z.transpose(0, 2, 1)
+        X0, X1, Z0t, Z1t = X[:, :m], X[:, m:], Zt[:, :m], Zt[:, m:]
+        # P and Q^T stacked: one lockstep elimination ranks both.
+        if square:
+            ranks = batch_rank_mod(np.concatenate((X0 + b * X1, b * Z0t + Z1t)) % q, q)
         else:
-            # The errors are not held while the folds are ranked.
-            folds = _fold_errors(sample_rank_exact(rng, q, count, 2 * m, 2 * m, t), q, a, b)
-            ranks = batch_rank_mod(*folds, q) if square else batch_rank_quad(*folds, q, a % q)
-        drops += int(np.count_nonzero(ranks < t))
-        done += count
-        chunk_index += 1
+            ranks = batch_rank_quad(np.concatenate((X0, Z1t)), np.concatenate((X1, Z0t)), q, a % q)
+        drops += int(np.count_nonzero((ranks[:count] < t) | (ranks[count:] < t)))
     return FoldStats(q=q, m=m, t=t, a=int(a_el.val), square=square, trials=trials, drops=drops)

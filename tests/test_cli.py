@@ -249,6 +249,26 @@ def test_fold_prob_bad_input_is_an_error_line(capsys, bad):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("q, t", [(2147483647, 3), (3037000493, 2)])
+def test_fold_prob_square_runs_up_to_the_rank_kernel_bound(capsys, q, t):
+    """A square-twist fold needs only (q-1)^2 < 2^63, the bound of the
+    GF(q) rank kernel, whatever t is."""
+    code, lines = run_main(
+        ["fold-prob", "--q", str(q), "--m", "4", "--t", str(t), "--trials", "300", "--square"],
+        capsys,
+    )
+    assert code == 0
+    stats = [l for l in lines if "drops" in l][0]
+    assert stats["q"] == q and stats["t"] == t and stats["trials"] == 300
+
+
+def test_fold_prob_nonsquare_beyond_the_quad_kernel_bound_is_an_error_line(capsys):
+    code = cli.main(["fold-prob", "--q", "3037000493", "--m", "4", "--t", "2", "--trials", "300", "--no-square"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows int64" in captured.err
+
+
 def test_fold_prob_deterministic(capsys):
     argv = ["fold-prob", "--q", "5", "--m", "4", "--t", "1", "--trials", "2000",
             "--square", "--seed", "9"]

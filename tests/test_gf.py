@@ -192,6 +192,13 @@ def test_expand_to_base_roundtrip():
         expand_to_base(F, vec, [F.one, F.one, F.element((0, 1, 0))])
 
 
+def test_reconstruct_from_base_rejects_a_matrix_over_another_field():
+    F = ExtField(5, 3)
+    M = expand_to_base(ExtField(7, 3), [ExtField(7, 3).element((1, 2, 3))])
+    with pytest.raises(FieldMismatch):
+        reconstruct_from_base(F, M)
+
+
 def test_expand_rank_counts_independence():
     # x and x^p are GF(p)-independent unless x is in GF(p)
     F = ExtField(5, 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rankfold import NoSolution, NotUnique, SplitMix64, modmat
 from rankfold.gf import ExtField, PrimeField, QuadExtField, is_probable_prime
 from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
-from rankfold.modmat import batch_rank_mod, batch_rank_quad
+from rankfold.modmat import batch_matmul_mod, batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors
 
 
 def planted_rank2(p, count, seed):
@@ -339,3 +339,12 @@ def test_batch_solve_mod_within_int64_bound_at_the_largest_prime():
     assert not modmat.poly_fits_int64(p, 1)
     with pytest.raises(ValueError):
         modmat.batch_solve_mod(np.array([[[p - 1, p - 2]]]), p)
+
+
+@pytest.mark.parametrize("p, rows, cols, t", [(3, 4, 4, 3), (5, 6, 8, 2), (23, 32, 32, 4)])
+def test_sample_rank_exact_is_the_product_of_the_factors(p, rows, cols, t):
+    X, Z = sample_rank_factors(np.random.default_rng(17), p, 300, rows, cols, t)
+    assert X.shape == (300, rows, t) and Z.shape == (300, t, cols)
+    assert (batch_rank_mod(X, p) == t).all() and (batch_rank_mod(Z, p) == t).all()
+    E = sample_rank_exact(np.random.default_rng(17), p, 300, rows, cols, t)
+    assert np.array_equal(batch_matmul_mod(X, Z, p), E)

@@ -2,13 +2,15 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from rankfold import DecodingFailure, SplitMix64, plotkin
 from rankfold.errors import ParameterMismatch
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
-from rankfold.gf import ExtField, PrimeField
+from rankfold.gf import ExtField, PrimeField, QuadExtField
 from rankfold.linalg import ExactMatrix, random_rank_matrix
+from rankfold.modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact
 from rankfold.plotkin import (
     FoldStats,
     PlotkinCode,
@@ -21,6 +23,7 @@ from rankfold.plotkin import (
     plotkin_encode_char2,
     plotkin_fold,
 )
+from rankfold.rng import derive_seed
 
 GF5 = PrimeField(5)
 GF23 = PrimeField(23)
@@ -363,9 +366,11 @@ def test_fold_stats_nonsquare_bound():
 
 @pytest.mark.parametrize("a", [265, PrimeField(2147483647).smallest_nonresidue()])
 def test_fold_experiment_folds_exactly_at_2_31(monkeypatch, a):
-    """At q = 2^31 - 1 a square-twist fold sums products near 2^62; the
-    matrices that the rank kernels receive are the folds in Python ints."""
-    q, m = 2147483647, 4
+    """At q = 2^31 - 1 a square-twist fold of the factors sums products near
+    2^62.  The rank kernels receive exactly the folds of the sampled factors
+    in Python ints, and the drops are those ExactMatrix.rank finds among the
+    folds of the errors E = X Z."""
+    q, m, t = 2147483647, 4, 3
     F = PrimeField(q)
     square = F.is_square(F.coerce(a))
     assert square == (a == 265)
@@ -377,22 +382,60 @@ def test_fold_experiment_folds_exactly_at_2_31(monkeypatch, a):
             return seen[name][1]
         return call
 
-    for name in ("sample_rank_exact", "batch_rank_mod", "batch_rank_quad"):
+    for name in ("sample_rank_factors", "batch_rank_mod", "batch_rank_quad"):
         monkeypatch.setattr(plotkin, name, spy(name, getattr(plotkin, name)))
-    stats = fold_probability_experiment(q, m, 1, a, 256, 5)
-    errors = seen["sample_rank_exact"][1].tolist()
+    stats = fold_probability_experiment(q, m, t, a, 256, 5)
+    X, Z = (A.tolist() for A in seen["sample_rank_factors"][1])
+    Zt = [[list(col) for col in zip(*z)] for z in Z]
     if square:
         b = int(F.sqrt(F.coerce(a)).inverse().val)
-        fold = [[[(b * E[r][c] + E[r][m + c] + b * b * E[m + r][c] + b * E[m + r][m + c]) % q
-                  for c in range(m)] for r in range(m)] for E in errors]
-        (mats, p), ranks = seen["batch_rank_mod"]
-        assert p == q and mats.tolist() == fold
+        P = [[[(x[r][c] + b * x[m + r][c]) % q for c in range(t)] for r in range(m)] for x in X]
+        Qt = [[[(b * z[r][c] + z[m + r][c]) % q for c in range(t)] for r in range(m)] for z in Zt]
+        (mats, p), _ = seen["batch_rank_mod"]
+        assert p == q and mats.tolist() == P + Qt
+        K = F
     else:
-        U = [[[(E[r][m + c] + a * E[m + r][c]) % q for c in range(m)] for r in range(m)] for E in errors]
-        V = [[[(E[r][c] + E[m + r][m + c]) % q for c in range(m)] for r in range(m)] for E in errors]
-        (got_u, got_v, p, nr), ranks = seen["batch_rank_quad"]
-        assert (p, nr) == (q, a) and got_u.tolist() == U and got_v.tolist() == V
-    assert stats.drops == int((ranks < 1).sum())
+        (got_u, got_v, p, nr), _ = seen["batch_rank_quad"]
+        assert (p, nr) == (q, a)
+        assert got_u.tolist() == [x[:m] for x in X] + [z[m:] for z in Zt]
+        assert got_v.tolist() == [x[m:] for x in X] + [z[:m] for z in Zt]
+        K = QuadExtField(q, a)
+        b = K.sqrt_nonresidue
+    drops = 0
+    for x, z in zip(X, Z):
+        E = [[sum(x[r][k] * z[k][c] for k in range(t)) % q for c in range(2 * m)] for r in range(2 * m)]
+        # (I | b I) E (b I ; I), entry by entry over K
+        fold = [[b * E[r][c] + E[r][m + c] + b * b * E[m + r][c] + b * E[m + r][m + c]
+                 for c in range(m)] for r in range(m)]
+        drops += ExactMatrix(K, [[K.coerce(v) for v in row] for row in fold]).rank() < t
+    assert stats.drops == drops
+
+
+def _drops_from_errors(q, m, t, a, trials, seed):
+    """The route through the errors: draw chunk 0's E = X Z in full, fold it
+    blockwise and rank the m x m folds with the batched kernels."""
+    E = sample_rank_exact(np.random.default_rng(derive_seed(seed, 0)), q, trials, 2 * m, 2 * m, t)
+    E00, E01, E10, E11 = E[:, :m, :m], E[:, :m, m:], E[:, m:, :m], E[:, m:, m:]
+    F = PrimeField(q)
+    if F.is_square(F.coerce(a)):
+        b = int(F.sqrt(F.coerce(a)).inverse().val)
+        ranks = batch_rank_mod((b * E00 + E01 + b * b * E10 + b * E11) % q, q)
+    else:
+        ranks = batch_rank_quad((E01 + a * E10) % q, (E00 + E11) % q, q, a)
+    return int((ranks < t).sum())
+
+
+@pytest.mark.parametrize("q, m, t", [(3, 3, 2), (3, 4, 2), (3, 4, 3), (5, 3, 2), (5, 4, 3)])
+@pytest.mark.parametrize("square", [True, False])
+def test_fold_experiment_matches_the_route_through_the_errors(q, m, t, square):
+    """Settings where folds drop rank often under both twists (a rank-1
+    fold over GF(q^2) never drops, so t >= 2)."""
+    a = 1 if square else PrimeField(q).smallest_nonresidue()
+    trials = 1500
+    for seed in (4, 5):
+        want = _drops_from_errors(q, m, t, a, trials, seed)
+        assert fold_probability_experiment(q, m, t, a, trials, seed).drops == want
+    assert want > 0
 
 
 def test_fold_stats_matches_exact_recount():
