@@ -41,7 +41,7 @@ from .reedmuller import RMCode
 from .rng import SplitMix64, derive_seed
 
 SCHEMA = 1
-TOWER_PRIMES = (2, 3, 5, 7, 11, 13)
+TOWER_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
 def standard_tower(m: int):

@@ -12,42 +12,41 @@ order.  Every generator must stay a non-square as the tower grows
 (otherwise the extension degree collapses and the coordinates stop
 being unique); this is checked at construction time.
 
-Coordinates are fractions.Fraction, and all arithmetic is exact.  With
-basis monomials as bitmasks S, T, the product of two monomials is
-alpha_S * alpha_T = w[S & T] * alpha_(S ^ T), where w[S] is the product of
-the a_k with k in S.  Each field builds once the integer table
-W[S] = w[S] * D, where D is the product of the generators' denominators
-(1 for integer generators).  A product clears each operand's denominators
-(their lcm dx, dy), accumulates X_i * Y_j * W[i & j] into coordinate i ^ j
-in Python ints, and builds each output Fraction once, over dx * dy * D.
-Python ints are unbounded, so the kernel needs no overflow bound.
-Inverses use the norm recursion over the top generator, with products
-through the same kernel.  Elements are immutable, so they can be shared
-freely between threads and processes.
+Storage.  An element is num / den: num holds 2^m Python-int coordinates
+and den is a positive int with gcd(den, *num) = 1 (zero is (0, ..., 0) /
+1).  The pair is canonical, so equal elements have equal storage;
+`coords` gives the Fractions.  With basis monomials as bitmasks S, T,
+alpha_S * alpha_T = w[S & T] * alpha_(S ^ T), where w[S] is the product
+of the a_k with k in S.  Each field builds once the integer table
+W[S] = w[S] * D, D the product of the generators' denominators, so the
+product of X / dx and Y / dy accumulates X_i * Y_j * W[i & j] into
+coordinate i ^ j over dx * dy * D.  Inverses use the norm recursion
+(x0 + x1 alpha)^-1 = (x0 - x1 alpha) / (x0^2 - a x1^2) over the top
+generator, through the same kernel.  Every result is divided by the gcd
+of its integers.  Python ints are unbounded, so no kernel needs an
+overflow bound.  Elements are immutable, so they can be shared freely
+between threads and processes.
 
 Elimination.  MultiquadraticField.eliminate is the hook through which
 linalg.ExactMatrix.rref reduces matrices over a tower.  It runs
-Gauss-Jordan with gauss_jordan's pivot rule on integer rows: a row is a
-list of Python-int coordinates over one common denominator d.  The pivot
-row is scaled by the pivot's exact inverse.  Each other row y = Y / dy
-with b = y_c becomes y - b * x for the pivot row x = X / dx, formed as
-(Y * dx * D - X * b) / (dy * dx * D), where X * b is the same integer
-product (through W) that multiplication uses.  The row is then divided
-by the gcd of its integers and its denominator: it holds the rational
-values of gauss_jordan's row over their least common denominator, so
-its integers do not grow from step to step beyond those values.
-Fractions are built once, at the end.  Over Q (height 0) a row is a flat
-list of ints.  The reduced row echelon form is unique, so the result
-equals gauss_jordan's, bit for bit.
+Gauss-Jordan with gauss_jordan's pivot rule on integer rows: a row is
+its entries' coordinates over their least common denominator d (over Q,
+height 0, a flat list of ints).  The pivot row is multiplied by the
+pivot's inverse.  Each other row y = Y / dy with b = y_c becomes
+y - b * x for the pivot row x = X / dx, formed as
+(Y * dx * D - X * b) / (dy * dx * D) through the product kernel, and is
+divided by the gcd of its integers and denominator, so they do not grow
+beyond those of gauss_jordan's rational values.  The reduced row echelon
+form is unique, so the result equals gauss_jordan's, bit for bit.
 
 Modular images.  For an odd prime p at which every a_k is a nonzero
 square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
 per choice of signs sqrt(a_k) -> +-r_k; together they identify L mod p
 with GF(p)^(2^m), so a linear system over L becomes 2^m independent
 systems over GF(p).  A field finds such primes on first use (below 2^28,
-by a deterministic Miller-Rabin test); the search is shared by mq_field
-between orderings of the same generators, such as the rotated towers of
-a Reed-Muller decode.  Each field keeps its own SignEmbedding objects,
+by a deterministic Miller-Rabin test); the search is shared between
+orderings of the same generators, such as the rotated towers of a
+Reed-Muller decode.  Each field keeps its own SignEmbedding objects,
 since the roots follow its generator order: `forward` scales coordinate
 S by the product of the r_k with k in S and applies a Walsh-Hadamard
 transform mod p, and `inverse` undoes it.  crt_extend and
@@ -69,10 +68,6 @@ from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def is_rational_square(c: Fraction) -> bool:
     """True iff c is the square of a rational."""
     if c < 0:
@@ -85,8 +80,8 @@ def is_rational_square(c: Fraction) -> bool:
 class RationalField:
     """Field handle for plain rationals, usable with the exact matrix layer."""
 
-    zero = _ZERO
-    one = _ONE
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, (Fraction, int)):
@@ -118,13 +113,13 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# coordinate-level arithmetic (sequences of Fractions, length 2^height)
+# integer coordinate vectors (lists of Python ints, length 2^height)
 
 def _mul_into(out, xs, ys, W):
     """Add D times the product of two integer coordinate vectors into the
     list out: xs and ys are their nonzero (index, value) pairs, W the
     integer table of the module docstring.  A tower's table serves all of
-    its subtowers, since only indices below len(out) are read."""
+    its subtowers, since only indices within the operands' one are read."""
     for i, u in xs:
         for j, v in ys:
             out[i ^ j] += u * v * W[i & j]
@@ -134,44 +129,47 @@ def _nonzero(coords):
     return [(i, c) for i, c in enumerate(coords) if c]
 
 
-def _mul(x, y, W, D):
-    """Product of two coordinate sequences of one (sub)tower."""
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    xs, ys = _nonzero(x), _nonzero(y)
-    if not xs or not ys:
-        return (_ZERO,) * len(x)
-    dx = lcm(*[c.denominator for _, c in xs])
-    dy = lcm(*[c.denominator for _, c in ys])
-    out = [0] * len(x)
-    _mul_into(
-        out,
-        [(i, c.numerator * (dx // c.denominator)) for i, c in xs],
-        [(j, c.numerator * (dy // c.denominator)) for j, c in ys],
-        W,
-    )
-    den = dx * dy * D
-    return tuple(Fraction(s, den) if s else _ZERO for s in out)
-
-
-def _inv(x, gens, W, D):
-    # (x0 + x1*alpha)^-1 = (x0 - x1*alpha) / (x0^2 - a*x1^2); the norm factor
-    # is invertible in the subtower because the tower degree is exact.
+def _inv(X, gens, W, D):
+    """(N, d) with N / d the inverse of the nonzero integer coordinate
+    vector X of the subtower on `gens`, d > 0 and gcd(d, *N) = 1."""
     if not gens:
-        if x[0] == 0:
+        if X[0] == 0:
             raise ZeroDivisionError("inverse of zero")
-        return (_ONE / x[0],)
-    h = len(x) // 2
+        return ([1], X[0]) if X[0] > 0 else ([-1], -X[0])
+    h = len(X) // 2
     sub = gens[:-1]
-    a = gens[-1]
-    x0, x1 = x[:h], x[h:]
-    if not any(x1):
-        return _inv(x0, sub, W, D) + (_ZERO,) * h
-    if not any(x0):
-        return (_ZERO,) * h + tuple(c / a for c in _inv(x1, sub, W, D))
-    d = tuple(u - a * v for u, v in zip(_mul(x0, x0, W, D), _mul(x1, x1, W, D)))
-    di = _inv(d, sub, W, D)
-    return _mul(x0, di, W, D) + tuple(-c for c in _mul(x1, di, W, D))
+    X0, X1 = X[:h], X[h:]
+    if not any(X1):
+        N, d = _inv(X0, sub, W, D)
+        return N + [0] * h, d
+    # (x0 + x1*alpha)^-1 = (x0 - x1*alpha) / (x0^2 - a*x1^2); the norm is
+    # invertible in the subtower because the tower degree is exact.
+    g = gcd(*X)
+    x0s = [(i, u // g) for i, u in enumerate(X0) if u]
+    x1s = [(i + h, -(u // g)) for i, u in enumerate(X1) if u]
+    norm = [0] * h
+    _mul_into(norm, x0s, x0s, W)
+    _mul_into(norm, x1s, [(i, -u) for i, u in x1s], W)  # D * (x0^2 - a*x1^2)
+    N, d = _inv(norm, sub, W, D)
+    out = [0] * len(X)
+    _mul_into(out, x0s + x1s, _nonzero(N), W)
+    return _canonical(out, d * g)
+
+
+def _canonical(num, den):
+    """(num, den) divided by gcd(den, *num), for den > 0; zero becomes
+    (0, ..., 0) / 1."""
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return [s // g for s in num], den // g
+
+
+def integer_coords(elements: Sequence["MQElement"]) -> tuple[int, list[int]]:
+    """(d, V): the least d > 0 for which d times the elements have integer
+    coordinates, and those coordinates in order."""
+    d = lcm(*[e.den for e in elements])
+    return d, [s * (d // e.den) for e in elements for s in e.num]
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +321,21 @@ def rational_reconstruction(u: int, modulus: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-_FIELD_CACHE: dict[tuple[Fraction, ...], "MultiquadraticField"] = {}
+_FIELD_CACHE: dict[tuple, "MultiquadraticField"] = {}
+# the embedding-prime search of each set of generators, keyed by the sorted
+# generators, so that reorderings of a tower share it
+_PRIME_SEARCHES: dict[tuple[Fraction, ...], _EmbeddingPrimes] = {}
 
 
 def mq_field(generators: Iterable) -> "MultiquadraticField":
     """Build (or fetch from cache) the tower Q(sqrt(a_1), ..., sqrt(a_m))."""
-    gens = tuple(Fraction(a) for a in generators)
-    field = _FIELD_CACHE.get(gens)
+    key = tuple(generators)
+    field = _FIELD_CACHE.get(key)
     if field is None:
-        field = MultiquadraticField(gens)
-        # a reordering of a cached tower shares its prime search
-        twin = next((f for f in _FIELD_CACHE.values() if f.m == field.m and set(f.gens) == set(gens)), None)
-        if twin is not None:
-            field._primes = twin._primes
-        _FIELD_CACHE[gens] = field
+        # ints and Fractions hash alike: only other spellings (str) miss here
+        gens = tuple(Fraction(a) for a in key)
+        field = _FIELD_CACHE.get(gens) or MultiquadraticField(gens)
+        _FIELD_CACHE[key] = _FIELD_CACHE[gens] = field
     return field
 
 
@@ -369,37 +368,38 @@ class MultiquadraticField:
         for a in gens:
             W += [w * a.numerator // a.denominator for w in W]
         self._W = tuple(W)
-        self._primes = _EmbeddingPrimes(gens)
+        self._primes = _PRIME_SEARCHES.setdefault(tuple(sorted(gens)), _EmbeddingPrimes(gens))
         self._embeddings: list[SignEmbedding] = []
+        self._subfields: dict[int, MultiquadraticField] = {self.m: self}
         # data derived from this field by its users, such as a code's
         # generator and parity-check rows
         self.tables: dict = {}
-        self.zero = MQElement(self, (_ZERO,) * self.dim)
-        self.one = MQElement(self, (_ONE,) + (_ZERO,) * (self.dim - 1))
+        self.zero = MQElement(self, (0,) * self.dim, 1)
+        self.one = self.basis_element(0)
 
     # -- constructors ------------------------------------------------------
 
     def element(self, coords: Sequence) -> "MQElement":
-        coords = tuple(Fraction(c) for c in coords)
+        """The element with the given rational coordinates."""
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return MQElement(self, coords)
+        # over the least common denominator the pair is already canonical
+        d = lcm(*[c.denominator for c in coords])
+        return MQElement(self, tuple(c.numerator * (d // c.denominator) for c in coords), d)
 
     def scalar(self, c) -> "MQElement":
-        return MQElement(self, (Fraction(c),) + (_ZERO,) * (self.dim - 1))
+        c = Fraction(c)
+        return MQElement(self, (c.numerator,) + (0,) * (self.dim - 1), c.denominator)
 
     def alpha(self, i: int) -> "MQElement":
         """The i-th square root sqrt(a_i) as an element (1-based)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"no generator {i} in a height-{self.m} tower")
-        coords = [_ZERO] * self.dim
-        coords[1 << (i - 1)] = _ONE
-        return MQElement(self, tuple(coords))
+        return self.basis_element(1 << (i - 1))
 
     def basis_element(self, j: int) -> "MQElement":
-        coords = [_ZERO] * self.dim
-        coords[j] = _ONE
-        return MQElement(self, tuple(coords))
+        return MQElement(self, tuple(int(k == j) for k in range(self.dim)), 1)
 
     def coerce(self, x) -> "MQElement":
         if isinstance(x, MQElement):
@@ -412,15 +412,20 @@ class MultiquadraticField:
 
     def random_element(self, rng, bound: int) -> "MQElement":
         """Element with integer coordinates drawn uniformly from [0, bound]."""
-        return MQElement(self, tuple(Fraction(rng.randint(0, bound)) for _ in range(self.dim)))
+        return MQElement(self, tuple(rng.randint(0, bound) for _ in range(self.dim)), 1)
+
+    def _element(self, num, den) -> "MQElement":
+        """The element num / den (den > 0), stored in canonical form."""
+        num, den = _canonical(num, den)
+        return MQElement(self, tuple(num), den)
 
     # -- sign embeddings mod p -----------------------------------------------
 
     def sign_embedding(self, i: int) -> SignEmbedding:
         """The sign embeddings modulo the i-th embedding prime (from 0),
         built on first use and kept on this field.  The primes come from an
-        _EmbeddingPrimes search that mq_field shares between orderings of
-        the same generators; the roots follow this field's order."""
+        _EmbeddingPrimes search shared between orderings of the same
+        generators; the roots follow this field's order."""
         while len(self._embeddings) <= i:
             self._embeddings.append(SignEmbedding(self._primes[len(self._embeddings)], self.gens))
         return self._embeddings[i]
@@ -447,9 +452,7 @@ class MultiquadraticField:
 
         rows = []
         for row in entries:
-            coords = [c for e in row for c in e.coords]
-            d = lcm(*[c.denominator for c in coords])
-            Y = [c.numerator * (d // c.denominator) for c in coords]
+            d, Y = integer_coords(row)
             rows.append((Y if flat else [Y[k:k + dim] for k in range(0, len(Y), dim)], d))
         pivots: list[int] = []
         pr = 0
@@ -463,9 +466,8 @@ class MultiquadraticField:
             if flat:
                 X, dx = (Y, Y[c]) if Y[c] > 0 else ([-s for s in Y], -Y[c])
             else:
-                iv = _inv(tuple(Fraction(s) for s in Y[c]), self.gens, W, D)
-                di = lcm(*[q.denominator for q in iv])
-                ivs = [(i, q.numerator * (di // q.denominator)) for i, q in _nonzero(iv)]
+                iv, di = _inv(Y[c], self.gens, W, D)
+                ivs = _nonzero(iv)
                 X = []
                 for Yj in Y:
                     Xj = [0] * dim
@@ -493,23 +495,17 @@ class MultiquadraticField:
             pr += 1
             if pr == len(rows):
                 break
-
-        def element(Yj, d):
-            if not any(Yj):
-                return self.zero
-            return MQElement(self, tuple(Fraction(s, d) if s else _ZERO for s in Yj))
-
-        if flat:
-            out = tuple(tuple(element((s,), d) for s in Y) for Y, d in rows)
-        else:
-            out = tuple(tuple(element(Yj, d) for Yj in Y) for Y, d in rows)
+        out = tuple(tuple(self._element([Yj] if flat else Yj, d) for Yj in Y) for Y, d in rows)
         return out, tuple(pivots)
 
     # -- structure ---------------------------------------------------------
 
     def subfield(self, height: int) -> "MultiquadraticField":
         """The tower truncated to its first `height` generators."""
-        return mq_field(self.gens[:height])
+        sub = self._subfields.get(height)
+        if sub is None:
+            sub = self._subfields[height] = mq_field(self.gens[:height])
+        return sub
 
     def basis_label(self, j: int) -> str:
         parts = [f"r{i + 1}" for i in range(self.m) if j >> i & 1]
@@ -542,63 +538,76 @@ class MultiquadraticField:
 
 
 class MQElement:
-    """Element of a multiquadratic tower; immutable."""
+    """Element of a multiquadratic tower, num / den in canonical form (see
+    the module docstring); immutable."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: MultiquadraticField, coords: tuple):
+    def __init__(self, field: MultiquadraticField, num: tuple, den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(s, den) for s in self.num)
 
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other) -> "MQElement":
+        if isinstance(other, MQElement):
+            if other.field is not self.field and other.field != self.field:
+                raise FieldMismatch(f"{self.field} vs {other.field}")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.field.scalar(other)
-        if not isinstance(other, MQElement):
-            return NotImplemented
-        if other.field is not self.field and other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        return other
+        return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return MQElement(self.field, tuple(u + v for u, v in zip(self.coords, other.coords)))
+        g = gcd(self.den, other.den)
+        sx, sy = other.den // g, self.den // g * sign
+        return self.field._element([u * sx + v * sy for u, v in zip(self.num, other.num)], self.den * sx)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MQElement(self.field, tuple(u - v for u, v in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MQElement(self.field, tuple(-u for u in self.coords))
+        return MQElement(self.field, tuple(-u for u in self.num), self.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        return MQElement(field, _mul(self.coords, other.coords, field._W, field._D))
+        out = [0] * field.dim
+        _mul_into(out, _nonzero(self.num), _nonzero(other.num), field._W)
+        return field._element(out, self.den * other.den * field._D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "MQElement":
         field = self.field
-        return MQElement(field, _inv(self.coords, field.gens, field._W, field._D))
+        N, d = _inv(self.num, field.gens, field._W, field._D)
+        return field._element([s * self.den for s in N], d)
 
     def scale(self, c) -> "MQElement":
         """Multiply by a rational scalar, coordinate-wise; avoids the general
         product."""
         c = Fraction(c)
-        return MQElement(self.field, tuple(v * c for v in self.coords))
+        n = c.numerator
+        return self.field._element([u * n for u in self.num], self.den * c.denominator)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -622,18 +631,20 @@ class MQElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MQElement):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.field.scalar(other)
-        return isinstance(other, MQElement) and self.field == other.field and self.coords == other.coords
+        return self.field == other.field and self.den == other.den and self.num == other.num
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __hash__(self):
         # A rational element equals its value (see __eq__), so it hashes alike.
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.field.gens, self.coords))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.gens, self.num, self.den))
 
     # -- tower structure ----------------------------------------------------
 
@@ -648,32 +659,24 @@ class MQElement:
             if not 1 <= i <= self.field.m:
                 raise ValueError(f"no generator {i}")
             mask |= 1 << (i - 1)
-        coords = tuple(-c if (j & mask).bit_count() & 1 else c for j, c in enumerate(self.coords))
-        return MQElement(self.field, coords)
+        num = tuple(-s if (j & mask).bit_count() & 1 else s for j, s in enumerate(self.num))
+        return MQElement(self.field, num, self.den)
 
     def mul_by_alpha(self, i: int) -> "MQElement":
         """Multiply by sqrt(a_i): a coordinate permutation plus at most
-        2^(m-1) rational scalings, cheaper than a general product."""
+        2^m integer scalings, cheaper than a general product."""
         if not 1 <= i <= self.field.m:
             raise ValueError(f"no generator {i}")
         bit = 1 << (i - 1)
         a = self.field.gens[i - 1]
-        out = [_ZERO] * self.field.dim
-        for j, c in enumerate(self.coords):
-            if c:
-                if j & bit:
-                    out[j ^ bit] = a * c
-                else:
-                    out[j | bit] = c
-        return MQElement(self.field, tuple(out))
+        n, d, num = a.numerator, a.denominator, self.num
+        return self.field._element([num[k ^ bit] * (d if k & bit else n) for k in range(len(num))], self.den * d)
 
     def split(self) -> tuple["MQElement", "MQElement"]:
         """Write x = x0 + x1*alpha_m and return (x0, x1) in the subtower."""
         if self.field.m == 0:
             raise TowerHeightZero("cannot split an element of Q")
-        sub = self.field.subfield(self.field.m - 1)
-        h = self.field.dim // 2
-        return (MQElement(sub, self.coords[:h]), MQElement(sub, self.coords[h:]))
+        return tuple(self.blocks_over(self.field.m - 1))
 
     @staticmethod
     def join(field: MultiquadraticField, x0: "MQElement", x1: "MQElement") -> "MQElement":
@@ -683,7 +686,7 @@ class MQElement:
         sub = field.subfield(field.m - 1)
         if x0.field != sub or x1.field != sub:
             raise FieldMismatch("join parts must live in the subtower")
-        return MQElement(field, x0.coords + x1.coords)
+        return MQElement.from_blocks(field, (x0, x1))
 
     def blocks_over(self, height: int) -> list["MQElement"]:
         """Coordinates of x over the subtower of the given height.
@@ -692,33 +695,34 @@ class MQElement:
         x = sum_j c_j * (basis monomial j in the remaining generators).
         """
         sub = self.field.subfield(height)
-        w = 1 << height
-        return [MQElement(sub, self.coords[k * w:(k + 1) * w]) for k in range(self.field.dim // w)]
+        w = sub.dim
+        num, den = self.num, self.den
+        return [sub._element(num[k:k + w], den) for k in range(0, len(num), w)]
 
     @staticmethod
     def from_blocks(field: MultiquadraticField, blocks: Sequence["MQElement"]) -> "MQElement":
-        coords: tuple = ()
-        for b in blocks:
-            coords += b.coords
-        if len(coords) != field.dim:
+        # over the least common denominator of canonical blocks the pair is
+        # canonical again
+        den, num = integer_coords(blocks)
+        if len(num) != field.dim:
             raise ValueError("blocks do not fill the tower")
-        return MQElement(field, coords)
+        return MQElement(field, tuple(num), den)
 
     def embed(self, field: MultiquadraticField) -> "MQElement":
         """Embed into a taller tower whose generator list extends this one."""
         if field.gens[: self.field.m] != self.field.gens:
             raise FieldMismatch("target tower does not extend the source tower")
-        return MQElement(field, self.coords + (_ZERO,) * (field.dim - self.field.dim))
+        return MQElement(field, self.num + (0,) * (field.dim - self.field.dim), self.den)
 
     # -- misc ----------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         terms = []

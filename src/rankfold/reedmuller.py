@@ -49,14 +49,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import modmat
 from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, RankfoldError
-from .exactfield import MQElement, MultiquadraticField, crt_extend, mq_field, rational_reconstruction
+from .exactfield import MQElement, MultiquadraticField, crt_extend, integer_coords, mq_field, rational_reconstruction
 from .linalg import ExactMatrix, solve_erasures
 from .plotkin import doubling_decode
 
@@ -69,14 +69,6 @@ _PRIME_BUDGET = 8
 
 def _mask_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _integer_coords(elements: Sequence[MQElement]) -> tuple[int, list[int]]:
-    """(d, V): the least d > 0 for which d times the elements have integer
-    coordinates, and those coordinates in order."""
-    coords = [c for e in elements for c in e.coords]
-    d = lcm(*[c.denominator for c in coords])
-    return d, [c.numerator * (d // c.denominator) for c in coords]
 
 
 class ThetaPolynomial:
@@ -459,7 +451,7 @@ class RMCode:
             rows = _check_rows(self.field, self._code_gens, self.r)
             # the denominators divide products of the generators' numerators and
             # denominators, all prime to p
-            d, coords = _integer_coords([e for row in rows for e in row])
+            d, coords = integer_coords([e for row in rows for e in row])
             coords = np.array([u % emb.p for u in coords], dtype=np.int64) * pow(d, -1, emb.p) % emb.p
             H = emb.forward(coords.reshape(len(rows), self.size, self.field.dim))
             H = emb.tables[key] = np.ascontiguousarray(H.transpose(2, 0, 1))
@@ -510,7 +502,7 @@ class RMCode:
         field, n, k = self.field, self.size, len(rows)
         if n * (field.sign_embedding(0).p - 1) ** 2 >= 2 ** 63:
             return None  # the syndrome product would overflow int64
-        scales, ints = zip(*[_integer_coords(v) for v in rows + [y]])
+        scales, ints = zip(*[integer_coords(v) for v in rows + [y]])
         lift = residues = None
         modulus = 1
         for i in range(_PRIME_BUDGET):
@@ -528,7 +520,7 @@ class RMCode:
                 return None
             new = emb.inverse(X.T).ravel().tolist()
             if lift is not None and all((q.numerator - r * q.denominator) % p == 0 for q, r in zip(lift, new)):
-                return [MQElement(field, tuple(lift[j:j + field.dim])) for j in range(0, len(lift), field.dim)]
+                return [field.element(lift[j:j + field.dim]) for j in range(0, len(lift), field.dim)]
             residues = new if residues is None else crt_extend(residues, modulus, new, p)
             modulus *= p
             lift = [rational_reconstruction(u, modulus) for u in residues]

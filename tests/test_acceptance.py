@@ -7,11 +7,10 @@ as part of the pass condition.
 
 import time
 from math import comb
-from statistics import median
 
 import pytest
 
-from rankfold import DecodingFailure, SplitMix64, mq_field
+from rankfold import DecodingFailure, SplitMix64, exactfield, mq_field
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
 from rankfold.gf import PrimeField, ExtField, reconstruct_from_base
 from rankfold.linalg import ExactMatrix, random_rank_matrix
@@ -259,34 +258,40 @@ def test_criterion_09_fold_drop_rate_bound():
     _report(9, "drop rate bound", ok, "; ".join(results))
 
 
-def test_criterion_10_syndrome_speedup_trend():
-    # single calls at m=3 take well under a millisecond, so time blocks of
-    # five and take the median over seven blocks to keep jitter out
+def test_criterion_10_syndrome_speedup_trend(monkeypatch):
+    # Work is counted, not timed: the tower coordinate products formed by
+    # the one integer product kernel (every general product) and by
+    # mul_by_alpha (the fast syndrome's only products), so the trend is the
+    # same on every run and machine.
+    products = [0]
+    kernel, by_alpha = exactfield._mul_into, exactfield.MQElement.mul_by_alpha
+
+    def counted_kernel(out, xs, ys, W):
+        products[0] += len(xs) * len(ys)
+        kernel(out, xs, ys, W)
+
+    def counted_by_alpha(x, i):
+        products[0] += x.field.dim
+        return by_alpha(x, i)
+
+    monkeypatch.setattr(exactfield, "_mul_into", counted_kernel)
+    monkeypatch.setattr(exactfield.MQElement, "mul_by_alpha", counted_by_alpha)
     rng = SplitMix64(1010)
     ratios = []
     for m in (3, 4, 5):
         field = tower(m)
         code = RMCode(field, 1)
-        warm = [field.random_element(rng, 9) for _ in range(code.size)]
-        code.naive_syndrome(warm)
-        code.fast_syndrome(warm)
-        naive_times, fast_times = [], []
-        for _ in range(7):
-            ys = [
-                [field.random_element(rng, 9) for _ in range(code.size)]
-                for _ in range(5)
-            ]
-            t0 = time.perf_counter()
-            slow = [code.naive_syndrome(y) for y in ys]
-            t1 = time.perf_counter()
-            fast = [code.fast_syndrome(y) for y in ys]
-            t2 = time.perf_counter()
-            assert fast == slow
-            naive_times.append(t1 - t0)
-            fast_times.append(t2 - t1)
-        ratios.append(median(naive_times) / median(fast_times))
+        code.parity_check_matrix()  # built once per field, outside the count
+        ys = [[field.random_element(rng, 9) for _ in range(code.size)] for _ in range(5)]
+        products[0] = 0
+        slow = [code.naive_syndrome(y) for y in ys]
+        naive = products[0]
+        products[0] = 0
+        fast = [code.fast_syndrome(y) for y in ys]
+        assert fast == slow
+        ratios.append(naive / products[0])
     ok = ratios[0] < ratios[1] < ratios[2]
-    _report(10, "speedup trend", ok, "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
+    _report(10, "speedup trend", ok, "product-count ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
 def test_criterion_11_rank_below_singleton_witness():

@@ -265,7 +265,7 @@ def test_embedding_primes_split_the_tower():
         assert is_prime(p) and p < 1 << 28
         for a, r in zip(L.gens, emb.roots):
             assert (r * r - a.numerator * pow(a.denominator, -1, p)) % p == 0 and r % p
-    # kept on the instance: an equal field built apart finds the same primes itself
+    # kept on the instance: an equal field built apart has its own embeddings, at the same primes
     assert L.sign_embedding(0) is L.sign_embedding(0)
     other = MultiquadraticField(gens)
     assert other.sign_embedding(0) is not L.sign_embedding(0) and other.sign_embedding(0).p == primes[0]

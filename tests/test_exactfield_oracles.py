@@ -1,9 +1,10 @@
 """Multiquadratic tower arithmetic against sympy's exact expansion of
 sum_S c_S * prod_{k in S} sqrt(a_k), plus property-based checks of the
-field axioms and of the structured operations."""
+field axioms, of the structured operations and of the canonical integer
+storage."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -13,6 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from rankfold import mq_field
+from rankfold.exactfield import MQElement
+from rankfold.linalg import ExactMatrix
 
 # The second tower has non-integer and negative generators, so the product
 # kernel's denominator D = 3 * 2 is not 1 and some square roots are imaginary.
@@ -113,3 +116,50 @@ def test_structured_operations_agree_with_products(case, data):
                 term = term * root
         flipped = flipped + term
     assert x.galois(negated) == flipped
+
+
+def canonical(x):
+    """Storage (num, den) in canonical form: a tuple of 2^m ints and den > 0
+    with gcd(den, *num) = 1, so zero is stored as (0, ..., 0) / 1."""
+    return (
+        type(x.num) is tuple and len(x.num) == x.field.dim
+        and all(type(s) is int for s in x.num)
+        and type(x.den) is int and x.den > 0 and gcd(x.den, *x.num) == 1
+    )
+
+
+@axiom_settings
+@given(field_and_elements(2), st.data())
+def test_every_operation_stores_a_canonical_pair(case, data):
+    F, (x, y) = case
+    i = data.draw(st.integers(1, F.m))
+    h = data.draw(st.integers(0, F.m))
+    c = data.draw(coords)
+    results = [x + y, x - y, y - y, -x, x * y, x * F.zero, x.scale(c), x + c, c - x, x * c,
+               x.mul_by_alpha(i), x.galois([i]), x ** 2, *x.split(), *x.blocks_over(h),
+               MQElement.join(F, *y.split()), MQElement.from_blocks(F, y.blocks_over(h)),
+               x.blocks_over(h)[-1].embed(F), F.element(x.coords), F.scalar(c), F.alpha(i)]
+    if y:
+        results += [y.inverse(), x / y, y ** -1]
+    M = ExactMatrix(F, [[x, y, x * y], [y, x + y, F.one]])
+    results += [e for row in M.rref()[0].entries for e in row]
+    assert all(canonical(e) for e in results)
+
+
+@axiom_settings
+@given(field_and_elements(1))
+def test_element_from_coords_restores_the_storage(case):
+    F, (x,) = case
+    y = F.element(x.coords)
+    assert y == x and (y.num, y.den) == (x.num, x.den)
+    assert F.element_from_json(F.element_to_json(x)).num == x.num
+
+
+@axiom_settings
+@given(field_and_elements(2))
+def test_dividing_out_a_product_restores_the_storage(case):
+    F, (x, y) = case
+    if not y:
+        y = F.one
+    z = (x * y) * y.inverse()
+    assert (z.num, z.den) == (x.num, x.den)
