@@ -37,7 +37,6 @@ from .plotkin import (
     fold_probability_experiment,
     gabidulin_plotkin,
     non_mrd_witness,
-    plotkin_dim,
     plotkin_dual_check,
     plotkin_encode,
     plotkin_encode_char2,

@@ -70,6 +70,18 @@ def _campaign_args_ok(args) -> bool:
     return True
 
 
+def _summary(trial_lines) -> dict:
+    """Counts of exact successes, failures and verified-but-wrong answers."""
+    successes = sum(1 for l in trial_lines if l["success"] and l.get("exact", True))
+    wrong = sum(1 for l in trial_lines if l["success"] and not l.get("exact", True))
+    return {
+        "successes": successes,
+        "failures": len(trial_lines) - successes - wrong,
+        "wrong": wrong,
+        "trials": len(trial_lines),
+    }
+
+
 def _run_trials(init, initargs, trial, indices, jobs):
     if jobs <= 1:
         init(*initargs)
@@ -185,14 +197,7 @@ def cmd_rm_roundtrip(args) -> int:
         trial_lines = [line for line, _ in results]
         fixtures = [fx for _, fx in results if fx is not None]
     elapsed = time.perf_counter() - t0
-    successes = sum(1 for l in trial_lines if l["success"] and l.get("exact", True))
-    wrong = sum(1 for l in trial_lines if l["success"] and not l.get("exact", True))
-    summary = {
-        "successes": successes,
-        "failures": len(trial_lines) - successes - wrong,
-        "wrong": wrong,
-        "trials": len(trial_lines),
-    }
+    summary = _summary(trial_lines)
     lines = [header] + trial_lines + [summary]
     lines.append({"timings": {"total_s": elapsed, "mean_trial_s": elapsed / max(1, len(trial_lines))}})
     if args.dump_fixtures:
@@ -207,7 +212,7 @@ def cmd_rm_roundtrip(args) -> int:
     if rc:
         return rc
     # every trial is expected to round-trip under the sampled error model
-    return 0 if successes == len(trial_lines) else 1
+    return 0 if summary["successes"] == len(trial_lines) else 1
 
 
 # -- plotkin-roundtrip ------------------------------------------------------------
@@ -217,7 +222,6 @@ _PK_STATE: dict = {}
 
 def _pk_init(q, m, k1, k2, a, seed):
     _PK_STATE["code"] = gabidulin_plotkin(q, m, k1, k2, a)
-    _PK_STATE["field"] = PrimeField(q)
     _PK_STATE["seed"] = seed
 
 
@@ -225,7 +229,7 @@ def _pk_trial(index):
     code = _PK_STATE["code"]
     rng = SplitMix64(derive_seed(_PK_STATE["seed"], index))
     C = code.random_codeword(rng)
-    E = random_rank_matrix(_PK_STATE["field"], rng, code.rows, code.cols, code.radius)
+    E = random_rank_matrix(code.field, rng, code.rows, code.cols, code.radius)
     try:
         C_hat, _ = code.decode(C + E)
     except DecodingFailure as exc:
@@ -264,16 +268,9 @@ def cmd_plotkin_roundtrip(args) -> int:
         args.jobs,
     )
     elapsed = time.perf_counter() - t0
-    successes = sum(1 for l in trial_lines if l["success"] and l.get("exact", True))
-    wrong = sum(1 for l in trial_lines if l["success"] and not l.get("exact", True))
-    summary = {
-        "successes": successes,
-        "failures": len(trial_lines) - successes - wrong,
-        "wrong": wrong,
-        "trials": args.trials,
-        "success_rate": successes / args.trials if args.trials else 1.0,
-        "paper_bound": fold_drop_bound(args.q, args.m, t, code.field.is_square(code.a)),
-    }
+    summary = _summary(trial_lines)
+    summary["success_rate"] = summary["successes"] / args.trials if args.trials else 1.0
+    summary["paper_bound"] = fold_drop_bound(args.q, args.m, t, code.field.is_square(code.a))
     lines = [header] + trial_lines + [summary]
     lines.append({"timings": {"total_s": elapsed, "mean_trial_s": elapsed / max(1, args.trials)}})
     rc = _emit(lines, args.out)
@@ -281,7 +278,7 @@ def cmd_plotkin_roundtrip(args) -> int:
         return rc
     # failures here are statistically expected (fold rank drops); only a
     # verified-but-different answer is a soundness violation
-    return 0 if wrong == 0 else 1
+    return 0 if summary["wrong"] == 0 else 1
 
 
 # -- fold-prob ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
 per choice of signs sqrt(a_k) -> +-r_k; together they identify L mod p
 with GF(p)^(2^m), so a linear system over L becomes 2^m independent
 systems over GF(p).  A field finds such primes on first use (below 2^28,
-by a deterministic Miller-Rabin test); the search is shared between
+by gf.is_prime), with roots from gf.sqrt_mod; the search is shared between
 orderings of the same generators, such as the rotated towers of a
 Reed-Muller decode.  Each field keeps its own SignEmbedding objects,
 since the roots follow its generator order: `forward` scales coordinate
@@ -65,6 +65,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
+from .gf import is_prime, sqrt_mod
 
 Rational = Fraction
 
@@ -180,60 +181,10 @@ def integer_coords(elements: Sequence["MQElement"]) -> tuple[int, list[int]]:
 _EMBED_PRIME_LIMIT = 1 << 28
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 and 11 decide every
-    n below 2,152,302,898,747."""
-    if n >= 2_152_302_898_747:
-        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a modulo the odd prime p, by
-    Tonelli-Shanks."""
-    a %= p
-    if a == 0:
-        return 0
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1; then r * c^(2^(s-i-1)) halves t's order
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        r, t = r * b % p, t * c % p
-    return r
-
-
 class SignEmbedding:
     """The 2^m sign embeddings of a tower modulo one prime p.
 
-    Every generator a_k is a nonzero square mod p, with a fixed root r_k,
+    Every generator a_k is a nonzero square mod p, with its smaller root r_k,
     and r_S is the product of the r_k with k in S.  Each sign pattern t
     (bit k set sends sqrt(a_k) to -r_k) is a ring map onto GF(p) from the
     elements whose coordinates have denominators prime to p,

@@ -49,7 +49,7 @@ from .errors import (
     SingularBasis,
 )
 from .gf import ExtField, PrimeElement, QuadExtField, basis_inverse
-from .linalg import ExactMatrix, solve_erasures
+from .linalg import ExactMatrix, dual_basis, solve_erasures
 from .modmat import poly_fits_int64
 
 
@@ -403,9 +403,7 @@ class GabidulinMatrixCode:
         """GF(q) parity checks of the matrix code, acting on matrices
         flattened row by row; they also check its extension to GF(q^2)."""
         flat = [[e for row in B.entries for e in row] for B in self.basis_codewords()]
-        if not flat:
-            return ExactMatrix.identity(self.base, self.rows * self.cols).entries
-        return ExactMatrix(self.base, flat).kernel_basis()
+        return dual_basis(self.base, flat, self.rows * self.cols)
 
     def decode_erasures_ext(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
         """Erasure decoding over GF(q^2) with a known GF(q^2) row space.

@@ -29,6 +29,15 @@ the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
 numpy kernel modmat.rref_poly on (rows, cols, m) coefficient arrays, the
 same call (rref_coeffs) that array code makes directly.
 
+The package's number theory lives here too: is_prime, sqrt_mod and
+smallest_nonresidue serve PrimeField and the tower's sign embeddings
+(exactfield).  is_prime is Miller-Rabin with the prime bases 2, ..., 41,
+which decides every n below psi_13 = 3317044064679887385961981 and
+raises ValueError from there on (Sorenson and Webster 2017).  The bases
+up to 37 alone are not enough: psi_12 = 318665857834031151167461 =
+399165290221 * 798330580441 is a strong pseudoprime to all of them.
+sqrt_mod returns the smaller of the two roots.
+
 An int equals an element only when it is the element's canonical residue
 in [0, p), and elements of the base field hash like that int.
 
@@ -50,11 +59,15 @@ from . import modmat
 from .errors import FieldMismatch, NotASquare, SingularBasis
 from .linalg import ExactMatrix
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError from psi_13 on,
+    where the fixed bases stop deciding."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -62,8 +75,7 @@ def is_probable_prime(n: int) -> bool:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
+        d, s = d // 2, s + 1
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -75,6 +87,42 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def smallest_nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p."""
+    if p == 2:
+        raise NotASquare("GF(2) has no non-residues")
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    return n
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """The smaller of the two square roots of a modulo the prime p, by
+    Tonelli-Shanks; raises NotASquare for a non-residue."""
+    a %= p
+    if p == 2 or a == 0:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise NotASquare(f"{a} is not a square mod {p}")
+    # Write p-1 = q * 2^s with q odd and walk the 2-Sylow subgroup; for
+    # p = 3 mod 4 (s = 1) the loop never runs and r = a^((p+1)/4).
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    c = pow(smallest_nonresidue(p), q, p)
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then r * c^(2^(s-i-1)) halves t's order
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return min(r, p - r)
 
 
 class _PolyQuotient:
@@ -123,7 +171,7 @@ class PrimeField(_PolyQuotient):
     degree = 1
 
     def __init__(self, p: int):
-        if not is_probable_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = PrimeElement(self, 0)
@@ -160,46 +208,12 @@ class PrimeField(_PolyQuotient):
         return pow(a.val, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, a) -> "PrimeElement":
-        """Tonelli-Shanks square root, canonicalized to the smaller of the
-        two roots; raises NotASquare for non-residues."""
-        a = self.coerce(a)
-        p = self.p
-        if p == 2 or a.val == 0:
-            return a
-        if not self.is_square(a):
-            raise NotASquare(f"{a.val} is not a square mod {p}")
-        if p % 4 == 3:
-            r = pow(a.val, (p + 1) // 4, p)
-            return PrimeElement(self, min(r, p - r))
-        # Write p-1 = q * 2^s with q odd and walk the 2-Sylow subgroup.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = self.smallest_nonresidue()
-        c = pow(z, q, p)
-        x = pow(a.val, (q + 1) // 2, p)
-        t = pow(a.val, q, p)
-        m = s
-        while t != 1:
-            i, tt = 0, t
-            while tt != 1:
-                tt = tt * tt % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            x = x * b % p
-            t = t * b % p * b % p
-            c = b * b % p
-            m = i
-        return PrimeElement(self, min(x, p - x))
+        """The smaller of the two square roots (sqrt_mod); raises
+        NotASquare for non-residues."""
+        return PrimeElement(self, sqrt_mod(self.coerce(a).val, self.p))
 
     def smallest_nonresidue(self) -> int:
-        if self.p == 2:
-            raise NotASquare("GF(2) has no non-residues")
-        n = 2
-        while pow(n, (self.p - 1) // 2, self.p) == 1:
-            n += 1
-        return n
+        return smallest_nonresidue(self.p)
 
     def to_json(self):
         return {"p": self.p}

@@ -310,6 +310,14 @@ def _kernel_from_rref(field, R: Sequence[Sequence], pivots: Sequence[int], cols:
     return basis
 
 
+def dual_basis(field, rows: Sequence[Sequence], width: int) -> list[list]:
+    """Basis of the vectors of length `width` orthogonal to every row: the
+    kernel of the rows, or every unit vector when there are none."""
+    if not rows:
+        return ExactMatrix.identity(field, width).rows_list()
+    return ExactMatrix(field, rows).kernel_basis()
+
+
 def random_rank_matrix(field, rng, rows, cols, rank) -> ExactMatrix:
     """Random matrix of rank exactly `rank`, as a product of full-rank
     factors (resampled until both are), so row and column spaces are

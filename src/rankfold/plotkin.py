@@ -6,14 +6,16 @@ Two m x n matrix codes C and D and a nonzero scalar a combine into a
     [[A0 + B0, a(A1 - B1)],
      [A1 + B1, A0 - B0]]       A0, A1 in C,  B0, B1 in D.
 
-Multiplying by (s/sqrt(a) I | I) on the left and (I ; -s/sqrt(a) I) on
-the right kills the A-blocks and maps a codeword to (2s/sqrt(a)) B0 +
-2 B1, turning one decoding problem in the doubled space into error
-decoding in D followed by erasure decoding in C.  doubling_decode runs
-that sequence once for every caller, over the quadratic algebra
-K[x]/(x^2 - a): GF(q) x GF(q) (the two sign choices) when a is a square,
-GF(q^2) otherwise, and a multiquadratic tower for the Reed-Muller codes.
-The folded error keeps the original rank for all but a q^(t-m-1)
+The fold is written once, as plotkin_fold(Y, a, join).  Over the
+quadratic algebra K[x]/(x^2 - a) it multiplies by (x^-1 I | I) on the
+left and (I ; -x^-1 I) on the right, which kills the A-blocks and maps a
+codeword to 2 B1 + (2x/a) B0.  With Y's blocks over K its value is
+join(bl - tr/a, (tl - br)/a): the arithmetic stays in K, and only
+join(U, V) = U + xV enters the algebra, in the caller's representation:
+GF(q) x GF(q) (the two square roots of a) when a is a square, GF(q^2)
+otherwise, and a multiquadratic tower for the Reed-Muller codes.
+doubling_decode then decodes D on the fold and C by erasures, for every
+caller.  The folded error keeps the original rank for all but a q^(t-m-1)
 fraction of rank-t errors (q^(2t-2m-2) over the extension), which the
 Monte Carlo harness at the bottom measures.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import DecodingFailure, DimensionMismatch, ParameterMismatch
 from .gabidulin import GabidulinCode, GabidulinMatrixCode
 from .gf import ExtField, PrimeField, QuadExtField
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, dual_basis
 # sample_rank_exact stays bound here for tools that patch the module's names.
 from .modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors  # noqa: F401
 from .rng import derive_seed
@@ -68,45 +70,43 @@ def plotkin_encode_char2(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B
     )
 
 
-def plotkin_fold(Y: ExactMatrix, a, sign: int, sqrt_a, field) -> ExactMatrix:
-    """(s b I | I) Y (I ; -s b I) with b = 1/sqrt(a), over the given field.
+def plotkin_fold(Y: ExactMatrix, a, join):
+    """The fold (x^-1 I | I) Y (I ; -x^-1 I) over K[x]/(x^2 - a), where
+    join(U, V) = U + xV is the caller's representation of that algebra.
 
-    On a codeword this equals (2s/sqrt(a)) B0 + 2 B1; on an error it is a
-    two-sided linear combination, so the result never gains rank.
+    With Y = [[tl, tr], [bl, br]] over K this is
+    join(bl - tr/a, (tl - br)/a).  On a codeword it equals
+    2 B1 + (2x/a) B0; on an error it is a two-sided linear combination, so
+    the result never gains rank.
     """
     rows, cols = Y.shape
     if rows % 2 or cols % 2:
         raise DimensionMismatch("foldable matrices have even dimensions")
-    if Y.field != field:
-        Y = Y.map_entries(field.coerce, field)
-    b = field.coerce(sqrt_a).inverse()
-    if sign < 0:
-        b = -b
+    inv_a = Y.field.coerce(a).inverse()
     tl, tr, bl, br = Y.split_blocks(rows // 2, cols // 2)
-    inv_a = field.coerce(a).inverse()
-    return (tl - br).scale(b) + bl - tr.scale(inv_a)
+    return join(bl - tr.scale(inv_a), (tl - br).scale(inv_a))
 
 
-def doubling_decode(Y: ExactMatrix, a, algebra, decode_errors, decode_erasures) -> ExactMatrix:
+def doubling_decode(Y: ExactMatrix, W, a, algebra, decode_errors, decode_erasures) -> ExactMatrix:
     """Decoder for a doubled code, shared by PlotkinCode and RMCode.
 
     Y is a codeword [[A0 + B0, a(A1 - B1)], [A1 + B1, A0 - B0]] over K
     plus an error, and `algebra` is K[x]/(x^2 - a) in some representation:
-    algebra.fold(Y) is (x^-1 I | I) Y (I ; -x^-1 I), which cancels the
-    A-blocks and leaves 2 B1 + (2x/a) B0 plus the folded error;
-    algebra.join(U, V) is U + xV and algebra.split undoes it.
+    algebra.join(U, V) is U + xV and algebra.split undoes it.  W is the
+    fold of Y, plotkin_fold(Y, a, algebra.join), which cancels the
+    A-blocks and leaves 2 B1 + (2x/a) B0 plus the folded error.
     decode_errors(W) returns the D-codeword nearest W and the row space of
     their difference; decode_erasures(Z, support) returns the C-codeword
     of Z whose difference from Z has its rows in `support`.
 
-    The steps: fold, decode D, peel B0 and B1 off Y, fold the bottom half
-    on the right only (A1 - (x/a) A0 plus error rows inside the folded
+    The steps: decode D, peel B0 and B1 off Y, fold the bottom half on
+    the right only (A1 - (x/a) A0 plus error rows inside the folded
     error's row space), erasure-decode C, and unpeel A0 and A1.
     """
     K = Y.field
     half = K.coerce(2).inverse()
     inv_a = K.coerce(a).inverse()
-    W_hat, support = decode_errors(algebra.fold(Y))
+    W_hat, support = decode_errors(W)
     U, V = algebra.split(W_hat)
     B1, B0 = U.scale(half), V.scale(half * a)
     _, _, bl, br = Y.split_blocks(Y.rows // 2, Y.cols // 2)
@@ -118,13 +118,9 @@ class _SplitAlgebra:
     """K[x]/(x^2 - a) for a = r^2 in K: the product K x K, x -> (r, -r).
     A matrix over it is the pair of its images (U + rV, U - rV)."""
 
-    def __init__(self, a, r):
-        self.a = a
+    def __init__(self, r):
         self.r = r
         self.half = r.field.coerce(2).inverse()
-
-    def fold(self, Y):
-        return tuple(plotkin_fold(Y, self.a, sign, self.r, self.r.field) for sign in (+1, -1))
 
     def join(self, U, V):
         rV = V.scale(self.r)
@@ -136,50 +132,18 @@ class _SplitAlgebra:
 
 
 class _ExtAlgebra:
-    """K[x]/(x^2 - a) for a non-square a: GF(q^2) with s = sqrt(a) = x,
-    entries u + v s."""
+    """K[x]/(x^2 - a) for a non-square a: GF(q^2) with x = sqrt(a),
+    entries u + v x."""
 
     def __init__(self, a):
-        self.a = a
-        self.ext = QuadExtField(a.field, int(a.val))
-        self.join = self.ext.join_matrix
-        self.split = self.ext.split_matrix
-
-    def fold(self, Y):
-        return plotkin_fold(Y, self.a, +1, self.ext.sqrt_nonresidue, self.ext)
-
-
-def plotkin_dim(code: "PlotkinCode") -> int:
-    return 2 * (code.C.dim + code.D.dim)
-
-
-def _flatten(mats, field) -> ExactMatrix:
-    rows = [
-        [M.entries[i][j] for i in range(M.rows) for j in range(M.cols)]
-        for M in mats
-    ]
-    return ExactMatrix(field, rows)
-
-
-def _dual_basis(gens, field, rows, cols) -> list[ExactMatrix]:
-    """All matrices with zero trace pairing Tr(M G^T) against every
-    generator; the pairing is the entrywise dot product on vectorizations."""
-    if not gens:
-        out = []
-        for i in range(rows):
-            for j in range(cols):
-                M = [[field.zero] * cols for _ in range(rows)]
-                M[i][j] = field.one
-                out.append(ExactMatrix(field, M))
-        return out
-    flat = _flatten(gens, field)
-    out = []
-    for vec in flat.kernel_basis():
-        out.append(ExactMatrix(field, [list(vec[i * cols : (i + 1) * cols]) for i in range(rows)]))
-    return out
+        ext = QuadExtField(a.field, int(a.val))
+        self.join, self.split = ext.join_matrix, ext.split_matrix
 
 
 def _doubled_span(c_gens, d_gens, a, field, rows, cols) -> list[ExactMatrix]:
+    """The doubled code's words with one component generator in one slot
+    and zeros elsewhere: each C generator as A0 and as A1, then each D
+    generator as B0 and as B1."""
     zero = ExactMatrix.zeros(field, rows, cols)
     out = []
     for G in c_gens:
@@ -191,26 +155,27 @@ def _doubled_span(c_gens, d_gens, a, field, rows, cols) -> list[ExactMatrix]:
     return out
 
 
+def _flat(mats) -> list[list]:
+    return [[e for row in M.entries for e in row] for M in mats]
+
+
 def plotkin_dual_check(c_gens, d_gens, a, field, rows, cols) -> bool:
     """Whether the dual of the doubled code built from (C, D, a) equals the
     doubled code built from (C dual, D dual, 1/a), as exact subspaces of
-    the 2m x 2n ambient under the trace pairing."""
+    the 2m x 2n ambient under the trace pairing Tr(M G^T), which is the
+    dot product of the matrices flattened row by row."""
     a = field.coerce(a)
-    lhs_dual = _dual_basis(_doubled_span(c_gens, d_gens, a, field, rows, cols), field, 2 * rows, 2 * cols)
-    rhs = _doubled_span(
-        _dual_basis(c_gens, field, rows, cols),
-        _dual_basis(d_gens, field, rows, cols),
-        a.inverse(),
-        field,
-        rows,
-        cols,
-    )
-    L = _flatten(lhs_dual, field) if lhs_dual else ExactMatrix(field, ())
-    R = _flatten(rhs, field) if rhs else ExactMatrix(field, ())
-    if L.rows == 0 or R.rows == 0:
-        return L.rows == R.rows
-    rl, rr = L.rank(), R.rank()
-    return rl == rr and L.vstack(R).rank() == rl
+
+    def dual(gens):
+        return [ExactMatrix(field, [v[i * cols:(i + 1) * cols] for i in range(rows)])
+                for v in dual_basis(field, _flat(gens), rows * cols)]
+
+    def rank(vectors):
+        return ExactMatrix(field, vectors).rank() if vectors else 0
+
+    lhs = dual_basis(field, _flat(_doubled_span(c_gens, d_gens, a, field, rows, cols)), 4 * rows * cols)
+    rhs = _flat(_doubled_span(dual(c_gens), dual(d_gens), a.inverse(), field, rows, cols))
+    return rank(lhs) == rank(rhs) == rank(lhs + rhs)
 
 
 class PlotkinCode:
@@ -256,15 +221,8 @@ class PlotkinCode:
         )
 
     def basis_codewords(self) -> list[ExactMatrix]:
-        zero = ExactMatrix.zeros(self.field, self.C.rows, self.C.cols)
-        out = []
-        for G in self.C.basis_codewords():
-            out.append(self.encode(G, zero, zero, zero))
-            out.append(self.encode(zero, G, zero, zero))
-        for H in self.D.basis_codewords():
-            out.append(self.encode(zero, zero, H, zero))
-            out.append(self.encode(zero, zero, zero, H))
-        return out
+        return _doubled_span(self.C.basis_codewords(), self.D.basis_codewords(), self.a,
+                             self.field, self.C.rows, self.C.cols)
 
     def decode(self, Y: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
         """Recover (codeword, error) from Y = codeword + an error of rank at
@@ -280,7 +238,7 @@ class PlotkinCode:
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
         t = self.radius
         if self.field.is_square(self.a):
-            algebra = _SplitAlgebra(self.a, self.field.sqrt(self.a))
+            algebra = _SplitAlgebra(self.field.sqrt(self.a))
 
             def decode_errors(W):
                 pairs = [self.D.decode(Wi, t) for Wi in W]
@@ -296,7 +254,8 @@ class PlotkinCode:
                 return W_hat, (W - W_hat).row_space_basis()
 
             decode_erasures = self.C.decode_erasures_ext
-        C_hat = doubling_decode(Y, self.a, algebra, decode_errors, decode_erasures)
+        W = plotkin_fold(Y, self.a, algebra.join)
+        C_hat = doubling_decode(Y, W, self.a, algebra, decode_errors, decode_erasures)
         E_hat = Y - C_hat
         if E_hat.rank() > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")

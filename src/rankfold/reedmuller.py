@@ -58,7 +58,7 @@ from . import modmat
 from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, RankfoldError
 from .exactfield import MQElement, MultiquadraticField, crt_extend, integer_coords, mq_field, rational_reconstruction
 from .linalg import ExactMatrix, solve_erasures
-from .plotkin import doubling_decode
+from .plotkin import doubling_decode, plotkin_fold
 
 # RMCode.sample_error draws this many candidates before giving up
 _SAMPLE_ATTEMPTS = 200
@@ -148,42 +148,24 @@ class DecodeReport:
     trace: list = dc_field(default_factory=list)
 
 
-def _gen_rows(field: MultiquadraticField, gens_idx: tuple, r: int):
-    """Rows of the generator matrix for order r on the given tower
-    directions; each recursion level appends the (last direction) * row
-    copies with +alpha / -alpha scalings."""
-    if r < 0:
-        return []
-    if not gens_idx:
-        return [(field.one,)]
-    key = ("G", gens_idx, min(r, len(gens_idx)))
-    rows = field.tables.get(key)
-    if rows is not None:
-        return rows
-    top, rest = gens_idx[-1], gens_idx[:-1]
-    alpha = field.alpha(top)
-    rows = [row + tuple(alpha * e for e in row) for row in _gen_rows(field, rest, r)]
-    rows += [row + tuple(-(alpha * e) for e in row) for row in _gen_rows(field, rest, r - 1)]
-    field.tables[key] = rows
-    return rows
-
-
-def _check_rows(field: MultiquadraticField, gens_idx: tuple, r: int):
-    """Rows of the parity-check matrix: the same block recursion as the
-    generator matrix but with inverse square roots, so that the two
-    products cancel pairwise."""
+def _block_rows(field: MultiquadraticField, gens_idx: tuple, r: int, checks: bool):
+    """Rows of the generator matrix (checks False) or of the parity-check
+    matrix (checks True) for order r on the given tower directions.  Each
+    recursion level appends to the rows of orders r and r-1 one level down
+    their copies scaled by +s and -s, where s is the last direction's
+    square root alpha for the generator and 1/alpha for the checks, so
+    that the two products cancel pairwise."""
     r = max(r, -1)
     if not gens_idx:
-        return [] if r >= 0 else [(field.one,)]
-    key = ("H", gens_idx, min(r, len(gens_idx)))
+        return [(field.one,)] if (r >= 0) != checks else []
+    key = ("H" if checks else "G", gens_idx, min(r, len(gens_idx)))
     rows = field.tables.get(key)
-    if rows is not None:
-        return rows
-    top, rest = gens_idx[-1], gens_idx[:-1]
-    ainv = field.alpha(top).inverse()
-    rows = [row + tuple(ainv * e for e in row) for row in _check_rows(field, rest, r)]
-    rows += [row + tuple(-(ainv * e) for e in row) for row in _check_rows(field, rest, r - 1)]
-    field.tables[key] = rows
+    if rows is None:
+        rest, alpha = gens_idx[:-1], field.alpha(gens_idx[-1])
+        s = alpha.inverse() if checks else alpha
+        rows = [row + tuple(s * e for e in row) for row in _block_rows(field, rest, r, checks)]
+        rows += [row + tuple(-(s * e) for e in row) for row in _block_rows(field, rest, r - 1, checks)]
+        field.tables[key] = rows
     return rows
 
 
@@ -271,16 +253,10 @@ class RMCode:
     # -- generator / parity-check -----------------------------------------------------
 
     def generator_matrix(self) -> ExactMatrix:
-        rows = _gen_rows(self.field, self._code_gens, self.r)
-        if not rows:
-            return ExactMatrix(self.field, (), _raw=True)
-        return ExactMatrix(self.field, tuple(rows), _raw=True)
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, False)), _raw=True)
 
     def parity_check_matrix(self) -> ExactMatrix:
-        rows = _check_rows(self.field, self._code_gens, self.r)
-        if not rows:
-            return ExactMatrix(self.field, (), _raw=True)
-        return ExactMatrix(self.field, tuple(rows), _raw=True)
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, True)), _raw=True)
 
     # -- syndromes --------------------------------------------------------------------
 
@@ -353,22 +329,17 @@ class RMCode:
     # -- folding ------------------------------------------------------------------------
 
     def fold(self, Y: ExactMatrix) -> ExactMatrix:
-        """One folding step.
+        """One folding step: plotkin_fold over base(alpha), where alpha is
+        the square root of the last code direction.
 
-        Multiplies by ((1/alpha) I | I) on the left and (I ; -(1/alpha) I)
-        on the right, where alpha is the square root of the last code
-        direction: codeword A-blocks cancel, the result is
-        (2/alpha) B0 + 2 B1 plus the folded error, half the size, over the
-        base extended by alpha.  Rank never increases under folding.
+        Codeword A-blocks cancel, and the result is (2/alpha) B0 + 2 B1
+        plus the folded error, half the size, over the base extended by
+        alpha.  Rank never increases under folding.
         """
         self._check_received(Y)
         if self.m == 0:
             raise DimensionMismatch("cannot fold a height-zero code")
-        inv_a = Fraction(1) / self.field.gens[-1]
-        h = self.size // 2
-        tl, tr, bl, br = Y.split_blocks(h, h)
-        return _Tower(self).join(bl - tr.map_entries(lambda e: e.scale(inv_a)),
-                                 (tl - br).map_entries(lambda e: e.scale(inv_a)))
+        return plotkin_fold(Y, self.field.gens[-1], _Tower(self).join)
 
     def folds_preserve_rank(self, E: ExactMatrix, rank: Optional[int] = None) -> bool:
         """True if every iterated fold of E down to the decoder's recursion
@@ -448,7 +419,7 @@ class RMCode:
         key = ("H", self._code_gens, self.r)
         H = emb.tables.get(key)
         if H is None:
-            rows = _check_rows(self.field, self._code_gens, self.r)
+            rows = _block_rows(self.field, self._code_gens, self.r, True)
             # the denominators divide products of the generators' numerators and
             # denominators, all prime to p
             d, coords = integer_coords([e for row in rows for e in row])
@@ -572,7 +543,7 @@ class RMCode:
         def decode_erasures(Z, support):
             return ecode.matrix_from_vector(ecode.erasure_decode(ecode.vector_from_matrix(Z), support))
 
-        return doubling_decode(Y, self.field.gens[-1], _Tower(self), decode_errors, decode_erasures)
+        return doubling_decode(Y, self.fold(Y), self.field.gens[-1], _Tower(self), decode_errors, decode_erasures)
 
     def __repr__(self):
         return f"RMCode(order={self.r}, height={self.m}, tower={self.field!r})"
@@ -586,9 +557,6 @@ class _Tower:
         self.code = code
         gens = code.field.gens
         self.field = mq_field(gens[: code.base_height] + (gens[-1],))
-
-    def fold(self, Y: ExactMatrix) -> ExactMatrix:
-        return self.code.fold(Y)  # the public fold checks Y's field and shape
 
     def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
         f = self.field

@@ -9,7 +9,7 @@ from rankfold.gf import (
     PrimeField,
     QuadExtField,
     expand_to_base,
-    is_probable_prime,
+    is_prime,
     reconstruct_from_base,
 )
 from rankfold.serial import field_from_json
@@ -18,10 +18,27 @@ from rankfold.serial import field_from_json
 def test_primality():
     primes = [2, 3, 5, 7, 23, 97, 2 ** 31 - 1]
     composites = [1, 4, 9, 15, 561, 1105, 2 ** 31 + 1]
-    assert all(is_probable_prime(p) for p in primes)
-    assert not any(is_probable_prime(c) for c in composites)
+    assert all(is_prime(p) for p in primes)
+    assert not any(is_prime(c) for c in composites)
     with pytest.raises(ValueError):
         PrimeField(15)
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_strong_pseudoprime_to_the_primes_up_to_37_is_refused():
+    """psi_12 passes Miller-Rabin to every prime base up to 37; the base 41
+    exposes it, and from psi_13 on no fixed base set is trusted."""
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        PrimeField(PSI_12)
+    with pytest.raises(ValueError):
+        is_prime(PSI_13)
+    # the primes next to psi_12 and just below psi_13 (sympy.nextprime, prevprime)
+    assert is_prime(318665857834031151167483) and is_prime(3317044064679887385961813)
 
 
 def test_gfp_arithmetic():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankfold import NoSolution, NotUnique, SplitMix64, modmat
-from rankfold.gf import ExtField, PrimeField, QuadExtField, is_probable_prime
+from rankfold.gf import ExtField, PrimeField, QuadExtField, is_prime
 from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
 from rankfold.modmat import batch_matmul_mod, batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors
 
@@ -42,7 +42,7 @@ def test_batch_rank_quad_planted_rank2_up_to_the_int64_bound(p):
 def test_batch_rank_quad_rejects_overflowing_prime():
     # 2147483659 is the smallest prime with 2 (p-1)^2 >= 2^63
     p = 2147483659
-    assert is_probable_prime(p) and not modmat.poly_fits_int64(p, 2)
+    assert is_prime(p) and not modmat.poly_fits_int64(p, 2)
     nr = PrimeField(p).smallest_nonresidue()
     with pytest.raises(ValueError):
         batch_rank_quad(np.full((1, 2, 2), p - 1), np.full((1, 2, 2), p - 2), p, nr)

@@ -1,11 +1,13 @@
 """Doubled matrix codes: assembly, duality, decoding, fold statistics."""
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rankfold import DecodingFailure, SplitMix64, plotkin
+from rankfold import DecodingFailure, SplitMix64, mq_field, plotkin
 from rankfold.errors import ParameterMismatch
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
 from rankfold.gf import ExtField, PrimeField, QuadExtField
@@ -17,12 +19,12 @@ from rankfold.plotkin import (
     fold_probability_experiment,
     gabidulin_plotkin,
     non_mrd_witness,
-    plotkin_dim,
     plotkin_dual_check,
     plotkin_encode,
     plotkin_encode_char2,
     plotkin_fold,
 )
+from rankfold.reedmuller import RMCode
 from rankfold.rng import derive_seed
 
 GF5 = PrimeField(5)
@@ -83,7 +85,7 @@ def test_encode_block_recovery():
 
 def test_dim_formula_and_spanning_rank():
     code = gabidulin_plotkin(5, 4, 3, 2)
-    assert plotkin_dim(code) == 2 * (4 * 3 + 4 * 2) == 40
+    assert code.dim == 2 * (4 * 3 + 4 * 2) == 40
     gens = code.basis_codewords()
     assert len(gens) == 40
     flat = ExactMatrix(
@@ -132,7 +134,7 @@ def test_fold_kills_a_blocks():
         for _ in range(5):
             A0, A1 = rand_mat(GF5, rng, 3, 3), rand_mat(GF5, rng, 3, 3)
             Y = plotkin_encode(a, A0, A1, Z, Z)
-            assert plotkin_fold(Y, a, sign, sqrt_a, GF5).is_zero()
+            assert plotkin_fold(Y, a, lambda U, V: U + V.scale(sign * sqrt_a)).is_zero()
 
 
 def test_fold_b_blocks_identities():
@@ -142,12 +144,12 @@ def test_fold_b_blocks_identities():
     I, Z = eye(GF23, 3), zeros(GF23, 3)
     Y0 = plotkin_encode(a, Z, Z, I, Z)
     two_over_sqrt = GF23.element(2) / sqrt_a
-    assert plotkin_fold(Y0, a, +1, sqrt_a, GF23) == I.scale(two_over_sqrt)
-    assert plotkin_fold(Y0, a, -1, sqrt_a, GF23) == I.scale(-two_over_sqrt)
+    assert plotkin_fold(Y0, a, lambda U, V: U + V.scale(sqrt_a)) == I.scale(two_over_sqrt)
+    assert plotkin_fold(Y0, a, lambda U, V: U + V.scale(-sqrt_a)) == I.scale(-two_over_sqrt)
     # the B1 block folds sign-independently to 2I
     Y1 = plotkin_encode(a, Z, Z, Z, I)
-    assert plotkin_fold(Y1, a, +1, sqrt_a, GF23) == I.scale(2)
-    assert plotkin_fold(Y1, a, -1, sqrt_a, GF23) == I.scale(2)
+    assert plotkin_fold(Y1, a, lambda U, V: U + V.scale(sqrt_a)) == I.scale(2)
+    assert plotkin_fold(Y1, a, lambda U, V: U + V.scale(-sqrt_a)) == I.scale(2)
 
 
 def test_fold_never_gains_rank():
@@ -157,8 +159,54 @@ def test_fold_never_gains_rank():
     for _ in range(500):
         t = rng.randint(0, 4)
         E = random_rank_matrix(GF5, rng, 4, 4, t)
-        folded = plotkin_fold(E, a, +1, sqrt_a, GF5)
+        folded = plotkin_fold(E, a, lambda U, V: U + V.scale(sqrt_a))
         assert folded.rank() <= t
+
+
+def block_fold(Y, x):
+    """(x^-1 I | I) Y (I ; -x^-1 I) as an explicit block product over the
+    field of x, into which Y's entries are mapped first."""
+    I = eye(x.field, Y.rows // 2)
+    left = ExactMatrix.block([[I.scale(x.inverse()), I]])
+    right = ExactMatrix.block([[I], [I.scale(-x.inverse())]])
+    return left @ Y @ right
+
+
+def test_fold_is_the_block_product_over_gf5_squared():
+    """GF(5) x GF(5), x -> (r, -r): each component is the block product
+    with x = r and with x = -r."""
+    rng = SplitMix64(31)
+    a = GF5.element(4)
+    r = GF5.sqrt(a)
+    for _ in range(10):
+        Y = rand_mat(GF5, rng, 6, 6)
+        plus, minus = plotkin_fold(Y, a, plotkin._SplitAlgebra(r).join)
+        assert plus == block_fold(Y, r) and minus == block_fold(Y, -r)
+
+
+def test_fold_is_the_block_product_over_gf25():
+    rng = SplitMix64(32)
+    a = GF5.element(2)  # a non-square: the fold lands in GF(5)[s]/(s^2 - 2)
+    ext = QuadExtField(GF5, 2)
+    for _ in range(10):
+        Y = rand_mat(GF5, rng, 6, 6)
+        want = block_fold(Y.map_entries(ext.coerce, ext), ext.sqrt_nonresidue)
+        assert plotkin_fold(Y, a, plotkin._ExtAlgebra(a).join) == want
+
+
+def test_rm_fold_is_the_block_product_over_the_tower():
+    """RMCode.fold on Q(sqrt 2, sqrt 3) and on its descendant one fold
+    down: the block product with x = sqrt(a) of the last direction, over
+    the base extended by x."""
+    rng = SplitMix64(33)
+    code = RMCode(mq_field((2, 3)), 1)
+    for c in (code, code.subcode()):
+        up = mq_field(c.field.gens[: c.base_height] + (c.field.gens[-1],))
+        x = up.alpha(up.m)
+        for _ in range(3):
+            Y = ExactMatrix(c.base_field, [[c.base_field.random_element(rng, 9) for _ in range(c.size)]
+                                           for _ in range(c.size)])
+            assert c.fold(Y) == block_fold(Y.map_entries(lambda e: e.embed(up), up), x)
 
 
 # -- decoding: square twist ---------------------------------------------------------
@@ -211,7 +259,7 @@ def test_decode_never_silently_wrong():
     Z = zeros(GF5, 4)
     E = ExactMatrix.block([[M, Z], [M.scale(-b), Z]])
     assert E.rank() == 1 <= code.radius
-    assert plotkin_fold(E, code.a, +1, GF5.sqrt(code.a), GF5).is_zero()
+    assert plotkin_fold(E, code.a, lambda U, V: U + V.scale(GF5.sqrt(code.a))).is_zero()
     C = code.random_codeword(rng)
     with pytest.raises(DecodingFailure):
         code.decode(C + E)
@@ -447,9 +495,53 @@ def test_fold_stats_matches_exact_recount():
     trials = 400
     for _ in range(trials):
         E = random_rank_matrix(GF5, rng, 8, 8, 1)
-        if plotkin_fold(E, a, +1, sqrt_a, GF5).rank() < 1:
+        if plotkin_fold(E, a, lambda U, V: U + V.scale(sqrt_a)).rank() < 1:
             drops += 1
     st = FoldStats(q=5, m=4, t=1, a=4, square=True, trials=trials, drops=drops)
     assert 0 <= st.rate < 0.05
     lo, hi = st.ci95()
     assert 0 <= lo <= st.rate <= hi <= 1
+
+
+# -- soundness over arbitrary received words ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def code_and_basis(q, a):
+    code = gabidulin_plotkin(q, 6, 4, 2, a=a)
+    return code, code.basis_codewords(), code.dim
+
+
+def flat_rows(mats):
+    return [[e for row in M.entries for e in row] for M in mats]
+
+
+@pytest.mark.parametrize("q, a", [(3, 1), (3, 2), (5, 4), (5, 2)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decode_is_sound_on_arbitrary_words(q, a, data):
+    """Whatever the received word, decode either raises DecodingFailure or
+    returns (C, E) with C + E = Y, rank E within the radius and C in the
+    code.  Words are arbitrary matrices or codewords plus a product of
+    factors of rank up to radius + 1."""
+    code, basis, dim = code_and_basis(q, a)
+    field = code.field
+    cells = st.integers(0, q - 1)
+    if data.draw(st.booleans(), label="near the code"):
+        rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+        t = data.draw(st.integers(0, code.radius + 1), label="rank")
+        X = ExactMatrix(field, data.draw(st.lists(st.lists(cells, min_size=t, max_size=t),
+                                                  min_size=code.rows, max_size=code.rows)))
+        Z = ExactMatrix(field, data.draw(st.lists(st.lists(cells, min_size=code.cols, max_size=code.cols),
+                                                  min_size=t, max_size=t)))
+        Y = code.random_codeword(rng) + (X @ Z if t else zeros(field, code.rows))
+    else:
+        Y = ExactMatrix(field, data.draw(st.lists(st.lists(cells, min_size=code.cols, max_size=code.cols),
+                                                  min_size=code.rows, max_size=code.rows)))
+    try:
+        C, E = code.decode(Y)
+    except DecodingFailure:
+        return
+    assert C + E == Y
+    assert E.rank() <= code.radius
+    assert ExactMatrix(field, flat_rows(basis + [C])).rank() == dim
