@@ -30,7 +30,7 @@ from .errors import (
 from .exactfield import QQ, MQElement, MultiquadraticField, Rational, mq_field
 from .gabidulin import GabidulinCode, GabidulinMatrixCode, LinearizedPoly, annihilator
 from .gf import ExtField, PrimeField, QuadExtField, expand_to_base, reconstruct_from_base
-from .linalg import ExactMatrix, random_rank_matrix
+from .linalg import ExactMatrix, MatrixCode, random_rank_matrix
 from .plotkin import (
     FoldStats,
     PlotkinCode,

@@ -170,6 +170,9 @@ def cmd_rm_roundtrip(args) -> int:
         return 1
     if not _campaign_args_ok(args):
         return 1
+    if args.bound < 0:
+        print("error: need --bound >= 0", file=sys.stderr)
+        return 1
     header = {"schema": SCHEMA, "command": "rm-roundtrip"}
     t0 = time.perf_counter()
     fixtures = []
@@ -285,11 +288,6 @@ def cmd_plotkin_roundtrip(args) -> int:
 
 
 def cmd_fold_prob(args) -> int:
-    try:
-        a = 1 if args.square else PrimeField(args.q).smallest_nonresidue()
-    except (RankfoldError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     header = {
         "schema": SCHEMA,
         "command": "fold-prob",
@@ -301,6 +299,7 @@ def cmd_fold_prob(args) -> int:
     }
     t0 = time.perf_counter()
     try:
+        a = 1 if args.square else PrimeField(args.q).smallest_nonresidue()
         stats = fold_probability_experiment(args.q, args.m, args.t, a, args.trials, args.seed)
     except (RankfoldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -339,14 +338,8 @@ def _suite_duality():
     for q in (5, 7):
         field = PrimeField(q)
         for _ in range(3):
-            c_gens = [
-                ExactMatrix(field, [[field.random_element(rng) for _ in range(2)] for _ in range(2)])
-                for _ in range(rng.randint(1, 3))
-            ]
-            d_gens = [
-                ExactMatrix(field, [[field.random_element(rng) for _ in range(2)] for _ in range(2)])
-                for _ in range(rng.randint(1, 3))
-            ]
+            c_gens, d_gens = ([ExactMatrix(field, [[field.random_element(rng) for _ in range(2)] for _ in range(2)])
+                               for _ in range(rng.randint(1, 3))] for _ in range(2))
             a = field.element(rng.randint(1, q - 1))
             total += 1
             if plotkin_dual_check(c_gens, d_gens, a, field, 2, 2):

@@ -9,9 +9,10 @@ The error decoder is linearized Welch-Berlekamp: find a nonzero pair
 (V, N) with deg_q V <= t, deg_q N <= t + k - 1 and V(y_i) = N(g_i) for all
 i (one homogeneous linear system), recover the message polynomial as the
 exact left quotient of N by V, and verify the residual rank.  The erasure
-decoders hand linalg.solve_erasures the code's parity checks, built once
+decoder hands linalg.solve_erasures the code's parity checks, built once
 per code, and the error's known row space.  Both report failure rather
-than return an unverified answer.
+than return an unverified answer.  GabidulinMatrixCode is a
+linalg.MatrixCode, which supplies its decoders over GF(q^2).
 
 Vectors over GF(q^m) are worked on as (n, m) int64 coefficient arrays
 (ExtField.coeff_array): row i holds the coefficients of entry i.  A code
@@ -48,8 +49,8 @@ from .errors import (
     ParameterMismatch,
     SingularBasis,
 )
-from .gf import ExtField, PrimeElement, QuadExtField, basis_inverse
-from .linalg import ExactMatrix, dual_basis, solve_erasures
+from .gf import ExtField, PrimeElement, basis_inverse
+from .linalg import ExactMatrix, MatrixCode, _syndrome, solve_erasures
 from .modmat import poly_fits_int64
 
 
@@ -132,12 +133,6 @@ class LinearizedPoly:
 
     def __repr__(self):
         return f"LinearizedPoly(deg_q={self.qdegree})"
-
-
-def _syndrome(checks, v: Sequence, zero) -> list:
-    """Each check row dotted with v, skipping zero entries."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((x * row[j] for j, x in nz if row[j]), zero) for row in checks]
 
 
 def annihilator(field: ExtField, vectors: Sequence) -> LinearizedPoly:
@@ -311,13 +306,14 @@ class GabidulinCode:
         return f"GabidulinCode(q={self.field.p}, m={self.field.m}, n={self.n}, k={self.k})"
 
 
-class GabidulinMatrixCode:
+class GabidulinMatrixCode(MatrixCode):
     """The same code viewed as m x n matrices over GF(q).
 
-    Carries the expansion basis and wraps the vector-side decoders; also
-    provides the corresponding decoders for the scalar extension to
-    GF(q^2), which the Plotkin decoder needs when its twist is a
-    non-square (errors then live over the quadratic extension).
+    Carries the expansion basis and wraps the vector-side decoders.  The
+    decoders over GF(q^2), which a doubled code with a non-square twist
+    calls, come from MatrixCode; so does the matrix erasure solve, which
+    serves GF(q^2) inputs while decode_erasures keeps the faster vector
+    path for GF(q) inputs.
     """
 
     def __init__(self, code: GabidulinCode, basis: Optional[Sequence] = None):
@@ -381,48 +377,6 @@ class GabidulinMatrixCode:
     def decode_erasures(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
         return self.to_matrix(self.code.decode_erasures(self.to_vector(Y), support))
 
-    # -- quadratic-extension views ------------------------------------------------
-
-    def decode_ext(self, Y: ExactMatrix, t: int) -> ExactMatrix:
-        """Decode over GF(q^2) via the two GF(q) components.
-
-        An error of GF(q^2)-rank t has components of GF(q)-rank at most 2t,
-        so both components decode natively whenever 2t is within the code's
-        radius; the result is verified at rank t over the extension.
-        """
-        ext = Y.field
-        if not isinstance(ext, QuadExtField) or ext.base != self.base:
-            raise DimensionMismatch("expected a matrix over the quadratic extension")
-        C = ext.join_matrix(*(self.decode(part)[0] for part in ext.split_matrix(Y)))
-        if (Y - C).rank() > t:
-            raise DecodingFailure("extension residual rank exceeds the radius")
-        return C
-
-    @cached_property
-    def _matrix_checks(self) -> Sequence:
-        """GF(q) parity checks of the matrix code, acting on matrices
-        flattened row by row; they also check its extension to GF(q^2)."""
-        flat = [[e for row in B.entries for e in row] for B in self.basis_codewords()]
-        return dual_basis(self.base, flat, self.rows * self.cols)
-
-    def decode_erasures_ext(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
-        """Erasure decoding over GF(q^2) with a known GF(q^2) row space.
-
-        The erasure space is spanned by the matrices with one row taken
-        from `support` and every other row zero.
-        """
-        ext = Y.field
-        if not isinstance(ext, QuadExtField) or ext.base != self.base:
-            raise DimensionMismatch("expected a matrix over the quadratic extension")
-        if support.rows and support.cols != self.cols:
-            raise DimensionMismatch("support width must match the code length")
-        n = self.cols
-        gens = []
-        for i in range(self.rows):
-            for r in support.entries:
-                g = [ext.zero] * (self.rows * n)
-                g[i * n:(i + 1) * n] = r
-                gens.append(g)
-        y = [e for row in Y.entries for e in row]
-        c = solve_erasures(ext, lambda v: _syndrome(self._matrix_checks, v, ext.zero), y, gens)
-        return ExactMatrix(ext, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(self.rows)), _raw=True)
+    # Bound in this class too, for tools that patch its own names.
+    decode_ext = MatrixCode.decode_ext
+    decode_erasures_ext = MatrixCode.decode_erasures_ext

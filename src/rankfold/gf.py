@@ -382,16 +382,17 @@ class QuadExtField(_PolyQuotient):
     def random_element(self, rng) -> "QuadExtElement":
         return QuadExtElement(self, rng.randint(0, self.p - 1), rng.randint(0, self.p - 1))
 
-    def join_matrix(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
-        """The matrix U + sV from two matrices over GF(p)."""
+    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
+        """The matrix U + sV from two matrices over GF(p); with split, the
+        algebra GF(p)[x]/(x^2 - n) of plotkin_fold and doubling_decode."""
         rows = tuple(
             tuple(QuadExtElement(self, u.val, v.val) for u, v in zip(ru, rv))
             for ru, rv in zip(U.entries, V.entries)
         )
         return ExactMatrix(self, rows, _raw=True)
 
-    def split_matrix(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, V) with M = U + sV, both over GF(p); inverse of join_matrix."""
+    def split(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        """(U, V) with M = U + sV, both over GF(p); inverse of join."""
         base = self.base
         return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
 
@@ -592,6 +593,8 @@ class ExtField(_PolyQuotient):
     """GF(p^m) as GF(p)[x]/(f) with a deterministic default modulus."""
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
+        if m < 1:
+            raise ValueError(f"extension degree must be at least 1, got {m}")
         self.base = PrimeField(p)
         self.p = p
         self.m = self.degree = m
@@ -824,16 +827,8 @@ def expand_to_base(field: ExtField, vector: Iterable, basis: Optional[Sequence] 
     the rank of the result does not depend on the basis choice.
     """
     vec = [field.coerce(v) for v in vector]
-    gf = field.base
-    if basis is None:
-        cols = [v.coeffs for v in vec]
-    else:
-        Binv = basis_inverse(field, basis)
-        cols = []
-        for v in vec:
-            coord = Binv @ ExactMatrix.column(gf, [gf.element(c) for c in v.coeffs])
-            cols.append(tuple(coord.entries[i][0].val for i in range(field.m)))
-    return ExactMatrix(gf, [[gf.element(cols[j][i]) for j in range(len(vec))] for i in range(field.m)])
+    M = ExactMatrix(field.base, [[v.coeffs[i] for v in vec] for i in range(field.m)])
+    return M if basis is None else basis_inverse(field, basis) @ M
 
 
 def reconstruct_from_base(field: ExtField, matrix: ExactMatrix, basis: Optional[Sequence] = None) -> list:

@@ -18,10 +18,15 @@ hooks.  The reduced row echelon form is unique, so every path gives the
 same result.
 
 Matrices are immutable; all operations return fresh objects.
+
+MatrixCode derives, once, parity checks, erasure decoding and decoding
+over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
+codes and doubled codes are MatrixCodes.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique
@@ -63,9 +68,6 @@ class ExactMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -362,3 +364,68 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
                 if gj:
                     out[j] = out[j] - xk * gj
     return out
+
+
+def flatten(mats) -> list[list]:
+    """Each matrix as one vector, its entries read row by row."""
+    return [[e for row in M.entries for e in row] for M in mats]
+
+
+def _syndrome(checks, v: Sequence, zero) -> list:
+    """Each check row dotted with v, skipping zero entries."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((x * row[j] for j, x in nz if row[j]), zero) for row in checks]
+
+
+class MatrixCode:
+    """A linear code of rows x cols matrices over the prime field `base`.
+
+    A subclass provides rows, cols, base, dim, random_codeword(rng),
+    basis_codewords() and decode(Y, t=None) -> (codeword, error), which
+    raises DecodingFailure rather than return an answer with rank(error)
+    above t.  This class derives the rest from them.  An extension of base
+    is recognised by its `base` attribute; decode_ext needs one with
+    split and join (gf.QuadExtField).
+    """
+
+    @cached_property
+    def _matrix_checks(self) -> list:
+        """Parity checks over base acting on matrices flattened row by row;
+        they also check the code's span over any extension of base."""
+        return dual_basis(self.base, flatten(self.basis_codewords()), self.rows * self.cols)
+
+    def decode_erasures_ext(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
+        """The codeword C such that the rows of Y - C lie in the row space
+        of `support`, with Y and support over base or an extension of it.
+
+        The erasure space is spanned by the matrices with one row taken
+        from `support` and every other row zero.  Raises DecodingFailure
+        when no such C exists or it is not unique.
+        """
+        field = Y.field
+        if field != self.base and getattr(field, "base", None) != self.base:
+            raise DimensionMismatch(f"expected a matrix over {self.base} or an extension of it")
+        if Y.shape != (self.rows, self.cols) or (support.rows and support.cols != self.cols):
+            raise DimensionMismatch("word and support must match the code's shape")
+        n = self.cols
+        gens = [[field.zero] * (i * n) + list(r) + [field.zero] * ((self.rows - 1 - i) * n)
+                for i in range(self.rows) for r in support.entries]
+        c = solve_erasures(field, lambda v: _syndrome(self._matrix_checks, v, field.zero), flatten([Y])[0], gens)
+        return ExactMatrix(field, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(self.rows)), _raw=True)
+
+    decode_erasures = decode_erasures_ext
+
+    def decode_ext(self, Y: ExactMatrix, t: int) -> ExactMatrix:
+        """Decode over GF(q^2) through the two GF(q) parts of Y.
+
+        An error of GF(q^2)-rank t has parts of GF(q)-rank at most 2t, so
+        both parts decode whenever 2t is within the code's radius; the
+        joined codeword is returned only if rank(Y - C) <= t over GF(q^2).
+        """
+        ext = Y.field
+        if getattr(ext, "base", None) != self.base or not hasattr(ext, "split"):
+            raise DimensionMismatch("expected a matrix over the quadratic extension")
+        C = ext.join(*(self.decode(part)[0] for part in ext.split(Y)))
+        if (Y - C).rank() > t:
+            raise DecodingFailure("extension residual rank exceeds the radius")
+        return C

@@ -15,9 +15,11 @@ join(U, V) = U + xV enters the algebra, in the caller's representation:
 GF(q) x GF(q) (the two square roots of a) when a is a square, GF(q^2)
 otherwise, and a multiquadratic tower for the Reed-Muller codes.
 doubling_decode then decodes D on the fold and C by erasures, for every
-caller.  The folded error keeps the original rank for all but a q^(t-m-1)
-fraction of rank-t errors (q^(2t-2m-2) over the extension), which the
-Monte Carlo harness at the bottom measures.
+caller.  PlotkinCode takes any two linalg.MatrixCodes as C and D and is
+one itself, so a doubled code can be doubled again.  The folded error
+keeps the original rank for all but a q^(t-m-1) fraction of rank-t
+errors (q^(2t-2m-2) over the extension), which the Monte Carlo harness
+at the bottom measures.
 """
 
 from __future__ import annotations
@@ -30,22 +32,21 @@ import numpy as np
 from .errors import DecodingFailure, DimensionMismatch, ParameterMismatch
 from .gabidulin import GabidulinCode, GabidulinMatrixCode
 from .gf import ExtField, PrimeField, QuadExtField
-from .linalg import ExactMatrix, dual_basis
+from .linalg import ExactMatrix, MatrixCode, dual_basis, flatten
 # sample_rank_exact stays bound here for tools that patch the module's names.
 from .modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors  # noqa: F401
 from .rng import derive_seed
 
 
-def _check_block(M: ExactMatrix, rows: int, cols: int, name: str):
-    if M.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {M.shape}")
+def _check_shapes(shape: tuple[int, int], **blocks: ExactMatrix):
+    for name, M in blocks.items():
+        if M.shape != shape:
+            raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
 
 
 def plotkin_encode(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B1: ExactMatrix) -> ExactMatrix:
     """Assemble the 2m x 2n block codeword from component words."""
-    rows, cols = A0.shape
-    for name, M in (("A1", A1), ("B0", B0), ("B1", B1)):
-        _check_block(M, rows, cols, name)
+    _check_shapes(A0.shape, A1=A1, B0=B0, B1=B1)
     return ExactMatrix.block(
         [
             [A0 + B0, (A1 - B1).scale(a)],
@@ -59,9 +60,7 @@ def plotkin_encode_char2(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B
     decoders in this module require odd q)."""
     if A0.field.p != 2:
         raise DimensionMismatch("this assembly is for characteristic 2")
-    rows, cols = A0.shape
-    for name, M in (("A1", A1), ("B0", B0), ("B1", B1)):
-        _check_block(M, rows, cols, name)
+    _check_shapes(A0.shape, A1=A1, B0=B0, B1=B1)
     return ExactMatrix.block(
         [
             [A0 + B0, (A1 + B1).scale(a) + B0],
@@ -131,15 +130,6 @@ class _SplitAlgebra:
         return (P + M).scale(self.half), (P - M).scale(self.half / self.r)
 
 
-class _ExtAlgebra:
-    """K[x]/(x^2 - a) for a non-square a: GF(q^2) with x = sqrt(a),
-    entries u + v x."""
-
-    def __init__(self, a):
-        ext = QuadExtField(a.field, int(a.val))
-        self.join, self.split = ext.join_matrix, ext.split_matrix
-
-
 def _doubled_span(c_gens, d_gens, a, field, rows, cols) -> list[ExactMatrix]:
     """The doubled code's words with one component generator in one slot
     and zeros elsewhere: each C generator as A0 and as A1, then each D
@@ -155,10 +145,6 @@ def _doubled_span(c_gens, d_gens, a, field, rows, cols) -> list[ExactMatrix]:
     return out
 
 
-def _flat(mats) -> list[list]:
-    return [[e for row in M.entries for e in row] for M in mats]
-
-
 def plotkin_dual_check(c_gens, d_gens, a, field, rows, cols) -> bool:
     """Whether the dual of the doubled code built from (C, D, a) equals the
     doubled code built from (C dual, D dual, 1/a), as exact subspaces of
@@ -168,23 +154,27 @@ def plotkin_dual_check(c_gens, d_gens, a, field, rows, cols) -> bool:
 
     def dual(gens):
         return [ExactMatrix(field, [v[i * cols:(i + 1) * cols] for i in range(rows)])
-                for v in dual_basis(field, _flat(gens), rows * cols)]
+                for v in dual_basis(field, flatten(gens), rows * cols)]
 
     def rank(vectors):
         return ExactMatrix(field, vectors).rank() if vectors else 0
 
-    lhs = dual_basis(field, _flat(_doubled_span(c_gens, d_gens, a, field, rows, cols)), 4 * rows * cols)
-    rhs = _flat(_doubled_span(dual(c_gens), dual(d_gens), a.inverse(), field, rows, cols))
+    lhs = dual_basis(field, flatten(_doubled_span(c_gens, d_gens, a, field, rows, cols)), 4 * rows * cols)
+    rhs = flatten(_doubled_span(dual(c_gens), dual(d_gens), a.inverse(), field, rows, cols))
     return rank(lhs) == rank(rhs) == rank(lhs + rhs)
 
 
-class PlotkinCode:
-    """Doubled code with a working decoder.
+class PlotkinCode(MatrixCode):
+    """Doubled code with a working decoder; a MatrixCode built from two.
 
-    C and D are matrix-code handles over the same prime field and shape;
-    D must decode errors and C erasures (plus their quadratic-extension
-    counterparts when a is not a square).  `radius` is the error rank the
-    pair of component decoders supports.
+    C and D are linalg.MatrixCodes over the same prime field and of the
+    same shape, so a PlotkinCode can be C or D of another.  `radius` is
+    the default error rank t of decode.  Rank-t errors whose fold keeps
+    their rank decode when t < d(C) and
+      - for a square a: t <= D's error radius;
+      - for a non-square a: 2t <= D's error radius, and d(C) means the
+        least rank of a nonzero word of C's span over GF(q^2).
+    D then decodes the fold and C the erasures of the fold's row space.
     """
 
     def __init__(self, C, D, a, radius: int = 0):
@@ -194,7 +184,7 @@ class PlotkinCode:
             raise DimensionMismatch("component codes must share their field")
         self.C = C
         self.D = D
-        self.field = C.base
+        self.field = self.base = C.base
         if self.field.p == 2:
             raise ParameterMismatch("decoding needs odd characteristic")
         self.a = self.field.coerce(a)
@@ -206,10 +196,7 @@ class PlotkinCode:
         self.radius = radius
 
     def encode(self, A0, A1, B0, B1) -> ExactMatrix:
-        for name, M in (("A0", A0), ("A1", A1)):
-            _check_block(M, self.C.rows, self.C.cols, name)
-        for name, M in (("B0", B0), ("B1", B1)):
-            _check_block(M, self.D.rows, self.D.cols, name)
+        _check_shapes((self.C.rows, self.C.cols), A0=A0)  # plotkin_encode checks the rest against A0
         return plotkin_encode(self.a, A0, A1, B0, B1)
 
     def random_codeword(self, rng) -> ExactMatrix:
@@ -224,9 +211,9 @@ class PlotkinCode:
         return _doubled_span(self.C.basis_codewords(), self.D.basis_codewords(), self.a,
                              self.field, self.C.rows, self.C.cols)
 
-    def decode(self, Y: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    def decode(self, Y: ExactMatrix, t: int | None = None) -> tuple[ExactMatrix, ExactMatrix]:
         """Recover (codeword, error) from Y = codeword + an error of rank at
-        most the radius t.
+        most t, by default the radius.
 
         Runs doubling_decode: a square a folds into GF(q) x GF(q), so D and
         C decode each factor; a non-square a folds into GF(q^2), where D and
@@ -236,7 +223,8 @@ class PlotkinCode:
         """
         if Y.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
-        t = self.radius
+        if t is None:
+            t = self.radius
         if self.field.is_square(self.a):
             algebra = _SplitAlgebra(self.field.sqrt(self.a))
 
@@ -247,7 +235,7 @@ class PlotkinCode:
             def decode_erasures(Z, support):
                 return tuple(map(self.C.decode_erasures, Z, support))
         else:
-            algebra = _ExtAlgebra(self.a)
+            algebra = QuadExtField(self.field, int(self.a.val))
 
             def decode_errors(W):
                 W_hat = self.D.decode_ext(W, t)

@@ -3,7 +3,7 @@
 import pytest
 
 from rankfold import DecodingFailure, SplitMix64
-from rankfold.errors import FieldMismatch, ParameterMismatch
+from rankfold.errors import DimensionMismatch, FieldMismatch, ParameterMismatch
 from rankfold.gabidulin import (
     GabidulinCode,
     GabidulinMatrixCode,
@@ -452,6 +452,8 @@ def test_ext_erasure_roundtrip():
     assert other.vstack(E.row_space_basis()).rank() > 2
     with pytest.raises(DecodingFailure, match="inconsistent"):
         mc.decode_erasures_ext(C + E, other)
+    with pytest.raises(DimensionMismatch):
+        mc.decode_erasures_ext((C + E).hstack(ExactMatrix.identity(ext, 8)), other)
 
 
 def test_ext_erasure_agrees_with_base_erasure_on_base_errors():

@@ -122,6 +122,9 @@ def test_extfield_modulus_and_order():
     assert G.order == 16
     with pytest.raises(ValueError):
         ExtField(23, 3, modulus=(1, 0, 0, 0))  # not monic of right shape
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            ExtField(23, m)
 
 
 def test_extfield_arithmetic_axioms():
