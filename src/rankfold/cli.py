@@ -170,8 +170,9 @@ def cmd_rm_roundtrip(args) -> int:
         return 1
     if not _campaign_args_ok(args):
         return 1
-    if args.bound < 0:
-        print("error: need --bound >= 0", file=sys.stderr)
+    least = 1 if args.r <= args.m - 2 else 0  # t > 0 needs a nonzero factor
+    if args.bound < least:
+        print("error: need --bound >= 1 when r <= m - 2" if least else "error: need --bound >= 0", file=sys.stderr)
         return 1
     header = {"schema": SCHEMA, "command": "rm-roundtrip"}
     t0 = time.perf_counter()

@@ -25,7 +25,8 @@ coordinate i ^ j over dx * dy * D.  Inverses use the norm recursion
 generator, through the same kernel.  Every result is divided by the gcd
 of its integers.  Python ints are unbounded, so no kernel needs an
 overflow bound.  Elements are immutable, so they can be shared freely
-between threads and processes.
+between threads and processes.  A tower is the fold algebra of plotkin
+over its subtower: join(U, V) = U + alpha_m V on matrices, and split.
 
 Elimination.  MultiquadraticField.eliminate is the hook through which
 linalg.ExactMatrix.rref reduces matrices over a tower.  It runs
@@ -65,7 +66,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
-from .gf import is_prime, sqrt_mod
+from .gf import _field_pow, is_prime, sqrt_mod
+from .linalg import ExactMatrix
 
 Rational = Fraction
 
@@ -458,6 +460,25 @@ class MultiquadraticField:
             sub = self._subfields[height] = mq_field(self.gens[:height])
         return sub
 
+    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
+        """The matrix U + alpha_m V from two matrices over the subtower;
+        with split, the algebra sub[x]/(x^2 - a_m) of plotkin_fold and
+        doubling_decode.  Entry by entry it is MQElement.join."""
+        sub = self.subfield(self.m - 1)  # Q itself when m = 0: MQElement.join refuses that
+        if U.field != sub or V.field != sub:
+            raise FieldMismatch("join parts must live in the subtower")
+        rows = tuple(tuple(MQElement.join(self, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
+        return ExactMatrix(self, rows, _raw=True)
+
+    def split(self, W: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        """(U, V) with W = U + alpha_m V, both over the subtower; inverse
+        of join.  Entry by entry it is MQElement.split."""
+        if W.field != self:
+            raise FieldMismatch(f"expected a matrix over {self}")
+        parts = [[e.split() for e in row] for row in W.entries]
+        sub = self.subfield(self.m - 1)
+        return tuple(ExactMatrix(sub, tuple(tuple(p[i] for p in row) for row in parts), _raw=True) for i in (0, 1))
+
     def basis_label(self, j: int) -> str:
         parts = [f"r{i + 1}" for i in range(self.m) if j >> i & 1]
         return "*".join(parts) if parts else "1"
@@ -569,17 +590,7 @@ class MQElement:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    __pow__ = _field_pow
 
     def __eq__(self, other):
         if not isinstance(other, MQElement):

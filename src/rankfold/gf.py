@@ -326,7 +326,7 @@ def _power(x, k: int, one, mul=operator.mul):
 
 
 def _field_pow(x, k: int):
-    """x^k in GF(p^2) or GF(p^m); a negative k inverts first."""
+    """x^k in GF(p^2), GF(p^m) or a multiquadratic tower; a negative k inverts first."""
     if k < 0:
         return x.inverse() ** (-k)
     return _power(x, k, x.field.one)

@@ -17,7 +17,9 @@ serves the plain rationals (QQ) and is the tests' reference for the
 hooks.  The reduced row echelon form is unique, so every path gives the
 same result.
 
-Matrices are immutable; all operations return fresh objects.
+Matrices are immutable; all operations return fresh objects.  _syndrome
+is the one row product that skips zero entries: matrix products, the
+syndromes of matrix codes and RMCode.naive_syndrome all go through it.
 
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
@@ -114,20 +116,9 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
+        cols = tuple(zip(*other.entries))
         zero = self.field.zero
-        out = []
-        for row in self.entries:
-            nz = [(k, a) for k, a in enumerate(row) if a]
-            acc_row = []
-            for j in range(other.cols):
-                acc = zero
-                for k, a in nz:
-                    b = other.entries[k][j]
-                    if b:
-                        acc = acc + a * b
-                acc_row.append(acc)
-            out.append(tuple(acc_row))
-        return ExactMatrix(self.field, tuple(out), _raw=True)
+        return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.entries else (), _raw=True)
@@ -357,6 +348,11 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
         raise DecodingFailure(f"erasure system inconsistent: {exc}") from exc
     except NotUnique as exc:
         raise DecodingFailure("erasure support hides a codeword") from exc
+    return _peel(y, x, generators)
+
+
+def _peel(y: Sequence, x: Sequence, generators: Sequence[Sequence]) -> list:
+    """y - sum_k x_k g_k, skipping zero entries."""
     out = list(y)
     for xk, g in zip(x, generators):
         if xk:

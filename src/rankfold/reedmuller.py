@@ -20,9 +20,10 @@ structure for codewords,
 with A-blocks of order r and B-blocks of order r-1 one level down the
 tower, and matching block recursions for generator and parity-check
 matrices.  This is the doubled-code shape of plotkin.py, so the decoder
-is plotkin.doubling_decode over the tower algebra base(sqrt(a_m)): the
-fold hands the B-part to the order r-1 code one level down (recursively)
-and the A-part comes back from erasure decoding in the order r code one
+is plotkin.doubling_decode whose algebra is the tower base(sqrt(a_m)),
+the subcode's base field, through its matrix join and split: the fold
+hands the B-part to the order r-1 code one level down (recursively) and
+the A-part comes back from erasure decoding in the order r code one
 level down.  Folding never increases the error rank; decoding succeeds
 whenever every iterated fold of the error keeps its rank, and every
 failure of that assumption is caught after the fact by rank checks, so
@@ -55,9 +56,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import modmat
-from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, RankfoldError
+from .errors import (DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch,
+                     RankfoldError)
 from .exactfield import MQElement, MultiquadraticField, crt_extend, integer_coords, mq_field, rational_reconstruction
-from .linalg import ExactMatrix, solve_erasures
+from .linalg import ExactMatrix, _peel, _syndrome, solve_erasures
 from .plotkin import doubling_decode, plotkin_fold
 
 # RMCode.sample_error draws this many candidates before giving up
@@ -261,28 +263,20 @@ class RMCode:
     # -- syndromes --------------------------------------------------------------------
 
     def _coerce_vector(self, y: Sequence) -> list:
+        """y over the tower (entries of a subtower embedded), of the code's length."""
         out = []
         for v in y:
             if isinstance(v, MQElement) and v.field != self.field:
                 v = v.embed(self.field)
             out.append(self.field.coerce(v))
+        if len(out) != self.size:
+            raise LengthMismatch(f"need {self.size} entries, got {len(out)}")
         return out
 
     def naive_syndrome(self, y: Sequence) -> list:
         """Parity-check times vector, as a plain matrix product."""
         y = self._coerce_vector(y)
-        if len(y) != self.size:
-            raise LengthMismatch(f"need {self.size} entries, got {len(y)}")
-        H = self.parity_check_matrix()
-        zero = self.field.zero
-        out = []
-        for row in H.entries:
-            acc = zero
-            for h, v in zip(row, y):
-                if h and v:
-                    acc = acc + h * v
-            out.append(acc)
-        return out
+        return _syndrome(self.parity_check_matrix().entries, y, self.field.zero)
 
     def fast_syndrome(self, y: Sequence) -> list:
         """Parity-check times vector through the two-half recursion.
@@ -295,8 +289,6 @@ class RMCode:
         element instead of a general tower product.
         """
         y = self._coerce_vector(y)
-        if len(y) != self.size:
-            raise LengthMismatch(f"need {self.size} entries, got {len(y)}")
         gens_idx = self._code_gens
         field = self.field
         memo: dict = {}
@@ -329,8 +321,8 @@ class RMCode:
     # -- folding ------------------------------------------------------------------------
 
     def fold(self, Y: ExactMatrix) -> ExactMatrix:
-        """One folding step: plotkin_fold over base(alpha), where alpha is
-        the square root of the last code direction.
+        """One folding step: plotkin_fold over base(alpha), the subcode's
+        base field, where alpha is the square root of the last code direction.
 
         Codeword A-blocks cancel, and the result is (2/alpha) B0 + 2 B1
         plus the folded error, half the size, over the base extended by
@@ -339,7 +331,7 @@ class RMCode:
         self._check_received(Y)
         if self.m == 0:
             raise DimensionMismatch("cannot fold a height-zero code")
-        return plotkin_fold(Y, self.field.gens[-1], _Tower(self).join)
+        return plotkin_fold(Y, self.field.gens[-1], self.subcode().base_field.join)
 
     def folds_preserve_rank(self, E: ExactMatrix, rank: Optional[int] = None) -> bool:
         """True if every iterated fold of E down to the decoder's recursion
@@ -358,23 +350,20 @@ class RMCode:
     def sample_error(self, rng, bound: int = 50) -> ExactMatrix:
         """Random error of rank exactly t with fold-stable rank.
 
-        Built as X Z with integer entries in [0, bound]; resampled until
-        the rank is exactly t and every iterated fold the decoder will
-        perform preserves it.
+        Built as the integer product X Z of factors with entries in
+        [0, bound] (refused below 1 when t > 0); resampled until the rank
+        is exactly t and every iterated fold the decoder will perform
+        preserves it.
         """
         t = self.t if 0 <= self.r < self.m else 0
         if t == 0:
             return ExactMatrix.zeros(self.base_field, self.size, self.size)
+        if bound < 1:
+            raise ParameterMismatch(f"a rank-{t} error needs bound >= 1, got {bound}")
         for _ in range(_SAMPLE_ATTEMPTS):
-            X = ExactMatrix(
-                self.base_field,
-                [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)],
-            )
-            Z = ExactMatrix(
-                self.base_field,
-                [[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)],
-            )
-            E = X @ Z
+            X = [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)]
+            Z = list(zip(*[[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)]))
+            E = ExactMatrix(self.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
             if E.rank() != t:
                 continue
             if self.folds_preserve_rank(E, t):
@@ -402,8 +391,6 @@ class RMCode:
         the system is inconsistent or ambiguous.
         """
         y = self._coerce_vector(y)
-        if len(y) != self.size:
-            raise LengthMismatch(f"need {self.size} entries, got {len(y)}")
         if support.rows and support.cols != self.size:
             raise DimensionMismatch("support width must match the code length")
         rows = [self._coerce_vector(row) for row in support.entries]
@@ -448,12 +435,7 @@ class RMCode:
         x = self._embedded_solution(y, rows)
         if x is None:
             return None
-        c = list(y)
-        for xk, g in zip(x, rows):
-            if xk:
-                for j, gj in enumerate(g):
-                    if gj:
-                        c[j] = c[j] - xk * gj
+        c = _peel(y, x, rows)
         return None if any(self.fast_syndrome(c)) else c
 
     def _embedded_solution(self, y: list, rows: list) -> Optional[list]:
@@ -543,29 +525,8 @@ class RMCode:
         def decode_erasures(Z, support):
             return ecode.matrix_from_vector(ecode.erasure_decode(ecode.vector_from_matrix(Z), support))
 
-        return doubling_decode(Y, self.fold(Y), self.field.gens[-1], _Tower(self), decode_errors, decode_erasures)
+        return doubling_decode(Y, self.fold(Y), self.field.gens[-1], sub.base_field, decode_errors, decode_erasures)
 
     def __repr__(self):
         return f"RMCode(order={self.r}, height={self.m}, tower={self.field!r})"
 
-
-class _Tower:
-    """The base extended by alpha = sqrt(a), the code's last direction,
-    as base[x]/(x^2 - a): matrices over it have entries u + v alpha."""
-
-    def __init__(self, code: RMCode):
-        self.code = code
-        gens = code.field.gens
-        self.field = mq_field(gens[: code.base_height] + (gens[-1],))
-
-    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
-        f = self.field
-        rows = tuple(
-            tuple(MQElement.join(f, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries)
-        )
-        return ExactMatrix(f, rows, _raw=True)
-
-    def split(self, W: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-        parts = [[e.split() for e in row] for row in W.entries]
-        base = self.code.base_field
-        return tuple(ExactMatrix(base, tuple(tuple(p[i] for p in row) for row in parts), _raw=True) for i in (0, 1))

@@ -200,6 +200,8 @@ PK_ARGS = ["plotkin-roundtrip", "--q", "5", "--m", "4", "--k1", "3", "--k2", "2"
     PK_ARGS + ["--trials", "-2", "--jobs", "1"],
     ["plotkin-roundtrip", "--q", "23", "--m", "0", "--k1", "0", "--k2", "0", "--jobs", "1"],
     RM_ARGS + ["--bound", "-1", "--jobs", "1"],
+    RM_ARGS + ["--bound", "0", "--trials", "1", "--jobs", "1"],
+    ["rm-roundtrip", "--m", "4", "--r", "2", "--bound", "0", "--trials", "1", "--jobs", "1"],
 ])
 def test_campaign_bad_counts_are_error_lines(capsys, argv):
     code = cli.main(argv)

@@ -14,6 +14,7 @@ from rankfold.exactfield import (
     rational_reconstruction,
 )
 from rankfold.gf import is_prime, sqrt_mod
+from rankfold.linalg import ExactMatrix
 from rankfold.serial import field_from_json
 
 
@@ -162,6 +163,28 @@ def test_split_join_roundtrip():
         mq_field(()).one.split()
     with pytest.raises(FieldMismatch):
         MQElement.join(L, x0, L.one)
+    # the matrix join and split: the tower as the fold algebra of its subtower
+    rng = SplitMix64(16)
+    for h in (1, 2, 3):
+        T = mq_field((2, 3, 5)[:h])
+        sub = T.subfield(h - 1)
+        U, V = (ExactMatrix(sub, [[sub.random_element(rng, 9) for _ in range(3)] for _ in range(2)]) for _ in "UV")
+        W = T.join(U, V)
+        assert W.field == T and W.shape == (2, 3)
+        assert W == U.map_entries(lambda e: e.embed(T), T) + V.map_entries(lambda e: e.embed(T) * T.alpha(h), T)
+        assert T.split(W) == (U, V)
+        with pytest.raises(FieldMismatch):
+            T.join(W, W)
+        with pytest.raises(FieldMismatch):
+            T.join(U, ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+        with pytest.raises(FieldMismatch):
+            T.split(U)
+    Q = mq_field(())
+    M = ExactMatrix(Q, [[1, 2], [3, 4]])
+    with pytest.raises(TowerHeightZero):
+        Q.join(M, M)
+    with pytest.raises(TowerHeightZero):
+        Q.split(M)
 
 
 def test_blocks_over_roundtrip():

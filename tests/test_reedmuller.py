@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankfold import DecodingFailure, NoSolution, NotUnique, SplitMix64, modmat, mq_field, reedmuller
 from rankfold.linalg import ExactMatrix, solve_erasures
@@ -587,6 +588,77 @@ def test_error_sampler_contract():
         assert code.folds_preserve_rank(E)
     # t = 0 orders give the zero matrix
     assert RMCode(tower(3), 2).sample_error(rng, 9).is_zero()
+
+
+# -- soundness over arbitrary received words ---------------------------------------
+
+SOUND_CODES = [pytest.param(m, r, id=f"m{m}-r{r}") for m in (2, 3) for r in range(m)]
+
+
+def small_ints(data, rows, cols, label):
+    cell = st.integers(-3, 3)
+    return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows), label=label)
+
+
+@pytest.mark.parametrize("m, r", SOUND_CODES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decode_is_sound_on_arbitrary_errors(m, r, data):
+    """For Y = C + E with E = X Z of any rank (up to the full size), some
+    rows of X and columns of Z zeroed, decode either reports failure or
+    returns C' + E' = Y with C' in the code (zero naive syndrome) and
+    rank E' <= t; when rank E <= t and every fold keeps it, C' is C."""
+    code = RMCode(tower(m), r)
+    n, K = code.size, code.base_field
+    rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    C = code.encode(code.random_message(rng, 5))
+    k = data.draw(st.one_of(st.integers(0, code.t + 1), st.integers(0, n)), label="inner dimension")
+    zero_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero rows")
+    zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero columns")
+    X = [[0 if i in zero_rows else e for e in row] for i, row in enumerate(small_ints(data, n, k, "X"))]
+    Z = [[0 if j in zero_cols else e for j, e in enumerate(row)] for row in small_ints(data, k, n, "Z")]
+    E = ExactMatrix(K, X) @ ExactMatrix(K, Z) if k else ExactMatrix.zeros(K, n, n)
+    rep = code.decode(C + E)
+    if rep.success:
+        assert rep.codeword + rep.recovered_error == C + E
+        assert not any(code.naive_syndrome(code.vector_from_matrix(rep.codeword)))
+        assert rep.recovered_error.rank() <= code.t
+    rank = E.rank()
+    if rank <= code.t and code.folds_preserve_rank(E, rank):
+        assert rep.success and rep.codeword == C
+
+
+@pytest.mark.parametrize("m, r", SOUND_CODES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_erasure_decode_is_sound_on_arbitrary_words(m, r, data):
+    """erasure_decode either raises DecodingFailure or returns c with zero
+    syndrome and the rows of y - c in the support's row space; whenever the
+    embedded solve answers, solve_erasures gives the same word.  Words are
+    arbitrary, or a codeword plus tower multiples of the support rows."""
+    code = RMCode(tower(m), r)
+    n, L = code.size, code.field
+    k = data.draw(st.one_of(st.integers(0, code.min_rank - 1), st.integers(0, n)), label="support rows")
+    support = ExactMatrix(code.base_field, small_ints(data, k, n, "support"))
+    if data.draw(st.booleans(), label="near the code"):
+        rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+        y = code.vector_from_matrix(code.encode(code.random_message(rng, 5)))
+        for g in support.entries:
+            xk = L.random_element(rng, 5)
+            y = [yj + xk * gj.embed(L) for yj, gj in zip(y, g)]
+    else:
+        y = [L.element(coords) for coords in small_ints(data, n, L.dim, "word")]
+    fast, y, rows = fast_and_rows(code, y, support) if k else (None, y, [])
+    if fast is not None:
+        assert fast == exact_outcome(code, y, rows)
+    try:
+        c = code.erasure_decode(y, support)
+    except DecodingFailure:
+        assert fast is None
+        return
+    assert not any(code.naive_syndrome(c))
+    D = code.matrix_from_vector([a - b for a, b in zip(y, c)])
+    assert ExactMatrix(code.base_field, support.rows_list() + D.rows_list()).rank() == support.rank()
 
 
 # -- minimum distance sampling ---------------------------------------------------
