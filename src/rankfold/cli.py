@@ -37,7 +37,7 @@ from .plotkin import (
     plotkin_dual_check,
     plotkin_encode,
 )
-from .reedmuller import RMCode
+from .reedmuller import DecodeReport, RMCode
 from .rng import SplitMix64, derive_seed
 
 SCHEMA = 1
@@ -49,17 +49,20 @@ def standard_tower(m: int):
     return mq_field(TOWER_PRIMES[:m])
 
 
-def _emit(lines, out_path=None) -> int:
-    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    sys.stdout.write(text)
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return 2
+def _write(path, lines) -> int:
+    """Write `lines` as JSON lines to `path`: 0, or 2 after an error line."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
     return 0
+
+
+def _emit(lines, out_path=None) -> int:
+    sys.stdout.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    return _write(out_path, lines) if out_path else 0
 
 
 def _campaign_args_ok(args) -> bool:
@@ -72,8 +75,8 @@ def _campaign_args_ok(args) -> bool:
 
 def _summary(trial_lines) -> dict:
     """Counts of exact successes, failures and verified-but-wrong answers."""
-    successes = sum(1 for l in trial_lines if l["success"] and l.get("exact", True))
-    wrong = sum(1 for l in trial_lines if l["success"] and not l.get("exact", True))
+    successes = sum(1 for l in trial_lines if l["success"] and l["exact"])
+    wrong = sum(1 for l in trial_lines if l["success"] and not l["exact"])
     return {
         "successes": successes,
         "failures": len(trial_lines) - successes - wrong,
@@ -82,43 +85,62 @@ def _summary(trial_lines) -> dict:
     }
 
 
-def _run_trials(init, initargs, trial, indices, jobs):
+def _report(header, trial_lines, summary, elapsed, out_path) -> int:
+    """Emit a campaign: header, trial lines, summary and timings."""
+    timings = {"total_s": elapsed, "mean_trial_s": elapsed / max(1, len(trial_lines))}
+    return _emit([header, *trial_lines, summary, {"timings": timings}], out_path)
+
+
+def _verdict(line: dict, code, C: ExactMatrix, E: ExactMatrix) -> dict:
+    """`line` with the outcome of decoding Y = C + E: success and, on a
+    success, exact when (C', E') == (C, E); on a failure, its reason."""
+    try:
+        got = code.decode(C + E)
+        if isinstance(got, DecodeReport):  # RMCode reports a failure instead of raising
+            if not got.success:
+                raise DecodingFailure(got.reason)
+            got = got.codeword, got.recovered_error
+    except DecodingFailure as exc:
+        return dict(line, success=False, reason=str(exc))
+    return dict(line, success=True, exact=got == (C, E))
+
+
+# Per-process campaign state: the code, the seed and the campaign's options.
+_STATE: dict = {}
+
+
+def _init(make_code, code_args, state):
+    _STATE.update(state, code=make_code(*code_args))
+
+
+def _run_trials(trial, trials, jobs, *initargs):
+    """trial(i) for i < trials, in order, on at most `trials` worker
+    processes, serially when that is at most one."""
+    jobs = min(jobs, trials)
     if jobs <= 1:
-        init(*initargs)
-        return [trial(i) for i in indices]
-    with Pool(jobs, initializer=init, initargs=initargs) as pool:
-        return pool.map(trial, indices)
+        _init(*initargs)
+        return [trial(i) for i in range(trials)]
+    with Pool(jobs, initializer=_init, initargs=initargs) as pool:
+        return pool.map(trial, range(trials))
 
 
 # -- rm-roundtrip ----------------------------------------------------------------
 
-_RM_STATE: dict = {}
 
-
-def _rm_init(m, r, seed, bound, dump):
-    _RM_STATE["code"] = RMCode(standard_tower(m), r)
-    _RM_STATE["seed"] = seed
-    _RM_STATE["bound"] = bound
-    _RM_STATE["dump"] = dump
+def _rm_code(m, r):
+    return RMCode(standard_tower(m), r)
 
 
 def _rm_trial(index):
-    code = _RM_STATE["code"]
-    rng = SplitMix64(derive_seed(_RM_STATE["seed"], index))
+    code, rng = _STATE["code"], SplitMix64(derive_seed(_STATE["seed"], index))
     message = code.random_message(rng)
     C = code.encode(message)
     try:
-        E = code.sample_error(rng, bound=_RM_STATE["bound"])
+        E = code.sample_error(rng, bound=_STATE["bound"])
     except RankfoldError as exc:
         return {"trial": index, "success": False, "reason": f"sampler: {exc}"}, None
-    report = code.decode(C + E)
-    line = {"trial": index, "success": bool(report.success)}
-    if report.success:
-        line["exact"] = report.codeword == C and report.recovered_error == E
-    else:
-        line["reason"] = report.reason
     fixture = None
-    if _RM_STATE["dump"]:
+    if _STATE["dump"]:
         fixture = {
             "field": code.field.to_json(),
             "r": code.r,
@@ -127,7 +149,7 @@ def _rm_trial(index):
             "error": E.to_json(),
             "expected": C.to_json(),
         }
-    return line, fixture
+    return _verdict({"trial": index}, code, C, E), fixture
 
 
 def _rm_replay(path):
@@ -146,21 +168,16 @@ def _rm_replay(path):
                 code = RMCode(field, int(rec["r"]))
                 message = [field.element_from_json(x) for x in rec["message"]]
                 C = ExactMatrix.from_json(rec["expected"], code.base_field)
-                Y = C + ExactMatrix.from_json(rec["error"], code.base_field)
+                E = ExactMatrix.from_json(rec["error"], code.base_field)
+                C._same_shape(E)  # so that Y = C + E exists
                 encodes = code.encode(message) == C
             except (KeyError, TypeError, RankfoldError) as exc:
                 raise ValueError(f"record {index}: {exc!r}") from exc
             line = {"trial": index, "m": code.m, "r": code.r}
             if not encodes:
                 lines.append(dict(line, success=False, reason="fixture: message does not encode to expected"))
-                continue
-            report = code.decode(Y)
-            line["success"] = bool(report.success)
-            if report.success:
-                line["exact"] = report.codeword == C
             else:
-                line["reason"] = report.reason
-            lines.append(line)
+                lines.append(_verdict(line, code, C, E))
     return lines
 
 
@@ -191,61 +208,35 @@ def cmd_rm_roundtrip(args) -> int:
         header["fixtures"] = os.path.basename(args.fixtures)
     else:
         header.update(m=args.m, r=args.r, trials=args.trials, bound=args.bound, seed=args.seed)
-        results = _run_trials(
-            _rm_init,
-            (args.m, args.r, args.seed, args.bound, bool(args.dump_fixtures)),
-            _rm_trial,
-            range(args.trials),
-            args.jobs,
-        )
+        state = {"seed": args.seed, "bound": args.bound, "dump": bool(args.dump_fixtures)}
+        results = _run_trials(_rm_trial, args.trials, args.jobs, _rm_code, (args.m, args.r), state)
         trial_lines = [line for line, _ in results]
         fixtures = [fx for _, fx in results if fx is not None]
     elapsed = time.perf_counter() - t0
-    summary = _summary(trial_lines)
-    lines = [header] + trial_lines + [summary]
-    lines.append({"timings": {"total_s": elapsed, "mean_trial_s": elapsed / max(1, len(trial_lines))}})
-    if args.dump_fixtures:
-        try:
-            with open(args.dump_fixtures, "w") as fh:
-                for fx in fixtures:
-                    fh.write(json.dumps(fx, sort_keys=True) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.dump_fixtures}: {exc}", file=sys.stderr)
-            return 2
-    rc = _emit(lines, args.out)
-    if rc:
+    if args.dump_fixtures and (rc := _write(args.dump_fixtures, fixtures)):
         return rc
+    summary = _summary(trial_lines)
     # every trial is expected to round-trip under the sampled error model
-    return 0 if summary["successes"] == len(trial_lines) else 1
+    rc = _report(header, trial_lines, summary, elapsed, args.out)
+    return rc or (0 if summary["successes"] == len(trial_lines) else 1)
 
 
 # -- plotkin-roundtrip ------------------------------------------------------------
 
-_PK_STATE: dict = {}
-
-
-def _pk_init(q, m, k1, k2, a, seed):
-    _PK_STATE["code"] = gabidulin_plotkin(q, m, k1, k2, a)
-    _PK_STATE["seed"] = seed
-
 
 def _pk_trial(index):
-    code = _PK_STATE["code"]
-    rng = SplitMix64(derive_seed(_PK_STATE["seed"], index))
+    code, rng = _STATE["code"], SplitMix64(derive_seed(_STATE["seed"], index))
     C = code.random_codeword(rng)
     E = random_rank_matrix(code.field, rng, code.rows, code.cols, code.radius)
-    try:
-        C_hat, _ = code.decode(C + E)
-    except DecodingFailure as exc:
-        return {"trial": index, "success": False, "reason": str(exc)}
-    return {"trial": index, "success": True, "exact": C_hat == C}
+    return _verdict({"trial": index}, code, C, E)
 
 
 def cmd_plotkin_roundtrip(args) -> int:
     if not _campaign_args_ok(args):
         return 1
+    code_args = (args.q, args.m, args.k1, args.k2, args.a)
     try:
-        code = gabidulin_plotkin(args.q, args.m, args.k1, args.k2, args.a)
+        code = gabidulin_plotkin(*code_args)
     except (RankfoldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -264,25 +255,15 @@ def cmd_plotkin_roundtrip(args) -> int:
         "seed": args.seed,
     }
     t0 = time.perf_counter()
-    trial_lines = _run_trials(
-        _pk_init,
-        (args.q, args.m, args.k1, args.k2, args.a, args.seed),
-        _pk_trial,
-        range(args.trials),
-        args.jobs,
-    )
+    trial_lines = _run_trials(_pk_trial, args.trials, args.jobs, gabidulin_plotkin, code_args, {"seed": args.seed})
     elapsed = time.perf_counter() - t0
     summary = _summary(trial_lines)
     summary["success_rate"] = summary["successes"] / args.trials if args.trials else 1.0
     summary["paper_bound"] = fold_drop_bound(args.q, args.m, t, code.field.is_square(code.a))
-    lines = [header] + trial_lines + [summary]
-    lines.append({"timings": {"total_s": elapsed, "mean_trial_s": elapsed / max(1, args.trials)}})
-    rc = _emit(lines, args.out)
-    if rc:
-        return rc
     # failures here are statistically expected (fold rank drops); only a
     # verified-but-different answer is a soundness violation
-    return 0 if summary["wrong"] == 0 else 1
+    rc = _report(header, trial_lines, summary, elapsed, args.out)
+    return rc or (0 if summary["wrong"] == 0 else 1)
 
 
 # -- fold-prob ----------------------------------------------------------------------

@@ -66,7 +66,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
-from .gf import _field_pow, is_prime, sqrt_mod
+from .gf import _FieldElement, is_prime, sqrt_mod
 from .linalg import ExactMatrix
 
 Rational = Fraction
@@ -509,7 +509,7 @@ class MultiquadraticField:
         return f"Q(sqrt: {inside})" if inside else "Q"
 
 
-class MQElement:
+class MQElement(_FieldElement):
     """Element of a multiquadratic tower, num / den in canonical form (see
     the module docstring); immutable."""
 
@@ -552,9 +552,6 @@ class MQElement:
     def __sub__(self, other):
         return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return MQElement(self.field, tuple(-u for u in self.num), self.den)
 
@@ -586,11 +583,6 @@ class MQElement:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    __pow__ = _field_pow
 
     def __eq__(self, other):
         if not isinstance(other, MQElement):

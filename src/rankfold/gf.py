@@ -12,7 +12,10 @@ lists: _pmul (product), _psub (difference), _pdivmod (division with
 remainder) and _ppowmod (power mod f).  Reducing mod f (ExtField.element),
 multiplication, inversion by extended Euclid, the Frobenius table and
 the modulus check all run on these four, and one square-and-multiply
-(_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).
+(_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).  The
+element types here and the tower's (exactfield) share one base,
+_FieldElement, which derives c - x, c / x and x ** k from their own
+negation, inverse and products.
 
 Frobenius x -> x^(p^i) is GF(p)-linear.  ExtField builds once, on the
 instance, the (m, m, m) table F with F[i, j] = (x^j)^(p^i) mod f, so the
@@ -234,7 +237,40 @@ class PrimeField(_PolyQuotient):
         return f"GF({self.p})"
 
 
-class PrimeElement:
+def _power(x, k: int, one, mul=operator.mul):
+    """x^k for k >= 0 by square and multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return out
+
+
+def _field_pow(x, k: int):
+    """x^k in GF(p^2), GF(p^m) or a multiquadratic tower; a negative k inverts first."""
+    if k < 0:
+        return x.inverse() ** (-k)
+    return _power(x, k, x.field.one)
+
+
+class _FieldElement:
+    """The operators an element type derives from its own +, -, *, negation
+    and inverse: c - x, c / x for a scalar c, and x ** k by _field_pow."""
+
+    __slots__ = ()
+
+    def __rsub__(self, x):
+        return (-self) + x
+
+    def __rtruediv__(self, x):
+        return self.inverse() * x
+
+    __pow__ = _field_pow
+
+
+class PrimeElement(_FieldElement):
     __slots__ = ("field", "val")
 
     def __init__(self, field: PrimeField, val: int):
@@ -264,9 +300,6 @@ class PrimeElement:
             return NotImplemented
         return PrimeElement(self.field, (self.val - v) % self.field.p)
 
-    def __rsub__(self, x):
-        return (-self) + x
-
     def __neg__(self):
         return PrimeElement(self.field, -self.val % self.field.p)
 
@@ -291,9 +324,6 @@ class PrimeElement:
             raise ZeroDivisionError("division by zero")
         return PrimeElement(self.field, self.val * pow(v, -1, self.field.p) % self.field.p)
 
-    def __rtruediv__(self, x):
-        return self.inverse() * x
-
     def __pow__(self, n: int):
         return PrimeElement(self.field, pow(self.val, n, self.field.p))
 
@@ -312,24 +342,6 @@ class PrimeElement:
 
     def __repr__(self):
         return str(self.val)
-
-
-def _power(x, k: int, one, mul=operator.mul):
-    """x^k for k >= 0 by square and multiply."""
-    out = one
-    while k:
-        if k & 1:
-            out = mul(out, x)
-        x = mul(x, x)
-        k >>= 1
-    return out
-
-
-def _field_pow(x, k: int):
-    """x^k in GF(p^2), GF(p^m) or a multiquadratic tower; a negative k inverts first."""
-    if k < 0:
-        return x.inverse() ** (-k)
-    return _power(x, k, x.field.one)
 
 
 class QuadExtField(_PolyQuotient):
@@ -415,7 +427,7 @@ class QuadExtField(_PolyQuotient):
         return f"GF({self.p}^2|s^2={self.n})"
 
 
-class QuadExtElement:
+class QuadExtElement(_FieldElement):
     __slots__ = ("field", "u", "v")
 
     def __init__(self, field: QuadExtField, u: int, v: int):
@@ -449,9 +461,6 @@ class QuadExtElement:
             return NotImplemented
         p = self.field.p
         return QuadExtElement(self.field, (self.u - pair[0]) % p, (self.v - pair[1]) % p)
-
-    def __rsub__(self, x):
-        return (-self) + x
 
     def __neg__(self):
         p = self.field.p
@@ -489,10 +498,10 @@ class QuadExtElement:
             return NotImplemented
         return self * QuadExtElement(self.field, *pair).inverse()
 
-    def __rtruediv__(self, x):
-        return self.inverse() * x
-
-    __pow__ = _field_pow
+    # Bound in this class too, for tools that patch its own names.
+    __rsub__ = _FieldElement.__rsub__
+    __rtruediv__ = _FieldElement.__rtruediv__
+    __pow__ = _FieldElement.__pow__
 
     def __eq__(self, other):
         if isinstance(other, QuadExtElement):
@@ -704,7 +713,7 @@ class ExtField(_PolyQuotient):
         return f"GF({self.p}^{self.m})"
 
 
-class ExtElement:
+class ExtElement(_FieldElement):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: ExtField, coeffs: tuple):
@@ -735,9 +744,6 @@ class ExtElement:
             return NotImplemented
         p = self.field.p
         return ExtElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, x):
-        return (-self) + x
 
     def __neg__(self):
         p = self.field.p
@@ -771,11 +777,6 @@ class ExtElement:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, x):
-        return self.inverse() * x
-
-    __pow__ = _field_pow
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):

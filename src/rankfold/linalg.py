@@ -315,10 +315,10 @@ def random_rank_matrix(field, rng, rows, cols, rank) -> ExactMatrix:
     """Random matrix of rank exactly `rank`, as a product of full-rank
     factors (resampled until both are), so row and column spaces are
     uniform subspaces of the right dimension."""
+    if not 0 <= rank <= min(rows, cols):
+        raise DimensionMismatch(f"rank {rank} impossible for {rows}x{cols}")
     if rank == 0:
         return ExactMatrix.zeros(field, rows, cols)
-    if rank > min(rows, cols):
-        raise DimensionMismatch(f"rank {rank} impossible for {rows}x{cols}")
     while True:
         X = ExactMatrix(field, [[field.random_element(rng) for _ in range(rank)] for _ in range(rows)])
         Z = ExactMatrix(field, [[field.random_element(rng) for _ in range(cols)] for _ in range(rank)])

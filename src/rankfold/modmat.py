@@ -222,6 +222,8 @@ def sample_rank_factors(rng: np.random.Generator, p: int, count: int,
     X Z are uniform t-dimensional subspaces.  Needs poly_fits_int64(p, 1).
     plotkin's fold experiment ranks P = X0 + b X1 and Q = b Z0 + Z1, the
     factors of the fold P Q of X Z, within the rank kernels' own bounds."""
+    if not 0 <= t <= min(rows, cols):
+        raise ValueError(f"rank {t} impossible for {rows}x{cols}")
     X = rng.integers(0, p, size=(count, rows, t)).astype(np.int64)
     Z = rng.integers(0, p, size=(count, t, cols)).astype(np.int64)
     while True:

@@ -308,3 +308,38 @@ def test_parallel_jobs_match_serial(capsys):
     _, lines_s = run_main(serial, capsys)
     _, lines_p = run_main(parallel, capsys)
     assert drop_timings(lines_s) == drop_timings(lines_p)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for and
+    runs the initializer and the map in this process."""
+
+    def __init__(self, sizes, processes, initializer, initargs):
+        sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+PK3 = ["plotkin-roundtrip", "--q", "3", "--m", "4", "--k1", "3", "--k2", "2", "--seed", "11"]
+RM3 = ["rm-roundtrip", "--m", "3", "--r", "1", "--seed", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, trials, jobs, sizes",
+    [(RM3, 0, 4, []), (PK3, 1, 8, []), (RM3, 3, 8, [3]), (PK3, 3, 2, [2])],
+)
+def test_campaign_starts_at_most_one_worker_per_trial(capsys, monkeypatch, argv, trials, jobs, sizes):
+    _, serial = run_main(argv + ["--trials", str(trials), "--jobs", "1"], capsys)
+    asked = []
+    monkeypatch.setattr(cli, "Pool", lambda n, **kw: _RecordingPool(asked, n, **kw))
+    _, lines = run_main(argv + ["--trials", str(trials), "--jobs", str(jobs)], capsys)
+    assert asked == sizes
+    assert drop_timings(lines) == drop_timings(serial)

@@ -1,9 +1,11 @@
 """Prime fields, quadratic extensions, GF(p^m), and coordinate expansion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from rankfold import FieldMismatch, NotASquare, SingularBasis, SplitMix64
+from rankfold import FieldMismatch, MultiquadraticField, NotASquare, SingularBasis, SplitMix64, mq_field
 from rankfold.gf import (
     ExtField,
     PrimeField,
@@ -152,6 +154,24 @@ def test_frobenius():
         assert F.frobenius(x + y, 3) == F.frobenius(x, 3) + F.frobenius(y, 3)
         assert F.frobenius(x, 8) == x  # full orbit
         assert F.frobenius(F.frobenius(x, 2), 3) == F.frobenius(x, 5)
+
+
+@pytest.mark.parametrize(
+    "F, c",
+    [(PrimeField(23), 5), (QuadExtField(23), 5), (ExtField(5, 3), 3), (mq_field((2, 3)), 5),
+     (mq_field((2, 3)), Fraction(-3, 7))],
+    ids=["GF(23)", "GF(23^2)", "GF(5^3)", "tower-int", "tower-fraction"],
+)
+def test_reflected_operators_and_negative_powers(F, c):
+    rng = SplitMix64(31)
+    for _ in range(10):
+        x = F.random_element(rng, 9) if isinstance(F, MultiquadraticField) else F.random_element(rng)
+        if not x:
+            continue
+        assert c - x == -(x - c) and (c - x) + x == c
+        assert c / x == x.inverse() * c and (c / x) * x == c
+        for k in (1, 2, 5):
+            assert x ** -k == (x ** k).inverse()
 
 
 def test_field_mismatch_is_not_equality():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rankfold import NoSolution, NotUnique, QQ, SplitMix64, mq_field
+from rankfold import DimensionMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
 from rankfold.gf import PrimeField
-from rankfold.linalg import ExactMatrix
+from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 
 def _random_matrix(field, rng, rows, cols, bound=9):
@@ -169,3 +169,9 @@ def test_serialization_roundtrip():
     F = PrimeField(23)
     B = ExactMatrix(F, [[1, 22], [0, 5]])
     assert EM.from_json(B.to_json()) == B
+
+
+@pytest.mark.parametrize("rank", [-1, 4])
+def test_random_rank_matrix_refuses_an_impossible_rank(rank):
+    with pytest.raises(DimensionMismatch):
+        random_rank_matrix(PrimeField(5), SplitMix64(1), 3, 3, rank)

@@ -348,3 +348,10 @@ def test_sample_rank_exact_is_the_product_of_the_factors(p, rows, cols, t):
     assert (batch_rank_mod(X, p) == t).all() and (batch_rank_mod(Z, p) == t).all()
     E = sample_rank_exact(np.random.default_rng(17), p, 300, rows, cols, t)
     assert np.array_equal(batch_matmul_mod(X, Z, p), E)
+
+
+@pytest.mark.parametrize("t", [-1, 4])
+def test_rank_samplers_refuse_an_impossible_rank(t):
+    for sampler in (sample_rank_exact, sample_rank_factors):
+        with pytest.raises(ValueError, match="impossible"):
+            sampler(np.random.default_rng(1), 5, 2, 3, 3, t)
