@@ -29,7 +29,7 @@ codes and doubled codes are MatrixCodes.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique
 
@@ -37,14 +37,16 @@ from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSoluti
 class ExactMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
-    def __init__(self, field, entries: Sequence[Sequence], _raw: bool = False):
+    def __init__(self, field, entries: Sequence[Sequence], _raw: bool = False, cols: Optional[int] = None):
+        """`cols` gives the width of a matrix without rows; otherwise the
+        width is read off the entries (and checked against cols if given)."""
         if _raw:
             self.entries = entries
         else:
             self.entries = tuple(tuple(field.coerce(e) for e in row) for row in entries)
         self.field = field
         self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
+        self.cols = cols if cols is not None else len(self.entries[0]) if self.entries else 0
         for row in self.entries:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
@@ -54,7 +56,7 @@ class ExactMatrix:
     @staticmethod
     def zeros(field, rows: int, cols: int) -> "ExactMatrix":
         z = field.zero
-        return ExactMatrix(field, tuple((z,) * cols for _ in range(rows)), _raw=True)
+        return ExactMatrix(field, tuple((z,) * cols for _ in range(rows)), _raw=True, cols=cols)
 
     @staticmethod
     def identity(field, n: int) -> "ExactMatrix":
@@ -96,6 +98,7 @@ class ExactMatrix:
             self.field,
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             _raw=True,
+            cols=self.cols,
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -104,24 +107,28 @@ class ExactMatrix:
             self.field,
             tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             _raw=True,
+            cols=self.cols,
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, tuple(tuple(-a for a in row) for row in self.entries), _raw=True)
+        return ExactMatrix(self.field, tuple(tuple(-a for a in row) for row in self.entries), _raw=True, cols=self.cols)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
-        return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True)
+        return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True,
+                           cols=self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        cols = tuple(zip(*other.entries))
+        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         zero = self.field.zero
-        return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True)
+        return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True,
+                           cols=other.cols)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.entries else (), _raw=True)
+        return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
+                           cols=self.rows)
 
     def __eq__(self, other):
         return (
@@ -133,7 +140,8 @@ class ExactMatrix:
 
     def map_entries(self, fn: Callable, field=None) -> "ExactMatrix":
         """Apply fn entry-wise, optionally moving to another field."""
-        return ExactMatrix(field or self.field, tuple(tuple(fn(a) for a in row) for row in self.entries), _raw=True)
+        return ExactMatrix(field or self.field, tuple(tuple(fn(a) for a in row) for row in self.entries), _raw=True,
+                           cols=self.cols)
 
     # -- block structure ---------------------------------------------------------
 
@@ -170,12 +178,13 @@ class ExactMatrix:
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ")
-        return ExactMatrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)), _raw=True)
+        return ExactMatrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)), _raw=True,
+                           cols=self.cols + other.cols)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("column counts differ")
-        return ExactMatrix(self.field, self.entries + other.entries, _raw=True)
+        return ExactMatrix(self.field, self.entries + other.entries, _raw=True, cols=self.cols)
 
     # -- elimination ---------------------------------------------------------------
 
@@ -188,7 +197,7 @@ class ExactMatrix:
         eliminate = getattr(self.field, "eliminate", None)
         reduced = eliminate(self.entries) if eliminate is not None else None
         rows, pivots = reduced if reduced is not None else gauss_jordan(self.field, self.entries)
-        return ExactMatrix(self.field, rows, _raw=True), pivots, len(pivots)
+        return ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -196,7 +205,7 @@ class ExactMatrix:
     def row_space_basis(self) -> "ExactMatrix":
         """Echelon basis of the row space (possibly with zero rows dropped)."""
         R, _, rank = self.rref()
-        return ExactMatrix(self.field, R.entries[:rank], _raw=True)
+        return ExactMatrix(self.field, R.entries[:rank], _raw=True, cols=self.cols)
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel, one vector per free column."""
@@ -247,9 +256,11 @@ class ExactMatrix:
             from .serial import field_from_json
 
             field = field_from_json(data["field"])
+        shape = (data["rows"], data["cols"])
         entries = [[field.element_from_json(e) for e in row] for row in data["entries"]]
-        mat = ExactMatrix(field, entries)
-        if mat.shape != (data["rows"], data["cols"]):
+        # a matrix without rows has only its declared width
+        mat = ExactMatrix(field, entries, cols=None if entries else shape[1])
+        if mat.shape != shape or not (isinstance(mat.cols, int) and mat.cols >= 0):
             raise DimensionMismatch("declared shape does not match entries")
         return mat
 

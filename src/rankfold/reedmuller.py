@@ -27,7 +27,17 @@ the A-part comes back from erasure decoding in the order r code one
 level down.  Folding never increases the error rank; decoding succeeds
 whenever every iterated fold of the error keeps its rank, and every
 failure of that assumption is caught after the fact by rank checks, so
-the decoder never returns a wrong codeword silently.
+the decoder never returns a wrong codeword silently.  Each level
+eliminates its residual once: the verification's echelon rows are the
+report's error_rows, and the level above takes them as its erasure
+support.
+
+The error sampler draws E = X Z with X of width t and keeps E only if E
+and every fold the decoder performs have rank t.  Those ranks are at
+most t and fall from fold to fold, so one rank mod p certifies them all:
+the deepest fold in one sign embedding (below) having rank t mod p.  A
+lower modular rank hands the draw to the exact ranks, so the sampler
+accepts exactly the errors the exact test accepts.
 
 The erasure step solves for the left factor x from syndromes.  Over the
 tower that exact solve is the slow part (its entries grow to hundreds of
@@ -138,9 +148,12 @@ class DecodeReport:
 
     On success, codeword + recovered_error equals the input and the
     recovered error rank is within the code's capacity; this is verified
-    before the report is built.  The trace records, per recursion level,
-    the order/type handled and the rank of the folded error actually
-    observed there.
+    before the report is built.  The verification's elimination also
+    gives error_rows, the echelon basis of the recovered error's row
+    space (rank x n, as row_space_basis returns it), which the level
+    above uses as its erasure support; it is None on failure.  The trace
+    records, per recursion level, the order/type handled and the rank of
+    the folded error actually observed there.
     """
 
     success: bool
@@ -148,6 +161,7 @@ class DecodeReport:
     recovered_error: Optional[ExactMatrix]
     reason: Optional[str] = None
     trace: list = dc_field(default_factory=list)
+    error_rows: Optional[ExactMatrix] = None
 
 
 def _block_rows(field: MultiquadraticField, gens_idx: tuple, r: int, checks: bool):
@@ -255,10 +269,12 @@ class RMCode:
     # -- generator / parity-check -----------------------------------------------------
 
     def generator_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, False)), _raw=True)
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, False)), _raw=True,
+                           cols=self.size)
 
     def parity_check_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, True)), _raw=True)
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, True)), _raw=True,
+                           cols=self.size)
 
     # -- syndromes --------------------------------------------------------------------
 
@@ -354,6 +370,12 @@ class RMCode:
         [0, bound] (refused below 1 when t > 0); resampled until the rank
         is exactly t and every iterated fold the decoder will perform
         preserves it.
+
+        rank E <= t, and the ranks only fall from fold to fold, so a
+        deepest fold of rank t mod p (_deepest_fold_rank_mod_p) certifies
+        them all.  A lower modular rank (an unlucky prime, or a real drop)
+        leaves the decision to the exact ranks, so the accepted errors and
+        the draws are those of the exact test alone.
         """
         t = self.t if 0 <= self.r < self.m else 0
         if t == 0:
@@ -363,12 +385,32 @@ class RMCode:
         for _ in range(_SAMPLE_ATTEMPTS):
             X = [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)]
             Z = list(zip(*[[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)]))
-            E = ExactMatrix(self.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
-            if E.rank() != t:
-                continue
-            if self.folds_preserve_rank(E, t):
+            rows = [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X]
+            E = ExactMatrix(self.base_field, rows)
+            if self._deepest_fold_rank_mod_p(rows) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
                 return E
         raise RankfoldError(f"no rank-{t} error with stable folds in {_SAMPLE_ATTEMPTS} attempts")
+
+    def _deepest_fold_rank_mod_p(self, rows: list) -> int:
+        """Rank mod p of the decoder's deepest fold of the integer matrix
+        `rows`, in the sign embedding of the field's first embedding prime p
+        that sends each sqrt(a_i) to emb.roots[i]: a ring map, so this rank
+        is a lower bound for the rank over the tower.
+
+        The decoder folds r + 1 times, along a_m, a_(m-1), ...; the fold
+        join(bl - tr/a, (tl - br)/a) maps to (bl - tr/a) + root(a) (tl - br)/a.
+        The entries are reduced mod p as Python ints, so any bound works, and
+        every product of two residues stays below p^2 < 2^56.
+        """
+        emb = self.field.sign_embedding(0)
+        p = emb.p
+        M = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+        for a, root in list(zip(self.field.gens, emb.roots))[::-1][:self.r + 1]:
+            inv_a = a.denominator * pow(a.numerator, -1, p) % p
+            h = len(M) // 2
+            tl, tr, bl, br = M[:h, :h], M[:h, h:], M[h:, :h], M[h:, h:]
+            M = (bl - tr * inv_a % p + (tl - br) * (root * inv_a % p)) % p
+        return int(modmat.batch_rank_mod(M[None], p)[0])
 
     # -- decoding -------------------------------------------------------------------------
 
@@ -496,14 +538,15 @@ class RMCode:
         except DecodingFailure as exc:
             return DecodeReport(False, None, None, str(exc), trace)
         E = Y - C
-        residual = E.rank()
+        basis = E.row_space_basis()  # the one elimination of E, also the support one level up
+        residual = basis.rows
         if residual > self.t:
             return DecodeReport(
                 False, None, None,
                 f"verification failed: residual rank {residual} exceeds capacity {self.t}",
                 trace,
             )
-        return DecodeReport(True, C, E, None, trace)
+        return DecodeReport(True, C, E, None, trace, basis)
 
     def _decode_inner(self, Y: ExactMatrix, trace: list) -> ExactMatrix:
         if self.r < 0:
@@ -517,7 +560,7 @@ class RMCode:
             if not report.success:
                 trace.extend(report.trace)
                 raise DecodingFailure(f"inner decode at order {sub.r}: {report.reason}")
-            support = report.recovered_error.row_space_basis()
+            support = report.error_rows
             trace.append({"order": self.r, "height": self.m, "fold_rank": support.rows})
             trace.extend(report.trace)
             return report.codeword, support

@@ -171,6 +171,45 @@ def test_serialization_roundtrip():
     assert EM.from_json(B.to_json()) == B
 
 
+# -- matrices without rows or columns keep their shape ---------------------------
+
+GF5 = PrimeField(5)
+
+
+def test_zeros_without_rows_keeps_its_width():
+    Z = ExactMatrix.zeros(GF5, 0, 3)
+    assert Z.shape == (0, 3)
+    assert Z.transpose().shape == (3, 0)
+    assert Z.transpose().transpose() == Z
+    assert (Z + Z).shape == (-Z).shape == Z.scale(2).shape == Z.vstack(Z).shape == (0, 3)
+    assert Z != ExactMatrix.zeros(GF5, 0, 2)
+
+
+def test_product_over_an_empty_inner_dimension_is_zero():
+    P = ExactMatrix.zeros(GF5, 2, 0) @ ExactMatrix.zeros(GF5, 0, 3)
+    assert P == ExactMatrix.zeros(GF5, 2, 3)
+    assert (ExactMatrix.zeros(GF5, 0, 2) @ ExactMatrix.zeros(GF5, 2, 3)).shape == (0, 3)
+
+
+def test_row_space_of_a_zero_matrix_has_its_width():
+    Z = ExactMatrix.zeros(GF5, 4, 4)
+    assert Z.row_space_basis().shape == (0, 4)
+    R, pivots, rank = ExactMatrix.zeros(GF5, 0, 4).rref()
+    assert (R.shape, pivots, rank) == ((0, 4), (), 0)
+    assert Z.row_space_basis().row_space_basis().shape == (0, 4)
+
+
+def test_json_record_without_rows():
+    Z = ExactMatrix.from_json({"rows": 0, "cols": 3, "entries": []}, GF5)
+    assert Z == ExactMatrix.zeros(GF5, 0, 3)
+    assert ExactMatrix.from_json(Z.to_json()) == Z
+    for cols in (-1, "3", None):
+        with pytest.raises(DimensionMismatch):
+            ExactMatrix.from_json({"rows": 0, "cols": cols, "entries": []}, GF5)
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.from_json({"rows": 1, "cols": 3, "entries": [[1, 2]]}, GF5)
+
+
 @pytest.mark.parametrize("rank", [-1, 4])
 def test_random_rank_matrix_refuses_an_impossible_rank(rank):
     with pytest.raises(DimensionMismatch):

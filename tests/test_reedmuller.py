@@ -80,14 +80,13 @@ def test_dimensions_and_duality_small():
             G = code.generator_matrix()
             H = code.parity_check_matrix()
             assert code.dim == sum(comb(m, i) for i in range(r + 1)) if r >= 0 else code.dim == 0
-            assert G.rows == code.dim
-            assert H.rows == code.size - code.dim
+            assert G.shape == (code.dim, code.size)
+            assert H.shape == (code.size - code.dim, code.size)
             if G.rows:
                 assert G.rank() == G.rows
             if H.rows:
                 assert H.rank() == H.rows
-            if G.rows and H.rows:
-                assert (G @ H.transpose()).is_zero()
+            assert (G @ H.transpose()) == ExactMatrix.zeros(L, G.rows, H.rows)
 
 
 def test_exponent_order():
@@ -547,6 +546,7 @@ def test_decode_roundtrip_with_errors():
             assert rep.codeword + rep.recovered_error == C + E
             assert len(rep.trace) == r + 1
             assert all(entry["fold_rank"] <= code.t for entry in rep.trace)
+            assert rep.error_rows == rep.recovered_error.row_space_basis()
 
 
 def test_decode_never_reports_wrong_success():
@@ -577,6 +577,27 @@ def test_decode_detects_rank_dropping_fold():
     C = code.encode(code.random_message(rng, 7))
     rep = code.decode(C + E)
     assert not rep.success
+    assert rep.error_rows is None
+
+
+def test_decode_eliminates_each_residual_once(monkeypatch):
+    # an m=4 r=1 decode verifies three residuals (orders 1, 0 and -1), and
+    # the level above reads its support off the verification's elimination
+    code = RMCode(tower(4), 1)
+    rng = SplitMix64(86)
+    C = code.encode(code.random_message(rng))
+    E = code.sample_error(rng)
+    calls = []
+    eliminate = MultiquadraticField.eliminate
+    monkeypatch.setattr(MultiquadraticField, "eliminate",
+                        lambda self, entries: calls.append(self.m) or eliminate(self, entries))
+    rep = code.decode(C + E)
+    assert rep.success and rep.codeword == C
+    assert len(calls) == 3
+    assert rep.error_rows == E.row_space_basis() and rep.error_rows.shape == (code.t, code.size)
+    # a zero residual has an empty support of the code's width
+    rep = code.decode(C)
+    assert rep.success and rep.error_rows.shape == (0, code.size)
 
 
 def test_error_sampler_contract():
@@ -588,6 +609,97 @@ def test_error_sampler_contract():
         assert code.folds_preserve_rank(E)
     # t = 0 orders give the zero matrix
     assert RMCode(tower(3), 2).sample_error(rng, 9).is_zero()
+
+
+def exact_sample_error(code, rng, bound=50):
+    """The error sampler with exact ranks only: the reference that the
+    modular certificate of RMCode.sample_error must reproduce draw for draw."""
+    t = code.t
+    for _ in range(reedmuller._SAMPLE_ATTEMPTS):
+        X = [[rng.randint(0, bound) for _ in range(t)] for _ in range(code.size)]
+        Z = list(zip(*[[rng.randint(0, bound) for _ in range(code.size)] for _ in range(t)]))
+        E = ExactMatrix(code.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
+        if E.rank() != t:
+            continue
+        if code.folds_preserve_rank(E, t):
+            return E
+    raise AssertionError("the reference sampler found no error")
+
+
+SAMPLER_CODES = [pytest.param(m, r, id=f"m{m}-r{r}") for m in (3, 4, 5) for r in range(m - 1)]
+
+
+@pytest.mark.parametrize("m, r", SAMPLER_CODES)
+def test_certified_sampler_draws_the_exact_samplers_errors(monkeypatch, m, r):
+    code = RMCode(tower(m), r)
+    kernel = modmat.batch_rank_mod
+    ranked = []
+    monkeypatch.setattr(modmat, "batch_rank_mod", lambda mats, p: ranked.append(mats.shape) or kernel(mats, p))
+    deepest = code.size >> (r + 1)
+    for seed in range(4):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        E = code.sample_error(rng)
+        assert E == exact_sample_error(code, ref)
+        assert rng._state == ref._state
+        # one modular rank per draw, of the deepest fold
+        assert ranked.pop() == (1, deepest, deepest) and not ranked
+
+
+def test_certified_sampler_on_a_descended_code():
+    # base height 1: E lives over Q(sqrt 11) and the folds run along 7 and 5
+    code = RMCode(tower(5), 1)._descend(1)
+    assert (code.base_height, code.m, code.r, code.t) == (1, 4, 1, 3)
+    for seed in range(4):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert code.sample_error(rng) == exact_sample_error(code, ref)
+        assert rng._state == ref._state
+
+
+@pytest.mark.parametrize("m, r", [(m, r) for m in (3, 4) for r in range(m - 1)])
+def test_deepest_fold_rank_mod_p_matches_the_exact_fold(m, r):
+    code = RMCode(tower(m), r)
+    rng = SplitMix64(88)
+    for k in (1, code.t, code.size):
+        X = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(code.size)]
+        Z = list(zip(*[[rng.randint(-9, 9) for _ in range(code.size)] for _ in range(k)]))
+        rows = [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X]
+        M, sub = ExactMatrix(code.base_field, rows), code
+        for _ in range(r + 1):
+            M, sub = sub.fold(M), sub.subcode()
+        assert code._deepest_fold_rank_mod_p(rows) == M.rank()
+    # E = [[0, a M], [M, 0]] folds to zero (test_decode_detects_rank_dropping_fold)
+    a, n = int(code.field.gens[-1]), code.size
+    E = [[0] * n for _ in range(n)]
+    E[0][n // 2], E[n // 2][0] = a, 1
+    assert code._deepest_fold_rank_mod_p(E) == 0
+
+
+def test_certified_sampler_reduces_huge_entries_before_numpy():
+    # entries near 2^126 would overflow int64 if they reached numpy unreduced
+    code = RMCode(tower(3), 1)
+    rng, ref = SplitMix64(87), SplitMix64(87)
+    E = code.sample_error(rng, 2 ** 62)
+    assert E == exact_sample_error(code, ref, 2 ** 62)
+    assert max(abs(e.num[0]) for row in E.entries for e in row).bit_length() > 100
+
+
+@pytest.mark.parametrize("m, r, seed", [(3, 0, 1), (3, 1, 2), (4, 1, 3), (4, 2, 4)])
+def test_sampler_falls_back_to_exact_ranks_below_the_modular_certificate(monkeypatch, m, r, seed):
+    # a modular rank of t - 1 certifies nothing: the exact ranks decide, with
+    # the same error and the same draws as when the certificate holds
+    code = RMCode(tower(m), r)
+    exact_checks = []
+    folds_preserve_rank = RMCode.folds_preserve_rank
+    monkeypatch.setattr(RMCode, "folds_preserve_rank",
+                        lambda self, E, rank=None: exact_checks.append(rank) or folds_preserve_rank(self, E, rank))
+    rng = SplitMix64(seed)
+    E = code.sample_error(rng)
+    assert not exact_checks  # the certificate held
+    monkeypatch.setattr(modmat, "batch_rank_mod", lambda mats, p: np.full(len(mats), code.t - 1))
+    fallback = SplitMix64(seed)
+    assert code.sample_error(fallback) == E
+    assert fallback._state == rng._state
+    assert exact_checks and exact_checks[-1] == code.t
 
 
 # -- soundness over arbitrary received words ---------------------------------------
@@ -623,6 +735,9 @@ def test_decode_is_sound_on_arbitrary_errors(m, r, data):
         assert rep.codeword + rep.recovered_error == C + E
         assert not any(code.naive_syndrome(code.vector_from_matrix(rep.codeword)))
         assert rep.recovered_error.rank() <= code.t
+        assert rep.error_rows == rep.recovered_error.row_space_basis()
+    else:
+        assert rep.error_rows is None
     rank = E.rank()
     if rank <= code.t and code.folds_preserve_rank(E, rank):
         assert rep.success and rep.codeword == C
