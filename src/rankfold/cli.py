@@ -41,7 +41,7 @@ from .reedmuller import DecodeReport, RMCode
 from .rng import SplitMix64, derive_seed
 
 SCHEMA = 1
-TOWER_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+TOWER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def standard_tower(m: int):
@@ -171,7 +171,7 @@ def _rm_replay(path):
                 E = ExactMatrix.from_json(rec["error"], code.base_field)
                 C._same_shape(E)  # so that Y = C + E exists
                 encodes = code.encode(message) == C
-            except (KeyError, TypeError, RankfoldError) as exc:
+            except (KeyError, TypeError, ZeroDivisionError, RankfoldError) as exc:
                 raise ValueError(f"record {index}: {exc!r}") from exc
             line = {"trial": index, "m": code.m, "r": code.r}
             if not encodes:

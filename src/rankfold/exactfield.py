@@ -274,6 +274,34 @@ def rational_reconstruction(u: int, modulus: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
+def rational_lift(residues: Iterable[tuple[Sequence[int], int]], confirm: bool) -> Optional[list[Fraction]]:
+    """Rationals from their residues modulo successive primes: after each
+    (values mod p, p) from `residues`, CRT and rational reconstruction of
+    every value.  Returns the first lift in which every value reconstructs
+    (confirm False), or the first one that the next prime's residues agree
+    with (confirm True); None when `residues` ends first.  Since
+    gcd(n, d) = 1 and n = u d modulo the product of the primes, no prime
+    used divides a reconstructed d, so the lift reduces to the residues."""
+    lift = acc = None
+    modulus = 1
+    for new, p in residues:
+        if confirm and lift is not None and all((q.numerator - r * q.denominator) % p == 0 for q, r in zip(lift, new)):
+            return lift
+        acc = list(new) if acc is None else crt_extend(acc, modulus, new, p)
+        modulus *= p
+        lift = []
+        for u in acc:
+            q = rational_reconstruction(u, modulus)
+            if q is None:
+                lift = None
+                break
+            lift.append(q)
+        else:
+            if not confirm:
+                return lift
+    return None
+
+
 _FIELD_CACHE: dict[tuple, "MultiquadraticField"] = {}
 # the embedding-prime search of each set of generators, keyed by the sorted
 # generators, so that reorderings of a tower share it

@@ -12,8 +12,8 @@ entry is its length-m coefficient vector, and the field's multiplication
 tensor T[i, j] = x^(i+j) mod f turns the product by an element c into the
 m x m matrix sum_i c_i T[i].  rref_poly eliminates one matrix this way and
 is the kernel behind ExactMatrix.rref over the fields of gf; batch_rref
-eliminates a batch in lockstep and is the kernel behind batch_rank_mod,
-batch_rank_quad and batch_solve_mod.
+eliminates a batch in lockstep and is the kernel behind batch_rref_mod,
+batch_rank_mod, batch_rank_quad and batch_solve_mod.
 
 Overflow discipline: one rule, m (p-1)^2 < 2^63 (poly_fits_int64).  The
 kernels never form more than a sum of m products of two residues, whether
@@ -150,11 +150,18 @@ def inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a (T, n, m) batch over GF(p), eliminated in lockstep.
-    Needs (p-1)^2 < 2^63, that is p <= 3037000500."""
+def batch_rref_mod(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced echelon forms, ranks) of a (T, n, m) batch over GF(p),
+    eliminated in lockstep.  Needs (p-1)^2 < 2^63, that is
+    p <= 3037000500."""
     A = np.asarray(mats, dtype=np.int64) % p
-    return batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))[1]
+    A, rank = batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))
+    return A[0], rank
+
+
+def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a (T, n, m) batch over GF(p) (batch_rref_mod)."""
+    return batch_rref_mod(mats, p)[1]
 
 
 def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np.ndarray:
@@ -187,8 +194,7 @@ def batch_solve_mod(A: np.ndarray, p: int) -> np.ndarray:
     inconsistent.  Needs (p-1)^2 < 2^63, that is p <= 3037000500
     (poly_fits_int64(p, 1)), and raises ValueError beyond it.
     """
-    A = np.asarray(A, dtype=np.int64) % p
-    A = batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))[0][0]
+    A = batch_rref_mod(A, p)[0]
     B, R, C = A.shape[0], A.shape[1], A.shape[2] - 1
     if C > R:
         raise NotUnique(None, f"{C} unknowns in {R} equations")

@@ -54,6 +54,17 @@ rank deficit or inconsistency mod p, a prime dividing a denominator, no
 stable lift within the prime budget, a failed certificate) hands the
 system to linalg.solve_erasures, so results and failure reasons are those
 of the exact path.
+
+decode itself runs the whole recursion the same way first.  In the sign
+embeddings a received word is one (2^m, n) array mod p, and every fold,
+peel and unpeel is elementwise (RMCode._decode_mod); each level's residual
+is eliminated in one batch, whose blocks have the ranks and row spaces of
+the residual in the embeddings of its base; and each erasure step is the
+batched solve above.  The error is lifted by CRT and rational
+reconstruction and certified exactly, once, at the top: a zero syndrome,
+rank at most t, and every modular fold rank equal to that rank.  A
+certified answer is the exact decoder's report, field for field; anything
+in doubt runs the exact decoder, whose inner levels stay exact.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ import numpy as np
 from . import modmat
 from .errors import (DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch,
                      RankfoldError)
-from .exactfield import MQElement, MultiquadraticField, crt_extend, integer_coords, mq_field, rational_reconstruction
+from .exactfield import MQElement, MultiquadraticField, integer_coords, mq_field, rational_lift
 from .linalg import ExactMatrix, _peel, _syndrome, solve_erasures
 from .plotkin import doubling_decode, plotkin_fold
 
@@ -488,40 +499,32 @@ class RMCode:
         v = V / d_v, so that mod p it is (V mod p) / d_v.  For each
         embedding prime p, the syndromes come from the embedded parity
         checks, one batched GF(p) solve gives x in every embedding, and the
-        inverse embedding gives its coordinates mod p.  These are combined
-        by CRT and lifted by rational reconstruction until a lift agrees
-        with the next prime's residues.  Returns None on a rank deficit or
+        inverse embedding gives its coordinates mod p.  rational_lift
+        combines them until a lift agrees with the next prime's residues.
+        Returns None on a rank deficit or
         an inconsistent system mod p (in any embedding), on a prime dividing
         some d_v, and when no lift agrees within _PRIME_BUDGET primes.
         """
         field, n, k = self.field, self.size, len(rows)
-        if n * (field.sign_embedding(0).p - 1) ** 2 >= 2 ** 63:
-            return None  # the syndrome product would overflow int64
         scales, ints = zip(*[integer_coords(v) for v in rows + [y]])
-        lift = residues = None
-        modulus = 1
-        for i in range(_PRIME_BUDGET):
-            emb = field.sign_embedding(i)
-            p = emb.p
-            if any(d % p == 0 for d in scales):
-                return None
-            V = np.array([[u % p for u in vec] for vec in ints], dtype=np.int64)
-            V = V * np.array([[pow(d, -1, p)] for d in scales], dtype=np.int64) % p
-            V = emb.forward(V.reshape(k + 1, n, field.dim))
-            S = modmat.batch_matmul_mod(self._embedded_checks(emb), V.transpose(2, 1, 0), p)
-            try:
-                X = modmat.batch_solve_mod(S, p)
-            except (NoSolution, NotUnique):
-                return None
-            new = emb.inverse(X.T).ravel().tolist()
-            if lift is not None and all((q.numerator - r * q.denominator) % p == 0 for q, r in zip(lift, new)):
-                return [field.element(lift[j:j + field.dim]) for j in range(0, len(lift), field.dim)]
-            residues = new if residues is None else crt_extend(residues, modulus, new, p)
-            modulus *= p
-            lift = [rational_reconstruction(u, modulus) for u in residues]
-            if None in lift:
-                lift = None
-        return None
+
+        def residues():
+            for i in range(_PRIME_BUDGET):
+                emb = field.sign_embedding(i)
+                p = emb.p
+                if any(d % p == 0 for d in scales):
+                    return
+                V = np.array([[u % p for u in vec] for vec in ints], dtype=np.int64)
+                V = V * np.array([[pow(d, -1, p)] for d in scales], dtype=np.int64) % p
+                X = self._embedded_solve(emb.forward(V.reshape(k + 1, n, field.dim)).transpose(2, 0, 1), emb)
+                if X is None:
+                    return
+                yield emb.inverse(X.T).ravel().tolist(), p
+
+        lift = rational_lift(residues(), confirm=True)
+        if lift is None:
+            return None
+        return [field.element(lift[j:j + field.dim]) for j in range(0, len(lift), field.dim)]
 
     def decode(self, Y: ExactMatrix) -> DecodeReport:
         """Fold-and-recurse decoder.
@@ -529,9 +532,21 @@ class RMCode:
         Succeeds (and says so only after verifying the residual rank) for
         any error of rank at most t whose iterated folds preserve rank;
         otherwise reports failure.  Order -1 is the zero code and order m
-        is everything, both handled directly.
+        is everything, both handled directly.  A code over Q (base height
+        0) first decodes in the sign embeddings mod p and certifies the
+        result exactly (_decode_certified), which gives the exact decoder's
+        report field for field; anything in doubt runs the exact decoder,
+        _decode_exact.
         """
         self._check_received(Y)
+        if self.base_height == 0 and 0 <= self.r < self.m:
+            report = self._decode_certified(Y)
+            if report is not None:
+                return report
+        return self._decode_exact(Y)
+
+    def _decode_exact(self, Y: ExactMatrix) -> DecodeReport:
+        """decode in exact tower arithmetic, on every level."""
         trace: list = []
         try:
             C = self._decode_inner(Y, trace)
@@ -548,6 +563,156 @@ class RMCode:
             )
         return DecodeReport(True, C, E, None, trace, basis)
 
+    def _decode_certified(self, Y: ExactMatrix) -> Optional[DecodeReport]:
+        """decode through the sign embeddings mod p (_decode_mod), certified
+        exactly once; None wherever the exact decoder must decide.
+
+        The error E = Y - C comes back modulo each embedding prime in turn,
+        and rational_lift stops at the first prime count at which every
+        entry reconstructs; each prime costs one modular decode.  One
+        28-bit prime reconstructs entries up to about 11,585 in absolute
+        value: the sampled errors need one up to m = 5 (their entries are
+        at most 3 * 50^2 = 7,500 at m = 4) and two from m = 6 on.  An entry
+        past the bound that reconstructs to a wrong value fails step 2.
+        The certificate, in this order:
+
+        1. E lifts within _PRIME_BUDGET primes, and no prime divides the
+           denominators of Y;
+        2. C = Y - E has an exactly zero fast_syndrome, so C is a codeword;
+        3. E.row_space_basis() has at most t rows, the report's error_rows;
+        4. every modular fold rank, at every level and in every embedding,
+           equals rank E.
+
+        t < d/2, so C is the only codeword within the radius.  The folds of
+        E reduce mod p to the modular residuals (each level's codeword
+        folds to the inner codeword), so modular fold rank <= exact fold
+        rank <= rank E, and step 4 makes every fold keep the rank of E.
+        Such an error is decoded by the exact decoder, with the trace built
+        here: the report is the exact decoder's.
+        """
+        field, n = self.field, self.size
+        d, ints = integer_coords([e for row in Y.entries for e in row])
+        ranks: list[int] = []
+
+        def residues():
+            for i in range(_PRIME_BUDGET):
+                emb = field.sign_embedding(i)
+                p = emb.p
+                if d % p == 0:
+                    return
+                # column j of Y holds the coordinates of y_j
+                Yc = np.array([u % p for u in ints], dtype=np.int64).reshape(n, n) * pow(d, -1, p) % p
+                Yv = emb.forward(Yc.T).T
+                Cv = self._decode_mod(Yv, field, i, ranks)
+                if Cv is None:
+                    return
+                yield emb.inverse((Yv - Cv).T % p).T.ravel().tolist(), p
+
+        lift = rational_lift(residues(), confirm=False)
+        if lift is None:
+            return None
+        K = self.base_field
+        E = ExactMatrix(K, tuple(tuple(map(K.scalar, lift[j:j + n])) for j in range(0, n * n, n)), _raw=True)
+        C = Y - E
+        if any(self.fast_syndrome(self.vector_from_matrix(C))):
+            return None
+        basis = E.row_space_basis()
+        e = basis.rows
+        if e > self.t or any(k != e for k in ranks):
+            return None
+        trace = [{"order": self.r - k, "height": self.m - k, "fold_rank": e} for k in range(self.r + 1)]
+        return DecodeReport(True, C, E, None, trace, basis)
+
+    def _decode_mod(self, Yv: np.ndarray, top: MultiquadraticField, i: int, ranks: list) -> Optional[np.ndarray]:
+        """_decode_inner in the sign embeddings of `top`, the tower of the
+        code that decode was called on, modulo its i-th embedding prime p.
+
+        A word over the tower is held in vector form (vector_from_matrix),
+        as the (2^M, n) array of its entries' images, one row per sign
+        pattern of top.  There every step of doubling_decode is elementwise.
+        With alpha = sqrt(a) the folded generator and theta its sign flip
+        (the row whose pattern has alpha's bit toggled):
+
+            fold:     w_j = (alpha y_j - y_(j+h)) / a,  h = n/2;
+            erasure:  z = (w - w^ + theta(w')) / 2,
+                      w'_j = (alpha y_j + y_(j+h)) / a;
+            codeword: c_j = alpha (theta(c^_j) + w^_j / 2),
+                      c_(j+h) = a (theta(c^_j) - w^_j / 2),
+
+        where w^ is the inner decoder's codeword and c^ the erasure
+        decoder's.  A matrix over a base of height s, in one of its
+        embeddings, has the rank and row space of the 2^(M-s) x n block of
+        rows above that embedding: the two differ by a scaled Hadamard
+        matrix.  So each inner residual is eliminated in one batch, and its
+        rank, the same in every embedding, goes to `ranks` (the deepest
+        level first).  Returns the codeword in vector form, or None where
+        the ranks of a level differ or an erasure solve fails.
+        """
+        if self.r < 0:
+            return np.zeros_like(Yv)
+        emb = top.sign_embedding(i)
+        p, h = emb.p, self.size // 2
+        a = self.field.gens[-1]
+        bit = top.gens.index(a)
+        a_p = a.numerator * pow(a.denominator, -1, p) % p
+        inv_a = pow(a_p, -1, p)
+        inv_2 = (p + 1) // 2
+        pattern = np.arange(len(Yv))
+        flip = pattern ^ (1 << bit)
+        alpha = np.where(pattern >> bit & 1, p - emb.roots[bit], emb.roots[bit])[:, None]
+        left, right = alpha * Yv[:, :h] % p, Yv[:, h:]
+        W = (left - right) * inv_a % p
+        sub = self.subcode()
+        W_hat = sub._decode_mod(W, top, i, ranks)
+        if W_hat is None:
+            return None
+        R, rank = modmat.batch_rref_mod((W - W_hat).reshape(1 << sub.base_height, h, h), p)
+        e = int(rank[0])
+        if (rank != e).any():
+            return None
+        ranks.append(e)
+        Z = (W - W_hat + (left + right)[flip] * inv_a) % p * inv_2 % p
+        C_hat = self._descend(self.r)._erasure_decode_mod(Z, np.repeat(R[:, :e], h, axis=0), top, i)
+        if C_hat is None:
+            return None
+        C_hat, half = C_hat[flip], W_hat * inv_2 % p
+        return np.concatenate((alpha * (C_hat + half) % p, a_p * (C_hat - half) % p), axis=1)
+
+    def _erasure_decode_mod(self, z: np.ndarray, support: np.ndarray, top: MultiquadraticField,
+                            i: int) -> Optional[np.ndarray]:
+        """erasure_decode in the sign embeddings of `top` mod its i-th
+        embedding prime: z is (2^M, n) and support (2^M, e, n), in vector
+        form with one row per sign pattern of top.  The syndromes come from
+        _embedded_checks, whose rows follow this code's rotated tower, so
+        the rows are put in that order for the solve and back after it.
+        None where _embedded_solve fails."""
+        emb = self.field.sign_embedding(i)
+        # order[t] is top's pattern of this tower's pattern t
+        t = np.arange(top.dim)
+        order = sum((t >> k & 1) << top.gens.index(a) for k, a in enumerate(self.field.gens))
+        V = np.concatenate((support, z[:, None]), axis=1)[order]
+        X = self._embedded_solve(V, emb)
+        if X is None:
+            return None
+        out = np.empty_like(z)
+        out[order] = (V[:, -1] - modmat.batch_matmul_mod(X[:, None], V[:, :-1], emb.p)[:, 0]) % emb.p
+        return out
+
+    def _embedded_solve(self, V: np.ndarray, emb) -> Optional[np.ndarray]:
+        """The (2^M, k) solutions x of sum_k x_k H g_k = H y in every sign
+        embedding mod emb.p, given the (2^M, k + 1, n) images of the rows
+        g_k and of y there, from the embedded parity checks in one batched
+        solve; None on a rank deficit or an inconsistent system in any
+        embedding, and where the syndrome product would overflow int64."""
+        p = emb.p
+        if self.size * (p - 1) ** 2 >= 2 ** 63:
+            return None
+        S = modmat.batch_matmul_mod(self._embedded_checks(emb), V.transpose(0, 2, 1), p)
+        try:
+            return modmat.batch_solve_mod(S, p)
+        except (NoSolution, NotUnique):
+            return None
+
     def _decode_inner(self, Y: ExactMatrix, trace: list) -> ExactMatrix:
         if self.r < 0:
             return ExactMatrix.zeros(self.base_field, self.size, self.size)
@@ -556,7 +721,7 @@ class RMCode:
         sub, ecode = self.subcode(), self._descend(self.r)
 
         def decode_errors(W):
-            report = sub.decode(W)
+            report = sub._decode_exact(W)
             if not report.success:
                 trace.extend(report.trace)
                 raise DecodingFailure(f"inner decode at order {sub.r}: {report.reason}")

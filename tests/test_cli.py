@@ -62,16 +62,16 @@ def test_rm_roundtrip_validates_params(capsys):
 
 
 def test_rm_roundtrip_runs_the_tallest_tower(capsys):
-    code, lines = run_main(["rm-roundtrip", "--m", "7", "--r", "6", "--trials", "1", "--jobs", "1"], capsys)
+    code, lines = run_main(["rm-roundtrip", "--m", "8", "--r", "7", "--trials", "1", "--jobs", "1"], capsys)
     assert code == 0
     assert [l for l in lines if "successes" in l] == [{"successes": 1, "failures": 0, "wrong": 0, "trials": 1}]
 
 
 def test_rm_roundtrip_rejects_a_tower_beyond_the_listed_primes(capsys):
-    code = cli.main(["rm-roundtrip", "--m", "8", "--r", "1", "--trials", "1", "--jobs", "1"])
+    code = cli.main(["rm-roundtrip", "--m", "9", "--r", "1", "--trials", "1", "--jobs", "1"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == f"error: need 0 <= r <= m <= {len(cli.TOWER_PRIMES)}\n" == "error: need 0 <= r <= m <= 7\n"
+    assert captured.err == f"error: need 0 <= r <= m <= {len(cli.TOWER_PRIMES)}\n" == "error: need 0 <= r <= m <= 8\n"
 
 
 def test_rm_roundtrip_deterministic(capsys):
@@ -122,6 +122,10 @@ def test_rm_fixture_errors(tmp_path, capsys):
         {"field": None, "r": 0},
         {"field": {"generators": ["2"]}, "r": 0, "message": [["0", "0"]],
          "expected": zero, "error": dict(zero, rows=3)},  # declared shape disagrees with the entries
+        # a zero denominator in an error entry or a message coordinate
+        {"field": {"generators": ["2"]}, "r": 0, "message": [["0", "0"]],
+         "expected": zero, "error": dict(zero, entries=[[["1/0"], ["0"]], [["0"], ["0"]]])},
+        {"field": {"generators": ["2"]}, "r": 0, "message": [["1/0", "0"]], "expected": zero, "error": zero},
     ]
     bad = tmp_path / "bad.jsonl"
     for record in bad_records:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rankfold import DecodingFailure, NoSolution, NotUnique, SplitMix64, modmat, mq_field, reedmuller
 from rankfold.linalg import ExactMatrix, solve_erasures
 from rankfold.modmat import batch_rank_mod
-from rankfold.exactfield import MultiquadraticField
+from rankfold.exactfield import MultiquadraticField, integer_coords
 from rankfold.reedmuller import RMCode, ThetaPolynomial
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -409,7 +409,7 @@ def test_decoder_erasure_solves_are_certified_and_exact(monkeypatch, gens, r, se
     rng = SplitMix64(seed)
     C = code.encode(code.random_message(rng))
     E = code.sample_error(rng)
-    rep = code.decode(C + E)
+    rep = code._decode_exact(C + E)
     assert rep.success and rep.codeword == C and rep.recovered_error == E
     assert len(seen) == r + 1
     for ecode, y, rows, out in seen:
@@ -437,7 +437,7 @@ def test_exact_erasure_systems_of_an_m5_decode_reduce_in_the_tower(monkeypatch):
     fast_path = RMCode._erasure_decode_embedded
     monkeypatch.setattr(RMCode, "_erasure_decode_embedded",
                         lambda self, y, rows: seen.append((self, y, rows)) or fast_path(self, y, rows))
-    assert code.decode(C + E).codeword == C
+    assert code._decode_exact(C + E).codeword == C
     monkeypatch.setattr(MultiquadraticField, "eliminate", spy)
     for ecode, y, rows in seen:
         assert exact_outcome(ecode, y, rows) == fast_path(ecode, y, rows)
@@ -591,7 +591,7 @@ def test_decode_eliminates_each_residual_once(monkeypatch):
     eliminate = MultiquadraticField.eliminate
     monkeypatch.setattr(MultiquadraticField, "eliminate",
                         lambda self, entries: calls.append(self.m) or eliminate(self, entries))
-    rep = code.decode(C + E)
+    rep = code._decode_exact(C + E)
     assert rep.success and rep.codeword == C
     assert len(calls) == 3
     assert rep.error_rows == E.row_space_basis() and rep.error_rows.shape == (code.t, code.size)
@@ -712,24 +712,46 @@ def small_ints(data, rows, cols, label):
     return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows), label=label)
 
 
+def arbitrary_error(code, data):
+    """An error of any rank (up to the full size): X Z with some rows of X
+    and columns of Z zeroed, or one whose first fold loses rank.  A
+    fold-killing error [[A0, a A1], [A1, A0]] folds to zero; X Z with the
+    rows of Z in pairs (u | 0), (0 | a u) folds to rank at most half that
+    of Z."""
+    n, K = code.size, code.base_field
+    h, a = n // 2, code.field.gens[-1]
+    kind = data.draw(st.sampled_from(["product", "fold-killing", "fold-dropping"]), label="kind")
+    if kind == "fold-killing":
+        k = data.draw(st.integers(0, 2), label="inner dimension")
+        A0, A1 = [ExactMatrix(K, small_ints(data, h, k, f"X{i}")) @ ExactMatrix(K, small_ints(data, k, h, f"Z{i}"))
+                  if k else ExactMatrix.zeros(K, h, h) for i in (0, 1)]
+        return ExactMatrix.block([[A0, A1.scale(a)], [A1, A0]])
+    k = data.draw(st.one_of(st.integers(0, code.t + 1), st.integers(0, n)), label="inner dimension")
+    if not k:
+        return ExactMatrix.zeros(K, n, n)
+    zero_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero rows")
+    X = [[0 if i in zero_rows else e for e in row] for i, row in enumerate(small_ints(data, n, k, "X"))]
+    if kind == "product":
+        zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero columns")
+        Z = [[0 if j in zero_cols else e for j, e in enumerate(row)] for row in small_ints(data, k, n, "Z")]
+    else:
+        U = small_ints(data, (k + 1) // 2, h, "Z")
+        Z = ([u + [0] * h for u in U] + [[0] * h + [a * e for e in u] for u in U])[:k]
+    return ExactMatrix(K, X) @ ExactMatrix(K, Z)
+
+
 @pytest.mark.parametrize("m, r", SOUND_CODES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_decode_is_sound_on_arbitrary_errors(m, r, data):
-    """For Y = C + E with E = X Z of any rank (up to the full size), some
-    rows of X and columns of Z zeroed, decode either reports failure or
-    returns C' + E' = Y with C' in the code (zero naive syndrome) and
-    rank E' <= t; when rank E <= t and every fold keeps it, C' is C."""
+    """For Y = C + E with E from arbitrary_error, decode either reports
+    failure or returns C' + E' = Y with C' in the code (zero naive
+    syndrome) and rank E' <= t; when rank E <= t and every fold keeps it,
+    C' is C."""
     code = RMCode(tower(m), r)
-    n, K = code.size, code.base_field
     rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
     C = code.encode(code.random_message(rng, 5))
-    k = data.draw(st.one_of(st.integers(0, code.t + 1), st.integers(0, n)), label="inner dimension")
-    zero_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero rows")
-    zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero columns")
-    X = [[0 if i in zero_rows else e for e in row] for i, row in enumerate(small_ints(data, n, k, "X"))]
-    Z = [[0 if j in zero_cols else e for j, e in enumerate(row)] for row in small_ints(data, k, n, "Z")]
-    E = ExactMatrix(K, X) @ ExactMatrix(K, Z) if k else ExactMatrix.zeros(K, n, n)
+    E = arbitrary_error(code, data)
     rep = code.decode(C + E)
     if rep.success:
         assert rep.codeword + rep.recovered_error == C + E
@@ -774,6 +796,149 @@ def test_erasure_decode_is_sound_on_arbitrary_words(m, r, data):
     assert not any(code.naive_syndrome(c))
     D = code.matrix_from_vector([a - b for a, b in zip(y, c)])
     assert ExactMatrix(code.base_field, support.rows_list() + D.rows_list()).rank() == support.rank()
+
+
+# -- the certified modular decode -------------------------------------------------
+# RMCode._decode_exact, the exact decoder on every level, is the oracle.
+
+
+def report_fields(rep):
+    return rep.success, rep.codeword, rep.recovered_error, rep.reason, rep.trace, rep.error_rows
+
+
+@pytest.mark.parametrize("m, r", SOUND_CODES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decode_equals_the_exact_decoder_on_arbitrary_errors(m, r, data):
+    code = RMCode(tower(m), r)
+    rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    Y = code.encode(code.random_message(rng, 5)) + arbitrary_error(code, data)
+    assert report_fields(code.decode(Y)) == report_fields(code._decode_exact(Y))
+
+
+def sampled_word(gens, r, seed):
+    code = RMCode(mq_field(gens), r)
+    rng = SplitMix64(seed)
+    C = code.encode(code.random_message(rng))
+    return code, C, code.sample_error(rng)
+
+
+@pytest.mark.parametrize("gens, r", [(PRIMES[:4], 0), (PRIMES[:4], 1), (PRIMES[:4], 2), (PRIMES[:5], 1),
+                                     (PRIMES[:5], 2), (ODD_TOWER, 1)])
+def test_certified_decode_equals_the_exact_decoder_on_sampled_errors(gens, r):
+    for seed in (1, 2):
+        code, C, E = sampled_word(gens, r, 110 + 10 * len(gens) + r + seed)
+        Y = C + E
+        assert code._decode_certified(Y) is not None
+        rep = code.decode(Y)
+        assert report_fields(rep) == report_fields(code._decode_exact(Y))
+        assert rep.success and rep.codeword == C and rep.recovered_error == E
+
+
+def embedded_word(M, emb):
+    """A matrix over Q in the vector form of _decode_mod, mod emb.p."""
+    d, ints = integer_coords([e for row in M.entries for e in row])
+    coords = np.array([u % emb.p for u in ints], dtype=np.int64).reshape(M.shape) * pow(d, -1, emb.p) % emb.p
+    return emb.forward(coords.T).T
+
+
+def test_certificate_refuses_an_error_beyond_the_radius(monkeypatch):
+    # A fold-stable error of rank t + 1 fills the deepest erasure support,
+    # so no decoder level gets past it.  A modular decoder that returns C
+    # anyway, with the true fold ranks, leaves the refusal to the
+    # certificate's rank bound alone.
+    code, C, E = sampled_word(PRIMES[:4], 1, 121)
+    rng = SplitMix64(122)
+    x = ExactMatrix(code.base_field, [[rng.randint(1, 9)] for _ in range(code.size)])
+    E = E + x @ ExactMatrix(code.base_field, [[rng.randint(1, 9) for _ in range(code.size)]])
+    assert E.rank() == code.t + 1 and code.folds_preserve_rank(E)
+    Y = C + E
+
+    def past_the_radius(self, Yv, top, i, ranks):
+        ranks.extend([code.t + 1] * (code.r + 1))
+        return embedded_word(C, top.sign_embedding(i))
+
+    monkeypatch.setattr(RMCode, "_decode_mod", past_the_radius)
+    assert code._decode_certified(Y) is None
+    rep = code.decode(Y)
+    assert not rep.success and report_fields(rep) == report_fields(code._decode_exact(Y))
+
+
+def test_certified_decode_falls_back_on_a_prime_denominator():
+    # every error entry over the first embedding prime: Y does not reduce mod p
+    code, C, E = sampled_word(PRIMES[:4], 1, 123)
+    Y = C + E.scale(Fraction(1, code.field.sign_embedding(0).p))
+    assert code._decode_certified(Y) is None
+    rep = code.decode(Y)
+    assert rep.success and report_fields(rep) == report_fields(code._decode_exact(Y))
+
+
+def test_certified_decode_falls_back_on_a_fold_rank_drop():
+    # E = X Z with rows (u | 0), (0 | a u) in Z has rank 2 and folds to
+    # rank 1.  The exact decoder still decodes it, and its trace records
+    # fold rank 1: the certificate's fold ranks refuse the modular answer.
+    code = RMCode(tower(4), 1)
+    K, h, a = code.base_field, code.size // 2, code.field.gens[-1]
+    rng = SplitMix64(127)
+    u = [rng.randint(-3, 3) for _ in range(h)]
+    X = ExactMatrix(K, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(code.size)])
+    E = X @ ExactMatrix(K, [u + [0] * h, [0] * h + [a * e for e in u]])
+    assert E.rank() == 2 and code.fold(E).rank() == 1
+    Y = code.encode(code.random_message(rng)) + E
+    assert code._decode_certified(Y) is None
+    rep = code.decode(Y)
+    assert rep.success and [step["fold_rank"] for step in rep.trace] == [1, 1]
+    assert report_fields(rep) == report_fields(code._decode_exact(Y))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_certified_decode_falls_back_on_a_low_modular_rank(monkeypatch, level):
+    # the residual blocks of one level (one per embedding of its base)
+    # answer rank t - 1
+    code, C, E = sampled_word(PRIMES[:4], 1, 124)
+    rref = modmat.batch_rref_mod
+
+    def patched(mats, p):
+        R, rank = rref(mats, p)
+        return R, np.full_like(rank, code.t - 1) if len(mats) == 1 << level else rank
+
+    monkeypatch.setattr(modmat, "batch_rref_mod", patched)
+    Y = C + E
+    assert code._decode_certified(Y) is None
+    rep = code.decode(Y)
+    assert rep.success and report_fields(rep) == report_fields(code._decode_exact(Y))
+
+
+@pytest.mark.parametrize("perturb", ["double", "shift one entry"])
+def test_certified_decode_falls_back_on_a_perturbed_lift(monkeypatch, perturb):
+    # 2E keeps the rank and every fold rank of E but is no error of Y
+    code, C, E = sampled_word(PRIMES[:4], 1, 125)
+    lift = reedmuller.rational_lift
+
+    def perturbed(residues, confirm):
+        out = lift(residues, confirm)
+        if confirm or out is None:  # the erasure solves of the exact path
+            return out
+        return [2 * q for q in out] if perturb == "double" else [out[0] + 1] + out[1:]
+
+    monkeypatch.setattr(reedmuller, "rational_lift", perturbed)
+    Y = C + E
+    assert code._decode_certified(Y) is None
+    rep = code.decode(Y)
+    assert rep.success and report_fields(rep) == report_fields(code._decode_exact(Y))
+
+
+def test_certified_decode_eliminates_once_and_never_folds_exactly(monkeypatch):
+    code, C, E = sampled_word(PRIMES[:4], 1, 126)
+    calls = []
+    eliminate = MultiquadraticField.eliminate
+    monkeypatch.setattr(MultiquadraticField, "eliminate",
+                        lambda self, entries: calls.append("eliminate") or eliminate(self, entries))
+    for name in ("fold", "erasure_decode"):
+        monkeypatch.setattr(RMCode, name, lambda self, *args, name=name: calls.append(name))
+    rep = code.decode(C + E)
+    assert rep.success and rep.codeword == C and rep.recovered_error == E
+    assert calls == ["eliminate"]
 
 
 # -- minimum distance sampling ---------------------------------------------------
