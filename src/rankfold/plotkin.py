@@ -398,12 +398,15 @@ def fold_probability_experiment(q: int, m: int, t: int, a: int, trials: int, see
     when P and Q both have rank t; over GF(q^2) they are the pairs (X0, X1)
     and (Z1, Z0).  Only the rank kernels bound q, raising ValueError beyond
     poly_fits_int64(q, 1) for a square twist and poly_fits_int64(q, 2) else.
+    Raises ParameterMismatch for q = 2, as PlotkinCode does.
     """
     if not 0 <= t < m:
         raise ParameterMismatch("need 0 <= t < m")
     if trials < 0:
         raise ParameterMismatch("need trials >= 0")
     field = PrimeField(q)
+    if field.p == 2:  # x^2 - 1 = (x - 1)^2: no doubling fold
+        raise ParameterMismatch("the fold needs odd characteristic")
     a_el = field.coerce(a)
     if not a_el:
         raise ParameterMismatch("the twist scalar must be nonzero")

@@ -248,7 +248,7 @@ def test_fold_prob_validates_params(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("bad", [["--trials", "-5"], ["--q", "21"]])
+@pytest.mark.parametrize("bad", [["--trials", "-5"], ["--q", "21"], ["--q", "2"]])
 def test_fold_prob_bad_input_is_an_error_line(capsys, bad):
     argv = ["fold-prob", "--q", "5", "--m", "4", "--t", "1", "--no-square"]
     code = cli.main(argv + bad)

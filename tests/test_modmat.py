@@ -2,6 +2,8 @@
 solve kernels, and the finite-field elimination kernel against the
 generic one."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,14 @@ def rank_oracle(p, nr, A):
             for M in zip(A[0], A[1])]
 
 
+def planted_product(X, Z, nr):
+    """X Z over GF(p) for one component, over GF(p)(sqrt(nr)) for two,
+    unreduced: (x0 + x1 s)(z0 + z1 s) with s^2 = nr."""
+    if nr is None:
+        return (X[0] @ Z[0])[None]
+    return np.array((X[0] @ Z[0] + nr * (X[1] @ Z[1]), X[0] @ Z[1] + X[1] @ Z[0]))
+
+
 @st.composite
 def rank_batches(draw):
     """(p, non-residue or None, (components, B, R, C) batch): each member
@@ -90,10 +100,7 @@ def rank_batches(draw):
         # Python ints: the planted products overflow int64 at the large primes
         X = rng.integers(0, p, size=(len(A), rows, r)).astype(object)
         Z = rng.integers(0, p, size=(len(A), r, cols)).astype(object)
-        if quad:  # (x0 + x1 s)(z0 + z1 s) with s^2 = nr
-            A[:, b] = X[0] @ Z[0] + nr * (X[1] @ Z[1]), X[0] @ Z[1] + X[1] @ Z[0]
-        else:
-            A[0, b] = X[0] @ Z[0]
+        A[:, b] = planted_product(X, Z, nr)
         A[:, b, rng.random(rows) < 0.3] = 0
     return p, nr, (A % p).astype(np.int64)
 
@@ -104,6 +111,122 @@ def test_batch_ranks_match_exact_rank(case):
     p, nr, A = case
     ranks = batch_rank_mod(A[0], p) if nr is None else batch_rank_quad(A[0], A[1], p, nr)
     assert ranks.tolist() == rank_oracle(p, nr, A)
+
+
+# -- the leading-block certificate of batch_rank_mod and batch_rank_quad ------
+# A tall or wide member whose leading k x k block has rank k = min(R, C) has
+# rank k; only the others reach full elimination.  The member kinds below
+# make the block singular in different ways.
+
+# (p, non-residue or None): a small prime, where blocks are often singular,
+# and the largest prime of each kernel's int64 bound
+CERT_FIELDS = [(3, None), (3037000493, None), (3, 2), (2147483647, PrimeField(2147483647).smallest_nonresidue())]
+CERT_KINDS = ("random", "zero row", "dependent", "low rank")
+
+
+def tall_member(rng, p, nr, n, k, kind):
+    """One n x k member (n > k), components first, whose leading block is
+    its first k rows: uniform; with a zero first row; with row k-1 a
+    multiple of row 0; or of a planted rank below k.  All but the uniform
+    kind have a singular block, and the middle two mostly full rank."""
+    c = 1 if nr is None else 2
+    if kind == "low rank":
+        r = int(rng.integers(0, k)) if k else 0
+        X = rng.integers(0, p, size=(c, n, r)).astype(object)
+        return planted_product(X, rng.integers(0, p, size=(c, r, k)).astype(object), nr) % p
+    M = rng.integers(0, p, size=(c, n, k)).astype(object)
+    if kind == "dependent" and k > 1:
+        M[:, k - 1] = int(rng.integers(0, p)) * M[:, 0]
+    elif kind != "random":
+        M[:, 0] = 0
+    return M % p
+
+
+def certificate_batch(rng, p, nr, n, k, kinds, wide):
+    """A (components, B, n, k) batch of tall_members, or its (.., k, n) transpose."""
+    A = np.zeros((1 if nr is None else 2, len(kinds), n, k), dtype=np.int64)
+    for b, kind in enumerate(kinds):
+        A[:, b] = tall_member(rng, p, nr, n, k, kind)
+    return A.transpose(0, 1, 3, 2) if wide else A
+
+
+def spy_on_core(monkeypatch):
+    """Copies of the batches that reach modmat.batch_rref, in call order."""
+    calls, core = [], modmat.batch_rref
+
+    def spy(A, *rest):
+        calls.append(A.copy())
+        return core(A, *rest)
+
+    monkeypatch.setattr(modmat, "batch_rref", spy)
+    return calls
+
+
+def batch_rank(p, nr, A):
+    return batch_rank_mod(A[0], p) if nr is None else batch_rank_quad(A[0], A[1], p, nr)
+
+
+def assert_certified(monkeypatch, p, nr, A):
+    """Exact ranks, from one elimination of the leading blocks and one full
+    elimination of just the members whose block is singular.  Returns
+    (those members, the exact ranks)."""
+    k = min(A.shape[2:])
+    blocks = A[:, :, :k, :k]
+    singular = [b for b, r in enumerate(rank_oracle(p, nr, blocks)) if r < k]
+    exact = rank_oracle(p, nr, A)
+    calls = spy_on_core(monkeypatch)
+    assert batch_rank(p, nr, A).tolist() == exact
+    assert np.array_equal(calls[0], blocks)
+    if singular:
+        assert len(calls) == 2 and np.array_equal(calls[1], A[:, singular])
+    else:
+        assert len(calls) == 1
+    return singular, exact
+
+
+@pytest.mark.parametrize("p, nr", CERT_FIELDS)
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 3), (7, 4)])
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+def test_leading_block_certificate_matches_exact_rank(monkeypatch, p, nr, n, k, wide):
+    rng = np.random.default_rng([p, n, k, wide])
+    A = certificate_batch(rng, p, nr, n, k, CERT_KINDS * 6, wide)
+    singular, exact = assert_certified(monkeypatch, p, nr, A)
+    # full-rank members with a singular block, and members below rank k
+    assert any(exact[b] == k for b in singular) and min(exact) < k
+
+
+@pytest.mark.parametrize("p, nr", CERT_FIELDS)
+def test_square_batches_are_eliminated_in_full_once(monkeypatch, p, nr):
+    A = certificate_batch(np.random.default_rng(p), p, nr, 4, 4, CERT_KINDS * 6, False)
+    calls = spy_on_core(monkeypatch)
+    assert batch_rank(p, nr, A).tolist() == rank_oracle(p, nr, A)
+    assert len(calls) == 1 and np.array_equal(calls[0], A)
+
+
+@pytest.mark.parametrize("p, nr", CERT_FIELDS)
+@pytest.mark.parametrize("shape", [(0, 3, 5), (0, 5, 3), (0, 0, 0), (4, 0, 3), (4, 3, 0), (2, 0, 0)])
+def test_empty_batches_and_empty_members_have_rank_zero(p, nr, shape):
+    A = np.zeros((1 if nr is None else 2, *shape), dtype=np.int64)
+    ranks = batch_rank(p, nr, A)
+    assert ranks.dtype == np.int64 and ranks.tolist() == [0] * shape[0]
+
+
+def test_leading_block_certificate_keeps_the_overflow_bounds():
+    # the smallest primes beyond each kernel's bound
+    with pytest.raises(ValueError):
+        batch_rank_mod(np.ones((1, 3, 2), dtype=np.int64), 3037000507)
+    with pytest.raises(ValueError):
+        batch_rank_quad(np.ones((1, 2, 3), dtype=np.int64), np.ones((1, 2, 3), dtype=np.int64), 2147483659, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CERT_FIELDS + [(7, None), (23, None), (7, 3)]), st.integers(0, 4), st.integers(1, 3),
+       st.booleans(), st.lists(st.sampled_from(CERT_KINDS), max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_leading_block_certificate_properties(field, k, extra, wide, kinds, seed):
+    p, nr = field
+    A = certificate_batch(np.random.default_rng(seed), p, nr, k + extra, k, kinds, wide)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_certified(monkeypatch, p, nr, A)
 
 
 # -- rref_poly: the finite-field elimination kernel behind ExactMatrix.rref ----
@@ -355,3 +478,12 @@ def test_rank_samplers_refuse_an_impossible_rank(t):
     for sampler in (sample_rank_exact, sample_rank_factors):
         with pytest.raises(ValueError, match="impossible"):
             sampler(np.random.default_rng(1), 5, 2, 3, 3, t)
+
+
+def test_sample_rank_factors_are_pinned():
+    """SHA-256 of the factors drawn from seed 17 at (23, 300, 32, 32, 4), as
+    little-endian int64: the draws, and every decision to draw again, are a
+    fixed function of the seed whatever rank kernel certifies them."""
+    X, Z = sample_rank_factors(np.random.default_rng(17), 23, 300, 32, 32, 4)
+    digest = hashlib.sha256(X.astype("<i8").tobytes() + Z.astype("<i8").tobytes()).hexdigest()
+    assert digest == "6aaa560aaa4c37d6931a5edffe9a2ca5886ac07392e4bad57ef0583b77999f74"

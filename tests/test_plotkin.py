@@ -412,6 +412,23 @@ def test_fold_stats_nonsquare_bound():
     assert st.ci95()[1] <= 100 * st.paper_bound
 
 
+# Seeded tallies at small q, where many folds and factors have a singular
+# leading block and the rank kernels eliminate them in full.
+@pytest.mark.parametrize("q, m, t, a, drops", [
+    (3, 4, 3, 1, 5616), (3, 4, 3, 2, 473),
+    (3, 3, 2, 1, 5147), (3, 3, 2, 2, 335),
+    (5, 4, 3, 1, 1856), (5, 4, 3, 2, 70),
+])
+def test_fold_experiment_tallies_are_pinned(q, m, t, a, drops):
+    assert fold_probability_experiment(q, m, t, a, 20000, 3).drops == drops
+
+
+def test_fold_experiment_refuses_characteristic_2():
+    # x^2 - 1 = (x - 1)^2 over GF(2): the fold is not the doubling fold
+    with pytest.raises(ParameterMismatch, match="odd characteristic"):
+        fold_probability_experiment(2, 4, 1, 1, 100, 0)
+
+
 @pytest.mark.parametrize("a", [265, PrimeField(2147483647).smallest_nonresidue()])
 def test_fold_experiment_folds_exactly_at_2_31(monkeypatch, a):
     """At q = 2^31 - 1 a square-twist fold of the factors sums products near
