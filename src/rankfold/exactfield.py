@@ -53,7 +53,7 @@ S by the product of the r_k with k in S and applies a Walsh-Hadamard
 transform mod p, and `inverse` undoes it.  crt_extend and
 rational_reconstruction (Wang 1981) lift residues back to rationals.
 Nothing here trusts a lift: callers certify it in exact arithmetic (see
-RMCode.erasure_decode).
+the certificates of RMCode.erasure_decode and RMCode.decode).
 """
 
 from __future__ import annotations

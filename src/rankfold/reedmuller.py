@@ -39,32 +39,30 @@ the deepest fold in one sign embedding (below) having rank t mod p.  A
 lower modular rank hands the draw to the exact ranks, so the sampler
 accepts exactly the errors the exact test accepts.
 
-The erasure step solves for the left factor x from syndromes.  Over the
-tower that exact solve is the slow part (its entries grow to hundreds of
-bits while the solution stays small), so erasure_decode first solves in
-the sign embeddings modulo a few primes (exactfield.SignEmbedding): the
-parity-check matrix, embedded once per prime and kept on the field's
-embedding, times the support rows and the received word gives 2^m
-syndrome systems over GF(p), solved in one batch by
-modmat.batch_solve_mod.  CRT and rational reconstruction lift x, and the
-result is certified exactly: the lifted word must have exact syndrome
-zero, and the syndrome matrix must have full column rank mod p in every
-embedding, which makes x the exact system's only solution.  Any doubt (a
-rank deficit or inconsistency mod p, a prime dividing a denominator, no
-stable lift within the prime budget, a failed certificate) hands the
-system to linalg.solve_erasures, so results and failure reasons are those
-of the exact path.
-
-decode itself runs the whole recursion the same way first.  In the sign
-embeddings a received word is one (2^m, n) array mod p, and every fold,
-peel and unpeel is elementwise (RMCode._decode_mod); each level's residual
-is eliminated in one batch, whose blocks have the ranks and row spaces of
-the residual in the embeddings of its base; and each erasure step is the
-batched solve above.  The error is lifted by CRT and rational
-reconstruction and certified exactly, once, at the top: a zero syndrome,
-rank at most t, and every modular fold rank equal to that rank.  A
-certified answer is the exact decoder's report, field for field; anything
-in doubt runs the exact decoder, whose inner levels stay exact.
+Exact work over the tower is the slow part (a solve's entries grow to
+hundreds of bits while its solution stays small), so the sampler, the
+erasure step and decode work first in the sign embeddings modulo a few
+primes (exactfield.SignEmbedding), on one engine.
+A vector of n tower elements, or a matrix over a subtower read column by
+column, is embedded from its integer coordinates as one (2^M, n) array
+mod p, one row per sign pattern.  There the fold w = (alpha y - y') / a,
+its partner w' = (alpha y + y') / a, the peel and the unpeel of every level
+are elementwise, alpha's sign flip swaps rows, and a matrix over a base of
+height s has, in each embedding of the base, the rank and row space of the
+2^(M-s) rows above it.  An erasure step is one batched GF(p) solve for the
+left factor x against the parity checks, embedded once per prime.  One
+loop over the primes lifts results by CRT and rational reconstruction, and
+every lift is certified exactly.  erasure_decode lifts x: the word it
+leaves must have exact syndrome zero, and the syndrome matrix full column
+rank mod p in every embedding, which makes x the exact system's only
+solution.  decode, on a code over Q, runs the whole recursion mod p and
+lifts the error once, at the top: a zero syndrome, rank at most t and
+every modular fold rank equal to that rank make the answer the exact
+decoder's report, field for field.  Any doubt (a rank deficit or
+inconsistency mod p, a prime dividing a denominator, no lift within the
+prime budget, a failed certificate) leaves the decision to the exact path
+(linalg.solve_erasures, the exact decoder, the exact ranks), so results
+and failure reasons are those of the exact path.
 """
 
 from __future__ import annotations
@@ -79,14 +77,14 @@ import numpy as np
 from . import modmat
 from .errors import (DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch,
                      RankfoldError)
-from .exactfield import MQElement, MultiquadraticField, integer_coords, mq_field, rational_lift
+from .exactfield import MQElement, MultiquadraticField, SignEmbedding, integer_coords, mq_field, rational_lift
 from .linalg import ExactMatrix, _peel, _syndrome, solve_erasures
 from .plotkin import doubling_decode, plotkin_fold
 
 # RMCode.sample_error draws this many candidates before giving up
 _SAMPLE_ATTEMPTS = 200
-# The embedded erasure solve reconstructs from at most this many primes
-# (about 220 bits) before it leaves the system to the exact solver.
+# The modular erasure solve and decode lift from at most this many primes
+# (about 220 bits) before they leave the work to the exact path.
 _PRIME_BUDGET = 8
 
 
@@ -194,6 +192,18 @@ def _block_rows(field: MultiquadraticField, gens_idx: tuple, r: int, checks: boo
         rows += [row + tuple(-(s * e) for e in row) for row in _block_rows(field, rest, r - 1, checks)]
         field.tables[key] = rows
     return rows
+
+
+def _embed(emb: SignEmbedding, d: int, ints: Sequence[int], shape: tuple[int, int]) -> Optional[np.ndarray]:
+    """The (2^M, k, n) images mod emb.p of k vectors of n tower elements,
+    shape = (k, n), from the integer_coords (d, ints) of their entries in
+    order; None when p divides d.  A matrix over a subtower, read column by
+    column, is the vector of its columns' elements (from_blocks)."""
+    p = emb.p
+    if d % p == 0:
+        return None
+    V = np.array([u % p for u in ints], dtype=np.int64) * pow(d, -1, p) % p
+    return emb.forward(V.reshape(*shape, 1 << len(emb.roots))).transpose(2, 0, 1)
 
 
 class RMCode:
@@ -396,32 +406,30 @@ class RMCode:
         for _ in range(_SAMPLE_ATTEMPTS):
             X = [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)]
             Z = list(zip(*[[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)]))
-            rows = [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X]
-            E = ExactMatrix(self.base_field, rows)
-            if self._deepest_fold_rank_mod_p(rows) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
+            E = ExactMatrix(self.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
+            if self._deepest_fold_rank_mod_p(E) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
                 return E
         raise RankfoldError(f"no rank-{t} error with stable folds in {_SAMPLE_ATTEMPTS} attempts")
 
-    def _deepest_fold_rank_mod_p(self, rows: list) -> int:
-        """Rank mod p of the decoder's deepest fold of the integer matrix
-        `rows`, in the sign embedding of the field's first embedding prime p
-        that sends each sqrt(a_i) to emb.roots[i]: a ring map, so this rank
-        is a lower bound for the rank over the tower.
-
-        The decoder folds r + 1 times, along a_m, a_(m-1), ...; the fold
-        join(bl - tr/a, (tl - br)/a) maps to (bl - tr/a) + root(a) (tl - br)/a.
-        The entries are reduced mod p as Python ints, so any bound works, and
-        every product of two residues stays below p^2 < 2^56.
+    def _deepest_fold_rank_mod_p(self, E: ExactMatrix) -> int:
+        """Rank of the decoder's deepest fold of E (r + 1 folds) in one
+        embedding of its base mod the field's first embedding prime p: a
+        ring map, so this rank is a lower bound for the rank over the
+        tower.  That base is this code's plus the folded directions, and the
+        embedding's rows of the vector form are those whose sign bits there
+        are all 0.  Entries are reduced mod p as Python ints, so any bound
+        works.
         """
-        emb = self.field.sign_embedding(0)
-        p = emb.p
-        M = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-        for a, root in list(zip(self.field.gens, emb.roots))[::-1][:self.r + 1]:
-            inv_a = a.denominator * pow(a.numerator, -1, p) % p
-            h = len(M) // 2
-            tl, tr, bl, br = M[:h, :h], M[:h, h:], M[h:, :h], M[h:, h:]
-            M = (bl - tr * inv_a % p + (tl - br) * (root * inv_a % p)) % p
-        return int(modmat.batch_rank_mod(M[None], p)[0])
+        top = self.field
+        emb = top.sign_embedding(0)
+        V = _embed(emb, *integer_coords([e for col in zip(*E.entries) for e in col]), (1, self.size))[:, 0]
+        code = self
+        for _ in range(self.r + 1):
+            V = code._fold_mod(V, top, emb)[0]
+            code = code.subcode()
+        base = sum(1 << top.gens.index(a) for a in code.field.gens[:code.base_height])
+        rows = np.flatnonzero(np.arange(top.dim) & base == 0)
+        return int(modmat.batch_rank_mod(V[rows][None], emb.p)[0])
 
     # -- decoding -------------------------------------------------------------------------
 
@@ -453,78 +461,36 @@ class RMCode:
                 return c
         return solve_erasures(self.field, self.fast_syndrome, y, rows)
 
-    def _embedded_checks(self, emb) -> np.ndarray:
-        """The parity-check matrix in the sign embeddings mod emb.p, as a
-        (2^M, n-k, n) array (M the tower height), kept on the embedding."""
-        key = ("H", self._code_gens, self.r)
-        H = emb.tables.get(key)
-        if H is None:
-            rows = _block_rows(self.field, self._code_gens, self.r, True)
-            # the denominators divide products of the generators' numerators and
-            # denominators, all prime to p
-            d, coords = integer_coords([e for row in rows for e in row])
-            coords = np.array([u % emb.p for u in coords], dtype=np.int64) * pow(d, -1, emb.p) % emb.p
-            H = emb.forward(coords.reshape(len(rows), self.size, self.field.dim))
-            H = emb.tables[key] = np.ascontiguousarray(H.transpose(2, 0, 1))
-        return H
-
     def _erasure_decode_embedded(self, y: list, rows: list) -> Optional[list]:
         """erasure_decode through the sign embeddings mod p, certified
         exactly; None wherever the exact solver must decide.
 
-        With x from _embedded_solution, c = y - sum_k x_k g_k is computed
-        exactly and certified in two steps:
+        x is solved in every embedding of each prime (_solve_mod) and lifted
+        (_lift) until a lift agrees with the next prime's residues; then
+        c = y - sum_k x_k g_k is computed exactly and certified in two steps:
 
         1. fast_syndrome(c) is exactly zero, so x solves the exact system;
         2. the syndrome matrix had full column rank mod p in every
            embedding.  Its entries have denominators prime to p (the
            primes avoid the generators' numerators and denominators, and
-           the support rows' denominators are checked), so a nonzero
-           maximal minor mod p is nonzero over L: the exact system has
-           full column rank, and x is its only solution.
+           _embed checks those of the support rows), so a nonzero maximal
+           minor mod p is nonzero over L: the exact system has full column
+           rank, and x is its only solution.
 
         So c is what solve_erasures returns, bit for bit.
         """
-        x = self._embedded_solution(y, rows)
+        field = self.field
+        d, ints = integer_coords([e for v in rows + [y] for e in v])
+
+        def images(i):
+            V = _embed(field.sign_embedding(i), d, ints, (len(rows) + 1, self.size))
+            return None if V is None else self._solve_mod(V, field, i)
+
+        x = self._lift(images, confirm=True)
         if x is None:
             return None
-        c = _peel(y, x, rows)
+        c = _peel(y, [field.element(x[j:j + field.dim]) for j in range(0, len(x), field.dim)], rows)
         return None if any(self.fast_syndrome(c)) else c
-
-    def _embedded_solution(self, y: list, rows: list) -> Optional[list]:
-        """The x with sum_k x_k H g_k = H y, solved mod primes in the sign
-        embeddings and lifted to the tower; not yet certified.
-
-        Each support row g_k and y is scaled once to integer coordinates,
-        v = V / d_v, so that mod p it is (V mod p) / d_v.  For each
-        embedding prime p, the syndromes come from the embedded parity
-        checks, one batched GF(p) solve gives x in every embedding, and the
-        inverse embedding gives its coordinates mod p.  rational_lift
-        combines them until a lift agrees with the next prime's residues.
-        Returns None on a rank deficit or
-        an inconsistent system mod p (in any embedding), on a prime dividing
-        some d_v, and when no lift agrees within _PRIME_BUDGET primes.
-        """
-        field, n, k = self.field, self.size, len(rows)
-        scales, ints = zip(*[integer_coords(v) for v in rows + [y]])
-
-        def residues():
-            for i in range(_PRIME_BUDGET):
-                emb = field.sign_embedding(i)
-                p = emb.p
-                if any(d % p == 0 for d in scales):
-                    return
-                V = np.array([[u % p for u in vec] for vec in ints], dtype=np.int64)
-                V = V * np.array([[pow(d, -1, p)] for d in scales], dtype=np.int64) % p
-                X = self._embedded_solve(emb.forward(V.reshape(k + 1, n, field.dim)).transpose(2, 0, 1), emb)
-                if X is None:
-                    return
-                yield emb.inverse(X.T).ravel().tolist(), p
-
-        lift = rational_lift(residues(), confirm=True)
-        if lift is None:
-            return None
-        return [field.element(lift[j:j + field.dim]) for j in range(0, len(lift), field.dim)]
 
     def decode(self, Y: ExactMatrix) -> DecodeReport:
         """Fold-and-recurse decoder.
@@ -568,13 +534,14 @@ class RMCode:
         exactly once; None wherever the exact decoder must decide.
 
         The error E = Y - C comes back modulo each embedding prime in turn,
-        and rational_lift stops at the first prime count at which every
-        entry reconstructs; each prime costs one modular decode.  One
-        28-bit prime reconstructs entries up to about 11,585 in absolute
-        value: the sampled errors need one up to m = 5 (their entries are
-        at most 3 * 50^2 = 7,500 at m = 4) and two from m = 6 on.  An entry
-        past the bound that reconstructs to a wrong value fails step 2.
-        The certificate, in this order:
+        and _lift stops at the first prime count at which every entry
+        reconstructs; each prime costs one modular decode.  One 28-bit
+        prime reconstructs entries up to about 11,585 in absolute value.
+        The sampled errors' entries are at most t * 50^2: 7,500 at m = 4,
+        which one prime covers, but 17,500 at m = 5, where some decodes
+        take two primes, as they all do from m = 6 on.  An entry past the
+        bound that reconstructs to a wrong value fails step 2.  The
+        certificate, in this order:
 
         1. E lifts within _PRIME_BUDGET primes, and no prime divides the
            denominators of Y;
@@ -590,29 +557,24 @@ class RMCode:
         Such an error is decoded by the exact decoder, with the trace built
         here: the report is the exact decoder's.
         """
-        field, n = self.field, self.size
-        d, ints = integer_coords([e for row in Y.entries for e in row])
+        n = self.size
+        d, ints = integer_coords([e for col in zip(*Y.entries) for e in col])
         ranks: list[int] = []
 
-        def residues():
-            for i in range(_PRIME_BUDGET):
-                emb = field.sign_embedding(i)
-                p = emb.p
-                if d % p == 0:
-                    return
-                # column j of Y holds the coordinates of y_j
-                Yc = np.array([u % p for u in ints], dtype=np.int64).reshape(n, n) * pow(d, -1, p) % p
-                Yv = emb.forward(Yc.T).T
-                Cv = self._decode_mod(Yv, field, i, ranks)
-                if Cv is None:
-                    return
-                yield emb.inverse((Yv - Cv).T % p).T.ravel().tolist(), p
+        def images(i):
+            emb = self.field.sign_embedding(i)
+            Yv = _embed(emb, d, ints, (1, n))
+            if Yv is None:
+                return None
+            Cv = self._decode_mod(Yv[:, 0], self.field, i, ranks)
+            return None if Cv is None else (Yv[:, 0] - Cv) % emb.p
 
-        lift = rational_lift(residues(), confirm=False)
+        lift = self._lift(images, confirm=False)
         if lift is None:
             return None
+        # lift holds E column by column
         K = self.base_field
-        E = ExactMatrix(K, tuple(tuple(map(K.scalar, lift[j:j + n])) for j in range(0, n * n, n)), _raw=True)
+        E = ExactMatrix(K, tuple(tuple(map(K.scalar, lift[i::n])) for i in range(n)), _raw=True)
         C = Y - E
         if any(self.fast_syndrome(self.vector_from_matrix(C))):
             return None
@@ -623,19 +585,51 @@ class RMCode:
         trace = [{"order": self.r - k, "height": self.m - k, "fold_rank": e} for k in range(self.r + 1)]
         return DecodeReport(True, C, E, None, trace, basis)
 
+    # -- the sign embeddings mod p ---------------------------------------------------------
+
+    def _lift(self, images, confirm: bool) -> Optional[list[Fraction]]:
+        """rational_lift of the tower elements whose images in the sign
+        embeddings modulo the field's i-th embedding prime are images(i), a
+        (2^M, k) array, for i < _PRIME_BUDGET; the residues stop where
+        images gives None.  The lift lists the k elements' coordinates one
+        element after the other."""
+        def residues():
+            for i in range(_PRIME_BUDGET):
+                X = images(i)
+                if X is None:
+                    return
+                emb = self.field.sign_embedding(i)
+                yield emb.inverse(X.T).ravel().tolist(), emb.p
+
+        return rational_lift(residues(), confirm)
+
+    def _fold_mod(self, V: np.ndarray, top: MultiquadraticField, emb: SignEmbedding) -> tuple:
+        """The fold along this code's last direction alpha = sqrt(a) of the
+        words V, (2^M, n) with one row per sign pattern of `top` mod emb.p:
+
+            w_j = (alpha v_j - v_(j+h)) / a,    w'_j = (alpha v_j + v_(j+h)) / a,
+
+        h = n/2.  Returns w, w', alpha's image in each row (a column), and
+        the row permutation of theta, alpha's sign flip."""
+        p, h = emb.p, V.shape[1] // 2
+        a = self.field.gens[-1]
+        bit = top.gens.index(a)
+        pattern = np.arange(len(V))
+        alpha = np.where(pattern >> bit & 1, p - emb.roots[bit], emb.roots[bit])[:, None]
+        inv_a = a.denominator * pow(a.numerator, -1, p) % p
+        left, right = alpha * V[:, :h] % p, V[:, h:]
+        return (left - right) * inv_a % p, (left + right) * inv_a % p, alpha, pattern ^ (1 << bit)
+
     def _decode_mod(self, Yv: np.ndarray, top: MultiquadraticField, i: int, ranks: list) -> Optional[np.ndarray]:
         """_decode_inner in the sign embeddings of `top`, the tower of the
         code that decode was called on, modulo its i-th embedding prime p.
 
-        A word over the tower is held in vector form (vector_from_matrix),
-        as the (2^M, n) array of its entries' images, one row per sign
-        pattern of top.  There every step of doubling_decode is elementwise.
-        With alpha = sqrt(a) the folded generator and theta its sign flip
-        (the row whose pattern has alpha's bit toggled):
+        A word over the tower is held in vector form, as the (2^M, n) array
+        of its entries' images, one row per sign pattern of top.  There
+        every step of doubling_decode is elementwise.  With w and w' from
+        _fold_mod and theta alpha's sign flip:
 
-            fold:     w_j = (alpha y_j - y_(j+h)) / a,  h = n/2;
             erasure:  z = (w - w^ + theta(w')) / 2,
-                      w'_j = (alpha y_j + y_(j+h)) / a;
             codeword: c_j = alpha (theta(c^_j) + w^_j / 2),
                       c_(j+h) = a (theta(c^_j) - w^_j / 2),
 
@@ -643,8 +637,9 @@ class RMCode:
         decoder's.  A matrix over a base of height s, in one of its
         embeddings, has the rank and row space of the 2^(M-s) x n block of
         rows above that embedding: the two differ by a scaled Hadamard
-        matrix.  So each inner residual is eliminated in one batch, and its
-        rank, the same in every embedding, goes to `ranks` (the deepest
+        matrix.  The base's generators are top's last ones, so these blocks
+        are contiguous, and each inner residual is eliminated in one batch;
+        its rank, the same in every embedding, goes to `ranks` (the deepest
         level first).  Returns the codeword in vector form, or None where
         the ranks of a level differ or an erasure solve fails.
         """
@@ -652,16 +647,8 @@ class RMCode:
             return np.zeros_like(Yv)
         emb = top.sign_embedding(i)
         p, h = emb.p, self.size // 2
-        a = self.field.gens[-1]
-        bit = top.gens.index(a)
-        a_p = a.numerator * pow(a.denominator, -1, p) % p
-        inv_a = pow(a_p, -1, p)
         inv_2 = (p + 1) // 2
-        pattern = np.arange(len(Yv))
-        flip = pattern ^ (1 << bit)
-        alpha = np.where(pattern >> bit & 1, p - emb.roots[bit], emb.roots[bit])[:, None]
-        left, right = alpha * Yv[:, :h] % p, Yv[:, h:]
-        W = (left - right) * inv_a % p
+        W, W2, alpha, flip = self._fold_mod(Yv, top, emb)
         sub = self.subcode()
         W_hat = sub._decode_mod(W, top, i, ranks)
         if W_hat is None:
@@ -671,47 +658,51 @@ class RMCode:
         if (rank != e).any():
             return None
         ranks.append(e)
-        Z = (W - W_hat + (left + right)[flip] * inv_a) % p * inv_2 % p
-        C_hat = self._descend(self.r)._erasure_decode_mod(Z, np.repeat(R[:, :e], h, axis=0), top, i)
-        if C_hat is None:
-            return None
-        C_hat, half = C_hat[flip], W_hat * inv_2 % p
-        return np.concatenate((alpha * (C_hat + half) % p, a_p * (C_hat - half) % p), axis=1)
-
-    def _erasure_decode_mod(self, z: np.ndarray, support: np.ndarray, top: MultiquadraticField,
-                            i: int) -> Optional[np.ndarray]:
-        """erasure_decode in the sign embeddings of `top` mod its i-th
-        embedding prime: z is (2^M, n) and support (2^M, e, n), in vector
-        form with one row per sign pattern of top.  The syndromes come from
-        _embedded_checks, whose rows follow this code's rotated tower, so
-        the rows are put in that order for the solve and back after it.
-        None where _embedded_solve fails."""
-        emb = self.field.sign_embedding(i)
-        # order[t] is top's pattern of this tower's pattern t
-        t = np.arange(top.dim)
-        order = sum((t >> k & 1) << top.gens.index(a) for k, a in enumerate(self.field.gens))
-        V = np.concatenate((support, z[:, None]), axis=1)[order]
-        X = self._embedded_solve(V, emb)
+        Z = (W - W_hat + W2[flip]) % p * inv_2 % p
+        V = np.concatenate((np.repeat(R[:, :e], h, axis=0), Z[:, None]), axis=1)
+        X = self._descend(self.r)._solve_mod(V, top, i)
         if X is None:
             return None
-        out = np.empty_like(z)
-        out[order] = (V[:, -1] - modmat.batch_matmul_mod(X[:, None], V[:, :-1], emb.p)[:, 0]) % emb.p
-        return out
+        C_hat, half = (Z - modmat.batch_matmul_mod(X[:, None], V[:, :e], p)[:, 0])[flip] % p, W_hat * inv_2 % p
+        return np.concatenate((alpha * (C_hat + half) % p, alpha * alpha % p * (C_hat - half) % p), axis=1)
 
-    def _embedded_solve(self, V: np.ndarray, emb) -> Optional[np.ndarray]:
-        """The (2^M, k) solutions x of sum_k x_k H g_k = H y in every sign
-        embedding mod emb.p, given the (2^M, k + 1, n) images of the rows
-        g_k and of y there, from the embedded parity checks in one batched
-        solve; None on a rank deficit or an inconsistent system in any
-        embedding, and where the syndrome product would overflow int64."""
+    def _solve_mod(self, V: np.ndarray, top: MultiquadraticField, i: int) -> Optional[np.ndarray]:
+        """The (2^M, k) left factors x of sum_k x_k H g_k = H y in every sign
+        embedding of `top` modulo its i-th embedding prime p, given the
+        (2^M, k + 1, n) images of the rows g_k and of y there, one row per
+        sign pattern of top; one batched GF(p) solve.  The embedded parity
+        checks follow this code's tower, so V's rows are put in its order
+        for the solve and x's back after it.  None on a rank deficit or an
+        inconsistent system in any embedding, and where the syndrome
+        product would overflow int64."""
+        emb = self.field.sign_embedding(i)
         p = emb.p
         if self.size * (p - 1) ** 2 >= 2 ** 63:
             return None
-        S = modmat.batch_matmul_mod(self._embedded_checks(emb), V.transpose(0, 2, 1), p)
+        # order[t] is top's pattern of this tower's pattern t
+        t = np.arange(top.dim)
+        order = sum(((t >> k & 1) << top.gens.index(a) for k, a in enumerate(self.field.gens)), np.zeros_like(t))
+        S = modmat.batch_matmul_mod(self._embedded_checks(emb), V[order].transpose(0, 2, 1), p)
         try:
-            return modmat.batch_solve_mod(S, p)
+            X = modmat.batch_solve_mod(S, p)
         except (NoSolution, NotUnique):
             return None
+        out = np.empty_like(X)
+        out[order] = X
+        return out
+
+    def _embedded_checks(self, emb: SignEmbedding) -> np.ndarray:
+        """The parity-check matrix in the sign embeddings mod emb.p, as a
+        (2^M, n-k, n) array (M the tower height), kept on the embedding."""
+        key = ("H", self._code_gens, self.r)
+        H = emb.tables.get(key)
+        if H is None:
+            rows = _block_rows(self.field, self._code_gens, self.r, True)
+            # the denominators divide products of the generators' numerators and
+            # denominators, all prime to p
+            coords = integer_coords([e for row in rows for e in row])
+            H = emb.tables[key] = np.ascontiguousarray(_embed(emb, *coords, (len(rows), self.size)))
+        return H
 
     def _decode_inner(self, Y: ExactMatrix, trace: list) -> ExactMatrix:
         if self.r < 0:

@@ -489,21 +489,54 @@ def test_prime_dividing_a_denominator_falls_back(kernel_outcomes):
     assert decode_outcome(code, y, G) == exact_outcome(code, y, rows) == c
 
 
+def forward_of_coords(emb, vectors):
+    """The (2^M, k, n) array of emb.forward of the coordinates mod emb.p of
+    the entries of k vectors of n tower elements."""
+    p = emb.p
+    coords = [[[q.numerator * pow(q.denominator, -1, p) % p for q in x.coords] for x in v] for v in vectors]
+    return emb.forward(np.array(coords, dtype=np.int64)).transpose(2, 0, 1)
+
+
+def test_embedding_layout():
+    rng = SplitMix64(108)
+    # a base-height-0 matrix read from its columns, and a descended code's
+    # integer rows: one vector, the matrix's columns as tower elements
+    for code, cell in [(RMCode(tower(3), 1), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+                       (RMCode(tower(4), 1)._descend(1), lambda: rng.randint(-9, 9))]:
+        emb = code.field.sign_embedding(0)
+        M = ExactMatrix(code.base_field, [[cell() for _ in range(code.size)] for _ in range(code.size)])
+        got = reedmuller._embed(emb, *integer_coords([e for col in zip(*M.entries) for e in col]), (1, code.size))
+        assert np.array_equal(got, forward_of_coords(emb, [code.vector_from_matrix(M)]))
+    # fractional support rows and the word, as the erasure step embeds them
+    code = RMCode(tower(3), 1)
+    c, y, G = erasure_instance(code, rng, 3)
+    vectors = [code._coerce_vector(row) for row in G.entries] + [y]
+    assert any(e.den > 1 for v in vectors for e in v)
+    emb = code.field.sign_embedding(1)
+    got = reedmuller._embed(emb, *integer_coords([e for v in vectors for e in v]), (len(vectors), code.size))
+    assert np.array_equal(got, forward_of_coords(emb, vectors))
+    # a prime dividing the denominator
+    y[2] = y[2] + Fraction(1, emb.p)
+    assert reedmuller._embed(emb, *integer_coords(y), (1, code.size)) is None
+    assert reedmuller._embed(code.field.sign_embedding(0), *integer_coords(y), (1, code.size)) is not None
+
+
 def test_certificate_rejects_a_perturbed_lift(monkeypatch):
     # one reconstructed coordinate off by 1/7: the exact syndrome of the
     # lifted word is nonzero, and the decode still returns the exact answer
     rng = SplitMix64(107)
     code = RMCode(tower(4), 1)
     c, y, G = erasure_instance(code, rng, 3)
-    lift = RMCode._embedded_solution
+    lift = reedmuller.rational_lift
+    k = code.field.dim + 5  # coordinate 5 of x_1: the lift lists x's coordinates element by element
 
-    def perturbed(self, y, rows):
-        x = lift(self, y, rows)
-        coords = list(x[1].coords)
-        coords[5] += Fraction(1, 7)
-        return [x[0], self.field.element(coords)] + x[2:]
+    def perturbed(residues, confirm):
+        out = lift(residues, confirm)
+        if not confirm:  # only the erasure solve lifts with confirm=True
+            return out
+        return out[:k] + [out[k] + Fraction(1, 7)] + out[k + 1:]
 
-    monkeypatch.setattr(RMCode, "_embedded_solution", perturbed)
+    monkeypatch.setattr(reedmuller, "rational_lift", perturbed)
     fast, y, rows = fast_and_rows(code, y, G)
     assert fast is None
     assert code.erasure_decode(y, G) == exact_outcome(code, y, rows) == c
@@ -645,33 +678,41 @@ def test_certified_sampler_draws_the_exact_samplers_errors(monkeypatch, m, r):
         assert ranked.pop() == (1, deepest, deepest) and not ranked
 
 
-def test_certified_sampler_on_a_descended_code():
-    # base height 1: E lives over Q(sqrt 11) and the folds run along 7 and 5
+def test_certified_sampler_on_a_descended_code(monkeypatch):
+    # base height 1: E lives over Q(sqrt 11) and the folds run along 7 and 5;
+    # the certificate holds on every draw, so the exact ranks never run
     code = RMCode(tower(5), 1)._descend(1)
     assert (code.base_height, code.m, code.r, code.t) == (1, 4, 1, 3)
     for seed in range(4):
         rng, ref = SplitMix64(seed), SplitMix64(seed)
-        assert code.sample_error(rng) == exact_sample_error(code, ref)
+        with monkeypatch.context() as patch:
+            patch.setattr(RMCode, "folds_preserve_rank", lambda *args: pytest.fail("exact fold ranks ran"))
+            E = code.sample_error(rng)
+        assert E == exact_sample_error(code, ref)
         assert rng._state == ref._state
 
 
-@pytest.mark.parametrize("m, r", [(m, r) for m in (3, 4) for r in range(m - 1)])
-def test_deepest_fold_rank_mod_p_matches_the_exact_fold(m, r):
+@pytest.mark.parametrize("m, r, descend", [pytest.param(m, r, False, id=f"{m}-{r}")
+                                           for m in (3, 4) for r in range(m - 1)]
+                         + [pytest.param(5, 1, True, id="5-1-descended")])
+def test_deepest_fold_rank_mod_p_matches_the_exact_fold(m, r, descend):
     code = RMCode(tower(m), r)
+    if descend:  # base height 1, whose sign bit is the field's lowest
+        code = code._descend(r)
     rng = SplitMix64(88)
     for k in (1, code.t, code.size):
         X = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(code.size)]
         Z = list(zip(*[[rng.randint(-9, 9) for _ in range(code.size)] for _ in range(k)]))
-        rows = [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X]
-        M, sub = ExactMatrix(code.base_field, rows), code
+        E = ExactMatrix(code.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
+        M, sub = E, code
         for _ in range(r + 1):
             M, sub = sub.fold(M), sub.subcode()
-        assert code._deepest_fold_rank_mod_p(rows) == M.rank()
+        assert code._deepest_fold_rank_mod_p(E) == M.rank()
     # E = [[0, a M], [M, 0]] folds to zero (test_decode_detects_rank_dropping_fold)
     a, n = int(code.field.gens[-1]), code.size
     E = [[0] * n for _ in range(n)]
     E[0][n // 2], E[n // 2][0] = a, 1
-    assert code._deepest_fold_rank_mod_p(E) == 0
+    assert code._deepest_fold_rank_mod_p(ExactMatrix(code.base_field, E)) == 0
 
 
 def test_certified_sampler_reduces_huge_entries_before_numpy():
