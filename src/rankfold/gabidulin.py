@@ -8,23 +8,28 @@ with minimum rank distance d = n - k + 1.
 The error decoder is linearized Welch-Berlekamp: find a nonzero pair
 (V, N) with deg_q V <= t, deg_q N <= t + k - 1 and V(y_i) = N(g_i) for all
 i (one homogeneous linear system), recover the message polynomial as the
-exact left quotient of N by V, and verify the residual rank.  The erasure
-decoder hands linalg.solve_erasures the code's parity checks, built once
-per code, and the error's known row space.  Both report failure rather
-than return an unverified answer.  GabidulinMatrixCode is a
-linalg.MatrixCode, which supplies its decoders over GF(q^2).
+exact left quotient of N by V (left_divide), and verify the residual rank.
+The erasure decoder writes the error as sum_k x_k s_k over the rows s_k of
+its known GF(q) row space and solves sum_k x_k H s_k = H y for x over
+GF(q^m), H the parity checks.  Both report failure rather than return an
+unverified answer.  GabidulinMatrixCode is a linalg.MatrixCode, which
+supplies its decoders over GF(q^2).
 
 Vectors over GF(q^m) are worked on as (n, m) int64 coefficient arrays
-(ExtField.coeff_array): row i holds the coefficients of entry i.  A code
-keeps the Moore array of its points, g_i^(q^j) for j < m, as one (n, m, m)
-array read off the field's Frobenius table.  From it come, without
-element arithmetic, the interpolation system [y_i^(q^j) | -g_i^(q^j)]
+(ExtField.coeff_array): row i holds the coefficients of entry i, and the
+decoders do no ExtElement arithmetic; elements appear only where vectors
+enter and leave.  A code keeps the Moore array of its points, g_i^(q^j)
+for j < m, as one (n, m, m) array read off the field's Frobenius table,
+and its parity checks as one (n - k, n, m) array, the kernel of the Moore
+rows.  From them come the interpolation system [y_i^(q^j) | -g_i^(q^j)]
 that goes to modmat.rref_poly, the evaluation of f at every point through
-the field's multiplication tensor (encoding and re-encoding), the parity
-checks, and the residual check, which is the GF(q)-rank of the error's
-m x n coefficient matrix, again by rref_poly.  The matrix view applies an
-explicit basis as one (m, m) product each way, its inverse computed once
-per code.
+the field's multiplication tensor (encoding and re-encoding), the syndrome
+H y, the erasure system [H s_k | H y] (H s_k is an integer combination of
+H's columns), and the residual check, which is the GF(q)-rank of the
+error's m x n coefficient matrix, again by rref_poly.  left_divide builds
+its two GF(q)-linear maps from one inverse of V's leading coefficient.
+The matrix view applies an explicit basis as one (m, m) product each way,
+its inverse computed once per code.
 
 Overflow: every array step forms sums of at most m products of two
 residues, or of at most m residues, and reduces mod q before the next
@@ -50,7 +55,7 @@ from .errors import (
     SingularBasis,
 )
 from .gf import ExtField, PrimeElement, basis_inverse
-from .linalg import ExactMatrix, MatrixCode, _syndrome, solve_erasures
+from .linalg import ExactMatrix, MatrixCode
 from .modmat import poly_fits_int64
 
 
@@ -91,39 +96,6 @@ class LinearizedPoly:
                     out[i + j] = out[i + j] + a * self.field.frobenius(b, i)
         return LinearizedPoly(self.field, out)
 
-    def left_divide(self, divisor: "LinearizedPoly") -> "LinearizedPoly":
-        """Solve self = divisor o f for f, peeling leading coefficients.
-
-        The top coefficient of divisor o f is V_t * f_d^(q^t), so f can be
-        read off from the top down, applying the inverse Frobenius.  Raises
-        ValueError when the division is not exact.
-        """
-        field = self.field
-        t = divisor.qdegree
-        if t < 0:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        if len(rem) < t + 1:
-            if any(rem):
-                raise ValueError("quotient would have negative degree")
-            return LinearizedPoly(field, ())
-        fdeg = len(rem) - 1 - t
-        lead_inv = divisor.coeffs[t].inverse()
-        fcoeffs = [field.zero] * (fdeg + 1)
-        inv_frob = (-t) % field.m if field.m else 0
-        for d in range(fdeg, -1, -1):
-            c = rem[t + d]
-            if not c:
-                continue
-            fd = field.frobenius(c * lead_inv, inv_frob)
-            fcoeffs[d] = fd
-            for i, vi in enumerate(divisor.coeffs):
-                if vi:
-                    rem[i + d] = rem[i + d] - vi * field.frobenius(fd, i)
-        if any(rem):
-            raise ValueError("division is not exact")
-        return LinearizedPoly(field, fcoeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearizedPoly)
@@ -133,6 +105,46 @@ class LinearizedPoly:
 
     def __repr__(self):
         return f"LinearizedPoly(deg_q={self.qdegree})"
+
+
+def _qdegree(X: np.ndarray) -> int:
+    """Index of the last nonzero row of a coefficient array, or -1."""
+    nonzero = np.flatnonzero(X.any(axis=1))
+    return int(nonzero[-1]) if nonzero.size else -1
+
+
+def left_divide(field: ExtField, N: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The f with N = V o f, on coefficient arrays whose row i holds the
+    coefficient of x^(q^i); f comes back with a nonzero top row, or none.
+
+    The top coefficient of V o f is V_t f_d^(q^t), so f is read off from the
+    top down: f_d = (r_(t+d) / V_t)^(q^-t) for the remainder r, which then
+    loses V_i f_d^(q^i) in row i + d for every i.  Both maps of f_d are
+    GF(q)-linear and built once, as (m, m) matrices, from one inverse,
+    mul_tensor and _frobenius_array; each sums at most m products of
+    residues.  Raises ValueError when the division is not exact.
+    """
+    p, m = field.p, field.m
+    t = _qdegree(V)
+    if t < 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = N[: _qdegree(N) + 1] % p
+    if len(rem) < t + 1:
+        if rem.any():
+            raise ValueError("quotient would have negative degree")
+        return rem
+    T, F = field.mul_tensor, field._frobenius_array
+    lead_inv = np.einsum("a,abl->bl", np.asarray(field._inverse_coeffs(V[t].tolist())), T) % p
+    take = lead_inv @ F[-t % m] % p
+    # shift[i] takes f_d to the coefficients of V_i f_d^(q^i)
+    shift = np.einsum("ijb,ibl->ijl", F[np.arange(t + 1) % m], np.einsum("ia,abl->ibl", V[: t + 1], T) % p) % p
+    f = np.zeros((len(rem) - t, m), dtype=np.int64)
+    for d in range(len(f) - 1, -1, -1):
+        f[d] = rem[t + d] @ take % p
+        rem[d : d + t + 1] = (rem[d : d + t + 1] - f[d] @ shift) % p
+    if rem.any():
+        raise ValueError("division is not exact")
+    return f
 
 
 def annihilator(field: ExtField, vectors: Sequence) -> LinearizedPoly:
@@ -185,15 +197,20 @@ class GabidulinCode:
         (n, m) coefficient array X."""
         return len(self.field.base.rref_coeffs(X.T[:, :, None])[1])
 
+    def _product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(rows, m) coefficient array of A x over GF(q^m), for a
+        (rows, c, m) array A and a (c, m) array X with c <= m.  Every sum is
+        of at most m products of residues or of c residues, reduced mod q
+        before the next product."""
+        p = self.field.p
+        mult = np.einsum("ca,abl->cbl", X, self.field.mul_tensor) % p
+        return (np.einsum("rcb,cbl->rcl", A, mult) % p).sum(axis=1) % p
+
     def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """(n, m) coefficient array of f(g_i) for every point, where row j
         of the (k', m) array `coeffs` (k' <= m) is the coefficient of
-        x^(q^j) in f.  Every sum is of at most m products of residues or of
-        k' residues, reduced mod q before the next product."""
-        p, k = self.field.p, len(coeffs)
-        mult = np.einsum("ji,ial->jal", coeffs, self.field.mul_tensor) % p
-        terms = np.einsum("nja,jal->njl", self._moore[:, :k], mult) % p
-        return terms.sum(axis=1) % p
+        x^(q^j) in f."""
+        return self._product(self._moore[:, : len(coeffs)], coeffs)
 
     def encode(self, message: Sequence) -> list:
         if len(message) != self.k:
@@ -215,11 +232,12 @@ class GabidulinCode:
         K[:, list(pivots)] = -R[: len(pivots), free].transpose(1, 0, 2) % self.field.p
         return K
 
-    def _interpolate(self, Y: np.ndarray, t: int) -> Optional[tuple]:
+    def _interpolate(self, Y: np.ndarray, t: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Nonzero (V, N) with V(y_i) = N(g_i), deg_q V <= t,
-        deg_q N <= t + k - 1, or None if every kernel vector has V = 0.
-        Y is the (n, m) coefficient array of the received word; row i of
-        the system is [y_i^(q^j), j <= t | -g_i^(q^j), j < t + k]."""
+        deg_q N <= t + k - 1, as (t + 1, m) and (t + k, m) coefficient
+        arrays, or None if every kernel vector has V = 0.  Y is the (n, m)
+        coefficient array of the received word; row i of the system is
+        [y_i^(q^j), j <= t | -g_i^(q^j), j < t + k]."""
         field = self.field
         nv, nn = t + 1, t + self.k
         A = np.concatenate(
@@ -229,8 +247,7 @@ class GabidulinCode:
         with_v = np.flatnonzero(K[:, :nv].any(axis=(1, 2)))
         if not with_v.size:
             return None
-        vec = field.from_coeff_array(K[with_v[0]])
-        return LinearizedPoly(field, vec[:nv]), LinearizedPoly(field, vec[nv:])
+        return K[with_v[0], :nv], K[with_v[0], nv:]
 
     def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:
         """Correct up to t rank errors (default: half distance).
@@ -250,41 +267,63 @@ class GabidulinCode:
             raise DecodingFailure("no interpolation pair with nonzero V")
         V, N = pair
         try:
-            f = N.left_divide(V)
+            f = left_divide(field, N, V)
         except ValueError as exc:
             raise DecodingFailure(f"interpolation quotient not exact: {exc}") from exc
-        if f.qdegree >= self.k:
+        if len(f) > self.k:
             raise DecodingFailure("quotient degree exceeds the code dimension")
-        C = self._evaluate(field.coeff_array(f.coeffs))
+        C = self._evaluate(f)
         E = (Y - C) % field.p
         if self._base_rank(E) > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")
         return field.from_coeff_array(C), field.from_coeff_array(E)
 
-    def parity_check_matrix(self) -> ExactMatrix:
-        """Rows spanning the dual: kernel of the Moore evaluation matrix
-        [g_j^(q^i)], i < k."""
-        field = self.field
-        if self.k == 0:
-            return ExactMatrix.identity(field, self.n)
-        K = self._kernel(self._moore[:, : self.k].transpose(1, 0, 2))
-        return ExactMatrix(field, tuple(tuple(field.from_coeff_array(v)) for v in K), _raw=True)
-
     @cached_property
-    def _parity_rows(self) -> tuple:
-        return self.parity_check_matrix().entries
+    def _parity(self) -> np.ndarray:
+        """(n - k, n, m) parity-check array: the kernel of the Moore rows
+        [g_j^(q^i)], i < k, which is the identity when k = 0."""
+        return self._kernel(self._moore[:, : self.k].transpose(1, 0, 2))
+
+    def parity_check_matrix(self) -> ExactMatrix:
+        """Rows spanning the dual."""
+        field = self.field
+        return ExactMatrix(field, tuple(tuple(field.from_coeff_array(v)) for v in self._parity), _raw=True, cols=self.n)
 
     def decode_erasures(self, y: Sequence, support: ExactMatrix) -> list:
         """Recover the codeword when the error's row space (over GF(q), in
-        the expanded matrix view) is known to lie in `support`."""
-        field = self.field
-        y = [field.coerce(v) for v in y]
-        if len(y) != self.n:
-            raise LengthMismatch(f"need {self.n} symbols, got {len(y)}")
+        the expanded matrix view) is known to lie in `support`, a matrix
+        over GF(q); raises FieldMismatch for a support over another field.
+
+        The error is sum_k x_k s_k over the support rows s_k, with x over
+        GF(q^m) solving sum_k x_k H s_k = H y for the parity checks H.  H y
+        is one product, each H s_k an integer combination of H's columns,
+        and the system is eliminated once.  Raises DecodingFailure when it
+        is inconsistent, when x is not unique (a nonzero combination of the
+        support rows is a codeword), or when the syndrome is nonzero and
+        the support empty.
+        """
+        field, p = self.field, self.field.p
+        Y = field.coeff_array(y)
+        if len(Y) != self.n:
+            raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
         if support.rows and support.cols != self.n:
             raise DimensionMismatch("support width must match the code length")
-        gens = [[field.coerce(e) for e in row] for row in support.entries]
-        return solve_erasures(field, lambda v: _syndrome(self._parity_rows, v, field.zero), y, gens)
+        if support.field != field.base:
+            raise FieldMismatch(f"support over {support.field}, expected {field.base}")
+        H, r = self._parity, support.rows
+        syndrome = self._product(H, Y)
+        if not r:
+            if syndrome.any():
+                raise DecodingFailure("nonzero syndrome with empty erasure support")
+            return field.from_coeff_array(Y)
+        S = np.array([[e.val for e in row] for row in support.entries], dtype=np.int64)
+        system = np.concatenate((np.einsum("ki,jia->jka", S, H) % p, syndrome[:, None]), axis=1)
+        R, pivots = field.rref_coeffs(system)
+        if pivots and pivots[-1] == r:
+            raise DecodingFailure("erasure system inconsistent: inconsistent system")
+        if len(pivots) < r:
+            raise DecodingFailure("erasure support hides a codeword")
+        return field.from_coeff_array((Y - np.einsum("ka,ki->ia", R[:r, r], S)) % p)
 
     def minimum_rank_codeword(self) -> list:
         """A codeword of rank exactly d = n - k + 1: the annihilator of the

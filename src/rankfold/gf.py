@@ -677,7 +677,8 @@ class ExtField(_PolyQuotient):
 
     @cached_property
     def _frobenius_array(self) -> np.ndarray:
-        """frobenius_table as an int64 array, for frobenius_powers only."""
+        """frobenius_table as an int64 array, for frobenius_powers and
+        gabidulin.left_divide."""
         return np.array(self.frobenius_table, dtype=np.int64)
 
     def frobenius(self, x: "ExtElement", i: int = 1) -> "ExtElement":

@@ -352,7 +352,7 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
         if any(s_y):
             raise DecodingFailure("nonzero syndrome with empty erasure support")
         return list(y)
-    M = ExactMatrix(field, tuple(zip(*(syndrome(g) for g in generators))), _raw=True)
+    M = ExactMatrix(field, tuple(zip(*(syndrome(g) for g in generators))), _raw=True, cols=len(generators))
     try:
         x = M.solve(s_y)
     except NoSolution as exc:

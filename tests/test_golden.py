@@ -1,22 +1,29 @@
-"""Golden outputs of tower arithmetic and of an rm-roundtrip fixture dump.
+"""Golden outputs of tower arithmetic, of an rm-roundtrip fixture dump and
+of seeded doubled-Gabidulin decodes.
 
-The files under tests/golden were written by an earlier version of the
-package whose towers stored Fraction coordinates; the integer storage must
-reproduce them byte for byte.  Regenerate them only for a deliberate change
-of results: `python tests/test_golden.py` rewrites golden/elements.tsv,
-and `rankfold rm-roundtrip --m 3 --r 1 --trials 3 --seed 3 --jobs 1
---dump-fixtures tests/golden/rm3_fixtures.jsonl` the fixture file.
+elements.tsv and rm3_fixtures.jsonl were written by an earlier version of
+the package whose towers stored Fraction coordinates, and
+plotkin_decodes.jsonl by one whose Gabidulin decoders worked element by
+element in the erasure solve and the left division; the current code must
+reproduce them byte for byte.  Regenerate them only for a deliberate
+change of results: `python tests/test_golden.py` rewrites
+golden/elements.tsv and golden/plotkin_decodes.jsonl, and `rankfold
+rm-roundtrip --m 3 --r 1 --trials 3 --seed 3 --jobs 1 --dump-fixtures
+tests/golden/rm3_fixtures.jsonl` the fixture file.
 """
 
 import json
 from fractions import Fraction
 from pathlib import Path
 
-from rankfold import cli, mq_field
-from rankfold.linalg import ExactMatrix
+from rankfold import DecodingFailure, SplitMix64, cli, derive_seed, gabidulin_plotkin, mq_field
+from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 RM_ARGV = ["rm-roundtrip", "--m", "3", "--r", "1", "--trials", "3", "--seed", "3", "--jobs", "1"]
+# (q, m, k1, k2, a, trials, seed): the plotkin-square code with its square
+# and its non-square twist, and a q = 3 code whose decodes sometimes fail
+PLOTKIN_CAMPAIGNS = [(23, 8, 6, 4, 1, 4, 7), (23, 8, 6, 4, 5, 4, 7), (3, 4, 3, 2, 1, 300, 11)]
 
 
 def golden_elements() -> dict:
@@ -47,6 +54,30 @@ def _dump(elements: dict) -> str:
     return "".join(f"{tower}\t{json.dumps(e)}\n" for tower, values in elements.items() for e in values)
 
 
+def golden_plotkin_decodes() -> str:
+    """One JSON line per seeded trial of plotkin-roundtrip's error model:
+    the decoded codeword and error over GF(23), or the failure reason at
+    q = 3, where only the failures are kept."""
+    lines = []
+    for q, m, k1, k2, a, trials, seed in PLOTKIN_CAMPAIGNS:
+        code = gabidulin_plotkin(q, m, k1, k2, a)
+        for index in range(trials):
+            rng = SplitMix64(derive_seed(seed, index))
+            C = code.random_codeword(rng)
+            E = random_rank_matrix(code.field, rng, code.rows, code.cols, code.radius)
+            line = {"code": [q, m, k1, k2, a], "seed": seed, "trial": index}
+            try:
+                got = code.decode(C + E)
+            except DecodingFailure as exc:
+                line["reason"] = str(exc)
+            else:
+                if q == 3:
+                    continue
+                line["codeword"], line["error"] = ([[e.val for e in row] for row in M.entries] for M in got)
+            lines.append(json.dumps(line) + "\n")
+    return "".join(lines)
+
+
 def test_element_json_matches_the_golden_file():
     assert _dump(golden_elements()) == (GOLDEN / "elements.tsv").read_text()
 
@@ -58,5 +89,10 @@ def test_rm_fixture_dump_matches_the_golden_file(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "rm3_fixtures.jsonl").read_bytes()
 
 
+def test_plotkin_decodes_match_the_golden_file():
+    assert golden_plotkin_decodes() == (GOLDEN / "plotkin_decodes.jsonl").read_text()
+
+
 if __name__ == "__main__":
     (GOLDEN / "elements.tsv").write_text(_dump(golden_elements()))
+    (GOLDEN / "plotkin_decodes.jsonl").write_text(golden_plotkin_decodes())
