@@ -11,6 +11,14 @@ monomial) each such map becomes an N x N rational matrix, N = 2^m, and
 the code becomes a rank-metric code: order r gives dimension
 sum_{i<=r} C(m, i) over L and minimum rank distance 2^(m-r).
 
+One signed-monomial rule gives the code's structure: theta_S sends the
+basis monomial b_j of the code directions to (-1)^|S & j| b_j, so
+sum_S f_S theta_S sends b_j to (H f)_j b_j, H the +-1 Walsh-Hadamard
+matrix.  Row S of the generator matrix is ((-1)^|S & j| b_j)_j, |S| <= r,
+and of the parity-check matrix ((-1)^|S & j| / b_j)_j, |S| > r.  Encoding
+is one Hadamard butterfly (m 2^m tower additions) and n products by b_j;
+the syndrome of y is the butterfly of y_j / b_j, read at |S| > r.
+
 Splitting every object along the last square root yields 2x2 block
 structure for codewords,
 
@@ -18,8 +26,7 @@ structure for codewords,
      [A1 + B1,  A0 - B0]]
 
 with A-blocks of order r and B-blocks of order r-1 one level down the
-tower, and matching block recursions for generator and parity-check
-matrices.  This is the doubled-code shape of plotkin.py, so the decoder
+tower.  This is the doubled-code shape of plotkin.py, so the decoder
 is plotkin.doubling_decode whose algebra is the tower base(sqrt(a_m)),
 the subcode's base field, through its matrix join and split: the fold
 hands the B-part to the order r-1 code one level down (recursively) and
@@ -101,11 +108,11 @@ class ThetaPolynomial:
     """
 
     def __init__(self, field: MultiquadraticField, coeffs: dict):
-        self.field = field
-        self.coeffs = {mask: field.coerce(c) for mask, c in coeffs.items() if field.coerce(c)}
-        for mask in self.coeffs:
+        for mask in coeffs:
             if not 0 <= mask < field.dim:
                 raise ValueError(f"exponent mask {mask} out of range")
+        self.field = field
+        self.coeffs = {mask: x for mask, c in coeffs.items() if (x := field.coerce(c))}
 
     def theta_degree(self) -> int:
         """Largest number of sign flips in any term; -1 for the zero map."""
@@ -173,25 +180,38 @@ class DecodeReport:
     error_rows: Optional[ExactMatrix] = None
 
 
-def _block_rows(field: MultiquadraticField, gens_idx: tuple, r: int, checks: bool):
+def _monomials(field: MultiquadraticField, base_height: int, inverse: bool) -> list:
+    """The basis monomials b_j of the tower directions above base_height
+    (b_j has the exponent mask j << base_height), or their inverses, in
+    order of j; kept in field.tables."""
+    key = ("1/b" if inverse else "b", base_height)
+    if key not in field.tables:
+        b = [field.basis_element(j << base_height) for j in range(field.dim >> base_height)]
+        field.tables[key] = [x.inverse() for x in b] if inverse else b
+    return field.tables[key]
+
+
+def _hadamard(x: list) -> list:
+    """x <- H x in place, H the +-1 Walsh-Hadamard matrix of order
+    len(x) = 2^m: entry S becomes sum_j (-1)^|S & j| x_j, in m 2^m
+    additions."""
+    h = 1
+    while h < len(x):
+        for i in range(0, len(x), 2 * h):
+            for k in range(i, i + h):
+                x[k], x[k + h] = x[k] + x[k + h], x[k] - x[k + h]
+        h *= 2
+    return x
+
+
+def _block_rows(field: MultiquadraticField, base_height: int, r: int, checks: bool) -> list:
     """Rows of the generator matrix (checks False) or of the parity-check
-    matrix (checks True) for order r on the given tower directions.  Each
-    recursion level appends to the rows of orders r and r-1 one level down
-    their copies scaled by +s and -s, where s is the last direction's
-    square root alpha for the generator and 1/alpha for the checks, so
-    that the two products cancel pairwise."""
-    r = max(r, -1)
-    if not gens_idx:
-        return [(field.one,)] if (r >= 0) != checks else []
-    key = ("H" if checks else "G", gens_idx, min(r, len(gens_idx)))
-    rows = field.tables.get(key)
-    if rows is None:
-        rest, alpha = gens_idx[:-1], field.alpha(gens_idx[-1])
-        s = alpha.inverse() if checks else alpha
-        rows = [row + tuple(s * e for e in row) for row in _block_rows(field, rest, r, checks)]
-        rows += [row + tuple(-(s * e) for e in row) for row in _block_rows(field, rest, r - 1, checks)]
-        field.tables[key] = rows
-    return rows
+    matrix (checks True) of order r on the tower directions above
+    base_height, in increasing S: entry (S, j) is (-1)^|S & j| b_j for
+    |S| <= r, and (-1)^|S & j| / b_j for |S| > r (_monomials)."""
+    b = _monomials(field, base_height, checks)
+    return [tuple(-x if (S & j).bit_count() & 1 else x for j, x in enumerate(b))
+            for S in range(len(b)) if (S.bit_count() > r) == checks]
 
 
 def _embed(emb: SignEmbedding, d: int, ints: Sequence[int], shape: tuple[int, int]) -> Optional[np.ndarray]:
@@ -231,7 +251,6 @@ class RMCode:
         self.min_rank = (1 << (self.m - r)) if 0 <= r <= self.m else None
         # Largest error rank the fold/erasure decoder is designed for.
         self.t = (1 << (self.m - r - 1)) - 1 if 0 <= r < self.m else (self.size if r < 0 else 0)
-        self._code_gens = tuple(range(base_height + 1, field.m + 1))
 
     # -- structure ------------------------------------------------------------
 
@@ -269,19 +288,24 @@ class RMCode:
         return [MQElement.from_blocks(self.field, M.col(j)) for j in range(M.cols)]
 
     def theta_matrix(self, F: ThetaPolynomial) -> ExactMatrix:
-        """Matrix of the map F: evaluate at each code basis monomial and
-        expand the results over the base field."""
+        """Matrix of the map F, by the signed-monomial rule.  Flips of base
+        directions fix every b_j, so F(b_j) = (H c)_j b_j, where c_s sums F's
+        coefficients whose mask has the code part mask >> base_height = s;
+        column j expands F(b_j) over the base field."""
         if F.field != self.field:
             raise DimensionMismatch("polynomial lives on a different tower")
-        evals = [F(self.field.basis_element(j << self.base_height)) for j in range(self.size)]
-        return self.matrix_from_vector(evals)
+        c = [self.field.zero] * self.size
+        for mask, f in F.coeffs.items():
+            c[mask >> self.base_height] += f
+        b = _monomials(self.field, self.base_height, False)
+        return self.matrix_from_vector([v * bj for v, bj in zip(_hadamard(c), b)])
 
     def encode(self, message: Sequence) -> ExactMatrix:
         """Message coefficients (in exponent order) to the codeword matrix."""
         masks = self.exponents()
         if len(message) != len(masks):
             raise LengthMismatch(f"message length must be {len(masks)}, got {len(message)}")
-        coeffs = {mask << self.base_height: self.field.coerce(c) for mask, c in zip(masks, message)}
+        coeffs = {mask << self.base_height: c for mask, c in zip(masks, message)}
         return self.theta_matrix(ThetaPolynomial(self.field, coeffs))
 
     def random_message(self, rng, bound: int = 9) -> list:
@@ -290,11 +314,11 @@ class RMCode:
     # -- generator / parity-check -----------------------------------------------------
 
     def generator_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, False)), _raw=True,
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self.base_height, self.r, False)), _raw=True,
                            cols=self.size)
 
     def parity_check_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.field, tuple(_block_rows(self.field, self._code_gens, self.r, True)), _raw=True,
+        return ExactMatrix(self.field, tuple(_block_rows(self.field, self.base_height, self.r, True)), _raw=True,
                            cols=self.size)
 
     # -- syndromes --------------------------------------------------------------------
@@ -316,44 +340,12 @@ class RMCode:
         return _syndrome(self.parity_check_matrix().entries, y, self.field.zero)
 
     def fast_syndrome(self, y: Sequence) -> list:
-        """Parity-check times vector through the two-half recursion.
-
-        Each level needs the sub-syndromes of both halves at the current
-        order and at order-1; memoizing on (segment, order) makes the
-        lower-order results reuse the sub-results already computed for the
-        higher order, so a segment is never recomputed.  All scalar work is
-        multiplication by single square roots, which costs O(2^m) per
-        element instead of a general tower product.
-        """
-        y = self._coerce_vector(y)
-        gens_idx = self._code_gens
-        field = self.field
-        memo: dict = {}
-
-        def rec(lo: int, hi: int, r: int, level: int):
-            r = max(r, -1)
-            if r >= level:
-                return ()
-            if level == 0:
-                return (y[lo],)
-            key = (lo, hi, r)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            mid = (lo + hi) // 2
-            idx = gens_idx[level - 1]
-            inv_a = Fraction(1) / field.gens[idx - 1]
-            u = rec(lo, mid, r, level - 1)
-            v = rec(mid, hi, r, level - 1)
-            u2 = rec(lo, mid, r - 1, level - 1)
-            v2 = rec(mid, hi, r - 1, level - 1)
-            va = [e.mul_by_alpha(idx).scale(inv_a) for e in v]
-            v2a = [e.mul_by_alpha(idx).scale(inv_a) for e in v2]
-            out = tuple(a + b for a, b in zip(u, va)) + tuple(a - b for a, b in zip(u2, v2a))
-            memo[key] = out
-            return out
-
-        return list(rec(0, self.size, self.r, self.m))
+        """Parity-check times vector, from the signed-monomial rule: the
+        entries S with |S| > r, in increasing S, of H (y_j / b_j).  That is
+        n products by the inverse monomials and one butterfly of m n tower
+        additions, against (n - k) n general products for naive_syndrome."""
+        z = _hadamard([v * w for v, w in zip(self._coerce_vector(y), _monomials(self.field, self.base_height, True))])
+        return [z[S] for S in range(self.size) if S.bit_count() > self.r]
 
     # -- folding ------------------------------------------------------------------------
 
@@ -693,15 +685,17 @@ class RMCode:
 
     def _embedded_checks(self, emb: SignEmbedding) -> np.ndarray:
         """The parity-check matrix in the sign embeddings mod emb.p, as a
-        (2^M, n-k, n) array (M the tower height), kept on the embedding."""
-        key = ("H", self._code_gens, self.r)
+        (2^M, n-k, n) array (M the tower height), kept on the embedding:
+        each embedding is a ring map, so entry (S, j) is (-1)^|S & j| times
+        the image of 1/b_j."""
+        key = ("H", self.base_height, self.r)
         H = emb.tables.get(key)
         if H is None:
-            rows = _block_rows(self.field, self._code_gens, self.r, True)
-            # the denominators divide products of the generators' numerators and
-            # denominators, all prime to p
-            coords = integer_coords([e for row in rows for e in row])
-            H = emb.tables[key] = np.ascontiguousarray(_embed(emb, *coords, (len(rows), self.size)))
+            n = self.size
+            # 1/b_j has the generators' numerators as denominators, all prime to p
+            inverses = _embed(emb, *integer_coords(_monomials(self.field, self.base_height, True)), (1, n))
+            signs = [[(-1) ** (S & j).bit_count() for j in range(n)] for S in range(n) if S.bit_count() > self.r]
+            H = emb.tables[key] = np.array(signs, dtype=np.int64).reshape(-1, n) * inverses % emb.p
         return H
 
     def _decode_inner(self, Y: ExactMatrix, trace: list) -> ExactMatrix:

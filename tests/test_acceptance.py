@@ -260,9 +260,9 @@ def test_criterion_09_fold_drop_rate_bound():
 
 def test_criterion_10_syndrome_speedup_trend(monkeypatch):
     # Work is counted, not timed: the tower coordinate products formed by
-    # the one integer product kernel (every general product) and by
-    # mul_by_alpha (the fast syndrome's only products), so the trend is the
-    # same on every run and machine.
+    # the one integer product kernel (every general product, among them the
+    # fast syndrome's products by inverse monomials) and by mul_by_alpha, so
+    # the trend is the same on every run and machine.
     products = [0]
     kernel, by_alpha = exactfield._mul_into, exactfield.MQElement.mul_by_alpha
 

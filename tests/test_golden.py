@@ -2,14 +2,15 @@
 of seeded doubled-Gabidulin decodes.
 
 elements.tsv and rm3_fixtures.jsonl were written by an earlier version of
-the package whose towers stored Fraction coordinates, and
-plotkin_decodes.jsonl by one whose Gabidulin decoders worked element by
-element in the erasure solve and the left division; the current code must
-reproduce them byte for byte.  Regenerate them only for a deliberate
-change of results: `python tests/test_golden.py` rewrites
-golden/elements.tsv and golden/plotkin_decodes.jsonl, and `rankfold
-rm-roundtrip --m 3 --r 1 --trials 3 --seed 3 --jobs 1 --dump-fixtures
-tests/golden/rm3_fixtures.jsonl` the fixture file.
+the package whose towers stored Fraction coordinates, rm5_fixtures.jsonl
+by one that encoded term by term, and plotkin_decodes.jsonl by one whose
+Gabidulin decoders worked element by element in the erasure solve and the
+left division; the current code must reproduce them byte for byte.
+Regenerate them only for a deliberate change of results: `python
+tests/test_golden.py` rewrites golden/elements.tsv and
+golden/plotkin_decodes.jsonl, and `rankfold rm-roundtrip --m M --r R
+--trials 3 --seed 3 --jobs 1 --dump-fixtures tests/golden/rmM_fixtures.jsonl`
+the fixture files, with (M, R) = (3, 1) and (5, 2).
 """
 
 import json
@@ -20,7 +21,8 @@ from rankfold import DecodingFailure, SplitMix64, cli, derive_seed, gabidulin_pl
 from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
-RM_ARGV = ["rm-roundtrip", "--m", "3", "--r", "1", "--trials", "3", "--seed", "3", "--jobs", "1"]
+# fixture file -> (m, r); the m = 5 encodes run a five-level butterfly
+RM_FIXTURES = {"rm3_fixtures.jsonl": (3, 1), "rm5_fixtures.jsonl": (5, 2)}
 # (q, m, k1, k2, a, trials, seed): the plotkin-square code with its square
 # and its non-square twist, and a q = 3 code whose decodes sometimes fail
 PLOTKIN_CAMPAIGNS = [(23, 8, 6, 4, 1, 4, 7), (23, 8, 6, 4, 5, 4, 7), (3, 4, 3, 2, 1, 300, 11)]
@@ -83,10 +85,12 @@ def test_element_json_matches_the_golden_file():
 
 
 def test_rm_fixture_dump_matches_the_golden_file(tmp_path, capsys):
-    out = tmp_path / "fixtures.jsonl"
-    assert cli.main(RM_ARGV + ["--dump-fixtures", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / "rm3_fixtures.jsonl").read_bytes()
+    for name, (m, r) in RM_FIXTURES.items():
+        out = tmp_path / name
+        argv = ["rm-roundtrip", "--m", str(m), "--r", str(r), "--trials", "3", "--seed", "3", "--jobs", "1"]
+        assert cli.main(argv + ["--dump-fixtures", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_plotkin_decodes_match_the_golden_file():

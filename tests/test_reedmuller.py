@@ -20,6 +20,18 @@ def tower(m):
     return mq_field(PRIMES[:m])
 
 
+def codes_with_bases(max_m):
+    """Every order on towers of height 1..max_m, at base heights 0, 1 and 2,
+    the tower rotated by _descend as the decoder rotates it."""
+    for height in range(1, max_m + 1):
+        code = RMCode(tower(height), 0)
+        for h in range(min(2, height) + 1):
+            for r in range(-1, height - h + 1):
+                yield RMCode(code.field, r, h)
+            if code.m:
+                code = code._descend(0)
+
+
 # -- theta polynomials ---------------------------------------------------------
 
 
@@ -49,6 +61,14 @@ def test_apply_is_linear_and_matches_matrix():
         M = code.theta_matrix(F)
         col = ExactMatrix.column(code.base_field, x.blocks_over(0))
         assert (M @ col).col(0) == tuple(F(x).blocks_over(0))
+    # on base heights 1 and 2 too, with flips of base directions (which fix
+    # the code's basis monomials): column j is F at b_j, evaluated term by term
+    for code in codes_with_bases(5):
+        L, h = code.field, code.base_height
+        masks = {rng.randint(0, L.dim - 1) for _ in range(4)} | {L.dim - 1}
+        F = ThetaPolynomial(L, {mask: L.random_element(rng, 5) for mask in masks})
+        evals = [F(L.basis_element(j << h)) for j in range(code.size)]
+        assert code.theta_matrix(F) == code.matrix_from_vector(evals)
 
 
 def test_compose_is_matrix_product():
@@ -67,6 +87,15 @@ def test_theta_degree():
     assert ThetaPolynomial(L, {0: L.one}).theta_degree() == 0
     assert ThetaPolynomial(L, {0b101: L.one, 0b1: L.one}).theta_degree() == 2
     assert ThetaPolynomial(L, {0b11: L.zero}).theta_degree() == -1  # zero coeffs drop
+
+
+def test_theta_polynomial_checks_every_mask():
+    L = tower(3)
+    for c in (0, L.zero, 1, L.one):
+        with pytest.raises(ValueError, match="exponent mask 99 out of range"):
+            ThetaPolynomial(L, {99: c})
+        with pytest.raises(ValueError, match="exponent mask -1 out of range"):
+            ThetaPolynomial(L, {-1: c})
 
 
 # -- code structure -----------------------------------------------------------
@@ -161,13 +190,16 @@ def test_vector_matrix_roundtrip():
 
 def test_fast_syndrome_matches_naive():
     rng = SplitMix64(50)
-    for m in range(1, 5):
-        L = tower(m)
-        for r in range(-1, m + 1):
-            code = RMCode(L, r)
-            for _ in range(8):
-                y = [L.random_element(rng, 9) for _ in range(code.size)]
-                assert code.fast_syndrome(y) == code.naive_syndrome(y)
+    for code in codes_with_bases(5):
+        L = code.field
+        for _ in range(8 if L.m <= 4 else 2):
+            y = [L.random_element(rng, 9) for _ in range(code.size)]
+            assert code.fast_syndrome(y) == code.naive_syndrome(y)
+        # the embedded parity checks are the exact ones, embedded entry by entry
+        emb = L.sign_embedding(0)
+        rows = code.parity_check_matrix().entries
+        want = reedmuller._embed(emb, *integer_coords([e for row in rows for e in row]), (len(rows), code.size))
+        assert np.array_equal(code._embedded_checks(emb), want)
 
 
 def test_codeword_syndrome_is_zero():
