@@ -21,15 +21,20 @@ decoders do no ExtElement arithmetic; elements appear only where vectors
 enter and leave.  A code keeps the Moore array of its points, g_i^(q^j)
 for j < m, as one (n, m, m) array read off the field's Frobenius table,
 and its parity checks as one (n - k, n, m) array, the kernel of the Moore
-rows.  From them come the interpolation system [y_i^(q^j) | -g_i^(q^j)]
-that goes to modmat.rref_poly, the evaluation of f at every point through
-the field's multiplication tensor (encoding and re-encoding), the syndrome
-H y, the erasure system [H s_k | H y] (H s_k is an integer combination of
-H's columns), and the residual check, which is the GF(q)-rank of the
-error's m x n coefficient matrix, again by rref_poly.  left_divide builds
-its two GF(q)-linear maps from one inverse of V's leading coefficient.
-The matrix view applies an explicit basis as one (m, m) product each way,
-its inverse computed once per code.
+rows.  The interpolation system [y_i^(q^j) | g_i^(q^j)] has a Moore block
+M that depends on the code and t alone, so a code reduces it once per t
+(P M = RREF(M)), and a decode eliminates by modmat.rref_poly only the
+last n - rank(M) rows of P [y_i^(q^j)], whose first kernel vector is a
+monic V; left_divide needs no inverse for it.  For t + k > n the same
+steps give V = x and the interpolant N of q-degree < n.  The arrays also
+give the evaluation of f at every point through the field's
+multiplication tensor (encoding and re-encoding), the syndrome H y, the
+erasure system [H s_k | H y] (H s_k is an integer combination of H's
+columns), and the residual check, the GF(q)-rank of the error's m x n
+coefficient matrix.  The matrix view's matrices over GF(q) hold int64
+arrays (linalg's storage rule), so to_matrix and to_vector are a
+transpose and, for an explicit basis, one (m, m) product, its inverse
+computed once per code.
 
 Overflow: every array step forms sums of at most m products of two
 residues, or of at most m residues, and reduces mod q before the next
@@ -54,8 +59,8 @@ from .errors import (
     ParameterMismatch,
     SingularBasis,
 )
-from .gf import ExtField, PrimeElement, basis_inverse
-from .linalg import ExactMatrix, MatrixCode
+from .gf import ExtField, basis_inverse
+from .linalg import ExactMatrix, MatrixCode, check_radius
 from .modmat import poly_fits_int64
 
 
@@ -120,9 +125,10 @@ def left_divide(field: ExtField, N: np.ndarray, V: np.ndarray) -> np.ndarray:
     The top coefficient of V o f is V_t f_d^(q^t), so f is read off from the
     top down: f_d = (r_(t+d) / V_t)^(q^-t) for the remainder r, which then
     loses V_i f_d^(q^i) in row i + d for every i.  Both maps of f_d are
-    GF(q)-linear and built once, as (m, m) matrices, from one inverse,
-    mul_tensor and _frobenius_array; each sums at most m products of
-    residues.  Raises ValueError when the division is not exact.
+    GF(q)-linear and built once, as (m, m) matrices, from mul_tensor,
+    _frobenius_array and one inverse, which a monic V does without; each
+    sums at most m products of residues.  Raises ValueError when the
+    division is not exact.
     """
     p, m = field.p, field.m
     t = _qdegree(V)
@@ -134,8 +140,9 @@ def left_divide(field: ExtField, N: np.ndarray, V: np.ndarray) -> np.ndarray:
             raise ValueError("quotient would have negative degree")
         return rem
     T, F = field.mul_tensor, field._frobenius_array
-    lead_inv = np.einsum("a,abl->bl", np.asarray(field._inverse_coeffs(V[t].tolist())), T) % p
-    take = lead_inv @ F[-t % m] % p
+    take = F[-t % m]
+    if V[t].tolist() != [1] + [0] * (m - 1):  # a monic V needs no inverse
+        take = np.einsum("a,abl->bl", np.asarray(field._inverse_coeffs(V[t].tolist())), T) % p @ take % p
     # shift[i] takes f_d to the coefficients of V_i f_d^(q^i)
     shift = np.einsum("ijb,ibl->ijl", F[np.arange(t + 1) % m], np.einsum("ia,abl->ibl", V[: t + 1], T) % p) % p
     f = np.zeros((len(rem) - t, m), dtype=np.int64)
@@ -187,6 +194,7 @@ class GabidulinCode:
             raise ValueError("evaluation points must be GF(q)-independent")
         # Moore array: _moore[i, j] holds the coefficients of g_i^(q^j), j < m.
         self._moore = field.frobenius_powers(G, field.m)
+        self._moore_reduced = {}  # t -> _reduce_moore(t), for 0 <= t <= n
         self.k = k
         self.d = self.n - k + 1
         # half-distance error radius
@@ -198,13 +206,13 @@ class GabidulinCode:
         return len(self.field.base.rref_coeffs(X.T[:, :, None])[1])
 
     def _product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(rows, m) coefficient array of A x over GF(q^m), for a
-        (rows, c, m) array A and a (c, m) array X with c <= m.  Every sum is
-        of at most m products of residues or of c residues, reduced mod q
-        before the next product."""
+        """Coefficient array of A X over GF(q^m), for a (rows, c, m) array A
+        and a (c, m) vector or (c, s, m) matrix X: (rows, m) or
+        (rows, s, m).  Every sum is of at most m products of residues or of
+        c residues, reduced mod q before the next product."""
         p = self.field.p
-        mult = np.einsum("ca,abl->cbl", X, self.field.mul_tensor) % p
-        return (np.einsum("rcb,cbl->rcl", A, mult) % p).sum(axis=1) % p
+        mult = np.einsum("c...a,abl->c...bl", X, self.field.mul_tensor) % p
+        return (np.einsum("rcb,c...bl->rc...l", A, mult) % p).sum(axis=1) % p
 
     def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """(n, m) coefficient array of f(g_i) for every point, where row j
@@ -232,37 +240,53 @@ class GabidulinCode:
         K[:, list(pivots)] = -R[: len(pivots), free].transpose(1, 0, 2) % self.field.p
         return K
 
+    def _reduce_moore(self, t: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(P, pivots) with P M = RREF(M) and P invertible, for the
+        n x (t + k) Moore block M = [g_i^(q^j)], j < t + k: one elimination
+        of [M | I], kept on the code for each t."""
+        if t not in self._moore_reduced:
+            field, n, nn = self.field, self.n, t + self.k
+            eye = np.zeros((n, n, field.m), dtype=np.int64)
+            eye[range(n), range(n), 0] = 1
+            R, pivots = field.rref_coeffs(np.concatenate((self._moore[:, np.arange(nn) % field.m], eye), axis=1))
+            self._moore_reduced[t] = R[:, nn:], tuple(c for c in pivots if c < nn)
+        return self._moore_reduced[t]
+
     def _interpolate(self, Y: np.ndarray, t: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Nonzero (V, N) with V(y_i) = N(g_i), deg_q V <= t,
+        """(V, N) with V monic, V(y_i) = N(g_i), deg_q V <= t and
         deg_q N <= t + k - 1, as (t + 1, m) and (t + k, m) coefficient
-        arrays, or None if every kernel vector has V = 0.  Y is the (n, m)
-        coefficient array of the received word; row i of the system is
-        [y_i^(q^j), j <= t | -g_i^(q^j), j < t + k]."""
-        field = self.field
-        nv, nn = t + 1, t + self.k
-        A = np.concatenate(
-            (field.frobenius_powers(Y, nv), -self._moore[:, np.arange(nn) % field.m] % field.p), axis=1
-        )
-        K = self._kernel(A)
-        with_v = np.flatnonzero(K[:, :nv].any(axis=(1, 2)))
-        if not with_v.size:
+        arrays, or None when V = 0 is forced.  Y is the (n, m) coefficient
+        array of the received word, and 0 <= t <= n.
+
+        The system [y_i^(q^j), j <= t] v = M w, with M the Moore block of
+        _reduce_moore, times P reads Q v = RREF(M) w, Q = P [y_i^(q^j)].
+        V is the first kernel vector of the last n - r rows of Q, r =
+        rank M: 1 at its free column, 0 above it.  The top r rows give N's
+        pivot coordinates; its free ones (t + k > r) are set to zero."""
+        P, pivots = self._reduce_moore(t)
+        r = len(pivots)
+        PY = self._product(P, self.field.frobenius_powers(Y, t + 1))
+        K = self._kernel(PY[r:])
+        if not len(K):
             return None
-        return K[with_v[0], :nv], K[with_v[0], nv:]
+        N = np.zeros((t + self.k, self.field.m), dtype=np.int64)
+        N[list(pivots)] = self._product(PY[:r], K[0])
+        return K[0], N
 
     def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:
         """Correct up to t rank errors (default: half distance).
 
         Returns (codeword, error); raises DecodingFailure when no valid
-        codeword within radius t is found.  The final rank check makes a
-        wrong silent answer impossible.
+        codeword within radius t is found, and ParameterMismatch for t < 0.
+        The final rank check makes a wrong silent answer impossible.
         """
         field = self.field
         Y = field.coeff_array(y)
         if len(Y) != self.n:
             raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
-        if t is None:
-            t = self.radius
-        pair = self._interpolate(Y, t)
+        t = check_radius(self.radius if t is None else t)
+        # Every t >= n - k gives V = x and the interpolant of degree < n.
+        pair = self._interpolate(Y, min(t, self.n))
         if pair is None:
             raise DecodingFailure("no interpolation pair with nonzero V")
         V, N = pair
@@ -316,7 +340,7 @@ class GabidulinCode:
             if syndrome.any():
                 raise DecodingFailure("nonzero syndrome with empty erasure support")
             return field.from_coeff_array(Y)
-        S = np.array([[e.val for e in row] for row in support.entries], dtype=np.int64)
+        S = support.array
         system = np.concatenate((np.einsum("ki,jia->jka", S, H) % p, syndrome[:, None]), axis=1)
         R, pivots = field.rref_coeffs(system)
         if pivots and pivots[-1] == r:
@@ -372,25 +396,23 @@ class GabidulinMatrixCode(MatrixCode):
     def _coordinate_map(self) -> np.ndarray:
         """(m, m) array taking coefficient rows to coordinate rows in the
         basis: the basis inverted once per code."""
-        inverse = basis_inverse(self.field, self.basis)
-        return np.array([[e.val for e in row] for row in inverse.entries], dtype=np.int64).T
+        return basis_inverse(self.field, self.basis).array.T
 
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
         X = self.field.coeff_array(vec)
         if self._basis_array is not None:
             X = X @ self._coordinate_map % self.field.p
-        base = self.base
-        return ExactMatrix(base, tuple(tuple(PrimeElement(base, v) for v in row) for row in X.T.tolist()), _raw=True)
+        return ExactMatrix.from_array(self.base, X.T)
 
     def to_vector(self, M: ExactMatrix) -> list:
         if M.field != self.base:
             raise FieldMismatch(f"matrix over {M.field}, expected {self.base}")
         if M.rows != self.rows:
             raise SingularBasis(f"matrix must have {self.rows} rows")
-        X = np.array([[e.val for e in row] for row in M.entries], dtype=np.int64).T
+        X = M.array.T
         if self._basis_array is not None:
-            X = X @ self._basis_array
-        return self.field.from_coeff_array(X % self.field.p)
+            X = X @ self._basis_array % self.field.p
+        return self.field.from_coeff_array(X)
 
     def encode(self, message: Sequence) -> ExactMatrix:
         return self.to_matrix(self.code.encode(message))

@@ -177,6 +177,8 @@ class PrimeField(_PolyQuotient):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        # linalg.ExactMatrix holds matrices over this field as int64 arrays
+        self.int64_matrices = modmat.poly_fits_int64(p, 1)
         self.zero = PrimeElement(self, 0)
         self.one = PrimeElement(self, 1)
 

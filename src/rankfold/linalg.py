@@ -21,6 +21,15 @@ Matrices are immutable; all operations return fresh objects.  _syndrome
 is the one row product that skips zero entries: matrix products, the
 syndromes of matrix codes and RMCode.naive_syndrome all go through it.
 
+Storage rule: a matrix over a field whose `int64_matrices` is true
+(gf.PrimeField with (p-1)^2 < 2^63, modmat.poly_fits_int64(p, 1)) holds
+its residues as one read-only (rows, cols) int64 array, `array`, and
+builds `entries` on first access.  +, -, scale, ==, transpose, block,
+split_blocks and rref (through the field's rref_coeffs) run in numpy; @
+does while the inner dimension times (p-1)^2 fits in int64, the bound
+modmat.batch_matmul_mod checks, and goes entry by entry beyond it.
+Other matrices have `array` None.
+
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
 codes and doubled codes are MatrixCodes.
@@ -28,28 +37,55 @@ codes and doubled codes are MatrixCodes.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique
+import numpy as np
+
+from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch
+from .modmat import poly_fits_int64
 
 
 class ExactMatrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "_entries", "array")
 
     def __init__(self, field, entries: Sequence[Sequence], _raw: bool = False, cols: Optional[int] = None):
         """`cols` gives the width of a matrix without rows; otherwise the
         width is read off the entries (and checked against cols if given)."""
-        if _raw:
-            self.entries = entries
-        else:
-            self.entries = tuple(tuple(field.coerce(e) for e in row) for row in entries)
+        if not _raw:
+            entries = tuple(tuple(field.coerce(e) for e in row) for row in entries)
         self.field = field
-        self.rows = len(self.entries)
-        self.cols = cols if cols is not None else len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
+        self._entries = entries
+        self.rows = len(entries)
+        self.cols = cols if cols is not None else len(entries[0]) if entries else 0
+        if not (isinstance(self.cols, int) and self.cols >= 0):
+            raise DimensionMismatch(f"no width {self.cols!r}")
+        for row in entries:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
+        self.array = None
+        if getattr(field, "int64_matrices", False):
+            self.array = np.array([[e.val for e in row] for row in entries], dtype=np.int64).reshape(self.rows, self.cols)
+            self.array.flags.writeable = False
+
+    @staticmethod
+    def from_array(field, A: np.ndarray) -> "ExactMatrix":
+        """The matrix over a field with int64_matrices whose residues mod p
+        are the (rows, cols) int64 array A, kept (not copied) read-only."""
+        M = object.__new__(ExactMatrix)
+        A.flags.writeable = False
+        M.field, M._entries, M.array = field, None, A
+        M.rows, M.cols = A.shape
+        return M
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of elements."""
+        if self._entries is None:
+            element = self.field.element
+            self._entries = tuple(tuple(map(element, row)) for row in self.array.tolist())
+        return self._entries
 
     # -- constructors --------------------------------------------------------
 
@@ -92,51 +128,59 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} vs {other.shape}")
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _arrays(self, other: "ExactMatrix") -> bool:
+        """Whether both matrices hold arrays over the same field."""
+        return self.array is not None and other.array is not None and self.field == other.field
+
+    def _like(self, A: np.ndarray) -> "ExactMatrix":
+        return ExactMatrix.from_array(self.field, A)
+
+    def _combine(self, other: "ExactMatrix", op) -> "ExactMatrix":
+        """op (+ or -) entry by entry; one numpy call on arrays."""
         self._same_shape(other)
-        return ExactMatrix(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            _raw=True,
-            cols=self.cols,
-        )
+        if self._arrays(other):
+            return self._like(op(self.array, other.array) % self.field.p)
+        return ExactMatrix(self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+                           _raw=True, cols=self.cols)
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.field,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            _raw=True,
-            cols=self.cols,
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(self.field, tuple(tuple(-a for a in row) for row in self.entries), _raw=True, cols=self.cols)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
+        if self.array is not None:
+            return self._like(c.val * self.array % self.field.p)
         return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True,
                            cols=self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
+        if self._arrays(other) and poly_fits_int64(self.field.p, self.cols):
+            return self._like(self.array @ other.array % self.field.p)
         cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         zero = self.field.zero
         return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True,
                            cols=other.cols)
 
     def transpose(self) -> "ExactMatrix":
+        if self.array is not None:
+            return self._like(self.array.T)
         return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
                            cols=self.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and all(a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
-        )
+        if not (isinstance(other, ExactMatrix) and self.field == other.field and self.shape == other.shape):
+            return False
+        if self._arrays(other):
+            return bool(np.array_equal(self.array, other.array))
+        return all(a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
 
     def map_entries(self, fn: Callable, field=None) -> "ExactMatrix":
         """Apply fn entry-wise, optionally moving to another field."""
@@ -150,30 +194,25 @@ class ExactMatrix:
         """Assemble a matrix from a grid of blocks (row heights and column
         widths must agree along each band)."""
         field = grid[0][0].field
-        out_rows = []
+        width = sum(blk.cols for blk in grid[0])
         for band in grid:
-            height = band[0].rows
-            for blk in band:
-                if blk.rows != height:
-                    raise DimensionMismatch("block heights differ within a band")
-            for i in range(height):
-                row: tuple = ()
-                for blk in band:
-                    row += blk.entries[i]
-                out_rows.append(row)
-        width = len(out_rows[0]) if out_rows else 0
-        for row in out_rows:
-            if len(row) != width:
+            if sum(blk.cols for blk in band) != width:
                 raise DimensionMismatch("block widths differ between bands")
-        return ExactMatrix(field, tuple(out_rows), _raw=True)
+            if any(blk.rows != band[0].rows for blk in band):
+                raise DimensionMismatch("block heights differ within a band")
+        if all(blk.array is not None for band in grid for blk in band):
+            return ExactMatrix.from_array(field, np.concatenate([np.concatenate([blk.array for blk in band], axis=1)
+                                                                 for band in grid]))
+        rows = tuple(sum((blk.entries[i] for blk in band), ()) for band in grid for i in range(band[0].rows))
+        return ExactMatrix(field, rows, _raw=True, cols=width)
 
     def split_blocks(self, row_split: int, col_split: int):
         """Cut into a 2x2 grid at the given indices; returns (tl, tr, bl, br)."""
-        tl = ExactMatrix(self.field, tuple(row[:col_split] for row in self.entries[:row_split]), _raw=True)
-        tr = ExactMatrix(self.field, tuple(row[col_split:] for row in self.entries[:row_split]), _raw=True)
-        bl = ExactMatrix(self.field, tuple(row[:col_split] for row in self.entries[row_split:]), _raw=True)
-        br = ExactMatrix(self.field, tuple(row[col_split:] for row in self.entries[row_split:]), _raw=True)
-        return tl, tr, bl, br
+        halves = (slice(None, row_split), slice(row_split, None)), (slice(None, col_split), slice(col_split, None))
+        if self.array is not None:
+            return tuple(self._like(self.array[r, c]) for r in halves[0] for c in halves[1])
+        return tuple(ExactMatrix(self.field, tuple(row[c] for row in self.entries[r]), _raw=True,
+                                 cols=len(range(self.cols)[c])) for r in halves[0] for c in halves[1])
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
@@ -189,11 +228,15 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form, by the field's `eliminate` hook when it
-        has one and accepts, else by gauss_jordan.
+        """Reduced row echelon form: of the array by the field's rref_coeffs
+        when the matrix holds one, else by the field's `eliminate` hook when
+        it has one and accepts, else by gauss_jordan.
 
         Returns (R, pivot_columns, rank).
         """
+        if self.array is not None:
+            R, pivots = self.field.rref_coeffs(self.array[:, :, None])
+            return self._like(R[:, :, 0]), pivots, len(pivots)
         eliminate = getattr(self.field, "eliminate", None)
         reduced = eliminate(self.entries) if eliminate is not None else None
         rows, pivots = reduced if reduced is not None else gauss_jordan(self.field, self.entries)
@@ -203,9 +246,9 @@ class ExactMatrix:
         return self.rref()[2]
 
     def row_space_basis(self) -> "ExactMatrix":
-        """Echelon basis of the row space (possibly with zero rows dropped)."""
+        """Echelon basis of the row space: the nonzero rows of the RREF."""
         R, _, rank = self.rref()
-        return ExactMatrix(self.field, R.entries[:rank], _raw=True, cols=self.cols)
+        return R.split_blocks(rank, self.cols)[0]
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel, one vector per free column."""
@@ -260,7 +303,7 @@ class ExactMatrix:
         entries = [[field.element_from_json(e) for e in row] for row in data["entries"]]
         # a matrix without rows has only its declared width
         mat = ExactMatrix(field, entries, cols=None if entries else shape[1])
-        if mat.shape != shape or not (isinstance(mat.cols, int) and mat.cols >= 0):
+        if mat.shape != shape:
             raise DimensionMismatch("declared shape does not match entries")
         return mat
 
@@ -373,6 +416,13 @@ def _peel(y: Sequence, x: Sequence, generators: Sequence[Sequence]) -> list:
     return out
 
 
+def check_radius(t: int) -> int:
+    """t, or ParameterMismatch when the decoding radius t is negative."""
+    if t < 0:
+        raise ParameterMismatch(f"the decoding radius must be at least 0, got {t}")
+    return t
+
+
 def flatten(mats) -> list[list]:
     """Each matrix as one vector, its entries read row by row."""
     return [[e for row in M.entries for e in row] for M in mats]
@@ -428,7 +478,9 @@ class MatrixCode:
         An error of GF(q^2)-rank t has parts of GF(q)-rank at most 2t, so
         both parts decode whenever 2t is within the code's radius; the
         joined codeword is returned only if rank(Y - C) <= t over GF(q^2).
+        Raises ParameterMismatch for t < 0.
         """
+        check_radius(t)
         ext = Y.field
         if getattr(ext, "base", None) != self.base or not hasattr(ext, "split"):
             raise DimensionMismatch("expected a matrix over the quadratic extension")

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DecodingFailure, DimensionMismatch, ParameterMismatch
 from .gabidulin import GabidulinCode, GabidulinMatrixCode
 from .gf import ExtField, PrimeField, QuadExtField
-from .linalg import ExactMatrix, MatrixCode, dual_basis, flatten
+from .linalg import ExactMatrix, MatrixCode, check_radius, dual_basis, flatten
 # sample_rank_exact stays bound here for tools that patch the module's names.
 from .modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors  # noqa: F401
 from .rng import derive_seed
@@ -219,12 +219,12 @@ class PlotkinCode(MatrixCode):
         C decode each factor; a non-square a folds into GF(q^2), where D and
         C decode through their extension decoders.  Either way the answer
         is verified against Y before being returned, so a wrong silent
-        answer is impossible; anything else raises DecodingFailure.
+        answer is impossible; anything else raises DecodingFailure, and
+        t < 0 raises ParameterMismatch.
         """
         if Y.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
-        if t is None:
-            t = self.radius
+        t = check_radius(self.radius if t is None else t)
         if self.field.is_square(self.a):
             algebra = _SplitAlgebra(self.field.sqrt(self.a))
 

@@ -1,6 +1,8 @@
 """Gabidulin codes: linearized polynomials, decoding, matrix views."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankfold import DecodingFailure, SplitMix64
 from rankfold.errors import DimensionMismatch, FieldMismatch, ParameterMismatch
@@ -242,6 +244,94 @@ def test_interpolation_pair_consistency():
     assert V.qdegree >= 0
     for gi, yi in zip(code.points, y):
         assert V(yi) == N(gi)
+
+
+@pytest.mark.parametrize("field, k", [(F53, 0), (F53, 2), (F238, 4), (F238, 6)])
+def test_reduced_moore_block_is_its_rref(field, k):
+    """P M = RREF(M) for the Moore block M of every t, P invertible."""
+    code = GabidulinCode(field, k)
+    for t in range(code.n + 1):
+        P, pivots = code._reduce_moore(t)
+        M = ExactMatrix(field, [field.from_coeff_array(row) for row in code._moore[:, np.arange(t + k) % field.m]],
+                        cols=t + k)
+        P = ExactMatrix(field, [field.from_coeff_array(row) for row in P])
+        R, want, _ = M.rref()
+        assert P @ M == R and pivots == want and P.rank() == code.n
+
+
+def is_codeword(code, c):
+    return (code.parity_check_matrix() @ ExactMatrix.column(code.field, c)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decode_at_any_radius_is_sound(data):
+    """At every t in 0..n, also above the radius and with t + k > n, a
+    decode raises DecodingFailure or returns (c, e) with c + e = y, c a
+    codeword and rank e <= t."""
+    k = data.draw(st.integers(0, 8), label="k")
+    t = data.draw(st.integers(0, 8), label="t")
+    code = GabidulinCode(F238, k)
+    rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    if data.draw(st.booleans(), label="near the code"):
+        e, _ = vector_error(code, rng, data.draw(st.integers(1, 8), label="error rank"))
+        y = add(code.encode(code.random_message(rng)), e)
+    else:
+        y = [F238.random_element(rng) for _ in range(code.n)]
+    try:
+        c, e = code.decode_errors(y, t)
+    except DecodingFailure:
+        return
+    assert add(c, e) == y and is_codeword(code, c)
+    assert expand_to_base(F238, e).rank() <= t
+
+
+def test_clean_codeword_decodes_to_itself_at_every_radius():
+    code = GabidulinCode(F238, 6)
+    c = code.encode(code.random_message(SplitMix64(25)))
+    for t in range(code.n + 1):
+        assert code.decode_errors(c, t) == (c, [F238.zero] * code.n)
+    assert len(code._moore_reduced) == code.n + 1
+    code.decode_errors(c, 3 * code.n)
+    assert len(code._moore_reduced) == code.n + 1
+
+
+def test_planted_error_within_the_radius_decodes():
+    rng = SplitMix64(26)
+    for k in (2, 3, 4):
+        code = GabidulinCode(F238, k)
+        for rank in range(1, code.radius + 1):
+            c = code.encode(code.random_message(rng))
+            e, _ = vector_error(code, rng, rank)
+            assert code.decode_errors(add(c, e)) == (c, e)
+
+
+def test_negative_radius_is_refused():
+    code = GabidulinCode(F53, 1)
+    with pytest.raises(ParameterMismatch):
+        code.decode_errors(code.encode([F53.one]), -1)
+
+
+def test_left_divide_inverts_only_a_leading_coefficient_that_is_not_one(monkeypatch):
+    calls = []
+    inverse = ExtField._inverse_coeffs
+    monkeypatch.setattr(ExtField, "_inverse_coeffs", lambda self, c: calls.append(c) or inverse(self, c))
+    rng = SplitMix64(27)
+    f = LinearizedPoly(F238, [F238.random_element(rng) for _ in range(3)])
+    for lead, inverses in ((F238.one, 0), (F238.x, 1)):
+        V = LinearizedPoly(F238, [F238.random_element(rng), lead])
+        calls.clear()
+        quotient = left_divide(F238, F238.coeff_array(V.compose(f).coeffs), F238.coeff_array(V.coeffs))
+        assert LinearizedPoly(F238, F238.from_coeff_array(quotient)) == f and len(calls) == inverses
+    # a decode inverts only in the reduced system of n - t - k rows; its
+    # monic V needs no inverse to divide
+    code = GabidulinCode(F238, 4)
+    c = code.encode(code.random_message(rng))
+    e, _ = vector_error(code, rng, code.radius)
+    code.decode_errors(add(c, e))  # reduces the Moore block once
+    calls.clear()
+    assert code.decode_errors(add(c, e))[0] == c
+    assert len(calls) <= code.n - code.radius - code.k
 
 
 # -- erasure decoding ------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Golden outputs of tower arithmetic, of an rm-roundtrip fixture dump and
-of seeded doubled-Gabidulin decodes.
+"""Golden outputs of tower arithmetic, of an rm-roundtrip fixture dump,
+of seeded doubled-Gabidulin decodes and of seeded decodes of a doubled
+code doubled again.
 
 elements.tsv and rm3_fixtures.jsonl were written by an earlier version of
 the package whose towers stored Fraction coordinates, rm5_fixtures.jsonl
 by one that encoded term by term, and plotkin_decodes.jsonl by one whose
 Gabidulin decoders worked element by element in the erasure solve and the
-left division; the current code must reproduce them byte for byte.
-Regenerate them only for a deliberate change of results: `python
-tests/test_golden.py` rewrites golden/elements.tsv and
-golden/plotkin_decodes.jsonl, and `rankfold rm-roundtrip --m M --r R
+left division, and plotkin_nested.jsonl by one whose matrices over GF(q)
+held their entries as tuples of elements; the current code must
+reproduce them byte for byte.  Regenerate them only for a deliberate
+change of results: `python tests/test_golden.py` rewrites
+golden/elements.tsv, golden/plotkin_decodes.jsonl and
+golden/plotkin_nested.jsonl, and `rankfold rm-roundtrip --m M --r R
 --trials 3 --seed 3 --jobs 1 --dump-fixtures tests/golden/rmM_fixtures.jsonl`
 the fixture files, with (M, R) = (3, 1) and (5, 2).
 """
@@ -17,7 +20,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from rankfold import DecodingFailure, SplitMix64, cli, derive_seed, gabidulin_plotkin, mq_field
+from rankfold import DecodingFailure, PlotkinCode, SplitMix64, cli, derive_seed, gabidulin_plotkin, mq_field
 from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,6 +29,11 @@ RM_FIXTURES = {"rm3_fixtures.jsonl": (3, 1), "rm5_fixtures.jsonl": (5, 2)}
 # (q, m, k1, k2, a, trials, seed): the plotkin-square code with its square
 # and its non-square twist, and a q = 3 code whose decodes sometimes fail
 PLOTKIN_CAMPAIGNS = [(23, 8, 6, 4, 1, 4, 7), (23, 8, 6, 4, 5, 4, 7), (3, 4, 3, 2, 1, 300, 11)]
+# (inner code, outer a, t, trials, seed) of PlotkinCode(P, P, a, radius=t)
+# with P = gabidulin_plotkin(*inner): its C component is a PlotkinCode, so
+# the erasures go through MatrixCode.decode_erasures_ext; a = 5 is a
+# non-residue mod 23, which folds over GF(23^2)
+NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((23, 6, 4, 2), 5, 1, 1, 5)]
 
 
 def golden_elements() -> dict:
@@ -75,7 +83,31 @@ def golden_plotkin_decodes() -> str:
             else:
                 if q == 3:
                     continue
-                line["codeword"], line["error"] = ([[e.val for e in row] for row in M.entries] for M in got)
+                line["codeword"], line["error"] = map(_rows, got)
+            lines.append(json.dumps(line) + "\n")
+    return "".join(lines)
+
+
+def _rows(M) -> list:
+    return [[e.val for e in row] for row in M.entries]
+
+
+def golden_plotkin_nested() -> str:
+    """One JSON line per seeded decode of a doubled code doubled again: the
+    codeword and error, or the failure reason."""
+    lines = []
+    for inner, a, t, trials, seed in NESTED_CAMPAIGNS:
+        P = gabidulin_plotkin(*inner)
+        code = PlotkinCode(P, P, a, radius=t)
+        for index in range(trials):
+            rng = SplitMix64(derive_seed(seed, index))
+            C = code.random_codeword(rng)
+            E = random_rank_matrix(code.field, rng, code.rows, code.cols, t)
+            line = {"inner": list(inner), "a": a, "t": t, "seed": seed, "trial": index}
+            try:
+                line["codeword"], line["error"] = map(_rows, code.decode(C + E))
+            except DecodingFailure as exc:
+                line["reason"] = str(exc)
             lines.append(json.dumps(line) + "\n")
     return "".join(lines)
 
@@ -97,6 +129,11 @@ def test_plotkin_decodes_match_the_golden_file():
     assert golden_plotkin_decodes() == (GOLDEN / "plotkin_decodes.jsonl").read_text()
 
 
+def test_nested_plotkin_decodes_match_the_golden_file():
+    assert golden_plotkin_nested() == (GOLDEN / "plotkin_nested.jsonl").read_text()
+
+
 if __name__ == "__main__":
     (GOLDEN / "elements.tsv").write_text(_dump(golden_elements()))
     (GOLDEN / "plotkin_decodes.jsonl").write_text(golden_plotkin_decodes())
+    (GOLDEN / "plotkin_nested.jsonl").write_text(golden_plotkin_nested())

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankfold import DimensionMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
 from rankfold.gf import PrimeField
-from rankfold.linalg import ExactMatrix, random_rank_matrix
+from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
 
 
 def _random_matrix(field, rng, rows, cols, bound=9):
@@ -214,3 +215,47 @@ def test_json_record_without_rows():
 def test_random_rank_matrix_refuses_an_impossible_rank(rank):
     with pytest.raises(DimensionMismatch):
         random_rank_matrix(PrimeField(5), SplitMix64(1), 3, 3, rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_prime_field_arrays_agree_with_entrywise_arithmetic(data):
+    """Over GF(p) with (p-1)^2 < 2^63 a matrix holds an int64 array, and
+    every operation agrees with the same arithmetic on Python integers;
+    at p = 2^31 - 1 and 3037000493 a product of inner dimension 2 or more
+    overflows int64 and goes entry by entry.  Beyond the bound, at
+    3037000507, the matrix holds no array."""
+    p = data.draw(st.sampled_from([3, 23, 2147483647, 3037000493, 3037000507]), label="p")
+    F = PrimeField(p)
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+    def ints(rows, cols):
+        cell = st.integers(0, p - 1)
+        return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    a, b, g = ints(r, k), ints(r, k), ints(k, c)
+    A, B, G = (ExactMatrix(F, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
+    assert (A.array is None) == (p == 3037000507)
+    s = data.draw(st.integers(0, p - 1))
+
+    def vals(M):
+        return [[e.val for e in row] for row in M.entries]
+
+    assert vals(A + B) == [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert vals(A - B) == [[(x - y) % p for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert vals(-A) == [[-x % p for x in u] for u in a]
+    assert vals(A.scale(s)) == [[s * x % p for x in u] for u in a]
+    assert (A @ G).shape == (r, c)
+    assert vals(A @ G) == [[sum(u[i] * g[i][j] for i in range(k)) % p for j in range(c)] for u in a]
+    assert vals(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
+    assert (A == B) == (a == b) and A == ExactMatrix(F, a, cols=k)
+    i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
+    tl, tr, bl, br = A.split_blocks(i, j)
+    assert [M.shape for M in (tl, tr, bl, br)] == [(i, j), (i, k - j), (r - i, j), (r - i, k - j)]
+    assert ExactMatrix.block([[tl, tr], [bl, br]]) == A == tl.hstack(tr).vstack(bl.hstack(br))
+    R, pivots, rank = A.rref()
+    assert (R.entries, pivots) == gauss_jordan(F, A.entries) and rank == len(pivots)
+    assert A.row_space_basis().shape == (rank, k)
+    if A.array is not None and r and k:
+        with pytest.raises(ValueError):
+            A.array[0, 0] = 1

@@ -638,6 +638,21 @@ def test_erasure_decoders_are_sound(q, kind, ext, data):
         assert C == Y
 
 
+@pytest.mark.parametrize("a", [1, 5])
+def test_negative_radius_is_refused(a):
+    """PlotkinCode.decode, and MatrixCode.decode_ext on its D component,
+    refuse t < 0 before decoding."""
+    code = gabidulin_plotkin(23, 6, 4, 2, a)
+    Y = code.random_codeword(SplitMix64(31))
+    with pytest.raises(ParameterMismatch):
+        code.decode(Y, -1)
+    ext = QuadExtField(GF23, 5)
+    W = code.D.random_codeword(SplitMix64(32)).map_entries(ext.coerce, ext)
+    assert code.D.decode_ext(W, 0) == W
+    with pytest.raises(ParameterMismatch):
+        code.D.decode_ext(W, -1)
+
+
 @pytest.mark.parametrize("inner, a, t, trials, decoded", [
     ((7, 4, 3, 2), 1, 1, 30, 30),
     ((3, 4, 3, 2), 1, 1, 30, 29),
