@@ -265,12 +265,12 @@ class GabidulinCode:
         pivot coordinates; its free ones (t + k > r) are set to zero."""
         P, pivots = self._reduce_moore(t)
         r = len(pivots)
-        PY = self._product(P, self.field.frobenius_powers(Y, t + 1))
-        K = self._kernel(PY[r:])
+        Q = self._product(P, self.field.frobenius_powers(Y, t + 1))
+        K = self._kernel(Q[r:])
         if not len(K):
             return None
         N = np.zeros((t + self.k, self.field.m), dtype=np.int64)
-        N[list(pivots)] = self._product(PY[:r], K[0])
+        N[list(pivots)] = self._product(Q[:r], K[0])
         return K[0], N
 
     def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:

@@ -639,18 +639,19 @@ def test_erasure_decoders_are_sound(q, kind, ext, data):
 
 
 @pytest.mark.parametrize("a", [1, 5])
-def test_negative_radius_is_refused(a):
-    """PlotkinCode.decode, and MatrixCode.decode_ext on its D component,
-    refuse t < 0 before decoding."""
+def test_plotkin_decode_refuses_a_negative_radius(a):
     code = gabidulin_plotkin(23, 6, 4, 2, a)
-    Y = code.random_codeword(SplitMix64(31))
     with pytest.raises(ParameterMismatch):
-        code.decode(Y, -1)
+        code.decode(code.random_codeword(SplitMix64(31)), -1)
+
+
+def test_decode_ext_refuses_a_negative_radius():
+    D = gabidulin_plotkin(23, 6, 4, 2).D
     ext = QuadExtField(GF23, 5)
-    W = code.D.random_codeword(SplitMix64(32)).map_entries(ext.coerce, ext)
-    assert code.D.decode_ext(W, 0) == W
+    W = D.random_codeword(SplitMix64(32)).map_entries(ext.coerce, ext)
+    assert D.decode_ext(W, 0) == W
     with pytest.raises(ParameterMismatch):
-        code.D.decode_ext(W, -1)
+        D.decode_ext(W, -1)
 
 
 @pytest.mark.parametrize("inner, a, t, trials, decoded", [
