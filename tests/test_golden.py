@@ -6,12 +6,13 @@ elements.tsv and rm3_fixtures.jsonl were written by an earlier version of
 the package whose towers stored Fraction coordinates, rm5_fixtures.jsonl
 by one that encoded term by term, and plotkin_decodes.jsonl by one whose
 Gabidulin decoders worked element by element in the erasure solve and the
-left division, and plotkin_nested.jsonl by one whose matrices over GF(q)
-held their entries as tuples of elements; the current code must
-reproduce them byte for byte.  Regenerate them only for a deliberate
-change of results: `python tests/test_golden.py` rewrites
-golden/elements.tsv, golden/plotkin_decodes.jsonl and
-golden/plotkin_nested.jsonl, and `rankfold rm-roundtrip --m M --r R
+left division, plotkin_nested.jsonl by one whose matrices over GF(q)
+held their entries as tuples of elements, and plotkin_large_q.jsonl by one
+whose matrices over GF(q^2) did; the current code must reproduce them
+byte for byte.  Regenerate them only for a deliberate change of results:
+`python tests/test_golden.py` rewrites golden/elements.tsv,
+golden/plotkin_decodes.jsonl, golden/plotkin_nested.jsonl and
+golden/plotkin_large_q.jsonl, and `rankfold rm-roundtrip --m M --r R
 --trials 3 --seed 3 --jobs 1 --dump-fixtures tests/golden/rmM_fixtures.jsonl`
 the fixture files, with (M, R) = (3, 1) and (5, 2).
 """
@@ -21,6 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from rankfold import DecodingFailure, PlotkinCode, SplitMix64, cli, derive_seed, gabidulin_plotkin, mq_field
+from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
+from rankfold.gf import ExtField
 from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +37,11 @@ PLOTKIN_CAMPAIGNS = [(23, 8, 6, 4, 1, 4, 7), (23, 8, 6, 4, 5, 4, 7), (3, 4, 3, 2
 # the erasures go through MatrixCode.decode_erasures_ext; a = 5 is a
 # non-residue mod 23, which folds over GF(23^2)
 NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((23, 6, 4, 2), 5, 1, 1, 5)]
+# (q, m, k1, k2, a, trials, seed) of gabidulin_plotkin: 1518500213 is the
+# largest prime with poly_fits_int64(q, 4), so the array sums over GF(q^4)
+# reach the edge of int64, at a square and a non-square twist; at
+# 2147483659 the sums over GF(q^2) do not fit and its matrices hold no array
+LARGE_Q_CAMPAIGNS = [(1518500213, 4, 2, 0, 1, 20, 9), (1518500213, 4, 2, 0, 2, 20, 9), (2147483659, 1, 1, 1, 2, 5, 9)]
 
 
 def golden_elements() -> dict:
@@ -64,27 +72,35 @@ def _dump(elements: dict) -> str:
     return "".join(f"{tower}\t{json.dumps(e)}\n" for tower, values in elements.items() for e in values)
 
 
+def _decode_lines(code, head: dict, trials: int, seed: int, t: int, successes: bool = True) -> list:
+    """One JSON line per seeded trial of plotkin-roundtrip's error model,
+    `head` then the seed and trial: the decoded codeword and error, or the
+    failure reason; `successes` False keeps only the failures."""
+    lines = []
+    for index in range(trials):
+        rng = SplitMix64(derive_seed(seed, index))
+        C = code.random_codeword(rng)
+        E = random_rank_matrix(code.field, rng, code.rows, code.cols, t)
+        line = dict(head, seed=seed, trial=index)
+        try:
+            got = code.decode(C + E)
+        except DecodingFailure as exc:
+            line["reason"] = str(exc)
+        else:
+            if not successes:
+                continue
+            line["codeword"], line["error"] = map(_rows, got)
+        lines.append(json.dumps(line) + "\n")
+    return lines
+
+
 def golden_plotkin_decodes() -> str:
-    """One JSON line per seeded trial of plotkin-roundtrip's error model:
-    the decoded codeword and error over GF(23), or the failure reason at
-    q = 3, where only the failures are kept."""
+    """Seeded doubled-Gabidulin decodes over GF(23), and the failure
+    reasons at q = 3, where only the failures are kept."""
     lines = []
     for q, m, k1, k2, a, trials, seed in PLOTKIN_CAMPAIGNS:
         code = gabidulin_plotkin(q, m, k1, k2, a)
-        for index in range(trials):
-            rng = SplitMix64(derive_seed(seed, index))
-            C = code.random_codeword(rng)
-            E = random_rank_matrix(code.field, rng, code.rows, code.cols, code.radius)
-            line = {"code": [q, m, k1, k2, a], "seed": seed, "trial": index}
-            try:
-                got = code.decode(C + E)
-            except DecodingFailure as exc:
-                line["reason"] = str(exc)
-            else:
-                if q == 3:
-                    continue
-                line["codeword"], line["error"] = map(_rows, got)
-            lines.append(json.dumps(line) + "\n")
+        lines += _decode_lines(code, {"code": [q, m, k1, k2, a]}, trials, seed, code.radius, successes=q != 3)
     return "".join(lines)
 
 
@@ -93,22 +109,26 @@ def _rows(M) -> list:
 
 
 def golden_plotkin_nested() -> str:
-    """One JSON line per seeded decode of a doubled code doubled again: the
-    codeword and error, or the failure reason."""
+    """Seeded decodes of a doubled code doubled again."""
     lines = []
     for inner, a, t, trials, seed in NESTED_CAMPAIGNS:
         P = gabidulin_plotkin(*inner)
-        code = PlotkinCode(P, P, a, radius=t)
-        for index in range(trials):
-            rng = SplitMix64(derive_seed(seed, index))
-            C = code.random_codeword(rng)
-            E = random_rank_matrix(code.field, rng, code.rows, code.cols, t)
-            line = {"inner": list(inner), "a": a, "t": t, "seed": seed, "trial": index}
-            try:
-                line["codeword"], line["error"] = map(_rows, code.decode(C + E))
-            except DecodingFailure as exc:
-                line["reason"] = str(exc)
-            lines.append(json.dumps(line) + "\n")
+        lines += _decode_lines(PlotkinCode(P, P, a, radius=t), {"inner": list(inner), "a": a, "t": t}, trials, seed, t)
+    return "".join(lines)
+
+
+def golden_plotkin_large_q() -> str:
+    """Seeded doubled-Gabidulin decodes at large primes, and 20 decodes of
+    the plotkin-twisted benchmark's code: Gab(6, 5) and Gab(6, 2) over
+    GF(23^6) with the non-square twist 5 and radius 1."""
+    lines = []
+    for q, m, k1, k2, a, trials, seed in LARGE_Q_CAMPAIGNS:
+        code = gabidulin_plotkin(q, m, k1, k2, a)
+        lines += _decode_lines(code, {"code": [q, m, k1, k2, a]}, trials, seed, code.radius)
+    f = ExtField(23, 6)
+    twisted = PlotkinCode(GabidulinMatrixCode(GabidulinCode(f, 5)), GabidulinMatrixCode(GabidulinCode(f, 2)), 5,
+                          radius=1)
+    lines += _decode_lines(twisted, {"code": "plotkin-twisted"}, 20, 9, 1)
     return "".join(lines)
 
 
@@ -133,7 +153,12 @@ def test_nested_plotkin_decodes_match_the_golden_file():
     assert golden_plotkin_nested() == (GOLDEN / "plotkin_nested.jsonl").read_text()
 
 
+def test_large_prime_plotkin_decodes_match_the_golden_file():
+    assert golden_plotkin_large_q() == (GOLDEN / "plotkin_large_q.jsonl").read_text()
+
+
 if __name__ == "__main__":
     (GOLDEN / "elements.tsv").write_text(_dump(golden_elements()))
     (GOLDEN / "plotkin_decodes.jsonl").write_text(golden_plotkin_decodes())
     (GOLDEN / "plotkin_nested.jsonl").write_text(golden_plotkin_nested())
+    (GOLDEN / "plotkin_large_q.jsonl").write_text(golden_plotkin_large_q())
