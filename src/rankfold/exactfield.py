@@ -65,7 +65,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreeCollapse, FieldMismatch, TowerHeightZero
+from .errors import DegreeCollapse, DimensionMismatch, FieldMismatch, TowerHeightZero
 from .gf import _FieldElement, is_prime, sqrt_mod
 from .linalg import ExactMatrix
 
@@ -495,6 +495,8 @@ class MultiquadraticField:
         sub = self.subfield(self.m - 1)  # Q itself when m = 0: MQElement.join refuses that
         if U.field != sub or V.field != sub:
             raise FieldMismatch("join parts must live in the subtower")
+        if U.shape != V.shape:
+            raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
         rows = tuple(tuple(MQElement.join(self, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
         return ExactMatrix(self, rows, _raw=True)
 

@@ -26,22 +26,22 @@ M that depends on the code and t alone, so a code reduces it once per t
 (P M = RREF(M)), and a decode eliminates by modmat.rref_poly only the
 last n - rank(M) rows of P [y_i^(q^j)], whose first kernel vector is a
 monic V; left_divide needs no inverse for it.  For t + k > n the same
-steps give V = x and the interpolant N of q-degree < n.  The arrays also
-give the evaluation of f at every point through the field's
-multiplication tensor (encoding and re-encoding), the syndrome H y, the
-erasure system [H s_k | H y] (H s_k is an integer combination of H's
-columns), and the residual check, the GF(q)-rank of the error's m x n
-coefficient matrix.  The matrix view's matrices over GF(q) hold int64
-arrays (linalg's storage rule), so to_matrix and to_vector are a
-transpose and, for an explicit basis, one (m, m) product, its inverse
-computed once per code.
+steps give V = x and the interpolant N of q-degree < n.  The field's
+coefficient product gives the evaluation of f at every point (encoding
+and re-encoding) and the syndrome H y, linalg.solve_erasure_system
+decides the erasure system [H s_k | H y] (H s_k is an integer
+combination of H's columns), and the residual check is the GF(q)-rank of
+the error's m x n coefficient matrix.  Matrices over GF(q) hold arrays
+(linalg's storage rule), so to_matrix and to_vector are a transpose
+and, for an explicit basis, one (m, m) product, its inverse once per code.
 
-Overflow: every array step forms sums of at most m products of two
+Overflow: every array step here forms sums of at most m products of two
 residues, or of at most m residues, and reduces mod q before the next
-product, so the one rule is modmat.poly_fits_int64(q, m), that is
-m (q-1)^2 < 2^63.  GabidulinCode raises ParameterMismatch beyond it
-(from q = 2147483659 at m = 2).  LinearizedPoly and annihilator stay
-element-wise in Python integers, exact for any q.
+product, and the field's product sums more only while they fit; so the
+one rule is modmat.poly_fits_int64(q, m), that is m (q-1)^2 < 2^63.
+GabidulinCode raises ParameterMismatch beyond it (from q = 2147483659 at
+m = 2).  LinearizedPoly and annihilator stay element-wise in Python
+integers, exact for any q.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (
     SingularBasis,
 )
 from .gf import ExtField, basis_inverse
-from .linalg import ExactMatrix, MatrixCode, check_radius
+from .linalg import ExactMatrix, MatrixCode, check_radius, solve_erasure_system
 from .modmat import poly_fits_int64
 
 
@@ -205,20 +205,11 @@ class GabidulinCode:
         (n, m) coefficient array X."""
         return len(self.field.base.rref_coeffs(X.T[:, :, None])[1])
 
-    def _product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Coefficient array of A X over GF(q^m), for a (rows, c, m) array A
-        and a (c, m) vector or (c, s, m) matrix X: (rows, m) or
-        (rows, s, m).  Every sum is of at most m products of residues or of
-        c residues, reduced mod q before the next product."""
-        p = self.field.p
-        mult = np.einsum("c...a,abl->c...bl", X, self.field.mul_tensor) % p
-        return (np.einsum("rcb,c...bl->rc...l", A, mult) % p).sum(axis=1) % p
-
     def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """(n, m) coefficient array of f(g_i) for every point, where row j
         of the (k', m) array `coeffs` (k' <= m) is the coefficient of
         x^(q^j) in f."""
-        return self._product(self._moore[:, : len(coeffs)], coeffs)
+        return self.field.product(self._moore[:, : len(coeffs)], coeffs)
 
     def encode(self, message: Sequence) -> list:
         if len(message) != self.k:
@@ -265,12 +256,12 @@ class GabidulinCode:
         pivot coordinates; its free ones (t + k > r) are set to zero."""
         P, pivots = self._reduce_moore(t)
         r = len(pivots)
-        Q = self._product(P, self.field.frobenius_powers(Y, t + 1))
+        Q = self.field.product(P, self.field.frobenius_powers(Y, t + 1))
         K = self._kernel(Q[r:])
         if not len(K):
             return None
         N = np.zeros((t + self.k, self.field.m), dtype=np.int64)
-        N[list(pivots)] = self._product(Q[:r], K[0])
+        N[list(pivots)] = self.field.product(Q[:r], K[0])
         return K[0], N
 
     def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:
@@ -311,7 +302,7 @@ class GabidulinCode:
     def parity_check_matrix(self) -> ExactMatrix:
         """Rows spanning the dual."""
         field = self.field
-        return ExactMatrix(field, tuple(tuple(field.from_coeff_array(v)) for v in self._parity), _raw=True, cols=self.n)
+        return ExactMatrix.from_array(self.field, self._parity)
 
     def decode_erasures(self, y: Sequence, support: ExactMatrix) -> list:
         """Recover the codeword when the error's row space (over GF(q), in
@@ -321,10 +312,7 @@ class GabidulinCode:
         The error is sum_k x_k s_k over the support rows s_k, with x over
         GF(q^m) solving sum_k x_k H s_k = H y for the parity checks H.  H y
         is one product, each H s_k an integer combination of H's columns,
-        and the system is eliminated once.  Raises DecodingFailure when it
-        is inconsistent, when x is not unique (a nonzero combination of the
-        support rows is a codeword), or when the syndrome is nonzero and
-        the support empty.
+        and linalg.solve_erasure_system decides the system.
         """
         field, p = self.field, self.field.p
         Y = field.coeff_array(y)
@@ -334,20 +322,9 @@ class GabidulinCode:
             raise DimensionMismatch("support width must match the code length")
         if support.field != field.base:
             raise FieldMismatch(f"support over {support.field}, expected {field.base}")
-        H, r = self._parity, support.rows
-        syndrome = self._product(H, Y)
-        if not r:
-            if syndrome.any():
-                raise DecodingFailure("nonzero syndrome with empty erasure support")
-            return field.from_coeff_array(Y)
-        S = support.array
-        system = np.concatenate((np.einsum("ki,jia->jka", S, H) % p, syndrome[:, None]), axis=1)
-        R, pivots = field.rref_coeffs(system)
-        if pivots and pivots[-1] == r:
-            raise DecodingFailure("erasure system inconsistent: inconsistent system")
-        if len(pivots) < r:
-            raise DecodingFailure("erasure support hides a codeword")
-        return field.from_coeff_array((Y - np.einsum("ka,ki->ia", R[:r, r], S)) % p)
+        H, S = self._parity, support.array.reshape(support.rows, self.n)
+        x = solve_erasure_system(field, np.einsum("ki,jia->jka", S, H) % p, field.product(H, Y))
+        return field.from_coeff_array((Y - np.einsum("ka,ki->ia", x, S)) % p)
 
     def minimum_rank_codeword(self) -> list:
         """A codeword of rank exactly d = n - k + 1: the annihilator of the
@@ -396,20 +373,20 @@ class GabidulinMatrixCode(MatrixCode):
     def _coordinate_map(self) -> np.ndarray:
         """(m, m) array taking coefficient rows to coordinate rows in the
         basis: the basis inverted once per code."""
-        return basis_inverse(self.field, self.basis).array.T
+        return basis_inverse(self.field, self.basis).array[:, :, 0].T
 
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
         X = self.field.coeff_array(vec)
         if self._basis_array is not None:
             X = X @ self._coordinate_map % self.field.p
-        return ExactMatrix.from_array(self.base, X.T)
+        return ExactMatrix.from_array(self.base, X.T[:, :, None])
 
     def to_vector(self, M: ExactMatrix) -> list:
         if M.field != self.base:
             raise FieldMismatch(f"matrix over {M.field}, expected {self.base}")
         if M.rows != self.rows:
             raise SingularBasis(f"matrix must have {self.rows} rows")
-        X = M.array.T
+        X = M.array[:, :, 0].T
         if self._basis_array is not None:
             X = X @ self._basis_array % self.field.p
         return self.field.from_coeff_array(X)

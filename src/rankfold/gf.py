@@ -28,9 +28,11 @@ modmat.poly_fits_int64(p, m).
 All three fields are GF(p)[x]/(f) for an f of degree m: f = x for GF(p),
 x^2 - n for GF(p^2) and the modulus for GF(p^m).  Each builds once, on
 the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
-(mul_tensor), and its `eliminate` hook hands ExactMatrix.rref to the
-numpy kernel modmat.rref_poly on (rows, cols, m) coefficient arrays, the
-same call (rref_coeffs) that array code makes directly.
+(mul_tensor), and with it the kernels behind linalg's storage rule on
+(rows, cols, m) coefficient arrays: rref_coeffs (modmat.rref_poly) and
+`product`, which sums c m products of residues per entry of a product
+with inner dimension c in one matmul while poly_fits_int64(p, c m), and
+otherwise reduces each of the c entry products before summing them.
 
 The package's number theory lives here too: is_prime, sqrt_mod and
 smallest_nonresidue serve PrimeField and the tower's sign embeddings
@@ -51,6 +53,7 @@ gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 from itertools import zip_longest
@@ -59,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import modmat
-from .errors import FieldMismatch, NotASquare, SingularBasis
+from .errors import DimensionMismatch, FieldMismatch, NotASquare, SingularBasis
 from .linalg import ExactMatrix
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -129,11 +132,16 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 class _PolyQuotient:
-    """What GF(p), GF(p^2) and GF(p^m) share as GF(p)[x]/(f) with
-    deg f = `degree`: the multiplication tensor and the elimination hook.
-    Subclasses convert between elements and coefficient sequences."""
+    """What GF(p), GF(p^2) and GF(p^m) share as GF(p)[x]/(f) with deg f =
+    `degree`: the multiplication tensor and the kernels on coefficient
+    arrays.  Subclasses convert between elements and coefficients."""
 
     degree: int
+
+    @cached_property
+    def int64_matrices(self) -> bool:
+        """Whether linalg.ExactMatrix holds matrices over this field as arrays."""
+        return modmat.poly_fits_int64(self.p, self.degree)
 
     @cached_property
     def mul_tensor(self) -> np.ndarray:
@@ -142,20 +150,25 @@ class _PolyQuotient:
         basis = [self._from_coeffs([int(i == k) for k in range(m)]) for i in range(m)]
         return np.array([[self._coeffs(a * b) for b in basis] for a in basis], dtype=np.int64)
 
-    def eliminate(self, entries) -> Optional[tuple[tuple, tuple[int, ...]]]:
-        """(rows, pivots) of the reduced row echelon form, computed by
-        modmat.rref_poly; None when m (p-1)^2 overflows int64, so that
-        ExactMatrix.rref eliminates generically."""
-        m = self.degree
-        if not modmat.poly_fits_int64(self.p, m):
-            return None
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        coeffs = self._coeffs
-        A = np.array([coeffs(e) for row in entries for e in row], dtype=np.int64).reshape(rows, cols, m)
-        R, pivots = self.rref_coeffs(A)
-        make = self._from_coeffs
-        return tuple(tuple(make(v) for v in row) for row in R.tolist()), pivots
+    def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Coefficient array of A X, for a (rows, c, m) array A and a
+        (c, m) vector or (c, s, m) matrix X.  mult[c, b, s] holds the
+        coefficients of x^b times entry (c, s) of X."""
+        p, m = self.p, self.degree
+        rows, c = A.shape[:2]
+        s = math.prod(X.shape[1:-1])
+        mult = X.reshape(c, 1, s, 1) if m == 1 else np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
+        if modmat.poly_fits_int64(p, c * m):
+            out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
+        else:
+            out = (np.einsum("rcb,cbsl->rcsl", A, mult) % p).sum(axis=1) % p
+        return out.reshape((rows,) + X.shape[1:])
+
+    def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
+        """The coefficient array A with every entry multiplied by the element c."""
+        if self.degree == 1:
+            return self._coeffs(c)[0] * A % self.p
+        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
 
     def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """modmat.rref_poly of a (rows, cols, m) coefficient array over this
@@ -177,8 +190,6 @@ class PrimeField(_PolyQuotient):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        # linalg.ExactMatrix holds matrices over this field as int64 arrays
-        self.int64_matrices = modmat.poly_fits_int64(p, 1)
         self.zero = PrimeElement(self, 0)
         self.one = PrimeElement(self, 1)
 
@@ -397,17 +408,23 @@ class QuadExtField(_PolyQuotient):
         return QuadExtElement(self, rng.randint(0, self.p - 1), rng.randint(0, self.p - 1))
 
     def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
-        """The matrix U + sV from two matrices over GF(p); with split, the
+        """U + sV for two matrices over GF(p) of one shape; with split, the
         algebra GF(p)[x]/(x^2 - n) of plotkin_fold and doubling_decode."""
-        rows = tuple(
-            tuple(QuadExtElement(self, u.val, v.val) for u, v in zip(ru, rv))
-            for ru, rv in zip(U.entries, V.entries)
-        )
-        return ExactMatrix(self, rows, _raw=True)
+        if U.shape != V.shape:
+            raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
+        if U.field != self.base or V.field != self.base:
+            raise FieldMismatch(f"join parts must be over {self.base}")
+        if self.int64_matrices:
+            return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2))
+        return U.map_entries(self.coerce, self) + V.map_entries(self.coerce, self).scale(self.sqrt_nonresidue)
 
     def split(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
         """(U, V) with M = U + sV, both over GF(p); inverse of join."""
+        if M.field != self:
+            raise FieldMismatch(f"expected a matrix over {self}, got one over {M.field}")
         base = self.base
+        if M.array is not None:
+            return ExactMatrix.from_array(base, M.array[:, :, :1]), ExactMatrix.from_array(base, M.array[:, :, 1:])
         return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
 
     def to_json(self):
@@ -814,12 +831,11 @@ def basis_inverse(field: ExtField, basis: Sequence) -> ExactMatrix:
         raise SingularBasis(f"need {field.m} basis elements, got {len(basis)}")
     gf = field.base
     B = ExactMatrix(gf, [[b.coeffs[i] for b in basis] for i in range(field.m)])
-    aug = B.hstack(ExactMatrix.identity(gf, field.m))
-    R, pivots, _ = aug.rref()
+    R, pivots, _ = B.hstack(ExactMatrix.identity(gf, field.m)).rref()
     # B is invertible exactly when all pivots fall in its own columns.
     if tuple(pivots[: field.m]) != tuple(range(field.m)):
         raise SingularBasis("basis elements are linearly dependent")
-    return ExactMatrix(gf, tuple(row[field.m:] for row in R.entries), _raw=True)
+    return R.split_blocks(field.m, field.m)[1]
 
 
 def expand_to_base(field: ExtField, vector: Iterable, basis: Optional[Sequence] = None) -> ExactMatrix:
@@ -839,17 +855,7 @@ def reconstruct_from_base(field: ExtField, matrix: ExactMatrix, basis: Optional[
     """Inverse of expand_to_base: columns over GF(p) back to GF(p^m) entries."""
     if matrix.field != field.base:
         raise FieldMismatch(f"expected a matrix over GF({field.p}), got one over {matrix.field}")
-    if basis is None:
-        basis = field.polynomial_basis()
-    basis = [field.coerce(b) for b in basis]
     if matrix.rows != field.m:
         raise SingularBasis(f"matrix must have {field.m} rows")
-    out = []
-    for j in range(matrix.cols):
-        acc = field.zero
-        for i in range(field.m):
-            c = matrix.entries[i][j]
-            if c:
-                acc = acc + basis[i] * c.val
-        out.append(acc)
-    return out
+    row = ExactMatrix(field, [field.polynomial_basis() if basis is None else basis])
+    return list((row @ matrix.map_entries(field.coerce, field)).entries[0])

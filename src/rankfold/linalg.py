@@ -9,26 +9,24 @@ column), so results are reproducible and there is no numerical-stability
 concern: arithmetic is exact.
 
 A field handle may also expose `eliminate(entries) -> (rows, pivots)`,
-returning the reduced row echelon form of a tuple of row tuples, or None
-to decline.  ExactMatrix.rref calls it first and falls back to
-gauss_jordan.  The finite fields of gf reduce on numpy this way, and
-multiquadratic towers on integer rows (exactfield).  So gauss_jordan
-serves the plain rationals (QQ) and is the tests' reference for the
-hooks.  The reduced row echelon form is unique, so every path gives the
-same result.
+the reduced row echelon form of a tuple of row tuples, which
+ExactMatrix.rref calls in place of gauss_jordan: multiquadratic towers
+reduce on integer rows this way (exactfield).  So gauss_jordan serves QQ
+and primes beyond the int64 bound, and is the tests' reference for the
+other paths.  The reduced row echelon form is unique, so every path
+gives the same result.
 
 Matrices are immutable; all operations return fresh objects.  _syndrome
-is the one row product that skips zero entries: matrix products, the
-syndromes of matrix codes and RMCode.naive_syndrome all go through it.
+is the one row product that skips zero entries: products of matrices
+without arrays, syndromes of such words and RMCode.naive_syndrome all
+go through it.
 
-Storage rule: a matrix over a field whose `int64_matrices` is true
-(gf.PrimeField with (p-1)^2 < 2^63, modmat.poly_fits_int64(p, 1)) holds
-its residues as one read-only (rows, cols) int64 array, `array`, and
-builds `entries` on first access.  +, -, scale, ==, transpose, block,
-split_blocks and rref (through the field's rref_coeffs) run in numpy; @
-does while the inner dimension times (p-1)^2 fits in int64, the bound
-modmat.batch_matmul_mod checks, and goes entry by entry beyond it.
-Other matrices have `array` None.
+Storage rule: a matrix over a field whose `int64_matrices` is true (gf's
+GF(p), GF(p^2) and GF(p^m), GF(p)[x]/(f) with deg f = m, while
+modmat.poly_fits_int64(p, m)) holds its coefficients as one read-only
+(rows, cols, m) int64 array, `array`, and builds `entries` on first
+access.  +, -, scale, ==, transpose, block, split_blocks, rref (the
+field's rref_coeffs) and @ (the field's product) run in numpy.
 
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
@@ -39,12 +37,13 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch
-from .modmat import poly_fits_int64
+from .errors import (DecodingFailure, DimensionMismatch, FieldMismatch, LengthMismatch, NoSolution, NotUnique,
+                     ParameterMismatch)
 
 
 class ExactMatrix:
@@ -66,25 +65,27 @@ class ExactMatrix:
                 raise DimensionMismatch("ragged rows")
         self.array = None
         if getattr(field, "int64_matrices", False):
-            self.array = np.array([[e.val for e in row] for row in entries], dtype=np.int64).reshape(self.rows, self.cols)
+            m = field.degree
+            values = chain.from_iterable(map(field._coeffs, chain.from_iterable(entries)))
+            self.array = np.fromiter(values, np.int64, self.rows * self.cols * m).reshape(self.rows, self.cols, m)
             self.array.flags.writeable = False
 
     @staticmethod
     def from_array(field, A: np.ndarray) -> "ExactMatrix":
-        """The matrix over a field with int64_matrices whose residues mod p
-        are the (rows, cols) int64 array A, kept (not copied) read-only."""
+        """The matrix over a field with int64_matrices whose coefficients are
+        the (rows, cols, m) int64 array A, kept (not copied) read-only."""
         M = object.__new__(ExactMatrix)
         A.flags.writeable = False
         M.field, M._entries, M.array = field, None, A
-        M.rows, M.cols = A.shape
+        M.rows, M.cols = A.shape[:2]
         return M
 
     @property
     def entries(self) -> tuple:
         """The rows as tuples of elements."""
         if self._entries is None:
-            element = self.field.element
-            self._entries = tuple(tuple(map(element, row)) for row in self.array.tolist())
+            make = self.field._from_coeffs
+            self._entries = tuple(tuple(map(make, row)) for row in self.array.tolist())
         return self._entries
 
     # -- constructors --------------------------------------------------------
@@ -150,20 +151,20 @@ class ExactMatrix:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, tuple(tuple(-a for a in row) for row in self.entries), _raw=True, cols=self.cols)
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
         if self.array is not None:
-            return self._like(c.val * self.array % self.field.p)
+            return self._like(self.field.scale_coeffs(self.array, c))
         return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True,
                            cols=self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        if self._arrays(other) and poly_fits_int64(self.field.p, self.cols):
-            return self._like(self.array @ other.array % self.field.p)
+        if self._arrays(other):
+            return self._like(self.field.product(self.array, other.array))
         cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         zero = self.field.zero
         return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True,
@@ -171,7 +172,7 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         if self.array is not None:
-            return self._like(self.array.T)
+            return self._like(self.array.transpose(1, 0, 2))
         return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
                            cols=self.rows)
 
@@ -215,31 +216,25 @@ class ExactMatrix:
                                  cols=len(range(self.cols)[c])) for r in halves[0] for c in halves[1])
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return ExactMatrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)), _raw=True,
-                           cols=self.cols + other.cols)
+        return ExactMatrix.block([[self, other]])
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return ExactMatrix(self.field, self.entries + other.entries, _raw=True, cols=self.cols)
+        return ExactMatrix.block([[self], [other]])
 
     # -- elimination ---------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
         """Reduced row echelon form: of the array by the field's rref_coeffs
         when the matrix holds one, else by the field's `eliminate` hook when
-        it has one and accepts, else by gauss_jordan.
+        it has one, else by gauss_jordan.
 
         Returns (R, pivot_columns, rank).
         """
         if self.array is not None:
-            R, pivots = self.field.rref_coeffs(self.array[:, :, None])
-            return self._like(R[:, :, 0]), pivots, len(pivots)
+            R, pivots = self.field.rref_coeffs(self.array)
+            return self._like(R), pivots, len(pivots)
         eliminate = getattr(self.field, "eliminate", None)
-        reduced = eliminate(self.entries) if eliminate is not None else None
-        rows, pivots = reduced if reduced is not None else gauss_jordan(self.field, self.entries)
+        rows, pivots = eliminate(self.entries) if eliminate is not None else gauss_jordan(self.field, self.entries)
         return ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)
 
     def rank(self) -> int:
@@ -267,12 +262,7 @@ class ExactMatrix:
             b = [row[0] for row in b.entries]
         if len(b) != self.rows:
             raise LengthMismatch(f"need {self.rows} right-hand entries, got {len(b)}")
-        aug = ExactMatrix(
-            self.field,
-            tuple(row + (self.field.coerce(v),) for row, v in zip(self.entries, b)),
-            _raw=True,
-        )
-        R, pivots, rank = aug.rref()
+        R, pivots, rank = self.hstack(ExactMatrix.column(self.field, b)).rref()
         if pivots and pivots[-1] == self.cols:
             raise NoSolution("inconsistent system")
         if rank < self.cols:
@@ -405,6 +395,20 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
     return _peel(y, x, generators)
 
 
+def solve_erasure_system(field, HS: np.ndarray, Hy: np.ndarray) -> np.ndarray:
+    """The (r, m) coefficients of the unique x with sum_k x_k H s_k = H y, from the
+    arrays of the H s_k (checks, r, m) and H y (checks, m) over `field`, by one
+    ExactMatrix.rref.  Raises DecodingFailure when x is not unique or absent."""
+    r = HS.shape[1]
+    R, pivots, rank = ExactMatrix.from_array(field, np.concatenate((HS, Hy[:, None]), axis=1)).rref()
+    if pivots and pivots[-1] == r:
+        raise DecodingFailure("erasure system inconsistent: inconsistent system" if r
+                              else "nonzero syndrome with empty erasure support")
+    if rank < r:
+        raise DecodingFailure("erasure support hides a codeword")
+    return R.array[:r, r]
+
+
 def _peel(y: Sequence, x: Sequence, generators: Sequence[Sequence]) -> list:
     """y - sum_k x_k g_k, skipping zero entries."""
     out = list(y)
@@ -446,29 +450,40 @@ class MatrixCode:
     """
 
     @cached_property
-    def _matrix_checks(self) -> list:
-        """Parity checks over base acting on matrices flattened row by row;
-        they also check the code's span over any extension of base."""
-        return dual_basis(self.base, flatten(self.basis_codewords()), self.rows * self.cols)
+    def _checks(self) -> ExactMatrix:
+        """Parity checks over base, one per row, on matrices flattened row
+        by row; they also check the code's span over any extension of base."""
+        width = self.rows * self.cols
+        return ExactMatrix(self.base, dual_basis(self.base, flatten(self.basis_codewords()), width), cols=width)
 
     def decode_erasures_ext(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
         """The codeword C such that the rows of Y - C lie in the row space
-        of `support`, with Y and support over base or an extension of it.
+        of `support`, with Y over base or an extension of it and support
+        over base or Y's field (FieldMismatch otherwise).
 
         The erasure space is spanned by the matrices with one row taken
         from `support` and every other row zero.  Raises DecodingFailure
         when no such C exists or it is not unique.
         """
-        field = Y.field
-        if field != self.base and getattr(field, "base", None) != self.base:
-            raise DimensionMismatch(f"expected a matrix over {self.base} or an extension of it")
+        field, base = Y.field, self.base
+        if field != base and getattr(field, "base", None) != base:
+            raise DimensionMismatch(f"expected a matrix over {base} or an extension of it")
         if Y.shape != (self.rows, self.cols) or (support.rows and support.cols != self.cols):
             raise DimensionMismatch("word and support must match the code's shape")
-        n = self.cols
-        gens = [[field.zero] * (i * n) + list(r) + [field.zero] * ((self.rows - 1 - i) * n)
-                for i in range(self.rows) for r in support.entries]
-        c = solve_erasures(field, lambda v: _syndrome(self._matrix_checks, v, field.zero), flatten([Y])[0], gens)
-        return ExactMatrix(field, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(self.rows)), _raw=True)
+        if support.field not in (base, field):
+            raise FieldMismatch(f"support over {support.field}, expected {base} or {field}")
+        rows, n, r = self.rows, self.cols, support.rows
+        if Y.array is None:
+            gens = [[field.zero] * (i * n) + list(s) + [field.zero] * ((rows - 1 - i) * n)
+                    for i in range(rows) for s in support.entries]
+            c = solve_erasures(field, lambda v: _syndrome(self._checks.entries, v, field.zero), flatten([Y])[0], gens)
+            return ExactMatrix(field, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(rows)), _raw=True)
+        m, H = field.degree, self._checks.array  # H: (checks, rows n, 1) residues
+        S = np.zeros((r, n, m), dtype=np.int64)  # the support's coefficients in Y's field
+        S[:, :, :support.field.degree] = support.array.reshape(r, n, support.field.degree)
+        HS = base.product(H.reshape(-1, n, 1), S.transpose(1, 0, 2).reshape(n, r * m, 1)).reshape(len(H), rows * r, m)
+        x = solve_erasure_system(field, HS, base.product(H, Y.array.reshape(rows * n, m, 1))[:, :, 0])
+        return ExactMatrix.from_array(field, (Y.array - field.product(x.reshape(rows, r, m), S)) % field.p)
 
     decode_erasures = decode_erasures_ext
 
