@@ -31,9 +31,8 @@ coefficient product gives the evaluation of f at every point (encoding
 and re-encoding) and the syndrome H y, linalg.solve_erasure_system
 decides the erasure system [H s_k | H y] (H s_k is an integer
 combination of H's columns), and the residual check is the GF(q)-rank of
-the error's m x n coefficient matrix.  Matrices over GF(q) hold arrays
-(linalg's storage rule), so to_matrix and to_vector are a transpose
-and, for an explicit basis, one (m, m) product, its inverse once per code.
+the error's m x n coefficient matrix.  Matrices over GF(q) hold arrays, so
+to_matrix and to_vector are a transpose and at most one (m, m) product.
 
 Overflow: every array step here forms sums of at most m products of two
 residues, or of at most m residues, and reduces mod q before the next

@@ -28,11 +28,10 @@ modmat.poly_fits_int64(p, m).
 All three fields are GF(p)[x]/(f) for an f of degree m: f = x for GF(p),
 x^2 - n for GF(p^2) and the modulus for GF(p^m).  Each builds once, on
 the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
-(mul_tensor), and with it the kernels behind linalg's storage rule on
+(mul_tensor), and with it the kernels of linalg's storage rule on
 (rows, cols, m) coefficient arrays: rref_coeffs (modmat.rref_poly) and
-`product`, which sums c m products of residues per entry of a product
-with inner dimension c in one matmul while poly_fits_int64(p, c m), and
-otherwise reduces each of the c entry products before summing them.
+`product`, one matmul of c m products per entry for inner dimension c
+while poly_fits_int64(p, c m), else each entry product reduced first.
 
 The package's number theory lives here too: is_prime, sqrt_mod and
 smallest_nonresidue serve PrimeField and the tower's sign embeddings
@@ -53,10 +52,9 @@ gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
 
 from __future__ import annotations
 
-import math
 import operator
-from functools import cached_property
-from itertools import zip_longest
+from functools import cached_property, partial
+from itertools import chain, zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -151,12 +149,11 @@ class _PolyQuotient:
         return np.array([[self._coeffs(a * b) for b in basis] for a in basis], dtype=np.int64)
 
     def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Coefficient array of A X, for a (rows, c, m) array A and a
-        (c, m) vector or (c, s, m) matrix X.  mult[c, b, s] holds the
-        coefficients of x^b times entry (c, s) of X."""
+        """Coefficient array of A X for a (rows, c, m) array A and a (c, m) or
+        (c, s, m) array X; mult[c, b, s] is x^b times X's entry (c, s)."""
         p, m = self.p, self.degree
         rows, c = A.shape[:2]
-        s = math.prod(X.shape[1:-1])
+        s = X.shape[1] if X.ndim == 3 else 1
         mult = X.reshape(c, 1, s, 1) if m == 1 else np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
         if modmat.poly_fits_int64(p, c * m):
             out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
@@ -166,9 +163,10 @@ class _PolyQuotient:
 
     def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
         """The coefficient array A with every entry multiplied by the element c."""
-        if self.degree == 1:
-            return self._coeffs(c)[0] * A % self.p
         return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
+
+    def _coeff_values(self, elements) -> Iterable[int]:  # the elements' coefficients, one after another
+        return chain.from_iterable(map(self._coeffs, elements))
 
     def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """modmat.rref_poly of a (rows, cols, m) coefficient array over this
@@ -208,6 +206,11 @@ class PrimeField(_PolyQuotient):
     @staticmethod
     def _coeffs(x: "PrimeElement") -> tuple:
         return (x.val,)
+
+    _coeff_values = staticmethod(partial(map, operator.attrgetter("val")))  # no tuple per element
+
+    def scale_coeffs(self, A: np.ndarray, c: "PrimeElement") -> np.ndarray:
+        return c.val * A % self.p
 
     def _from_coeffs(self, coeffs) -> "PrimeElement":
         return PrimeElement(self, coeffs[0])

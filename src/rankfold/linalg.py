@@ -10,11 +10,10 @@ concern: arithmetic is exact.
 
 A field handle may also expose `eliminate(entries) -> (rows, pivots)`,
 the reduced row echelon form of a tuple of row tuples, which
-ExactMatrix.rref calls in place of gauss_jordan: multiquadratic towers
-reduce on integer rows this way (exactfield).  So gauss_jordan serves QQ
-and primes beyond the int64 bound, and is the tests' reference for the
-other paths.  The reduced row echelon form is unique, so every path
-gives the same result.
+ExactMatrix.rref calls instead of gauss_jordan; multiquadratic towers
+reduce on integer rows this way (exactfield).  gauss_jordan serves QQ and
+primes beyond the int64 bound and is the tests' reference for the other
+paths; the reduced row echelon form is unique, so all paths agree.
 
 Matrices are immutable; all operations return fresh objects.  _syndrome
 is the one row product that skips zero entries: products of matrices
@@ -66,7 +65,7 @@ class ExactMatrix:
         self.array = None
         if getattr(field, "int64_matrices", False):
             m = field.degree
-            values = chain.from_iterable(map(field._coeffs, chain.from_iterable(entries)))
+            values = field._coeff_values(chain.from_iterable(entries))
             self.array = np.fromiter(values, np.int64, self.rows * self.cols * m).reshape(self.rows, self.cols, m)
             self.array.flags.writeable = False
 
@@ -396,9 +395,8 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
 
 
 def solve_erasure_system(field, HS: np.ndarray, Hy: np.ndarray) -> np.ndarray:
-    """The (r, m) coefficients of the unique x with sum_k x_k H s_k = H y, from the
-    arrays of the H s_k (checks, r, m) and H y (checks, m) over `field`, by one
-    ExactMatrix.rref.  Raises DecodingFailure when x is not unique or absent."""
+    """The (r, m) coefficients of x with sum_k x_k H s_k = H y over `field`, from the arrays
+    HS (checks, r, m) and Hy (checks, m), by one rref; DecodingFailure unless x is unique."""
     r = HS.shape[1]
     R, pivots, rank = ExactMatrix.from_array(field, np.concatenate((HS, Hy[:, None]), axis=1)).rref()
     if pivots and pivots[-1] == r:

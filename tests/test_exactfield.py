@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankfold import DegreeCollapse, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield, mq_field
+from rankfold import (DegreeCollapse, DimensionMismatch, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield,
+                      mq_field)
 from rankfold.exactfield import (
     MQElement,
     MultiquadraticField,
@@ -177,6 +178,8 @@ def test_split_join_roundtrip():
             T.join(W, W)
         with pytest.raises(FieldMismatch):
             T.join(U, ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+        with pytest.raises(DimensionMismatch):
+            T.join(U, ExactMatrix(sub, [[sub.one] * 3]))
         with pytest.raises(FieldMismatch):
             T.split(U)
     Q = mq_field(())

@@ -576,6 +576,32 @@ def test_ext_erasure_agrees_with_base_erasure_on_base_errors():
         assert mc.decode_erasures_ext(embed_ext(C + E, ext), embed_ext(support, ext)) == embed_ext(base, ext)
 
 
+def test_ext_erasure_support_field_contract():
+    """decode_erasures_ext takes a support over the base field or over the
+    word's field, and an empty support of width 0; a support over any
+    other field raises FieldMismatch."""
+    rng = SplitMix64(22)
+    base = PrimeField(23)
+    ext = QuadExtField(base)
+    mc = GabidulinMatrixCode(GabidulinCode(F238, 4))
+    C = ext_codeword(mc, ext, rng)
+    E = rank_error(base, rng, 2, 8, 8)
+    support = E.row_space_basis()
+    Y = C + embed_ext(E, ext)
+    assert mc.decode_erasures_ext(Y, support) == C == mc.decode_erasures_ext(Y, embed_ext(support, ext))
+    for word, foreign in ((Y, ExactMatrix(PrimeField(7), [[1] * 8])),
+                          (Y, ExactMatrix(QuadExtField(base, 7), [[1] * 8])),
+                          (Y, ExactMatrix(F238, [[1] * 8])),
+                          (mc.random_codeword(rng), embed_ext(support, ext))):
+        with pytest.raises(FieldMismatch):
+            mc.decode_erasures_ext(word, foreign)
+    empty = ExactMatrix(base, ())
+    for word in (C, mc.random_codeword(rng)):
+        assert mc.decode_erasures_ext(word, empty) == word
+    with pytest.raises(DecodingFailure, match="empty erasure support"):
+        mc.decode_erasures_ext(Y, empty)
+
+
 def test_ext_erasure_ambiguous_support_fails():
     rng = SplitMix64(20)
     ext = QuadExtField(PrimeField(23))

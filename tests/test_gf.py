@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rankfold import FieldMismatch, MultiquadraticField, NotASquare, SingularBasis, SplitMix64, mq_field
+from rankfold import (DimensionMismatch, FieldMismatch, MultiquadraticField, NotASquare, SingularBasis, SplitMix64,
+                      mq_field)
 from rankfold.gf import (
     ExtField,
     PrimeField,
@@ -14,6 +15,7 @@ from rankfold.gf import (
     is_prime,
     reconstruct_from_base,
 )
+from rankfold.linalg import ExactMatrix
 from rankfold.serial import field_from_json
 
 
@@ -107,6 +109,32 @@ def test_quadext_arithmetic():
         n = x * x.conjugate()
         assert n.v == 0
     assert E.coerce(7) + 1 == E.coerce(8)
+
+
+@pytest.mark.parametrize("p, other_nonresidue", [(23, 7), (2147483659, 3)])
+def test_quadext_join_and_split(p, other_nonresidue):
+    """join(U, V) = U + sV entry by entry and split undoes it, on arrays
+    and, at 2147483659, where GF(p^2) matrices hold none, on elements;
+    both refuse parts of unequal shapes or over the wrong field."""
+    F = PrimeField(p)
+    E = QuadExtField(F)
+    rng = SplitMix64(p)
+    U, V = (ExactMatrix(F, [[F.random_element(rng) for _ in range(3)] for _ in range(2)]) for _ in "UV")
+    W = E.join(U, V)
+    assert (W.array is None) == (p == 2147483659)
+    assert W.field == E and W.entries == tuple(
+        tuple(E.element(u.val, v.val) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
+    assert E.split(W) == (U, V)
+    with pytest.raises(DimensionMismatch):
+        E.join(ExactMatrix(F, [[1, 2], [3, 4]]), ExactMatrix(F, [[1, 2, 3]]))
+    with pytest.raises(FieldMismatch):
+        E.join(ExactMatrix(PrimeField(7), [[1, 2]]), ExactMatrix(PrimeField(7), [[3, 4]]))
+    with pytest.raises(FieldMismatch):
+        E.join(W, W)
+    with pytest.raises(FieldMismatch):
+        E.split(U)
+    with pytest.raises(FieldMismatch):
+        E.split(QuadExtField(F, other_nonresidue).join(U, V))
 
 
 def test_quadext_order_of_multiplicative_group():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankfold import DimensionMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
-from rankfold.gf import PrimeField
+from rankfold.gf import ExtField, PrimeField, QuadExtField
 from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
 
 
@@ -217,37 +217,43 @@ def test_random_rank_matrix_refuses_an_impossible_rank(rank):
         random_rank_matrix(PrimeField(5), SplitMix64(1), 3, 3, rank)
 
 
-@settings(max_examples=80, deadline=None)
+# GF(p) on both sides of the int64 bounds (the product reduces entry products
+# before summing from inner dimension 3 at 2^31 - 1 and 2 at 3037000493, and
+# 3037000507 holds no array), GF(p^2) within the bound and at 2147483659
+# beyond it, and GF(p^m)
+ARRAY_FIELDS = [PrimeField(p) for p in (3, 23, 2147483647, 3037000493, 3037000507)] + [
+    QuadExtField(23, 5), QuadExtField(2147483647), QuadExtField(2147483659), ExtField(23, 8), ExtField(2, 5)]
+
+
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_prime_field_arrays_agree_with_entrywise_arithmetic(data):
-    """Over GF(p) with (p-1)^2 < 2^63 a matrix holds an int64 array, and
-    every operation agrees with the same arithmetic on Python integers;
-    at p = 2^31 - 1 and 3037000493 a product of inner dimension 2 or more
-    overflows int64 and goes entry by entry.  Beyond the bound, at
-    3037000507, the matrix holds no array."""
-    p = data.draw(st.sampled_from([3, 23, 2147483647, 3037000493, 3037000507]), label="p")
-    F = PrimeField(p)
+    """A matrix over GF(p), GF(p^2) or GF(p^m) holds a (rows, cols, m) int64
+    array exactly when m (p-1)^2 < 2^63, and every operation agrees with
+    the field's own element arithmetic and with gauss_jordan."""
+    F = data.draw(st.sampled_from(ARRAY_FIELDS), label="field")
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    element = st.lists(st.integers(0, F.p - 1), min_size=F.degree, max_size=F.degree).map(F._from_coeffs)
 
-    def ints(rows, cols):
-        cell = st.integers(0, p - 1)
-        return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    def elements(rows, cols):
+        return data.draw(st.lists(st.lists(element, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
-    a, b, g = ints(r, k), ints(r, k), ints(k, c)
+    a, b, g = elements(r, k), elements(r, k), elements(k, c)
     A, B, G = (ExactMatrix(F, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
-    assert (A.array is None) == (p == 3037000507)
-    s = data.draw(st.integers(0, p - 1))
+    assert (A.array is None) == (F.degree * (F.p - 1) ** 2 >= 2 ** 63)
+    assert A.array is None or A.array.shape == (r, k, F.degree)
+    s = data.draw(element)
 
-    def vals(M):
-        return [[e.val for e in row] for row in M.entries]
+    def rows(M):
+        return [list(row) for row in M.entries]
 
-    assert vals(A + B) == [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(a, b)]
-    assert vals(A - B) == [[(x - y) % p for x, y in zip(u, v)] for u, v in zip(a, b)]
-    assert vals(-A) == [[-x % p for x in u] for u in a]
-    assert vals(A.scale(s)) == [[s * x % p for x in u] for u in a]
+    assert rows(A + B) == [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert rows(A - B) == [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert rows(-A) == [[-x for x in u] for u in a]
+    assert rows(A.scale(s)) == [[s * x for x in u] for u in a]
     assert (A @ G).shape == (r, c)
-    assert vals(A @ G) == [[sum(u[i] * g[i][j] for i in range(k)) % p for j in range(c)] for u in a]
-    assert vals(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
+    assert rows(A @ G) == [[sum((u[i] * g[i][j] for i in range(k)), F.zero) for j in range(c)] for u in a]
+    assert rows(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
     assert (A == B) == (a == b) and A == ExactMatrix(F, a, cols=k)
     i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
     tl, tr, bl, br = A.split_blocks(i, j)
