@@ -16,16 +16,16 @@ primes beyond the int64 bound and is the tests' reference for the other
 paths; the reduced row echelon form is unique, so all paths agree.
 
 Matrices are immutable; all operations return fresh objects.  _syndrome
-is the one row product that skips zero entries: products of matrices
-without arrays, syndromes of such words and RMCode.naive_syndrome all
-go through it.
+is the one row product that skips zero entries, for products of matrices
+without arrays, syndromes of such words and RMCode.naive_syndrome.
 
 Storage rule: a matrix over a field whose `int64_matrices` is true (gf's
 GF(p), GF(p^2) and GF(p^m), GF(p)[x]/(f) with deg f = m, while
 modmat.poly_fits_int64(p, m)) holds its coefficients as one read-only
 (rows, cols, m) int64 array, `array`, and builds `entries` on first
-access.  +, -, scale, ==, transpose, block, split_blocks, rref (the
-field's rref_coeffs) and @ (the field's product) run in numpy.
+access.  +, -, scale, ==, transpose, block, split_blocks, rref and @ run
+in numpy; @ is the field's product, one matmul while c m (p-1)^2 < 2^63
+for inner dimension c, else each entry product reduced before the sum.
 
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
