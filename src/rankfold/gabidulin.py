@@ -300,7 +300,6 @@ class GabidulinCode:
 
     def parity_check_matrix(self) -> ExactMatrix:
         """Rows spanning the dual."""
-        field = self.field
         return ExactMatrix.from_array(self.field, self._parity)
 
     def decode_erasures(self, y: Sequence, support: ExactMatrix) -> list:

@@ -53,8 +53,8 @@ gcd(x^(p^i) - x, f) = 1 for 1 <= i < m.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, partial
-from itertools import chain, zip_longest
+from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -154,7 +154,7 @@ class _PolyQuotient:
         p, m = self.p, self.degree
         rows, c = A.shape[:2]
         s = X.shape[1] if X.ndim == 3 else 1
-        mult = X.reshape(c, 1, s, 1) if m == 1 else np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
+        mult = np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
         if modmat.poly_fits_int64(p, c * m):
             out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
         else:
@@ -164,9 +164,6 @@ class _PolyQuotient:
     def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
         """The coefficient array A with every entry multiplied by the element c."""
         return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
-
-    def _coeff_values(self, elements) -> Iterable[int]:  # the elements' coefficients, one after another
-        return chain.from_iterable(map(self._coeffs, elements))
 
     def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """modmat.rref_poly of a (rows, cols, m) coefficient array over this
@@ -206,11 +203,6 @@ class PrimeField(_PolyQuotient):
     @staticmethod
     def _coeffs(x: "PrimeElement") -> tuple:
         return (x.val,)
-
-    _coeff_values = staticmethod(partial(map, operator.attrgetter("val")))  # no tuple per element
-
-    def scale_coeffs(self, A: np.ndarray, c: "PrimeElement") -> np.ndarray:
-        return c.val * A % self.p
 
     def _from_coeffs(self, coeffs) -> "PrimeElement":
         return PrimeElement(self, coeffs[0])

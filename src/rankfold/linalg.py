@@ -65,7 +65,7 @@ class ExactMatrix:
         self.array = None
         if getattr(field, "int64_matrices", False):
             m = field.degree
-            values = field._coeff_values(chain.from_iterable(entries))
+            values = chain.from_iterable(map(field._coeffs, chain.from_iterable(entries)))
             self.array = np.fromiter(values, np.int64, self.rows * self.cols * m).reshape(self.rows, self.cols, m)
             self.array.flags.writeable = False
 
