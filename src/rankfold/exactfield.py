@@ -498,7 +498,7 @@ class MultiquadraticField:
         if U.shape != V.shape:
             raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
         rows = tuple(tuple(MQElement.join(self, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
-        return ExactMatrix(self, rows, _raw=True)
+        return ExactMatrix(self, rows, _raw=True, cols=U.cols)
 
     def split(self, W: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
         """(U, V) with W = U + alpha_m V, both over the subtower; inverse
@@ -507,7 +507,8 @@ class MultiquadraticField:
             raise FieldMismatch(f"expected a matrix over {self}")
         parts = [[e.split() for e in row] for row in W.entries]
         sub = self.subfield(self.m - 1)
-        return tuple(ExactMatrix(sub, tuple(tuple(p[i] for p in row) for row in parts), _raw=True) for i in (0, 1))
+        return tuple(ExactMatrix(sub, tuple(tuple(p[i] for p in row) for row in parts), _raw=True, cols=W.cols)
+                     for i in (0, 1))
 
     def basis_label(self, j: int) -> str:
         parts = [f"r{i + 1}" for i in range(self.m) if j >> i & 1]

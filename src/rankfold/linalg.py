@@ -192,8 +192,11 @@ class ExactMatrix:
     @staticmethod
     def block(grid: Sequence[Sequence["ExactMatrix"]]) -> "ExactMatrix":
         """Assemble a matrix from a grid of blocks (row heights and column
-        widths must agree along each band)."""
+        widths must agree along each band, and every block must be over one
+        field)."""
         field = grid[0][0].field
+        if any(blk.field != field for band in grid for blk in band):
+            raise FieldMismatch("blocks over different fields")
         width = sum(blk.cols for blk in grid[0])
         for band in grid:
             if sum(blk.cols for blk in band) != width:

@@ -11,27 +11,32 @@ Every field here is GF(p)[x]/(f) for an f of degree m: GF(p) itself
 entry is its length-m coefficient vector, and the field's multiplication
 tensor T[i, j] = x^(i+j) mod f turns the product by an element c into the
 m x m matrix sum_i c_i T[i].  rref_poly eliminates one matrix this way and
-is the kernel behind ExactMatrix.rref over the fields of gf; batch_rref
-eliminates a batch in lockstep and is the kernel behind batch_rref_mod,
-batch_rank_mod, batch_rank_quad and batch_solve_mod.
+is the kernel behind ExactMatrix.rref over the fields of gf;
+batch_rref_mod brings a batch over GF(p) to reduced echelon form in
+lockstep, for batch_solve_mod and the Reed-Muller decoder.
 
-The rank kernels take a batch of R x C matrices with R != C through a
-leading-block certificate.  With k = min(R, C), one lockstep elimination
-ranks the leading k x k blocks; a block of rank k proves that its matrix
-has rank exactly k, over any field, because rank(block) <= rank <= k.
-Only the members whose block is singular, about 1/q of a uniform batch
-over GF(q), are eliminated in full.  The fold experiment ranks only such
-batches (at m = 16, t = 4: 32 x 4 and 4 x 32 factors, 16 x 4 folds), and
-the certificate halves its time.
+batch_rank_ff, the kernel behind batch_rank_mod and batch_rank_quad,
+ranks a batch by fraction-free (Bareiss) elimination in lockstep: no
+pivot inverses and no row swaps.  The rank kernels rank a wide batch as
+its transpose, so that the kernel loops over min(R, C) columns, and a
+tall one by a leading-block certificate: with k = min(R, C), one
+elimination ranks the leading k x k blocks, and a block of rank k proves
+that its matrix has rank exactly k, over any field, because
+rank(block) <= rank <= k.  Only the blocks are reduced mod p up front,
+and only the members whose block is singular, about 1/q of a uniform
+batch over GF(q), are reduced and eliminated in full.  The fold
+experiment ranks only such batches (at m = 16, t = 4: 32 x 4 and 4 x 32
+factors, 16 x 4 folds).  Every reduction there is x -= x // p * p.
 
 Overflow discipline: one rule, m (p-1)^2 < 2^63 (poly_fits_int64).  The
 kernels never form more than a sum of m products of two residues, whether
-they build a multiplication matrix from T, update a row, take a GF(p^2)
-norm or raise a pivot to the power p - 2, and they reduce mod p before
-the next product.  Beyond the bound they raise ValueError: over GF(p)
-from p = 3037000507 on, over GF(p^2) from p = 2147483659 on.
-Batched matrix products sum inner-dimension many products and check that
-bound explicitly.
+they build a multiplication matrix from T, update a row or raise a pivot
+to the power p - 2, and they reduce mod p before the next product;
+batch_rank_ff's row update subtracts two such sums, each in
+[0, m (p-1)^2], and reduces the difference.  Beyond the bound they raise
+ValueError: over GF(p) from p = 3037000507 on, over GF(p^2) from
+p = 2147483659 on.  Batched matrix products sum inner-dimension many
+products and check that bound explicitly.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ _PRIME_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
 
 
 def poly_fits_int64(p: int, m: int) -> bool:
-    """Whether rref_poly and batch_rref can run over GF(p)[x]/(f) with deg f = m."""
+    """Whether rref_poly and the batched kernels can run over GF(p)[x]/(f) with deg f = m."""
     return m * (p - 1) ** 2 < 2 ** 63
 
 
@@ -94,52 +99,59 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
     return A, tuple(pivots)
 
 
-def batch_rref(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms of a batch of matrices over GF(p)[x]/(f),
-    eliminated in lockstep.
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place.  numpy divides by a scalar with libdivide for //
+    but not for %, so this form takes half the time of x %= p or less
+    (a fifth on negative x)."""
+    x -= x // p * p
+    return x
 
-    A is (m, B, R, C), component-major: A[:, b, r, c] is the coefficient
-    vector of entry (r, c) of member b, reduced mod p.  It is reduced in
-    place.  T is the (m, m, m) multiplication tensor of f, and `inverse`
-    maps an (m, S) array of nonzero entries to their inverses.  Column by
-    column, every member with a nonzero entry at or below its own rank
-    pivots on the first one, scales the pivot row to a leading one and
-    clears the column in every other row; the other members are left as
-    they are.  Returns (A, ranks).  Raises ValueError unless
-    poly_fits_int64(p, m).
+
+def batch_rank_ff(parts, T: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a batch over GF(p)[x]/(f) with multiplication tensor T,
+    by fraction-free elimination in lockstep.
+
+    parts are the m int64 coefficient components of the batch, each
+    (B, R, C), any integers mod p; they are not modified.  Column by
+    column, every member takes its first nonzero row as the pivot row and
+    replaces every row by pivot * row - a_rc * pivot row: the pivot row
+    becomes zero, the column is dropped, and the rank of the rows left is
+    one less.  A member with no pivot in the column keeps its rows.  The
+    loop runs over the C columns, so _batch_rank passes R >= C.  Raises
+    ValueError unless poly_fits_int64(p, m).
     """
-    m, B, R, C = A.shape
+    m, (B, R, C) = len(parts), parts[0].shape
     if not poly_fits_int64(p, m):
         raise ValueError(f"p = {p}, m = {m}: m (p-1)^2 overflows int64")
+    # columns first, (m, C, B, R): the columns left are a contiguous view
+    W = _reduce(np.stack([x.transpose(2, 0, 1) for x in parts]), p)
+    # one matmul takes coefficient vectors c to the multiplication matrices
+    # sum_i c_i T[i]: (j k, ...) for the pivots, (i k, ...) for pivot rows
+    by_lead, by_entry = T.reshape(m, m * m).T, T.transpose(0, 2, 1).reshape(m * m, m)
     rank = np.zeros(B, dtype=np.int64)
-    rows = np.arange(R)
-    for c in range(C):
-        live = rows >= rank[:, None]
-        cand = A[..., c].any(axis=0) & live
-        sel = np.flatnonzero(cand.any(axis=1))
-        if not sel.size:
-            if not (A[..., c:].any(axis=(0, 3)) & live).any():
-                break  # the rows left are zero: no more pivots
-            continue
-        piv, cur = cand[sel].argmax(axis=1), rank[sel]
-        A[:, sel, cur, c:], A[:, sel, piv, c:] = A[:, sel, piv, c:], A[:, sel, cur, c:]
-        # pivot rows times the matrices of multiplication by the inverses
-        scale = np.einsum("is,ijk->sjk", inverse(A[:, sel, cur, c]), T) % p
-        prow = np.einsum("jsc,sjk->ksc", A[:, sel, cur, c:], scale) % p
-        A[:, sel, cur, c:] = prow
-        factors = A[..., c][:, sel]
-        factors[:, np.arange(sel.size), cur] = 0
-        mult = np.einsum("isr,ijk->jksr", factors, T) % p
-        # A view when every member pivots, so that A is updated in place;
-        # a component at a time keeps the temporaries small.
-        bulk = sel if sel.size < B else slice(None)
+    members = np.arange(B)
+    for _ in range(C):
+        col, W = W[:, 0], W[:, 1:]
+        nonzero = col.any(axis=0)
+        piv = nonzero.argmax(axis=1)
+        found = nonzero[members, piv]
+        rank += found
+        if not W.shape[1]:
+            break
+        lead = col[:, members, piv]
+        lead[0] += ~found  # no pivot: the column is zero, and each row stays itself times one
+        times_lead = _reduce(by_lead @ lead, p).reshape(m, m, B)
+        prow = W[:, :, members, piv]
+        times_prow = _reduce(by_entry @ prow.reshape(m, -1), p).reshape(m, m, *prow.shape[1:])
+        out = np.empty_like(W)
         for k in range(m):
-            X = A[k, bulk, :, c:]
-            X -= np.einsum("jsc,jsr->src", prow, mult[:, k])
-            X %= p
-            A[k, bulk, :, c:] = X  # a no-op for a view
-        rank[sel] += 1
-    return A, rank
+            acc = np.multiply(W[0], times_lead[0, k, :, None], out=out[k])
+            for j in range(1, m):
+                acc += W[j] * times_lead[j, k, :, None]
+            for i in range(m):
+                acc -= col[i] * times_prow[i, k, :, :, None]
+        W = _reduce(out, p)
+    return rank
 
 
 def inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -160,27 +172,55 @@ def inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def batch_rref_mod(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reduced echelon forms, ranks) of a (T, n, m) batch over GF(p),
-    eliminated in lockstep.  Needs (p-1)^2 < 2^63, that is
-    p <= 3037000500."""
-    A = np.asarray(mats, dtype=np.int64) % p
-    A, rank = batch_rref(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))
-    return A[0], rank
+    """(reduced echelon forms, ranks) of a (B, R, C) batch over GF(p).
+    Column by column, every member with a nonzero entry at or below its
+    own rank pivots on the first one, scales the pivot row to a leading
+    one and clears the column in every other row.  Needs (p-1)^2 < 2^63,
+    that is p <= 3037000500, and raises ValueError beyond it."""
+    if not poly_fits_int64(p, 1):
+        raise ValueError(f"p = {p}: (p-1)^2 overflows int64")
+    A = _reduce(np.array(mats, dtype=np.int64), p)
+    B, R, C = A.shape
+    rank = np.zeros(B, dtype=np.int64)
+    rows = np.arange(R)
+    for c in range(C):
+        live = rows >= rank[:, None]
+        cand = (A[..., c] != 0) & live
+        sel = np.flatnonzero(cand.any(axis=1))
+        if not sel.size:
+            if not (A[..., c:].any(axis=2) & live).any():
+                break  # the rows left are zero: no more pivots
+            continue
+        piv, cur = cand[sel].argmax(axis=1), rank[sel]
+        A[sel, cur, c:], A[sel, piv, c:] = A[sel, piv, c:], A[sel, cur, c:]
+        prow = _reduce(A[sel, cur, c:] * inverse_mod(A[sel, cur, c], p)[:, None], p)
+        A[sel, cur, c:] = prow
+        factors = A[sel, :, c]
+        factors[np.arange(sel.size), cur] = 0
+        # A view when every member pivots, so that A is updated in place
+        bulk = sel if sel.size < B else slice(None)
+        X = A[bulk, :, c:]
+        X -= factors[:, :, None] * prow[:, None, :]
+        A[bulk, :, c:] = _reduce(X, p)  # a no-op for a view
+        rank[sel] += 1
+    return A, rank
 
 
-def _batch_rank(A: np.ndarray, T: np.ndarray, p: int, inverse) -> np.ndarray:
-    """Exact ranks of the component-major batch A of batch_rref.  A square
-    batch is eliminated in full; a tall or wide one by the leading-block
-    certificate (module docstring), eliminating in full only the members
-    whose leading k x k block, k = min(R, C), is singular."""
-    R, C = A.shape[2:]
-    if R == C:
-        return batch_rref(A, T, p, inverse)[1]
-    k = min(R, C)
-    rank = batch_rref(A[:, :, :k, :k].copy(), T, p, inverse)[1]
+def _batch_rank(parts, T: np.ndarray, p: int) -> np.ndarray:
+    """Exact ranks of the batch of batch_rank_ff given by its components.
+    A wide batch is ranked as its transpose.  A square batch is eliminated
+    in full, a tall one by the leading-block certificate (module
+    docstring): only the members whose leading k x k block, k = min(R, C),
+    is singular are eliminated in full."""
+    R, k = parts[0].shape[1:]
+    if R < k:
+        parts, R, k = [x.transpose(0, 2, 1) for x in parts], k, R
+    if R == k:
+        return batch_rank_ff(parts, T, p)
+    rank = batch_rank_ff([x[:, :k] for x in parts], T, p)
     short = np.flatnonzero(rank < k)
     if short.size:
-        rank[short] = batch_rref(A[:, short], T, p, inverse)[1]
+        rank[short] = batch_rank_ff([x[short] for x in parts], T, p)
     return rank
 
 
@@ -188,8 +228,7 @@ def batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a (T, n, m) batch over GF(p), by the leading-block
     certificate of _batch_rank.  Needs (p-1)^2 < 2^63, that is
     p <= 3037000500."""
-    A = np.asarray(mats, dtype=np.int64) % p
-    return _batch_rank(A[None], _PRIME_TENSOR, p, lambda lead: inverse_mod(lead, p))
+    return _batch_rank([np.asarray(mats, dtype=np.int64)], _PRIME_TENSOR, p)
 
 
 def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np.ndarray:
@@ -197,18 +236,9 @@ def batch_rank_quad(U: np.ndarray, V: np.ndarray, p: int, nonresidue: int) -> np
     entries given as the pair (U, V) meaning U + V*sqrt(nonresidue), by
     the leading-block certificate of _batch_rank.  Needs 2 (p-1)^2 < 2^63,
     that is p <= 2^31."""
-    nr = nonresidue % p
-    A = np.array((U, V), dtype=np.int64)
-    A %= p
     # x^2 = nr: the tensor of GF(p)[x]/(x^2 - nr)
-    T = np.array([[[1, 0], [0, 1]], [[0, 1], [nr, 0]]], dtype=np.int64)
-
-    def inverse(lead):  # 1/(u + v s) = (u - v s) / (u^2 - nr v^2) with s^2 = nr
-        u, v = lead
-        norm_inv = inverse_mod((u * u - nr * v % p * v) % p, p)
-        return np.array((u * norm_inv, -v * norm_inv)) % p
-
-    return _batch_rank(A, T, p, inverse)
+    T = np.array([[[1, 0], [0, 1]], [[0, 1], [nonresidue % p, 0]]], dtype=np.int64)
+    return _batch_rank([np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64)], T, p)
 
 
 def batch_solve_mod(A: np.ndarray, p: int) -> np.ndarray:
@@ -216,7 +246,7 @@ def batch_solve_mod(A: np.ndarray, p: int) -> np.ndarray:
 
     System b has coefficient matrix A[b, :, :C] and right-hand side
     A[b, :, C].  All B systems are brought to reduced echelon form by
-    batch_rref, so a system with a unique solution ends as the identity
+    batch_rref_mod, so a system with a unique solution ends as the identity
     over its solution.  Returns the (B, C) solutions.  Raises NotUnique
     (witness None) when some system has column rank below C, and
     NoSolution when every system has full column rank but some system is

@@ -182,6 +182,10 @@ def test_split_join_roundtrip():
             T.join(U, ExactMatrix(sub, [[sub.one] * 3]))
         with pytest.raises(FieldMismatch):
             T.split(U)
+        # matrices without rows keep their width
+        empty = ExactMatrix(sub, (), cols=3)
+        assert T.join(empty, empty).shape == (0, 3)
+        assert [M.shape for M in T.split(ExactMatrix(T, (), cols=3))] == [(0, 3), (0, 3)]
     Q = mq_field(())
     M = ExactMatrix(Q, [[1, 2], [3, 4]])
     with pytest.raises(TowerHeightZero):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankfold import DimensionMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
+from rankfold import DimensionMismatch, FieldMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
 from rankfold.gf import ExtField, PrimeField, QuadExtField
 from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
 
@@ -128,6 +128,17 @@ def test_block_split_roundtrip():
     tl, tr, bl, br = A.split_blocks(2, 2)
     assert ExactMatrix.block([[tl, tr], [bl, br]]) == A
     assert tl.hstack(tr).vstack(bl.hstack(br)) == A
+
+
+def test_block_refuses_blocks_over_other_fields():
+    # GF(7) residues are no GF(23) residues, and a GF(23) block has one
+    # coefficient where a GF(23^2) block has two
+    F = PrimeField(23)
+    for other, field in ((PrimeField(7), F), (F, QuadExtField(F))):
+        A, B = ExactMatrix.identity(field, 2), ExactMatrix.identity(other, 2)
+        for stacked in (lambda: A.hstack(B), lambda: A.vstack(B), lambda: ExactMatrix.block([[A, A], [B, A]])):
+            with pytest.raises(FieldMismatch):
+                stacked()
 
 
 def test_matmul_block_compatibility():

@@ -113,6 +113,47 @@ def test_batch_ranks_match_exact_rank(case):
     assert ranks.tolist() == rank_oracle(p, nr, A)
 
 
+@st.composite
+def echelon_batches(draw):
+    """(p, non-residue or None, (components, B, R, C) batch, the batch with
+    each entry moved by a multiple of p from -2p to 2p, planted ranks).
+    Each member is a row echelon form of its rank whose rows are shuffled,
+    so that in one column members pivot on different rows, and whose
+    non-pivot columns are often zero, so that zero columns fall between
+    pivots.  Entries may all be drawn from p-4..p-1, the edge of the int64
+    bound at the largest primes."""
+    quad = draw(st.booleans())
+    p = draw(st.sampled_from([3, 23, 2147483647] if quad else [3, 7, 3037000493]))
+    nr = PrimeField(p).smallest_nonresidue() if quad else None
+    batch, rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lo = max(p - 4, 1) if draw(st.booleans()) else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.zeros((2 if quad else 1, batch, rows, cols), dtype=np.int64)
+    planted = []
+    for b in range(batch):
+        r = draw(st.integers(0, min(rows, cols)))
+        pivots = np.sort(rng.choice(cols, size=r, replace=False))
+        M = rng.integers(lo, p, size=(len(A), rows, cols))
+        M[:, r:] = 0
+        for i, j in enumerate(pivots):
+            M[:, i, :j] = 0
+            M[0, i, j] = rng.integers(max(lo, 1), p)
+        gaps = np.setdiff1d(np.arange(cols), pivots)
+        M[:, :, gaps[rng.random(gaps.size) < 0.5]] = 0
+        A[:, b] = M[:, rng.permutation(rows)]
+        planted.append(r)
+    return p, nr, A, A + p * rng.integers(-2, 3, size=A.shape), planted
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_batches())
+def test_fraction_free_kernel_matches_exact_rank(case):
+    p, nr, A, shifted, planted = case
+    field = PrimeField(p) if nr is None else QuadExtField(p, nr)
+    ranks = modmat.batch_rank_ff(list(shifted), field.mul_tensor, p)
+    assert ranks.tolist() == rank_oracle(p, nr, A) == planted
+
+
 # -- the leading-block certificate of batch_rank_mod and batch_rank_quad ------
 # A tall or wide member whose leading k x k block has rank k = min(R, C) has
 # rank k; only the others reach full elimination.  The member kinds below
@@ -151,14 +192,15 @@ def certificate_batch(rng, p, nr, n, k, kinds, wide):
 
 
 def spy_on_core(monkeypatch):
-    """Copies of the batches that reach modmat.batch_rref, in call order."""
-    calls, core = [], modmat.batch_rref
+    """Copies of the batches that reach modmat.batch_rank_ff, components
+    first, in call order."""
+    calls, core = [], modmat.batch_rank_ff
 
-    def spy(A, *rest):
-        calls.append(A.copy())
-        return core(A, *rest)
+    def spy(parts, *rest):
+        calls.append(np.array(parts))
+        return core(parts, *rest)
 
-    monkeypatch.setattr(modmat, "batch_rref", spy)
+    monkeypatch.setattr(modmat, "batch_rank_ff", spy)
     return calls
 
 
@@ -168,17 +210,18 @@ def batch_rank(p, nr, A):
 
 def assert_certified(monkeypatch, p, nr, A):
     """Exact ranks, from one elimination of the leading blocks and one full
-    elimination of just the members whose block is singular.  Returns
-    (those members, the exact ranks)."""
+    elimination of just the members whose block is singular, a wide batch
+    transposed.  Returns (those members, the exact ranks)."""
     k = min(A.shape[2:])
     blocks = A[:, :, :k, :k]
     singular = [b for b, r in enumerate(rank_oracle(p, nr, blocks)) if r < k]
     exact = rank_oracle(p, nr, A)
     calls = spy_on_core(monkeypatch)
     assert batch_rank(p, nr, A).tolist() == exact
-    assert np.array_equal(calls[0], blocks)
+    tall = A if A.shape[2] >= A.shape[3] else A.transpose(0, 1, 3, 2)
+    assert np.array_equal(calls[0], tall[:, :, :k])
     if singular:
-        assert len(calls) == 2 and np.array_equal(calls[1], A[:, singular])
+        assert len(calls) == 2 and np.array_equal(calls[1], tall[:, singular])
     else:
         assert len(calls) == 1
     return singular, exact
