@@ -37,8 +37,10 @@ pivot's inverse.  Each other row y = Y / dy with b = y_c becomes
 y - b * x for the pivot row x = X / dx, formed as
 (Y * dx * D - X * b) / (dy * dx * D) through the product kernel, and is
 divided by the gcd of its integers and denominator, so they do not grow
-beyond those of gauss_jordan's rational values.  The reduced row echelon
-form is unique, so the result equals gauss_jordan's, bit for bit.
+beyond those of gauss_jordan's rational values.  Only the rows up to the
+rank become elements; the rows past the last pivot are zero and hold the
+field's shared zero.  The reduced row echelon form is unique, so the
+result equals gauss_jordan's, bit for bit.
 
 Modular images.  For an odd prime p at which every a_k is a nonzero
 square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
@@ -51,7 +53,9 @@ Reed-Muller decode.  Each field keeps its own SignEmbedding objects,
 since the roots follow its generator order: `forward` scales coordinate
 S by the product of the r_k with k in S and applies a Walsh-Hadamard
 transform mod p, and `inverse` undoes it.  crt_extend and
-rational_reconstruction (Wang 1981) lift residues back to rationals.
+rational_reconstruction (Wang 1981) lift residues back to rationals;
+rational_lift returns a value within the bound that is an integer as an
+int, without the Euclidean loop.
 Nothing here trusts a lift: callers certify it in exact arithmetic (see
 the certificates of RMCode.erasure_decode and RMCode.decode).
 """
@@ -274,14 +278,19 @@ def rational_reconstruction(u: int, modulus: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def rational_lift(residues: Iterable[tuple[Sequence[int], int]], confirm: bool) -> Optional[list[Fraction]]:
+def rational_lift(residues: Iterable[tuple[Sequence[int], int]], confirm: bool) -> Optional[list]:
     """Rationals from their residues modulo successive primes: after each
     (values mod p, p) from `residues`, CRT and rational reconstruction of
     every value.  Returns the first lift in which every value reconstructs
     (confirm False), or the first one that the next prime's residues agree
     with (confirm True); None when `residues` ends first.  Since
     gcd(n, d) = 1 and n = u d modulo the product of the primes, no prime
-    used divides a reconstructed d, so the lift reduces to the residues."""
+    used divides a reconstructed d, so the lift reduces to the residues.
+
+    A value whose symmetric residue s has |s| <= sqrt(modulus / 2) comes
+    back as the int s, without the Euclidean loop: s / 1 is within the
+    bound, so it is what rational_reconstruction returns (its answer is
+    unique).  Every other value comes back as a Fraction."""
     lift = acc = None
     modulus = 1
     for new, p in residues:
@@ -289,13 +298,20 @@ def rational_lift(residues: Iterable[tuple[Sequence[int], int]], confirm: bool) 
             return lift
         acc = list(new) if acc is None else crt_extend(acc, modulus, new, p)
         modulus *= p
+        bound = isqrt(modulus // 2)
         lift = []
         for u in acc:
-            q = rational_reconstruction(u, modulus)
-            if q is None:
-                lift = None
-                break
-            lift.append(q)
+            u %= modulus
+            if u <= bound:
+                lift.append(u)
+            elif u >= modulus - bound:
+                lift.append(u - modulus)
+            else:
+                q = rational_reconstruction(u, modulus)
+                if q is None:
+                    lift = None
+                    break
+                lift.append(q)
         else:
             if not confirm:
                 return lift
@@ -476,8 +492,10 @@ class MultiquadraticField:
             pr += 1
             if pr == len(rows):
                 break
-        out = tuple(tuple(self._element([Yj] if flat else Yj, d) for Yj in Y) for Y, d in rows)
-        return out, tuple(pivots)
+        # the rows past the last pivot are zero: the shared self.zero
+        zero_row = (self.zero,) * len(entries[0]) if entries else ()
+        out = tuple(tuple(self._element([Yj] if flat else Yj, d) for Yj in Y) for Y, d in rows[:pr])
+        return out + (zero_row,) * (len(rows) - pr), tuple(pivots)
 
     # -- structure ---------------------------------------------------------
 

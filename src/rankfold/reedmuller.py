@@ -17,7 +17,9 @@ sum_S f_S theta_S sends b_j to (H f)_j b_j, H the +-1 Walsh-Hadamard
 matrix.  Row S of the generator matrix is ((-1)^|S & j| b_j)_j, |S| <= r,
 and of the parity-check matrix ((-1)^|S & j| / b_j)_j, |S| > r.  Encoding
 is one Hadamard butterfly (m 2^m tower additions) and n products by b_j;
-the syndrome of y is the butterfly of y_j / b_j, read at |S| > r.
+the syndrome of y is the butterfly of y_j / b_j, read at |S| > r, run on
+the integer coordinates of y (RMCode._syndrome_ints): in int64 while
+n * max|entry| * max|scale| < 2^63, on Python ints past that bound.
 
 Splitting every object along the last square root yields 2x2 block
 structure for codewords,
@@ -65,7 +67,10 @@ rank mod p in every embedding, which makes x the exact system's only
 solution.  decode, on a code over Q, runs the whole recursion mod p and
 lifts the error once, at the top: a zero syndrome, rank at most t and
 every modular fold rank equal to that rank make the answer the exact
-decoder's report, field for field.  Any doubt (a rank deficit or
+decoder's report, field for field.  That certificate stays on integer
+coordinates: between the lift and the elimination of E it runs no tower
+arithmetic, and Fraction arithmetic only on non-integer entries of E
+(RMCode._decode_certified).  Any doubt (a rank deficit or
 inconsistency mod p, a prime dividing a denominator, no lift within the
 prime budget, a failed certificate) leaves the decision to the exact path
 (linalg.solve_erasures, the exact decoder, the exact ranks), so results
@@ -76,7 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -214,6 +219,44 @@ def _block_rows(field: MultiquadraticField, base_height: int, r: int, checks: bo
             for S in range(len(b)) if (S.bit_count() > r) == checks]
 
 
+def _syndrome_table(field: MultiquadraticField, base_height: int) -> tuple:
+    """(idx, F, F_max, lam) for the integer syndrome body, kept in
+    field.tables.
+
+    With T = j << base_height, coordinate k of y_j / b_j is
+    y_(j, k ^ T) / w[k & T], w[U] the product of the a_i with i in U:
+    b_j / w[T] is b_j's inverse, and multiplying by b_j sends coordinate
+    k ^ T to k, scaled by w[(k ^ T) & T] = w[T] / w[k & T].  Over the
+    field's integer table, 1 / w[U] = D / W[U].  lam is the least positive
+    integer that makes lam D / W[U] an integer for every U inside the code
+    directions; idx (n, 2^M) holds k ^ T, F (n, 2^M) the integers
+    lam D / W[k & T] (int64 where they fit, else Python ints), and F_max
+    their largest absolute value."""
+    key = ("syndrome", base_height)
+    if key not in field.tables:
+        n = field.dim >> base_height
+        k, j = np.arange(field.dim), np.arange(n)[:, None]
+        scales = [Fraction(field._D, field._W[U << base_height]) for U in range(n)]
+        lam = lcm(*(s.denominator for s in scales))
+        ints = [s.numerator * (lam // s.denominator) for s in scales]
+        F_max = max(map(abs, ints))
+        F = np.array(ints, dtype=np.int64 if F_max < 2 ** 63 else object)[k >> base_height & j]
+        field.tables[key] = (k ^ j << base_height, F, F_max, lam)
+    return field.tables[key]
+
+
+def _hadamard_rows(Z: np.ndarray) -> np.ndarray:
+    """H Z for an (n, c) array Z, n = 2^m, in m vectorised butterfly steps
+    (_hadamard on every column at once)."""
+    n, c = Z.shape
+    h = 1
+    while h < n:
+        Z = Z.reshape(n // (2 * h), 2, h, c)
+        Z = np.stack((Z[:, 0] + Z[:, 1], Z[:, 0] - Z[:, 1]), axis=1)
+        h *= 2
+    return Z.reshape(n, c)
+
+
 def _embed(emb: SignEmbedding, d: int, ints: Sequence[int], shape: tuple[int, int]) -> Optional[np.ndarray]:
     """The (2^M, k, n) images mod emb.p of k vectors of n tower elements,
     shape = (k, n), from the integer_coords (d, ints) of their entries in
@@ -341,11 +384,36 @@ class RMCode:
 
     def fast_syndrome(self, y: Sequence) -> list:
         """Parity-check times vector, from the signed-monomial rule: the
-        entries S with |S| > r, in increasing S, of H (y_j / b_j).  That is
-        n products by the inverse monomials and one butterfly of m n tower
-        additions, against (n - k) n general products for naive_syndrome."""
-        z = _hadamard([v * w for v, w in zip(self._coerce_vector(y), _monomials(self.field, self.base_height, True))])
-        return [z[S] for S in range(self.size) if S.bit_count() > self.r]
+        entries S with |S| > r, in increasing S, of H (y_j / b_j), by
+        _syndrome_ints on y's integer coordinates, against (n - k) n general
+        products for naive_syndrome."""
+        d, ints = integer_coords(self._coerce_vector(y))
+        Z, lam = self._syndrome_ints(ints)
+        return [self.field._element(z, lam * d) for z in Z.tolist()]
+
+    def _syndrome_ints(self, ints: Sequence[int]) -> tuple[np.ndarray, int]:
+        """(Z, lam): the syndrome of the vector y of n tower elements whose
+        integer coordinates over a common denominator d are `ints` (as
+        integer_coords lists them) is Z / (lam d), row S of the
+        (n - k, 2^M) array Z holding entry S's coordinates.
+
+        Z is rows |S| > r of H (lam d y_j / b_j), one vectorised butterfly
+        on the (n, 2^M) array of lam d y_j / b_j, whose entries are ints
+        times the entries of F (_syndrome_table).  Every value the butterfly
+        forms sums at most n such products, so it runs in int64 while
+        n * max|int| * max|F| < 2^63, and with dtype=object (Python ints)
+        past that bound."""
+        idx, F, F_max, lam = _syndrome_table(self.field, self.base_height)
+        n = self.size
+        try:
+            Y = np.array(ints, dtype=np.int64)
+            fits = n * max(int(Y.max()), -int(Y.min())) * F_max < 2 ** 63
+        except OverflowError:  # an int beyond int64
+            fits = False
+        if not fits:
+            Y, F = np.array(ints, dtype=object), F.astype(object)
+        Z = _hadamard_rows(Y.reshape(n, -1)[np.arange(n)[:, None], idx] * F)
+        return Z[[S for S in range(n) if S.bit_count() > self.r]], lam
 
     # -- folding ------------------------------------------------------------------------
 
@@ -482,7 +550,7 @@ class RMCode:
         if x is None:
             return None
         c = _peel(y, [field.element(x[j:j + field.dim]) for j in range(0, len(x), field.dim)], rows)
-        return None if any(self.fast_syndrome(c)) else c
+        return None if self._syndrome_ints(integer_coords(c)[1])[0].any() else c
 
     def decode(self, Y: ExactMatrix) -> DecodeReport:
         """Fold-and-recurse decoder.
@@ -532,12 +600,19 @@ class RMCode:
         The sampled errors' entries are at most t * 50^2: 7,500 at m = 4,
         which one prime covers, but 17,500 at m = 5, where some decodes
         take two primes, as they all do from m = 6 on.  An entry past the
-        bound that reconstructs to a wrong value fails step 2.  The
-        certificate, in this order:
+        bound that reconstructs to a wrong value fails step 2.  The lift
+        gives an in-range integer entry as an int (rational_lift), the
+        common case, and Fractions elsewhere.  E and C = Y - E are built
+        entry by entry as canonical elements of the base field, from the
+        lift and the (num, den) of Y's entries (C shares Y's element where
+        E is zero), and C's syndrome is _syndrome_ints of C's integer
+        coordinates, formed from Y's: no tower arithmetic and no
+        ExactMatrix subtraction, and Fraction arithmetic only on entries of
+        E that are no integers.  The certificate, in this order:
 
         1. E lifts within _PRIME_BUDGET primes, and no prime divides the
            denominators of Y;
-        2. C = Y - E has an exactly zero fast_syndrome, so C is a codeword;
+        2. C = Y - E has an exactly zero syndrome, so C is a codeword;
         3. E.row_space_basis() has at most t rows, the report's error_rows;
         4. every modular fold rank, at every level and in every embedding,
            equals rank E.
@@ -564,11 +639,24 @@ class RMCode:
         lift = self._lift(images, confirm=False)
         if lift is None:
             return None
-        # lift holds E column by column
+        # lift holds E column by column, as ints and Fractions
         K = self.base_field
-        E = ExactMatrix(K, tuple(tuple(map(K.scalar, lift[i::n])) for i in range(n)), _raw=True)
-        C = Y - E
-        if any(self.fast_syndrome(self.vector_from_matrix(C))):
+
+        def entries(y, e):
+            """The canonical elements y - e and e of K; y itself where e = 0."""
+            if not e:
+                return y, K.zero
+            a, b = e.numerator, e.denominator
+            num, den = y.num[0] * b - a * y.den, y.den * b
+            g = gcd(num, den)
+            return MQElement(K, (num // g,), den // g), MQElement(K, (a,), b)
+
+        pairs = [[entries(y, e) for y, e in zip(row, lift[i::n])] for i, row in enumerate(Y.entries)]
+        C = ExactMatrix(K, tuple(tuple(c for c, _ in row) for row in pairs), _raw=True)
+        E = ExactMatrix(K, tuple(tuple(e for _, e in row) for row in pairs), _raw=True)
+        # C's integer coordinates over dC, column by column as ints lists Y's
+        dC = lcm(d, *(q.denominator for q in lift))
+        if self._syndrome_ints([u * (dC // d) - int(q * dC) for u, q in zip(ints, lift)])[0].any():
             return None
         basis = E.row_space_basis()
         e = basis.rows
@@ -579,7 +667,7 @@ class RMCode:
 
     # -- the sign embeddings mod p ---------------------------------------------------------
 
-    def _lift(self, images, confirm: bool) -> Optional[list[Fraction]]:
+    def _lift(self, images, confirm: bool) -> Optional[list]:
         """rational_lift of the tower elements whose images in the sign
         embeddings modulo the field's i-th embedding prime are images(i), a
         (2^M, k) array, for i < _PRIME_BUDGET; the residues stop where

@@ -8,9 +8,10 @@ as part of the pass condition.
 import time
 from math import comb
 
+import numpy as np
 import pytest
 
-from rankfold import DecodingFailure, SplitMix64, exactfield, mq_field
+from rankfold import DecodingFailure, SplitMix64, exactfield, mq_field, reedmuller
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
 from rankfold.gf import PrimeField, ExtField, reconstruct_from_base
 from rankfold.linalg import ExactMatrix, random_rank_matrix
@@ -260,11 +261,12 @@ def test_criterion_09_fold_drop_rate_bound():
 
 def test_criterion_10_syndrome_speedup_trend(monkeypatch):
     # Work is counted, not timed: the tower coordinate products formed by
-    # the one integer product kernel (every general product, among them the
-    # fast syndrome's products by inverse monomials) and by mul_by_alpha, so
+    # the one integer product kernel (every general product) and by
+    # mul_by_alpha, and the fast syndrome's integer body, one coordinate
+    # product per nonzero entry of the array its butterfly transforms, so
     # the trend is the same on every run and machine.
     products = [0]
-    kernel, by_alpha = exactfield._mul_into, exactfield.MQElement.mul_by_alpha
+    kernel, by_alpha, butterfly = exactfield._mul_into, exactfield.MQElement.mul_by_alpha, reedmuller._hadamard_rows
 
     def counted_kernel(out, xs, ys, W):
         products[0] += len(xs) * len(ys)
@@ -274,8 +276,13 @@ def test_criterion_10_syndrome_speedup_trend(monkeypatch):
         products[0] += x.field.dim
         return by_alpha(x, i)
 
+    def counted_butterfly(Z):
+        products[0] += int(np.count_nonzero(Z))
+        return butterfly(Z)
+
     monkeypatch.setattr(exactfield, "_mul_into", counted_kernel)
     monkeypatch.setattr(exactfield.MQElement, "mul_by_alpha", counted_by_alpha)
+    monkeypatch.setattr(reedmuller, "_hadamard_rows", counted_butterfly)
     rng = SplitMix64(1010)
     ratios = []
     for m in (3, 4, 5):

@@ -1,6 +1,7 @@
 """Tower construction, arithmetic, and the Galois action."""
 
 from fractions import Fraction
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rankfold.exactfield import (
     MultiquadraticField,
     crt_extend,
     is_rational_square,
+    rational_lift,
     rational_reconstruction,
 )
 from rankfold.gf import is_prime, sqrt_mod
@@ -357,3 +359,44 @@ def test_crt_and_rational_reconstruction():
     assert rational_reconstruction(u, p * q) != tall
     assert rational_reconstruction(0, p) == 0
     assert rational_reconstruction(p - 1, p) == -1
+
+
+def lift_by_reconstruction(residues, confirm):
+    """rational_lift with every value through rational_reconstruction."""
+    lift = acc = None
+    modulus = 1
+    for new, p in residues:
+        if confirm and lift is not None and all((q.numerator - r * q.denominator) % p == 0 for q, r in zip(lift, new)):
+            return lift
+        acc = list(new) if acc is None else crt_extend(acc, modulus, new, p)
+        modulus *= p
+        lift = [rational_reconstruction(u, modulus) for u in acc]
+        if None in lift:
+            lift = None
+        elif not confirm:
+            return lift
+    return None
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("confirm", [False, True])
+def test_rational_lift_returns_in_range_integers_as_ints(count, confirm):
+    # the values around the reconstruction bound of `count` primes (M - 1
+    # is -1), and fractions, each alone and all together, in streams of one
+    # to four primes: count + 1 primes lift +-(bound + 1) too, and one more
+    # confirms
+    primes = (268435399, 268435367, 268435331, 268435313)
+    bound = isqrt(prod(primes[:count]) // 2)
+    values = [0, bound, -bound, bound + 1, -bound - 1, -1, Fraction(3, 7), Fraction(-5, 11), Fraction(bound // 7, 9)]
+
+    def residues(xs, k):
+        for p in primes[:k]:
+            yield [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in xs], p
+
+    for xs in [[x] for x in values] + [values]:
+        for k in range(1, len(primes) + 1):
+            lift = rational_lift(residues(xs, k), confirm)
+            assert lift == lift_by_reconstruction(residues(xs, k), confirm)
+            assert all(type(q) is (int if Fraction(q).denominator == 1 else Fraction) for q in lift or ())
+    if confirm:
+        assert rational_lift(residues(values, 4), True) == values

@@ -112,3 +112,21 @@ def test_eliminate_of_empty_and_zero_matrices():
     assert F.eliminate(()) == ((), ())
     Z = ExactMatrix.zeros(F, 3, 2)
     assert F.eliminate(Z.entries) == gauss_jordan(F, Z.entries) == (Z.entries, ())
+
+
+@pytest.mark.parametrize("F", [TOWERS[0], TOWERS[2]], ids=str)
+def test_eliminate_builds_only_the_rows_up_to_the_rank(F, monkeypatch):
+    # a rank-3 16 x 16 matrix: 3 x 16 elements are built, and the 13 rows
+    # past the last pivot hold the field's shared zero
+    X = ExactMatrix(F, [[(5 * i + 3 * k) % 7 - 3 for k in range(3)] for i in range(16)])
+    Z = ExactMatrix(F, [[(j * j + k * j + 2 * k) % 5 - 2 for j in range(16)] for k in range(3)]).map_entries(
+        lambda x: x * F.element(range(1, F.dim + 1)))
+    M = X @ Z
+    expected = gauss_jordan(F, M.entries)
+    built = []
+    element = type(F)._element
+    monkeypatch.setattr(type(F), "_element", lambda self, num, den: built.append(den) or element(self, num, den))
+    rows, pivots = F.eliminate(M.entries)
+    assert (rows, pivots) == expected and len(pivots) == 3
+    assert len(built) == 3 * 16
+    assert all(x is F.zero for row in rows[3:] for x in row)

@@ -221,6 +221,32 @@ def test_syndrome_accepts_base_field_vectors():
     assert s1 == s2 and len(s1) == 3
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_syndrome_body_equals_naive_syndrome(data):
+    # every base height below the tower's, on PRIMES and ODD_TOWER towers;
+    # coordinates of 2^48 pass the int64 bound as products, those of 2^80
+    # as entries, and the body runs on Python ints
+    gens = data.draw(st.sampled_from([PRIMES[:3], PRIMES[:4], ODD_TOWER]), label="tower")
+    L = mq_field(gens)
+    h = data.draw(st.integers(0, L.m - 1), label="base height")
+    code = RMCode(L, data.draw(st.integers(-1, L.m - h), label="order"), h)
+    size = data.draw(st.sampled_from([50, 2 ** 30, 2 ** 48, 2 ** 80]), label="coordinate bound")
+    coords = [[Fraction(data.draw(st.integers(-size, size)), data.draw(st.integers(1, 9))) for _ in range(L.dim)]
+              for _ in range(code.size)]
+    coords[0][0] = Fraction(size)
+    y = [L.element(c) for c in coords]
+    _, ints = integer_coords(y)
+    Z, _ = code._syndrome_ints(ints)
+    F_max = reedmuller._syndrome_table(L, h)[2]
+    assert Z.dtype == (np.int64 if code.size * max(map(abs, ints)) * F_max < 2 ** 63 else object)
+    if size == 50:
+        assert Z.dtype == np.int64
+    if size == 2 ** 80:
+        assert Z.dtype == object
+    assert code.fast_syndrome(y) == code.naive_syndrome(y)
+
+
 # -- folding ------------------------------------------------------------------
 
 
@@ -906,6 +932,31 @@ def test_certified_decode_equals_the_exact_decoder_on_sampled_errors(gens, r):
         rep = code.decode(Y)
         assert report_fields(rep) == report_fields(code._decode_exact(Y))
         assert rep.success and rep.codeword == C and rep.recovered_error == E
+
+
+def entry_pairs(M):
+    """Each entry's canonical (num, den), row by row."""
+    return [[(e.num, e.den) for e in row] for row in M.entries]
+
+
+@pytest.mark.parametrize("gens, r", [(PRIMES[:4], 1), (ODD_TOWER, 0), (ODD_TOWER, 1)])
+@pytest.mark.parametrize("scale", [Fraction(1, 6), Fraction(1, 35)])
+def test_certified_decode_of_a_rational_error_equals_the_exact_decoder(gens, r, scale):
+    # E / 6 and E / 35 lift to Fractions: the certificate builds E and
+    # Y - E from non-integer lifts, and ODD_TOWER's codewords carry the
+    # denominators of its generator 3/5
+    code, C, E = sampled_word(gens, r, 130 + len(gens) + r)
+    E = E.scale(scale)
+    Y = C + E
+    d = integer_coords([e for row in Y.entries for e in row])[0]
+    assert d > 1 and all(d % code.field.sign_embedding(i).p for i in range(reedmuller._PRIME_BUDGET))
+    rep, exact = code._decode_certified(Y), code._decode_exact(Y)
+    assert rep is not None and rep.success and rep.codeword == C and rep.recovered_error == E
+    assert any(e.den > 1 for row in rep.recovered_error.entries for e in row)
+    assert report_fields(code.decode(Y)) == report_fields(rep) == report_fields(exact)
+    for M, N in [(rep.codeword, exact.codeword), (rep.recovered_error, exact.recovered_error),
+                 (rep.error_rows, exact.error_rows)]:
+        assert entry_pairs(M) == entry_pairs(N)
 
 
 def embedded_word(M, emb):
