@@ -39,7 +39,6 @@ from .plotkin import (
     non_mrd_witness,
     plotkin_dual_check,
     plotkin_encode,
-    plotkin_encode_char2,
     plotkin_fold,
 )
 from .reedmuller import DecodeReport, RMCode, ThetaPolynomial

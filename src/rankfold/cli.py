@@ -338,6 +338,9 @@ def _suite_field_axioms():
         (QuadExtField(PrimeField(5)), lambda f: f.random_element(rng)),
         (ExtField(5, 3), lambda f: f.random_element(rng)),
         (tower, lambda f: f.random_element(rng, 9)),
+        # past the int64 bound, and characteristic 2; appended so the draws above stay
+        (QuadExtField(2147483659), lambda f: f.random_element(rng)),
+        (ExtField(2, 5), lambda f: f.random_element(rng)),
     ]
     for field, sample in samplers:
         for _ in range(10):

@@ -321,7 +321,9 @@ class GabidulinCode:
         if support.field != field.base:
             raise FieldMismatch(f"support over {support.field}, expected {field.base}")
         H, S = self._parity, support.array.reshape(support.rows, self.n)
-        x = solve_erasure_system(field, np.einsum("ki,jia->jka", S, H) % p, field.product(H, Y))
+        HS = np.einsum("ki,jia->jka", S, H) % p
+        M = ExactMatrix.from_array(field, np.concatenate((HS, field.product(H, Y)[:, None]), axis=1))
+        x = solve_erasure_system(M).array[:, 0]
         return field.from_coeff_array((Y - np.einsum("ka,ki->ia", x, S)) % p)
 
     def minimum_rank_codeword(self) -> list:

@@ -1,37 +1,45 @@
-"""Finite fields: GF(p), GF(p^2) and GF(p^m) with exact integer arithmetic.
+"""Finite fields GF(p), GF(p^2) and GF(p^m), exact in Python integers.
 
-GF(p) elements wrap a residue; GF(p^2) is built from a quadratic
-non-residue so that the square root of that non-residue is available by
-construction; GF(p^m) uses the lexicographically first monic irreducible
-modulus (coefficient tuples (c_{m-1}, ..., c_0) compared lexicographically,
-i.e. minimal sum c_i * p^i), so two constructions of the same field agree
-bit for bit.
+All three are GF(p)[x]/(f) for a monic f of degree m, and an element is
+its tuple of coefficients (c_0, ..., c_{m-1}), residues in [0, p).  f is
+x for GF(p); x^2 - n for GF(p^2), with n a quadratic non-residue, so that
+the square root of n is available by construction; and for GF(p^m) the
+lexicographically first monic irreducible modulus (coefficient tuples
+(c_{m-1}, ..., c_0) compared lexicographically, i.e. minimal
+sum c_i * p^i), so two constructions of the same field agree bit for bit.
 
-GF(p^m) arithmetic is written once, as GF(p)[x] arithmetic on coefficient
-lists: _pmul (product), _psub (difference), _pdivmod (division with
-remainder) and _ppowmod (power mod f).  Reducing mod f (ExtField.element),
-multiplication, inversion by extended Euclid, the Frobenius table and
-the modulus check all run on these four, and one square-and-multiply
-(_power) serves _ppowmod and the powers in GF(p^2) and GF(p^m).  The
-element types here and the tower's (exactfield) share one base,
+The ring arithmetic is written once, on the coefficient tuple mod f.
+_PolyElement adds, subtracts and negates coefficient by coefficient,
+multiplies by _pmul reduced mod f (_PolyQuotient._reduce), and inverts by
+one extended Euclid that stops at a constant remainder, so an inverse in
+GF(p) is a single pow; _PolyQuotient coerces ints and base-field elements
+and draws random elements.  The element classes PrimeElement,
+QuadExtElement and ExtElement add only their repr, the names val (GF(p))
+and u and v (GF(p^2)) for the coefficients, and conjugate (GF(p^2)); the
+fields add their constructors and JSON, GF(p) its square roots, GF(p^2)
+join and split, and GF(p^m) its Frobenius maps.  These elements and the tower's (exactfield) share one base,
 _FieldElement, which derives c - x, c / x and x ** k from their own
 negation, inverse and products.
+
+GF(p)[x] arithmetic on coefficient lists, _pmul (product), _psub
+(difference), _pdivmod (division with remainder) and _ppowmod (power mod
+f), serves products, the Frobenius table and the modulus check, and one
+square-and-multiply (_power) serves _ppowmod and the powers of elements.
 
 Frobenius x -> x^(p^i) is GF(p)-linear.  ExtField builds once, on the
 instance, the (m, m, m) table F with F[i, j] = (x^j)^(p^i) mod f, so the
 map takes a coefficient row c to c @ F[i] mod p.  The element method
 frobenius reads it in Python integers, exact for any p; frobenius_powers
-applies it, as int64, to a whole (n, m) coefficient array (ExtField.coeff_array) in
-one product, whose sums of m products of residues need
-modmat.poly_fits_int64(p, m).
+applies it, as int64, to a whole (n, m) coefficient array
+(ExtField.coeff_array) in one product, whose sums of m products of
+residues need modmat.poly_fits_int64(p, m).
 
-All three fields are GF(p)[x]/(f) for an f of degree m: f = x for GF(p),
-x^2 - n for GF(p^2) and the modulus for GF(p^m).  Each builds once, on
-the instance, its multiplication tensor T[i, j] = x^(i+j) mod f
-(mul_tensor), and with it the kernels of linalg's storage rule on
-(rows, cols, m) coefficient arrays: rref_coeffs (modmat.rref_poly) and
-`product`, one matmul of c m products per entry for inner dimension c
-while poly_fits_int64(p, c m), else each entry product reduced first.
+Each field builds once, on the instance, its multiplication tensor
+T[i, j] = x^(i+j) mod f (mul_tensor), and with it the kernels of linalg's
+storage rule on (rows, cols, m) coefficient arrays: rref_coeffs
+(modmat.rref_poly) and `product`, one matmul of c m products per entry
+for inner dimension c while poly_fits_int64(p, c m), else each entry
+product reduced first.
 
 The package's number theory lives here too: is_prime, sqrt_mod and
 smallest_nonresidue serve PrimeField and the tower's sign embeddings
@@ -43,7 +51,9 @@ up to 37 alone are not enough: psi_12 = 318665857834031151167461 =
 sqrt_mod returns the smaller of the two roots.
 
 An int equals an element only when it is the element's canonical residue
-in [0, p), and elements of the base field hash like that int.
+in [0, p), an element of the base field equals its image in an extension,
+and equal values hash alike.  In every field an element of an unrelated
+field raises FieldMismatch and the inverse of zero ZeroDivisionError.
 
 The modulus check follows the classical criterion: f of degree m is
 irreducible over GF(p) iff x^(p^m) == x (mod f) and
@@ -129,122 +139,6 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-class _PolyQuotient:
-    """What GF(p), GF(p^2) and GF(p^m) share as GF(p)[x]/(f) with deg f =
-    `degree`: the multiplication tensor and the kernels on coefficient
-    arrays.  Subclasses convert between elements and coefficients."""
-
-    degree: int
-
-    @cached_property
-    def int64_matrices(self) -> bool:
-        """Whether linalg.ExactMatrix holds matrices over this field as arrays."""
-        return modmat.poly_fits_int64(self.p, self.degree)
-
-    @cached_property
-    def mul_tensor(self) -> np.ndarray:
-        """(m, m, m) array: T[i, j] holds the coefficients of x^(i+j) mod f."""
-        m = self.degree
-        basis = [self._from_coeffs([int(i == k) for k in range(m)]) for i in range(m)]
-        return np.array([[self._coeffs(a * b) for b in basis] for a in basis], dtype=np.int64)
-
-    def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Coefficient array of A X for a (rows, c, m) array A and a (c, m) or
-        (c, s, m) array X; mult[c, b, s] is x^b times X's entry (c, s)."""
-        p, m = self.p, self.degree
-        rows, c = A.shape[:2]
-        s = X.shape[1] if X.ndim == 3 else 1
-        mult = np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
-        if modmat.poly_fits_int64(p, c * m):
-            out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
-        else:
-            out = (np.einsum("rcb,cbsl->rcsl", A, mult) % p).sum(axis=1) % p
-        return out.reshape((rows,) + X.shape[1:])
-
-    def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
-        """The coefficient array A with every entry multiplied by the element c."""
-        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
-
-    def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """modmat.rref_poly of a (rows, cols, m) coefficient array over this
-        field: (R, pivot columns).  Raises ValueError unless
-        poly_fits_int64(p, m)."""
-        return modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
-
-    def _inverse_coeffs(self, coeffs):
-        return self._coeffs(self._from_coeffs(coeffs).inverse())
-
-
-class PrimeField(_PolyQuotient):
-    """GF(p).  p may be 2 (needed by the characteristic-2 encoder variant),
-    but square roots and the quadratic extension require p odd."""
-
-    degree = 1
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = PrimeElement(self, 0)
-        self.one = PrimeElement(self, 1)
-
-    def element(self, v: int) -> "PrimeElement":
-        return PrimeElement(self, v % self.p)
-
-    def coerce(self, x) -> "PrimeElement":
-        if isinstance(x, PrimeElement):
-            if x.field != self:
-                raise FieldMismatch(f"GF({x.field.p}) vs GF({self.p})")
-            return x
-        if isinstance(x, int):
-            return PrimeElement(self, x % self.p)
-        raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
-
-    @staticmethod
-    def _coeffs(x: "PrimeElement") -> tuple:
-        return (x.val,)
-
-    def _from_coeffs(self, coeffs) -> "PrimeElement":
-        return PrimeElement(self, coeffs[0])
-
-    def random_element(self, rng) -> "PrimeElement":
-        return PrimeElement(self, rng.randint(0, self.p - 1))
-
-    def is_square(self, a) -> bool:
-        a = self.coerce(a)
-        if a.val == 0:
-            return True
-        if self.p == 2:
-            return True
-        return pow(a.val, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, a) -> "PrimeElement":
-        """The smaller of the two square roots (sqrt_mod); raises
-        NotASquare for non-residues."""
-        return PrimeElement(self, sqrt_mod(self.coerce(a).val, self.p))
-
-    def smallest_nonresidue(self) -> int:
-        return smallest_nonresidue(self.p)
-
-    def to_json(self):
-        return {"p": self.p}
-
-    def element_to_json(self, x: "PrimeElement"):
-        return x.val
-
-    def element_from_json(self, data) -> "PrimeElement":
-        return self.element(int(data))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("GFp", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
 def _power(x, k: int, one, mul=operator.mul):
     """x^k for k >= 0 by square and multiply."""
     out = one
@@ -257,7 +151,7 @@ def _power(x, k: int, one, mul=operator.mul):
 
 
 def _field_pow(x, k: int):
-    """x^k in GF(p^2), GF(p^m) or a multiquadratic tower; a negative k inverts first."""
+    """x^k in a finite field or a multiquadratic tower; a negative k inverts first."""
     if k < 0:
         return x.inverse() ** (-k)
     return _power(x, k, x.field.one)
@@ -276,268 +170,6 @@ class _FieldElement:
         return self.inverse() * x
 
     __pow__ = _field_pow
-
-
-class PrimeElement(_FieldElement):
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: PrimeField, val: int):
-        self.field = field
-        self.val = val
-
-    def _other(self, x):
-        if isinstance(x, PrimeElement):
-            if x.field != self.field:
-                raise FieldMismatch("different prime fields")
-            return x.val
-        if isinstance(x, int):
-            return x % self.field.p
-        return None
-
-    def __add__(self, x):
-        v = self._other(x)
-        if v is None:
-            return NotImplemented
-        return PrimeElement(self.field, (self.val + v) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        v = self._other(x)
-        if v is None:
-            return NotImplemented
-        return PrimeElement(self.field, (self.val - v) % self.field.p)
-
-    def __neg__(self):
-        return PrimeElement(self.field, -self.val % self.field.p)
-
-    def __mul__(self, x):
-        v = self._other(x)
-        if v is None:
-            return NotImplemented
-        return PrimeElement(self.field, self.val * v % self.field.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PrimeElement":
-        if self.val == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return PrimeElement(self.field, pow(self.val, -1, self.field.p))
-
-    def __truediv__(self, x):
-        v = self._other(x)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero")
-        return PrimeElement(self.field, self.val * pow(v, -1, self.field.p) % self.field.p)
-
-    def __pow__(self, n: int):
-        return PrimeElement(self.field, pow(self.val, n, self.field.p))
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeElement):
-            return self.field == other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other
-        return NotImplemented
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __hash__(self):
-        return hash(self.val)
-
-    def __repr__(self):
-        return str(self.val)
-
-
-class QuadExtField(_PolyQuotient):
-    """GF(p^2) presented as GF(p)[s]/(s^2 - n) for a non-residue n.
-
-    Constructing the extension from the non-residue of interest makes its
-    square root available directly: sqrt(n) = s.
-    """
-
-    degree = 2
-
-    def __init__(self, base: PrimeField | int, nonresidue: Optional[int] = None):
-        self.base = base if isinstance(base, PrimeField) else PrimeField(base)
-        if self.base.p == 2:
-            raise ValueError("quadratic extension requires odd p")
-        if nonresidue is None:
-            nonresidue = self.base.smallest_nonresidue()
-        nonresidue %= self.base.p
-        if self.base.is_square(nonresidue):
-            raise ValueError(f"{nonresidue} is a square mod {self.base.p}")
-        self.n = nonresidue
-        self.p = self.base.p
-        self.zero = QuadExtElement(self, 0, 0)
-        self.one = QuadExtElement(self, 1, 0)
-        self.sqrt_nonresidue = QuadExtElement(self, 0, 1)
-
-    def element(self, u: int, v: int = 0) -> "QuadExtElement":
-        return QuadExtElement(self, u % self.p, v % self.p)
-
-    def coerce(self, x) -> "QuadExtElement":
-        if isinstance(x, QuadExtElement):
-            if x.field != self:
-                raise FieldMismatch("different quadratic extensions")
-            return x
-        if isinstance(x, PrimeElement):
-            if x.field != self.base:
-                raise FieldMismatch("wrong base field")
-            return QuadExtElement(self, x.val, 0)
-        if isinstance(x, int):
-            return QuadExtElement(self, x % self.p, 0)
-        raise TypeError(f"cannot coerce {x!r}")
-
-    @staticmethod
-    def _coeffs(x: "QuadExtElement") -> tuple:
-        return (x.u, x.v)
-
-    def _from_coeffs(self, coeffs) -> "QuadExtElement":
-        return QuadExtElement(self, coeffs[0], coeffs[1])
-
-    def random_element(self, rng) -> "QuadExtElement":
-        return QuadExtElement(self, rng.randint(0, self.p - 1), rng.randint(0, self.p - 1))
-
-    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
-        """U + sV for two matrices over GF(p) of one shape; with split, the
-        algebra GF(p)[x]/(x^2 - n) of plotkin_fold and doubling_decode."""
-        if U.shape != V.shape:
-            raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
-        if U.field != self.base or V.field != self.base:
-            raise FieldMismatch(f"join parts must be over {self.base}")
-        if self.int64_matrices:
-            return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2))
-        return U.map_entries(self.coerce, self) + V.map_entries(self.coerce, self).scale(self.sqrt_nonresidue)
-
-    def split(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, V) with M = U + sV, both over GF(p); inverse of join."""
-        if M.field != self:
-            raise FieldMismatch(f"expected a matrix over {self}, got one over {M.field}")
-        base = self.base
-        if M.array is not None:
-            return ExactMatrix.from_array(base, M.array[:, :, :1]), ExactMatrix.from_array(base, M.array[:, :, 1:])
-        return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
-
-    def to_json(self):
-        return {"p": self.p, "nonresidue": self.n}
-
-    def element_to_json(self, x):
-        return [x.u, x.v]
-
-    def element_from_json(self, data):
-        return self.element(int(data[0]), int(data[1]))
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExtField) and self.p == other.p and self.n == other.n
-
-    def __hash__(self):
-        return hash(("GFp2", self.p, self.n))
-
-    def __repr__(self):
-        return f"GF({self.p}^2|s^2={self.n})"
-
-
-class QuadExtElement(_FieldElement):
-    __slots__ = ("field", "u", "v")
-
-    def __init__(self, field: QuadExtField, u: int, v: int):
-        self.field = field
-        self.u = u
-        self.v = v
-
-    def _pair(self, x):
-        if isinstance(x, QuadExtElement):
-            if x.field != self.field:
-                raise FieldMismatch("different quadratic extensions")
-            return x.u, x.v
-        if isinstance(x, int):
-            return x % self.field.p, 0
-        if isinstance(x, PrimeElement) and x.field == self.field.base:
-            return x.val, 0
-        return None
-
-    def __add__(self, x):
-        pair = self._pair(x)
-        if pair is None:
-            return NotImplemented
-        p = self.field.p
-        return QuadExtElement(self.field, (self.u + pair[0]) % p, (self.v + pair[1]) % p)
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        pair = self._pair(x)
-        if pair is None:
-            return NotImplemented
-        p = self.field.p
-        return QuadExtElement(self.field, (self.u - pair[0]) % p, (self.v - pair[1]) % p)
-
-    def __neg__(self):
-        p = self.field.p
-        return QuadExtElement(self.field, -self.u % p, -self.v % p)
-
-    def __mul__(self, x):
-        pair = self._pair(x)
-        if pair is None:
-            return NotImplemented
-        p, n = self.field.p, self.field.n
-        u2, v2 = pair
-        return QuadExtElement(
-            self.field,
-            (self.u * u2 + n * self.v * v2) % p,
-            (self.u * v2 + self.v * u2) % p,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExtElement":
-        return QuadExtElement(self.field, self.u, -self.v % self.field.p)
-
-    def inverse(self) -> "QuadExtElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        p, n = self.field.p, self.field.n
-        # norm is nonzero for nonzero elements because n is a non-residue
-        norm = (self.u * self.u - n * self.v * self.v) % p
-        ninv = pow(norm, -1, p)
-        return QuadExtElement(self.field, self.u * ninv % p, -self.v * ninv % p)
-
-    def __truediv__(self, x):
-        pair = self._pair(x)
-        if pair is None:
-            return NotImplemented
-        return self * QuadExtElement(self.field, *pair).inverse()
-
-    # Bound in this class too, for tools that patch its own names.
-    __rsub__ = _FieldElement.__rsub__
-    __rtruediv__ = _FieldElement.__rtruediv__
-    __pow__ = _FieldElement.__pow__
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExtElement):
-            return self.field == other.field and self.u == other.u and self.v == other.v
-        if isinstance(other, PrimeElement):
-            if other.field != self.field.base:
-                return False
-            other = other.val
-        if isinstance(other, int):
-            return self.v == 0 and self.u == other
-        return NotImplemented
-
-    def __bool__(self):
-        return self.u != 0 or self.v != 0
-
-    def __hash__(self):
-        if self.v == 0:
-            return hash(self.u)
-        return hash((self.field.p, self.field.n, self.u, self.v))
-
-    def __repr__(self):
-        return f"({self.u}+{self.v}s)"
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +244,367 @@ def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+# ---------------------------------------------------------------------------
+
+class _PolyElement(_FieldElement):
+    """An element of GF(p)[x]/(f): its field and its coefficient tuple
+    (c_0, ..., c_{m-1}) of residues in [0, p).  The other operand of an
+    operator may be an element of the same field or of its base field, or
+    an int (_PolyQuotient._lift)."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __add__(self, x):
+        c = self.field._lift(x)
+        if c is None:
+            return NotImplemented
+        p = self.field.p
+        return type(self)(self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, c)]))
+
+    __radd__ = __add__
+
+    def __sub__(self, x):
+        c = self.field._lift(x)
+        if c is None:
+            return NotImplemented
+        p = self.field.p
+        return type(self)(self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, c)]))
+
+    def __neg__(self):
+        p = self.field.p
+        return type(self)(self.field, tuple([-a % p for a in self.coeffs]))
+
+    def __mul__(self, x):
+        c = self.field._lift(x)
+        if c is None:
+            return NotImplemented
+        # c is often zero or a scalar: _pmul skips the zero coefficients of its first factor
+        return type(self)(self.field, self.field._reduce(_pmul(c, self.coeffs)))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """Extended Euclid in GF(p)[x] on the pairs (r0, s0) = (f, 0) and
+        (r1, s1) = (self, 1), with s * self = r (mod f) for both: c x^k times
+        (r1, s1) comes off (r0, s0) until deg r0 < deg r1, then the pairs
+        swap.  It stops at a constant r1, which a nonzero element of GF(p)
+        is already."""
+        field, p = self.field, self.field.p
+        r0, r1 = field.modulus, _ptrim(list(self.coeffs))
+        if not r1:
+            raise ZeroDivisionError("inverse of zero")
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            r0, inv, d = list(r0), pow(r1[-1], -1, p), len(r1) - 1
+            while len(r0) > d:
+                k = len(r0) - 1 - d
+                c = r0.pop() * inv % p
+                for i in range(d):
+                    r0[k + i] = (r0[k + i] - c * r1[i]) % p
+                s0 += [0] * (k + len(s1) - len(s0))
+                for i, b in enumerate(s1):
+                    s0[k + i] = (s0[k + i] - c * b) % p
+                _ptrim(r0)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        inv = pow(r1[0], -1, p)
+        return type(self)(field, tuple([c * inv % p for c in s1]) + (0,) * (field.degree - len(s1)))
+
+    def __truediv__(self, x):
+        c = self.field._lift(x)
+        if c is None:
+            return NotImplemented
+        return self * type(self)(self.field, c).inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        try:
+            c = self.field._lift(other)
+        except FieldMismatch:
+            return False
+        return NotImplemented if c is None else self.coeffs == c
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash((self.field.p, self.field.modulus, self.coeffs))
+
+
+class _PolyQuotient:
+    """What GF(p), GF(p^2) and GF(p^m) share as GF(p)[x]/(f): coercion,
+    reduction mod f, random elements, the multiplication tensor and the
+    kernels on coefficient arrays.  `modulus` holds f's coefficients in
+    increasing degree and `_element` is the field's element class."""
+
+    _element: type
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        self.p = p
+        self.modulus = tuple(modulus)
+        self.degree = m = len(modulus) - 1
+        # f's nonzero coefficients below x^m, which _reduce subtracts
+        self._tail = tuple((i, g) for i, g in enumerate(self.modulus[:m]) if g)
+        self.zero = self._element(self, (0,) * m)
+        self.one = self._element(self, (1,) + (0,) * (m - 1))
+
+    def _lift(self, x):
+        """The coefficients of x in this field, for an int or an element of
+        this field or of its base field; None for another type or for an
+        element of an extension of this field, whose reflected operator
+        then serves; FieldMismatch for an element of an unrelated field."""
+        if isinstance(x, _PolyElement):
+            field = x.field
+            if field is self or field == self:
+                return x.coeffs
+            if field == getattr(self, "base", None):
+                return x.coeffs + (0,) * (self.degree - 1)
+            if getattr(field, "base", None) == self:
+                return None
+            raise FieldMismatch(f"elements of {field!r} and {self!r}")
+        if isinstance(x, int):
+            return (x % self.p,) + (0,) * (self.degree - 1)
+        return None
+
+    def coerce(self, x):
+        c = self._lift(x)
+        if c is None:
+            raise TypeError(f"cannot coerce {x!r} into {self!r}")
+        return self._element(self, c)
+
+    def _reduce(self, f) -> tuple:
+        """The coefficients of f mod the modulus, for a polynomial f of any
+        degree with integer coefficients in increasing degree."""
+        m, p = self.degree, self.p
+        r = list(f)
+        for d in range(len(r) - 1, m - 1, -1):
+            c = r[d] % p
+            if c:
+                for i, g in self._tail:
+                    r[d - m + i] -= c * g
+        return tuple([c % p for c in r[:m]]) + (0,) * (m - len(r))
+
+    _coeffs = staticmethod(operator.attrgetter("coeffs"))
+
+    def _from_coeffs(self, coeffs):
+        return self._element(self, tuple(coeffs))
+
+    def random_element(self, rng):
+        return self._element(self, tuple([rng.randint(0, self.p - 1) for _ in range(self.degree)]))
+
+    @cached_property
+    def int64_matrices(self) -> bool:
+        """Whether linalg.ExactMatrix holds matrices over this field as arrays."""
+        return modmat.poly_fits_int64(self.p, self.degree)
+
+    @cached_property
+    def mul_tensor(self) -> np.ndarray:
+        """(m, m, m) array: T[i, j] holds the coefficients of x^(i+j) mod f."""
+        m = self.degree
+        return np.array([[self._reduce([0] * (i + j) + [1]) for j in range(m)] for i in range(m)], dtype=np.int64)
+
+    def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Coefficient array of A X for a (rows, c, m) array A and a (c, m) or
+        (c, s, m) array X; mult[c, b, s] is x^b times X's entry (c, s)."""
+        p, m = self.p, self.degree
+        rows, c = A.shape[:2]
+        s = X.shape[1] if X.ndim == 3 else 1
+        mult = np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
+        if modmat.poly_fits_int64(p, c * m):
+            out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
+        else:
+            out = (np.einsum("rcb,cbsl->rcsl", A, mult) % p).sum(axis=1) % p
+        return out.reshape((rows,) + X.shape[1:])
+
+    def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
+        """The coefficient array A with every entry multiplied by the element c."""
+        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
+
+    def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """modmat.rref_poly of a (rows, cols, m) coefficient array over this
+        field: (R, pivot columns).  Raises ValueError unless
+        poly_fits_int64(p, m)."""
+        return modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
+
+    def _inverse_coeffs(self, coeffs):
+        return self._coeffs(self._from_coeffs(coeffs).inverse())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.p, self.modulus) == (other.p, other.modulus)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.p, self.modulus))
+
+
+class PrimeElement(_PolyElement):
+    __slots__ = ()
+
+    @property
+    def val(self) -> int:
+        return self.coeffs[0]
+
+    def __repr__(self):
+        return str(self.coeffs[0])
+
+
+class PrimeField(_PolyQuotient):
+    """GF(p) as GF(p)[x]/(x).  p may be 2; square roots and the quadratic
+    extension need p odd."""
+
+    _element = PrimeElement
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(p, (0, 1))
+
+    def element(self, v: int) -> PrimeElement:
+        return PrimeElement(self, (v % self.p,))
+
+    def is_square(self, a) -> bool:
+        v = self.coerce(a).val
+        return v == 0 or self.p == 2 or pow(v, (self.p - 1) // 2, self.p) == 1
+
+    def sqrt(self, a) -> PrimeElement:
+        """The smaller of the two square roots (sqrt_mod); raises
+        NotASquare for non-residues."""
+        return PrimeElement(self, (sqrt_mod(self.coerce(a).val, self.p),))
+
+    def smallest_nonresidue(self) -> int:
+        return smallest_nonresidue(self.p)
+
+    def to_json(self):
+        return {"p": self.p}
+
+    def element_to_json(self, x: PrimeElement):
+        return x.val
+
+    def element_from_json(self, data) -> PrimeElement:
+        return self.element(int(data))
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+class QuadExtElement(_PolyElement):
+    __slots__ = ()
+
+    @property
+    def u(self) -> int:
+        return self.coeffs[0]
+
+    @property
+    def v(self) -> int:
+        return self.coeffs[1]
+
+    def conjugate(self) -> "QuadExtElement":
+        u, v = self.coeffs
+        return QuadExtElement(self.field, (u, -v % self.field.p))
+
+    # Bound in this class too, for tools that patch its own names.
+    __add__ = _PolyElement.__add__
+    __radd__ = _PolyElement.__radd__
+    __sub__ = _PolyElement.__sub__
+    __rsub__ = _PolyElement.__rsub__
+    __neg__ = _PolyElement.__neg__
+    __mul__ = _PolyElement.__mul__
+    __rmul__ = _PolyElement.__rmul__
+    inverse = _PolyElement.inverse
+    __truediv__ = _PolyElement.__truediv__
+    __rtruediv__ = _PolyElement.__rtruediv__
+    __pow__ = _PolyElement.__pow__
+
+    def __repr__(self):
+        return f"({self.coeffs[0]}+{self.coeffs[1]}s)"
+
+
+class QuadExtField(_PolyQuotient):
+    """GF(p^2) presented as GF(p)[s]/(s^2 - n) for a non-residue n.
+
+    Constructing the extension from the non-residue of interest makes its
+    square root available directly: sqrt(n) = s.
+    """
+
+    _element = QuadExtElement
+
+    def __init__(self, base: PrimeField | int, nonresidue: Optional[int] = None):
+        self.base = base if isinstance(base, PrimeField) else PrimeField(base)
+        p = self.base.p
+        if p == 2:
+            raise ValueError("quadratic extension requires odd p")
+        if nonresidue is None:
+            nonresidue = self.base.smallest_nonresidue()
+        nonresidue %= p
+        if self.base.is_square(nonresidue):
+            raise ValueError(f"{nonresidue} is a square mod {p}")
+        self.n = nonresidue
+        super().__init__(p, (-nonresidue % p, 0, 1))
+        self.sqrt_nonresidue = QuadExtElement(self, (0, 1))
+
+    def element(self, u: int, v: int = 0) -> QuadExtElement:
+        return QuadExtElement(self, (u % self.p, v % self.p))
+
+    def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
+        """U + sV for two matrices over GF(p) of one shape; with split, the
+        algebra GF(p)[x]/(x^2 - n) of plotkin_fold and doubling_decode."""
+        if U.shape != V.shape:
+            raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
+        if U.field != self.base or V.field != self.base:
+            raise FieldMismatch(f"join parts must be over {self.base}")
+        if self.int64_matrices:
+            return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2))
+        return U.map_entries(self.coerce, self) + V.map_entries(self.coerce, self).scale(self.sqrt_nonresidue)
+
+    def split(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+        """(U, V) with M = U + sV, both over GF(p); inverse of join."""
+        if M.field != self:
+            raise FieldMismatch(f"expected a matrix over {self}, got one over {M.field}")
+        base = self.base
+        if M.array is not None:
+            return ExactMatrix.from_array(base, M.array[:, :, :1]), ExactMatrix.from_array(base, M.array[:, :, 1:])
+        return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
+
+    def to_json(self):
+        return {"p": self.p, "nonresidue": self.n}
+
+    def element_to_json(self, x):
+        return [x.u, x.v]
+
+    def element_from_json(self, data):
+        return self.element(int(data[0]), int(data[1]))
+
+    def __repr__(self):
+        return f"GF({self.p}^2|s^2={self.n})"
+
+
+class ExtElement(_PolyElement):
+    __slots__ = ()
+
+    # Bound in this class too, for tools that patch its own names.
+    __mul__ = _PolyElement.__mul__
+    __rmul__ = _PolyElement.__rmul__
+    inverse = _PolyElement.inverse
+
+    def __repr__(self):
+        return f"ext{list(self.coeffs)}"
+
+
 class ExtField(_PolyQuotient):
     """GF(p^m) as GF(p)[x]/(f) with a deterministic default modulus."""
+
+    _element = ExtElement
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError(f"extension degree must be at least 1, got {m}")
         self.base = PrimeField(p)
-        self.p = p
-        self.m = self.degree = m
+        self.m = m
         if modulus is None:
             modulus = _first_irreducible(p, m)
         else:
@@ -629,51 +613,25 @@ class ExtField(_PolyQuotient):
                 raise ValueError("modulus must be monic of degree m")
             if m > 1 and not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
-        self.modulus = tuple(modulus)
-        self.zero = ExtElement(self, (0,) * m)
-        self.one = ExtElement(self, (1,) + (0,) * (m - 1))
+        super().__init__(p, modulus)
         self.x = ExtElement(self, ((0, 1) + (0,) * (m - 2))[:m])
 
     @property
     def order(self) -> int:
         return self.p ** self.m
 
-    def element(self, coeffs: Sequence[int]) -> "ExtElement":
+    def element(self, coeffs: Sequence[int]) -> ExtElement:
         """The residue of a polynomial over GF(p), of any degree, mod f."""
-        r = _pdivmod(coeffs, self.modulus, self.p)[1]
-        return ExtElement(self, tuple(r + [0] * (self.m - len(r))))
+        return ExtElement(self, self._reduce(coeffs))
 
-    def coerce(self, x) -> "ExtElement":
-        if isinstance(x, ExtElement):
-            if x.field != self:
-                raise FieldMismatch("different extension fields")
-            return x
-        if isinstance(x, PrimeElement):
-            if x.field != self.base:
-                raise FieldMismatch("wrong base field")
-            return self.element([x.val])
-        if isinstance(x, int):
-            return self.element([x])
-        raise TypeError(f"cannot coerce {x!r}")
-
-    @staticmethod
-    def _coeffs(x: "ExtElement") -> tuple:
-        return x.coeffs
-
-    def _from_coeffs(self, coeffs) -> "ExtElement":
-        return ExtElement(self, tuple(coeffs))
-
-    def random_element(self, rng) -> "ExtElement":
-        return ExtElement(self, tuple(rng.randint(0, self.p - 1) for _ in range(self.m)))
-
-    def polynomial_basis(self) -> list["ExtElement"]:
+    def polynomial_basis(self) -> list[ExtElement]:
         return [self.element([0] * i + [1]) for i in range(self.m)]
 
     def coeff_array(self, vector: Iterable) -> np.ndarray:
         """(n, m) int64 array whose row i holds the coefficients of entry i."""
         return np.array([self.coerce(v).coeffs for v in vector], dtype=np.int64).reshape(-1, self.m)
 
-    def from_coeff_array(self, X: np.ndarray) -> list["ExtElement"]:
+    def from_coeff_array(self, X: np.ndarray) -> list[ExtElement]:
         """Inverse of coeff_array; the rows must be reduced mod p."""
         return [ExtElement(self, tuple(row)) for row in X.tolist()]
 
@@ -695,7 +653,7 @@ class ExtField(_PolyQuotient):
         gabidulin.left_divide."""
         return np.array(self.frobenius_table, dtype=np.int64)
 
-    def frobenius(self, x: "ExtElement", i: int = 1) -> "ExtElement":
+    def frobenius(self, x: ExtElement, i: int = 1) -> ExtElement:
         """x^(p^i), read off frobenius_table in Python integers."""
         x = self.coerce(x)
         rows = self.frobenius_table[i % self.m]
@@ -718,102 +676,8 @@ class ExtField(_PolyQuotient):
     def element_from_json(self, data):
         return self.element([int(c) for c in data])
 
-    def __eq__(self, other):
-        return isinstance(other, ExtField) and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-
-    def __hash__(self):
-        return hash(("GFpm", self.p, self.m, self.modulus))
-
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
-
-
-class ExtElement(_FieldElement):
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: ExtField, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _other(self, x):
-        if isinstance(x, ExtElement):
-            if x.field != self.field:
-                raise FieldMismatch("different extension fields")
-            return x
-        if isinstance(x, (int, PrimeElement)):
-            return self.field.coerce(x)
-        return None
-
-    def __add__(self, x):
-        o = self._other(x)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return ExtElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        o = self._other(x)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return ExtElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return ExtElement(self.field, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, x):
-        o = self._other(x)
-        if o is None:
-            return NotImplemented
-        # o is often zero or a scalar: _pmul skips the zero coefficients of its first factor
-        return self.field.element(_pmul(o.coeffs, self.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ExtElement":
-        """Extended Euclid in GF(p)[x]: s * self = r (mod f) at every step,
-        down to a constant r."""
-        p = self.field.p
-        r0, r1 = self.field.modulus, _ptrim(list(self.coeffs))
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1), p)
-        return self.field.element(_pmul(s0, [pow(r0[0], -1, p)]))
-
-    def __truediv__(self, x):
-        o = self._other(x)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, ExtElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, PrimeElement):
-            if other.field != self.field.base:
-                return False
-            other = other.val
-        if isinstance(other, int):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
-        return NotImplemented
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.field.p, self.field.m, self.coeffs))
-
-    def __repr__(self):
-        return f"ext{list(self.coeffs)}"
 
 
 # ---------------------------------------------------------------------------

@@ -378,36 +378,28 @@ def solve_erasures(field, syndrome: Callable, y: Sequence, generators: Sequence[
 
     `syndrome` maps a vector over `field` to its syndrome, and the
     generators g_k span the erasure space.  x solves
-    sum_k x_k syndrome(g_k) = syndrome(y); it is unique exactly when no
-    nonzero combination of the generators is a codeword.  Raises
-    DecodingFailure when the system is inconsistent or ambiguous.
+    sum_k x_k syndrome(g_k) = syndrome(y) (solve_erasure_system); it is
+    unique exactly when no nonzero combination of the generators is a
+    codeword.  Raises DecodingFailure when the system is inconsistent or
+    ambiguous.
     """
-    s_y = syndrome(y)
-    if not generators:
-        if any(s_y):
-            raise DecodingFailure("nonzero syndrome with empty erasure support")
-        return list(y)
-    M = ExactMatrix(field, tuple(zip(*(syndrome(g) for g in generators))), _raw=True, cols=len(generators))
-    try:
-        x = M.solve(s_y)
-    except NoSolution as exc:
-        raise DecodingFailure(f"erasure system inconsistent: {exc}") from exc
-    except NotUnique as exc:
-        raise DecodingFailure("erasure support hides a codeword") from exc
-    return _peel(y, x, generators)
+    columns = [syndrome(g) for g in generators] + [syndrome(y)]
+    M = ExactMatrix(field, tuple(zip(*columns)), _raw=True, cols=len(columns))
+    return _peel(y, solve_erasure_system(M).col(0), generators)
 
 
-def solve_erasure_system(field, HS: np.ndarray, Hy: np.ndarray) -> np.ndarray:
-    """The (r, m) coefficients of x with sum_k x_k H s_k = H y over `field`, from the arrays
-    HS (checks, r, m) and Hy (checks, m), by one rref; DecodingFailure unless x is unique."""
-    r = HS.shape[1]
-    R, pivots, rank = ExactMatrix.from_array(field, np.concatenate((HS, Hy[:, None]), axis=1)).rref()
+def solve_erasure_system(M: ExactMatrix) -> ExactMatrix:
+    """The r x 1 matrix x with sum_k x_k H s_k = H y, from the augmented
+    system M = [H s_1 ... H s_r | H y] by one rref.  Raises DecodingFailure
+    when the system is inconsistent or x is not unique."""
+    r = M.cols - 1
+    R, pivots, rank = M.rref()
     if pivots and pivots[-1] == r:
         raise DecodingFailure("erasure system inconsistent: inconsistent system" if r
                               else "nonzero syndrome with empty erasure support")
     if rank < r:
         raise DecodingFailure("erasure support hides a codeword")
-    return R.array[:r, r]
+    return R.split_blocks(r, r)[1]
 
 
 def _peel(y: Sequence, x: Sequence, generators: Sequence[Sequence]) -> list:
@@ -483,7 +475,8 @@ class MatrixCode:
         S = np.zeros((r, n, m), dtype=np.int64)  # the support's coefficients in Y's field
         S[:, :, :support.field.degree] = support.array.reshape(r, n, support.field.degree)
         HS = base.product(H.reshape(-1, n, 1), S.transpose(1, 0, 2).reshape(n, r * m, 1)).reshape(len(H), rows * r, m)
-        x = solve_erasure_system(field, HS, base.product(H, Y.array.reshape(rows * n, m, 1))[:, :, 0])
+        Hy = base.product(H, Y.array.reshape(rows * n, m, 1)).reshape(len(H), 1, m)
+        x = solve_erasure_system(ExactMatrix.from_array(field, np.concatenate((HS, Hy), axis=1))).array
         return ExactMatrix.from_array(field, (Y.array - field.product(x.reshape(rows, r, m), S)) % field.p)
 
     decode_erasures = decode_erasures_ext

@@ -55,20 +55,6 @@ def plotkin_encode(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B1: Exa
     )
 
 
-def plotkin_encode_char2(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B1: ExactMatrix) -> ExactMatrix:
-    """Characteristic-2 variant of the assembly (encoder only; the
-    decoders in this module require odd q)."""
-    if A0.field.p != 2:
-        raise DimensionMismatch("this assembly is for characteristic 2")
-    _check_shapes(A0.shape, A1=A1, B0=B0, B1=B1)
-    return ExactMatrix.block(
-        [
-            [A0 + B0, (A1 + B1).scale(a) + B0],
-            [A1 + B1, A0 + A1 + B0],
-        ]
-    )
-
-
 def plotkin_fold(Y: ExactMatrix, a, join):
     """The fold (x^-1 I | I) Y (I ; -x^-1 I) over K[x]/(x^2 - a), where
     join(U, V) = U + xV is the caller's representation of that algebra.
@@ -190,6 +176,11 @@ class PlotkinCode(MatrixCode):
         self.a = self.field.coerce(a)
         if not self.a:
             raise ParameterMismatch("the twist scalar must be nonzero")
+        # K[x]/(x^2 - a), which decode folds into: GF(q) x GF(q) for a square a, else GF(q^2)
+        if self.field.is_square(self.a):
+            self._algebra = _SplitAlgebra(self.field.sqrt(self.a))
+        else:
+            self._algebra = QuadExtField(self.field, self.a.val)
         self.rows = 2 * C.rows
         self.cols = 2 * C.cols
         self.dim = 2 * (C.dim + D.dim)
@@ -225,9 +216,8 @@ class PlotkinCode(MatrixCode):
         if Y.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"expected a {self.rows}x{self.cols} matrix")
         t = check_radius(self.radius if t is None else t)
-        if self.field.is_square(self.a):
-            algebra = _SplitAlgebra(self.field.sqrt(self.a))
-
+        algebra = self._algebra
+        if isinstance(algebra, _SplitAlgebra):
             def decode_errors(W):
                 pairs = [self.D.decode(Wi, t) for Wi in W]
                 return tuple(c for c, _ in pairs), tuple(e.row_space_basis() for _, e in pairs)
@@ -235,8 +225,6 @@ class PlotkinCode(MatrixCode):
             def decode_erasures(Z, support):
                 return tuple(map(self.C.decode_erasures, Z, support))
         else:
-            algebra = QuadExtField(self.field, int(self.a.val))
-
             def decode_errors(W):
                 W_hat = self.D.decode_ext(W, t)
                 return W_hat, (W - W_hat).row_space_basis()

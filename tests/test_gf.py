@@ -1,5 +1,6 @@
 """Prime fields, quadratic extensions, GF(p^m), and coordinate expansion."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,21 @@ def test_field_mismatch_is_not_equality():
     assert not (ExtField(5, 2).one == ExtField(5, 3).one)
     with pytest.raises(FieldMismatch):
         PrimeField(5).one + PrimeField(7).one
+
+
+@pytest.mark.parametrize("F", [PrimeField(7), QuadExtField(7), ExtField(7, 3)], ids=["GF(7)", "GF(7^2)", "GF(7^3)"])
+def test_every_finite_field_raises_the_same_errors(F):
+    """Zero has no inverse, however it is asked for, and an element of an
+    unrelated field is refused both ways round by every operator."""
+    for invert in (F.zero.inverse, lambda: F.zero ** -1, lambda: F.one / F.zero, lambda: 1 / F.zero):
+        with pytest.raises(ZeroDivisionError):
+            invert()
+    foreign = PrimeField(11).one
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatch):
+            op(F.one, foreign)
+        with pytest.raises(FieldMismatch):
+            op(foreign, F.one)
 
 
 def test_int_equals_only_the_canonical_residue():

@@ -1,6 +1,6 @@
-"""Golden outputs of tower arithmetic, of an rm-roundtrip fixture dump,
-of seeded doubled-Gabidulin decodes and of seeded decodes of a doubled
-code doubled again.
+"""Golden outputs of tower and finite-field arithmetic, of an
+rm-roundtrip fixture dump, of seeded doubled-Gabidulin decodes and of
+seeded decodes of a doubled code doubled again.
 
 elements.tsv and rm3_fixtures.jsonl were written by an earlier version of
 the package whose towers stored Fraction coordinates, rm5_fixtures.jsonl
@@ -8,10 +8,12 @@ by one that encoded term by term, and plotkin_decodes.jsonl by one whose
 Gabidulin decoders worked element by element in the erasure solve and the
 left division, plotkin_nested.jsonl by one whose matrices over GF(q)
 held their entries as tuples of elements, and plotkin_large_q.jsonl by one
-whose matrices over GF(q^2) did; the current code must reproduce them
-byte for byte.  Regenerate them only for a deliberate change of results:
+whose matrices over GF(q^2) did, and gf_elements.tsv by one with a
+separate element class, each with its own arithmetic, for each of GF(p),
+GF(p^2) and GF(p^m); the current code must reproduce them byte for byte.
+Regenerate them only for a deliberate change of results:
 `python tests/test_golden.py` rewrites golden/elements.tsv,
-golden/plotkin_decodes.jsonl, golden/plotkin_nested.jsonl and
+golden/gf_elements.tsv, golden/plotkin_decodes.jsonl, golden/plotkin_nested.jsonl and
 golden/plotkin_large_q.jsonl, and `rankfold rm-roundtrip --m M --r R
 --trials 3 --seed 3 --jobs 1 --dump-fixtures tests/golden/rmM_fixtures.jsonl`
 the fixture files, with (M, R) = (3, 1) and (5, 2).
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from rankfold import DecodingFailure, PlotkinCode, SplitMix64, cli, derive_seed, gabidulin_plotkin, mq_field
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
-from rankfold.gf import ExtField
+from rankfold.gf import ExtField, PrimeField, QuadExtField
 from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +44,12 @@ NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((2
 # reach the edge of int64, at a square and a non-square twist; at
 # 2147483659 the sums over GF(q^2) do not fit and its matrices hold no array
 LARGE_Q_CAMPAIGNS = [(1518500213, 4, 2, 0, 1, 20, 9), (1518500213, 4, 2, 0, 2, 20, 9), (2147483659, 1, 1, 1, 2, 5, 9)]
+# the finite fields of gf_elements.tsv: characteristic 2, a small and a
+# large prime (2147483659 is past the int64 bound of every kernel), GF(23^2)
+# with the twist 5, and the extensions of the benchmark and of the int64 edge
+GF_FIELDS = [lambda: PrimeField(2), lambda: PrimeField(23), lambda: PrimeField(2147483659),
+             lambda: QuadExtField(23, 5), lambda: QuadExtField(2147483659), lambda: ExtField(2, 5),
+             lambda: ExtField(23, 8), lambda: ExtField(1518500213, 4)]
 
 
 def golden_elements() -> dict:
@@ -65,6 +73,68 @@ def golden_elements() -> dict:
         values += [e for row in M.rref()[0].entries for e in row]
         out[repr(F)] = [F.element_to_json(v) for v in values]
     return out
+
+
+def _gf_element(F, coeffs: list):
+    """The element of GF(p), GF(p^2) or GF(p^m) with these coefficients."""
+    if isinstance(F, PrimeField):
+        return F.element(coeffs[0])
+    return F.element(*coeffs) if isinstance(F, QuadExtField) else F.element(coeffs)
+
+
+def golden_gf_elements() -> str:
+    """One line per value: the field, what was computed, and its
+    element_to_json.  The values are a fixed list of elements, their sums,
+    differences, negations, products, inverses, quotients and powers
+    -3..5, int and base-element coercions and mixed operations, square
+    roots, conjugates and Frobenius powers where the field has them, and
+    three seeded random_element draws."""
+    lines = []
+    for make in GF_FIELDS:
+        F = make()
+        p, m = F.p, F.degree
+        named = {"0": F.zero, "1": F.one,
+                 "x": _gf_element(F, [(7 * j + 3) % p for j in range(m)]),
+                 "y": _gf_element(F, [(p - 1 - 2 * j) % p for j in range(m)]),
+                 "z": _gf_element(F, [(j * j * 982451653 + 5) % p for j in range(m)])}
+        out = list(named.items())
+        for a, x in named.items():
+            out.append((f"-{a}", -x))
+            for b, y in named.items():
+                out += [(f"{a}+{b}", x + y), (f"{a}-{b}", x - y), (f"{a}*{b}", x * y)]
+                if y:
+                    out.append((f"{a}/{b}", x / y))
+            if x:
+                out.append((f"1/{a}", x.inverse()))
+                out += [(f"{a}^{k}", x ** k) for k in range(-3, 6)]
+        x = named["x"]
+        for k in (0, 1, -1, 5, p, 2 * p + 3, -(p + 2), 10 ** 30):
+            out += [(f"coerce({k})", F.coerce(k)), (f"x+{k}", x + k), (f"{k}+x", k + x), (f"x-{k}", x - k),
+                    (f"{k}-x", k - x), (f"x*{k}", x * k), (f"{k}*x", k * x)]
+            if k % p:
+                out += [(f"x/{k}", x / k), (f"{k}/x", k / x)]
+        if hasattr(F, "base"):
+            for k in (0, 1, p - 1, 12345):
+                b = F.base.element(k)
+                out += [(f"coerce(b{k})", F.coerce(b)), (f"x+b{k}", x + b), (f"b{k}+x", b + x),
+                        (f"x-b{k}", x - b), (f"b{k}-x", b - x), (f"x*b{k}", x * b), (f"b{k}*x", b * x)]
+                if k % p:
+                    out += [(f"x/b{k}", x / b), (f"b{k}/x", b / x)]
+        if isinstance(F, PrimeField):
+            for a, v in named.items():
+                out += [(f"sqrt({a}*{a})", F.sqrt(v * v))]
+                if F.is_square(v):
+                    out.append((f"sqrt({a})", F.sqrt(v)))
+        if isinstance(F, QuadExtField):
+            out += [(f"conj({a})", v.conjugate()) for a, v in named.items()]
+            out.append(("sqrt_nonresidue", F.sqrt_nonresidue))
+        if isinstance(F, ExtField):
+            out.append(("reduce", F.element([(5 * j + 1) % p for j in range(2 * m + 1)])))
+            out += [(f"frob({a},{i})", F.frobenius(v, i)) for a, v in named.items() for i in range(m + 1)]
+        rng = SplitMix64(7)
+        out += [(f"random{i}", F.random_element(rng)) for i in range(3)]
+        lines += [f"{F!r}\t{label}\t{json.dumps(F.element_to_json(v))}\n" for label, v in out]
+    return "".join(lines)
 
 
 def _dump(elements: dict) -> str:
@@ -136,6 +206,10 @@ def test_element_json_matches_the_golden_file():
     assert _dump(golden_elements()) == (GOLDEN / "elements.tsv").read_text()
 
 
+def test_finite_field_elements_match_the_golden_file():
+    assert golden_gf_elements() == (GOLDEN / "gf_elements.tsv").read_text()
+
+
 def test_rm_fixture_dump_matches_the_golden_file(tmp_path, capsys):
     for name, (m, r) in RM_FIXTURES.items():
         out = tmp_path / name
@@ -159,6 +233,7 @@ def test_large_prime_plotkin_decodes_match_the_golden_file():
 
 if __name__ == "__main__":
     (GOLDEN / "elements.tsv").write_text(_dump(golden_elements()))
+    (GOLDEN / "gf_elements.tsv").write_text(golden_gf_elements())
     (GOLDEN / "plotkin_decodes.jsonl").write_text(golden_plotkin_decodes())
     (GOLDEN / "plotkin_nested.jsonl").write_text(golden_plotkin_nested())
     (GOLDEN / "plotkin_large_q.jsonl").write_text(golden_plotkin_large_q())

@@ -21,7 +21,6 @@ from rankfold.plotkin import (
     non_mrd_witness,
     plotkin_dual_check,
     plotkin_encode,
-    plotkin_encode_char2,
     plotkin_fold,
 )
 from rankfold.reedmuller import RMCode
@@ -53,16 +52,6 @@ def test_encode_frozen_examples():
     assert plotkin_encode(2, I, Z, Z, Z) == ExactMatrix.block([[I, Z], [Z, I]])
     assert plotkin_encode(2, Z, Z, I, Z) == ExactMatrix.block([[I, Z], [Z, I.scale(-1)]])
     assert plotkin_encode(2, Z, Z, Z, Z).is_zero()
-
-
-def test_encode_char2_frozen_examples():
-    gf2 = PrimeField(2)
-    I, Z = eye(gf2, 2), zeros(gf2, 2)
-    assert plotkin_encode_char2(1, Z, Z, Z, Z).is_zero()
-    assert plotkin_encode_char2(1, I, Z, Z, Z) == ExactMatrix.block([[I, Z], [Z, I]])
-    assert plotkin_encode_char2(1, Z, Z, I, Z) == ExactMatrix.block([[I, I], [Z, I]])
-    with pytest.raises(Exception):
-        plotkin_encode_char2(2, eye(GF5, 2), zeros(GF5, 2), zeros(GF5, 2), zeros(GF5, 2))
 
 
 def test_encode_block_recovery():
