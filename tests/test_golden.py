@@ -10,11 +10,13 @@ left division, plotkin_nested.jsonl by one whose matrices over GF(q)
 held their entries as tuples of elements, and plotkin_large_q.jsonl by one
 whose matrices over GF(q^2) did, and gf_elements.tsv by one with a
 separate element class, each with its own arithmetic, for each of GF(p),
-GF(p^2) and GF(p^m); the current code must reproduce them byte for byte.
+GF(p^2) and GF(p^m), and rm_decodes.jsonl by one whose matrices over Q
+held their entries as tuples of tower elements; the current code must
+reproduce them byte for byte.
 Regenerate them only for a deliberate change of results:
 `python tests/test_golden.py` rewrites golden/elements.tsv,
-golden/gf_elements.tsv, golden/plotkin_decodes.jsonl, golden/plotkin_nested.jsonl and
-golden/plotkin_large_q.jsonl, and `rankfold rm-roundtrip --m M --r R
+golden/gf_elements.tsv, golden/plotkin_decodes.jsonl, golden/plotkin_nested.jsonl,
+golden/plotkin_large_q.jsonl and golden/rm_decodes.jsonl, and `rankfold rm-roundtrip --m M --r R
 --trials 3 --seed 3 --jobs 1 --dump-fixtures tests/golden/rmM_fixtures.jsonl`
 the fixture files, with (M, R) = (3, 1) and (5, 2).
 """
@@ -27,6 +29,7 @@ from rankfold import DecodingFailure, PlotkinCode, SplitMix64, cli, derive_seed,
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
 from rankfold.gf import ExtField, PrimeField, QuadExtField
 from rankfold.linalg import ExactMatrix, random_rank_matrix
+from rankfold.reedmuller import RMCode
 
 GOLDEN = Path(__file__).parent / "golden"
 # fixture file -> (m, r); the m = 5 encodes run a five-level butterfly
@@ -44,6 +47,10 @@ NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((2
 # reach the edge of int64, at a square and a non-square twist; at
 # 2147483659 the sums over GF(q^2) do not fit and its matrices hold no array
 LARGE_Q_CAMPAIGNS = [(1518500213, 4, 2, 0, 1, 20, 9), (1518500213, 4, 2, 0, 2, 20, 9), (2147483659, 1, 1, 1, 2, 5, 9)]
+# (m, r, words, seed) of the seeded Reed-Muller decodes on cli.standard_tower(m):
+# each trial decodes a word within the radius and one carrying two sampled
+# errors, which is over the radius
+RM_DECODES = [(3, 1, 3, 27), (4, 1, 3, 27), (5, 1, 2, 27), (5, 3, 2, 27)]
 # the finite fields of gf_elements.tsv: characteristic 2, a small and a
 # large prime (2147483659 is past the int64 bound of every kernel), GF(23^2)
 # with the twist 5, and the extensions of the benchmark and of the int64 edge
@@ -202,6 +209,45 @@ def golden_plotkin_large_q() -> str:
     return "".join(lines)
 
 
+def _rm_decode_line(code, head: dict, Y) -> str:
+    """The decode report of Y as one JSON line after `head`."""
+    rep = code.decode(Y)
+    line = dict(head, success=rep.success, reason=rep.reason, trace=rep.trace)
+    for name in ("codeword", "recovered_error", "error_rows"):
+        M = getattr(rep, name)
+        line[name] = None if M is None else M.to_json()
+    return json.dumps(line) + "\n"
+
+
+def golden_rm_decodes() -> str:
+    """Seeded Reed-Muller decodes: per trial a sampled error within the
+    radius, the same error scaled by -5/6 at m = 4 (a lift with
+    denominators), and the sum of two sampled errors; then the word of
+    test_reedmuller's fold-rank-drop test, which the certificate refuses
+    and the exact decoder decodes."""
+    lines = []
+    for m, r, words, seed in RM_DECODES:
+        code = RMCode(cli.standard_tower(m), r)
+        for index in range(words):
+            rng = SplitMix64(derive_seed(seed, index))
+            C = code.encode(code.random_message(rng))
+            E, E2 = code.sample_error(rng), code.sample_error(rng)
+            head = {"m": m, "r": r, "seed": seed, "trial": index}
+            lines.append(_rm_decode_line(code, dict(head, error="sampled"), C + E))
+            if m == 4:
+                lines.append(_rm_decode_line(code, dict(head, error="sampled * -5/6"), C + E.scale(Fraction(-5, 6))))
+            lines.append(_rm_decode_line(code, dict(head, error="two sampled"), C + E + E2))
+    code = RMCode(cli.standard_tower(4), 1)
+    K, h, a = code.base_field, code.size // 2, code.field.gens[-1]
+    rng = SplitMix64(127)
+    u = [rng.randint(-3, 3) for _ in range(h)]
+    X = ExactMatrix(K, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(code.size)])
+    E = X @ ExactMatrix(K, [u + [0] * h, [0] * h + [a * e for e in u]])
+    lines.append(_rm_decode_line(code, {"m": 4, "r": 1, "error": "fold-rank-drop"},
+                                 code.encode(code.random_message(rng)) + E))
+    return "".join(lines)
+
+
 def test_element_json_matches_the_golden_file():
     assert _dump(golden_elements()) == (GOLDEN / "elements.tsv").read_text()
 
@@ -231,9 +277,14 @@ def test_large_prime_plotkin_decodes_match_the_golden_file():
     assert golden_plotkin_large_q() == (GOLDEN / "plotkin_large_q.jsonl").read_text()
 
 
+def test_rm_decodes_match_the_golden_file():
+    assert golden_rm_decodes() == (GOLDEN / "rm_decodes.jsonl").read_text()
+
+
 if __name__ == "__main__":
     (GOLDEN / "elements.tsv").write_text(_dump(golden_elements()))
     (GOLDEN / "gf_elements.tsv").write_text(golden_gf_elements())
     (GOLDEN / "plotkin_decodes.jsonl").write_text(golden_plotkin_decodes())
     (GOLDEN / "plotkin_nested.jsonl").write_text(golden_plotkin_nested())
     (GOLDEN / "plotkin_large_q.jsonl").write_text(golden_plotkin_large_q())
+    (GOLDEN / "rm_decodes.jsonl").write_text(golden_rm_decodes())
