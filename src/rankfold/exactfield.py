@@ -32,15 +32,18 @@ Elimination.  MultiquadraticField.eliminate is the hook through which
 linalg.ExactMatrix.rref reduces matrices over a tower.  It runs
 Gauss-Jordan with gauss_jordan's pivot rule on integer rows: a row is
 its entries' coordinates over their least common denominator d (over Q,
-height 0, a flat list of ints).  The pivot row is multiplied by the
-pivot's inverse.  Each other row y = Y / dy with b = y_c becomes
-y - b * x for the pivot row x = X / dx, formed as
-(Y * dx * D - X * b) / (dy * dx * D) through the product kernel, and is
-divided by the gcd of its integers and denominator, so they do not grow
-beyond those of gauss_jordan's rational values.  Only the rows up to the
-rank become elements; the rows past the last pivot are zero and hold the
-field's shared zero.  The reduced row echelon form is unique, so the
-result equals gauss_jordan's, bit for bit.
+height 0, a flat list of ints; a matrix over Q is an integer array over
+one denominator, linalg's storage rule, and its rows are read off the
+array through rref_array, the field's hook for Q matrices beside
+matrix_array, array_entries, canonical_array, scale_array and product).
+The pivot row is multiplied by the pivot's inverse.  Each other row y =
+Y / dy with b = y_c becomes y - b * x for the pivot row x = X / dx,
+formed as (Y * dx * D - X * b) / (dy * dx * D) through the product
+kernel, and is divided by the gcd of its integers and denominator, so
+they do not grow beyond those of gauss_jordan's rational values.  Only
+the rows up to the rank become elements; the rows past the last pivot
+are zero and hold the field's shared zero.  The reduced row echelon form
+is unique, so the result equals gauss_jordan's, bit for bit.
 
 Modular images.  For an odd prime p at which every a_k is a nonzero
 square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
@@ -371,6 +374,7 @@ class MultiquadraticField:
         # data derived from this field by its users, such as a code's
         # generator and parity-check rows
         self.tables: dict = {}
+        self.array_matrices = self.m == 0
         self.zero = MQElement(self, (0,) * self.dim, 1)
         self.one = self.basis_element(0)
 
@@ -429,16 +433,20 @@ class MultiquadraticField:
 
     # -- elimination ---------------------------------------------------------
 
-    def eliminate(self, entries: Sequence[Sequence["MQElement"]]) -> tuple[tuple, tuple[int, ...]]:
+    def eliminate(self, entries) -> tuple[tuple, tuple[int, ...]]:
         """(rows, pivots) of the reduced row echelon form of a matrix over
-        this field: the hook that linalg.ExactMatrix.rref consults.
+        this field, given as rows of elements: the hook that
+        linalg.ExactMatrix.rref consults above Q.  Over Q it also takes a
+        matrix's integer array (rref_array) and gives R as a canonical
+        (array, den) pair.
 
         Gauss-Jordan with linalg.gauss_jordan's pivot rule on integer rows
         (module docstring).  Row y is Y / d: over Q, Y holds one int per
-        entry; above Q, one list of 2^m ints per entry.
+        entry (an array's rows start at d = 1: scaling a row leaves the
+        form unchanged); above Q, one list of 2^m ints per entry.
         """
         W, D, dim = self._W, self._D, self.dim
-        flat = self.m == 0
+        flat, array = self.m == 0, isinstance(entries, np.ndarray)
         nonzero = bool if flat else any
 
         def reduced(Y, d):
@@ -447,13 +455,12 @@ class MultiquadraticField:
                 return Y, d
             return ([s // g for s in Y] if flat else [[s // g for s in Yj] for Yj in Y]), d // g
 
-        rows = []
-        for row in entries:
-            d, Y = integer_coords(row)
-            rows.append((Y if flat else [Y[k:k + dim] for k in range(0, len(Y), dim)], d))
+        rows = [(Y, 1) for Y in entries.tolist()] if array else [
+            (Y if flat else [Y[k:k + dim] for k in range(0, len(Y), dim)], d) for d, Y in map(integer_coords, entries)]
+        width = entries.shape[1] if array else len(entries[0]) if entries else 0
         pivots: list[int] = []
         pr = 0
-        for c in range(len(entries[0]) if entries else 0):
+        for c in range(width):
             pivot_row = next((r for r in range(pr, len(rows)) if nonzero(rows[r][0][c])), None)
             if pivot_row is None:
                 continue
@@ -492,10 +499,39 @@ class MultiquadraticField:
             pr += 1
             if pr == len(rows):
                 break
+        if array:  # canonical rows over their least common denominator: a canonical array
+            den = lcm(*(d for _, d in rows[:pr]))
+            R = [[s * (den // d) for s in Y] for Y, d in rows[:pr]] + [[0] * width] * (len(rows) - pr)
+            return (np.array(R, dtype=object).reshape(entries.shape), den), tuple(pivots)
         # the rows past the last pivot are zero: the shared self.zero
-        zero_row = (self.zero,) * len(entries[0]) if entries else ()
+        zero_row = (self.zero,) * width
         out = tuple(tuple(self._element([Yj] if flat else Yj, d) for Yj in Y) for Y, d in rows[:pr])
         return out + (zero_row,) * (len(rows) - pr), tuple(pivots)
+
+    # -- matrices over Q (linalg's storage rule, height 0 only) ---------------
+
+    def matrix_array(self, entries, rows: int, cols: int) -> tuple[np.ndarray, int]:
+        """(A, d): integer_coords of a matrix's rows, a canonical (rows, cols) object array over d."""
+        d, ints = integer_coords([e for row in entries for e in row])
+        return np.array(ints, dtype=object).reshape(rows, cols), d
+
+    def array_entries(self, A: np.ndarray, den: int) -> tuple:
+        return tuple(tuple(self._element([u], den) for u in row) for row in A.tolist())
+
+    def canonical_array(self, A: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """A / den (den > 0) divided by gcd(den, *A); zero becomes 0 / 1."""
+        g = gcd(den, *A.flat)
+        return (A, den) if g == 1 else (A // g, den // g)
+
+    def scale_array(self, A: np.ndarray, den: int, c: "MQElement") -> tuple[np.ndarray, int]:
+        return self.canonical_array(A * c.num[0], den * c.den)
+
+    product = staticmethod(np.matmul)
+
+    def rref_array(self, A: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+        (R, den), pivots = self.eliminate(A)
+        return R, den, pivots
+
 
     # -- structure ---------------------------------------------------------
 

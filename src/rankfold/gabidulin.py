@@ -202,7 +202,7 @@ class GabidulinCode:
     def _base_rank(self, X: np.ndarray) -> int:
         """GF(q)-rank of the m x n matrix whose columns are the rows of the
         (n, m) coefficient array X."""
-        return len(self.field.base.rref_coeffs(X.T[:, :, None])[1])
+        return len(self.field.base.rref_array(X.T[:, :, None])[2])
 
     def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """(n, m) coefficient array of f(g_i) for every point, where row j
@@ -222,7 +222,7 @@ class GabidulinCode:
         """Right kernel basis of the (rows, cols, m) coefficient array A,
         one vector per free column of its RREF, in column order, as an
         (nullity, cols, m) array (ExactMatrix.kernel_basis's vectors)."""
-        R, pivots = self.field.rref_coeffs(A)
+        R, _, pivots = self.field.rref_array(A)
         cols = A.shape[1]
         free = [c for c in range(cols) if c not in pivots]
         K = np.zeros((len(free), cols, self.field.m), dtype=np.int64)
@@ -238,7 +238,7 @@ class GabidulinCode:
             field, n, nn = self.field, self.n, t + self.k
             eye = np.zeros((n, n, field.m), dtype=np.int64)
             eye[range(n), range(n), 0] = 1
-            R, pivots = field.rref_coeffs(np.concatenate((self._moore[:, np.arange(nn) % field.m], eye), axis=1))
+            R, _, pivots = field.rref_array(np.concatenate((self._moore[:, np.arange(nn) % field.m], eye), axis=1))
             self._moore_reduced[t] = R[:, nn:], tuple(c for c in pivots if c < nn)
         return self._moore_reduced[t]
 

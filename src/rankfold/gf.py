@@ -36,10 +36,10 @@ residues need modmat.poly_fits_int64(p, m).
 
 Each field builds once, on the instance, its multiplication tensor
 T[i, j] = x^(i+j) mod f (mul_tensor), and with it the kernels of linalg's
-storage rule on (rows, cols, m) coefficient arrays: rref_coeffs
-(modmat.rref_poly) and `product`, one matmul of c m products per entry
-for inner dimension c while poly_fits_int64(p, c m), else each entry
-product reduced first.
+storage rule on (rows, cols, m) coefficient arrays, with den = 1:
+rref_array (modmat.rref_poly) and `product`, one matmul of c m products
+per entry for inner dimension c while poly_fits_int64(p, c m), else each
+entry product reduced first.
 
 The package's number theory lives here too: is_prime, sqrt_mod and
 smallest_nonresidue serve PrimeField and the tower's sign embeddings
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -399,9 +399,20 @@ class _PolyQuotient:
         return self._element(self, tuple([rng.randint(0, self.p - 1) for _ in range(self.degree)]))
 
     @cached_property
-    def int64_matrices(self) -> bool:
+    def array_matrices(self) -> bool:
         """Whether linalg.ExactMatrix holds matrices over this field as arrays."""
         return modmat.poly_fits_int64(self.p, self.degree)
+
+    def matrix_array(self, entries, rows: int, cols: int) -> tuple[np.ndarray, int]:
+        """(A, 1): the (rows, cols, m) coefficient array of a matrix's rows of elements."""
+        values = chain.from_iterable(map(self._coeffs, chain.from_iterable(entries)))
+        return np.fromiter(values, np.int64, rows * cols * self.degree).reshape(rows, cols, self.degree), 1
+
+    def array_entries(self, A: np.ndarray, den: int) -> tuple:
+        return tuple(tuple(map(self._from_coeffs, row)) for row in A.tolist())
+
+    def canonical_array(self, A: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        return A % self.p, 1
 
     @cached_property
     def mul_tensor(self) -> np.ndarray:
@@ -422,15 +433,16 @@ class _PolyQuotient:
             out = (np.einsum("rcb,cbsl->rcsl", A, mult) % p).sum(axis=1) % p
         return out.reshape((rows,) + X.shape[1:])
 
-    def scale_coeffs(self, A: np.ndarray, c) -> np.ndarray:
-        """The coefficient array A with every entry multiplied by the element c."""
-        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p
+    def scale_array(self, A: np.ndarray, den: int, c) -> tuple[np.ndarray, int]:
+        """(A c, 1) for the coefficient array A and the element c."""
+        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p, 1
 
-    def rref_coeffs(self, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    def rref_array(self, A: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
         """modmat.rref_poly of a (rows, cols, m) coefficient array over this
-        field: (R, pivot columns).  Raises ValueError unless
+        field: (R, 1, pivot columns).  Raises ValueError unless
         poly_fits_int64(p, m)."""
-        return modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
+        R, pivots = modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
+        return R, 1, pivots
 
     def _inverse_coeffs(self, coeffs):
         return self._coeffs(self._from_coeffs(coeffs).inverse())
@@ -557,7 +569,7 @@ class QuadExtField(_PolyQuotient):
             raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
         if U.field != self.base or V.field != self.base:
             raise FieldMismatch(f"join parts must be over {self.base}")
-        if self.int64_matrices:
+        if self.array_matrices:
             return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2))
         return U.map_entries(self.coerce, self) + V.map_entries(self.coerce, self).scale(self.sqrt_nonresidue)
 

@@ -19,13 +19,19 @@ Matrices are immutable; all operations return fresh objects.  _syndrome
 is the one row product that skips zero entries, for products of matrices
 without arrays, syndromes of such words and RMCode.naive_syndrome.
 
-Storage rule: a matrix over a field whose `int64_matrices` is true (gf's
-GF(p), GF(p^2) and GF(p^m), GF(p)[x]/(f) with deg f = m, while
-modmat.poly_fits_int64(p, m)) holds its coefficients as one read-only
-(rows, cols, m) int64 array, `array`, and builds `entries` on first
-access.  +, -, scale, ==, transpose, block, split_blocks, rref and @ run
-in numpy; @ is the field's product, one matmul while c m (p-1)^2 < 2^63
-for inner dimension c, else each entry product reduced before the sum.
+Storage rule: a matrix over a field whose `array_matrices` is true holds
+the read-only array `array` over the positive int `den`, in the field's
+canonical form, and builds `entries` on first access.  gf's GF(p),
+GF(p^2) and GF(p^m), GF(p)[x]/(f) with deg f = m, while
+modmat.poly_fits_int64(p, m), hold (rows, cols, m) int64 coefficients mod
+p over den = 1; their @ is one matmul while c m (p-1)^2 < 2^63 for inner
+dimension c, else each entry product is reduced before the sum.  Q, the
+height-0 tower (exactfield), holds a (rows, cols) object array of Python
+ints with gcd(den, *array) = 1 (den = 1 for zero), and its @ is one
+integer matmul.  The field's hooks matrix_array, array_entries,
+canonical_array, scale_array, product and rref_array serve +, -, scale,
+==, transpose, block, split_blocks, zeros, rref and @; slices, transposes
+and products over den = 1 need no canonical_array.
 
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import chain
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +52,7 @@ from .errors import (DecodingFailure, DimensionMismatch, FieldMismatch, LengthMi
 
 
 class ExactMatrix:
-    __slots__ = ("field", "rows", "cols", "_entries", "array")
+    __slots__ = ("field", "rows", "cols", "_entries", "array", "den")
 
     def __init__(self, field, entries: Sequence[Sequence], _raw: bool = False, cols: Optional[int] = None):
         """`cols` gives the width of a matrix without rows; otherwise the
@@ -62,20 +68,18 @@ class ExactMatrix:
         for row in entries:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
-        self.array = None
-        if getattr(field, "int64_matrices", False):
-            m = field.degree
-            values = chain.from_iterable(map(field._coeffs, chain.from_iterable(entries)))
-            self.array = np.fromiter(values, np.int64, self.rows * self.cols * m).reshape(self.rows, self.cols, m)
+        self.array, self.den = None, 1
+        if getattr(field, "array_matrices", False):
+            self.array, self.den = field.matrix_array(entries, self.rows, self.cols)
             self.array.flags.writeable = False
 
     @staticmethod
-    def from_array(field, A: np.ndarray) -> "ExactMatrix":
-        """The matrix over a field with int64_matrices whose coefficients are
-        the (rows, cols, m) int64 array A, kept (not copied) read-only."""
+    def from_array(field, A: np.ndarray, den: int = 1) -> "ExactMatrix":
+        """The matrix A / den over a field with array_matrices, for A and den
+        in the field's canonical form; A is kept (not copied) read-only."""
         M = object.__new__(ExactMatrix)
         A.flags.writeable = False
-        M.field, M._entries, M.array = field, None, A
+        M.field, M._entries, M.array, M.den = field, None, A, den
         M.rows, M.cols = A.shape[:2]
         return M
 
@@ -83,14 +87,16 @@ class ExactMatrix:
     def entries(self) -> tuple:
         """The rows as tuples of elements."""
         if self._entries is None:
-            make = self.field._from_coeffs
-            self._entries = tuple(tuple(map(make, row)) for row in self.array.tolist())
+            self._entries = self.field.array_entries(self.array, self.den)
         return self._entries
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zeros(field, rows: int, cols: int) -> "ExactMatrix":
+        if getattr(field, "array_matrices", False):
+            A = field.matrix_array((), 0, 0)[0]  # the field's dtype and entry shape
+            return ExactMatrix.from_array(field, np.zeros((rows, cols) + A.shape[2:], A.dtype))
         z = field.zero
         return ExactMatrix(field, tuple((z,) * cols for _ in range(rows)), _raw=True, cols=cols)
 
@@ -120,7 +126,7 @@ class ExactMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not (self.array.any() if self.array is not None else any(any(row) for row in self.entries))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -132,14 +138,23 @@ class ExactMatrix:
         """Whether both matrices hold arrays over the same field."""
         return self.array is not None and other.array is not None and self.field == other.field
 
-    def _like(self, A: np.ndarray) -> "ExactMatrix":
-        return ExactMatrix.from_array(self.field, A)
+    def _like(self, A: np.ndarray, den: int = 1) -> "ExactMatrix":
+        """A / den over self's field, made canonical unless den = 1."""
+        if den != 1:
+            A, den = self.field.canonical_array(A, den)
+        return ExactMatrix.from_array(self.field, A, den)
+
+    def _over(self, den: int) -> np.ndarray:
+        """The array that holds this matrix over den, a multiple of self.den."""
+        return self.array if den == self.den else self.array * (den // self.den)
 
     def _combine(self, other: "ExactMatrix", op) -> "ExactMatrix":
         """op (+ or -) entry by entry; one numpy call on arrays."""
         self._same_shape(other)
         if self._arrays(other):
-            return self._like(op(self.array, other.array) % self.field.p)
+            den = lcm(self.den, other.den)
+            A = op(self._over(den), other._over(den))
+            return ExactMatrix.from_array(self.field, *self.field.canonical_array(A, den))
         return ExactMatrix(self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
                            _raw=True, cols=self.cols)
 
@@ -155,7 +170,7 @@ class ExactMatrix:
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
         if self.array is not None:
-            return self._like(self.field.scale_coeffs(self.array, c))
+            return ExactMatrix.from_array(self.field, *self.field.scale_array(self.array, self.den, c))
         return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True,
                            cols=self.cols)
 
@@ -163,7 +178,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         if self._arrays(other):
-            return self._like(self.field.product(self.array, other.array))
+            return self._like(self.field.product(self.array, other.array), self.den * other.den)
         cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         zero = self.field.zero
         return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True,
@@ -171,7 +186,7 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         if self.array is not None:
-            return self._like(self.array.transpose(1, 0, 2))
+            return self._like(self.array.swapaxes(0, 1), self.den)
         return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
                            cols=self.rows)
 
@@ -179,7 +194,7 @@ class ExactMatrix:
         if not (isinstance(other, ExactMatrix) and self.field == other.field and self.shape == other.shape):
             return False
         if self._arrays(other):
-            return bool(np.array_equal(self.array, other.array))
+            return self.den == other.den and bool(np.array_equal(self.array, other.array))
         return all(a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
 
     def map_entries(self, fn: Callable, field=None) -> "ExactMatrix":
@@ -204,8 +219,9 @@ class ExactMatrix:
             if any(blk.rows != band[0].rows for blk in band):
                 raise DimensionMismatch("block heights differ within a band")
         if all(blk.array is not None for band in grid for blk in band):
-            return ExactMatrix.from_array(field, np.concatenate([np.concatenate([blk.array for blk in band], axis=1)
-                                                                 for band in grid]))
+            den = lcm(*(blk.den for band in grid for blk in band))  # canonical blocks over it: canonical
+            bands = [np.concatenate([blk._over(den) for blk in band], axis=1) for band in grid]
+            return ExactMatrix.from_array(field, np.concatenate(bands), den)
         rows = tuple(sum((blk.entries[i] for blk in band), ()) for band in grid for i in range(band[0].rows))
         return ExactMatrix(field, rows, _raw=True, cols=width)
 
@@ -213,7 +229,7 @@ class ExactMatrix:
         """Cut into a 2x2 grid at the given indices; returns (tl, tr, bl, br)."""
         halves = (slice(None, row_split), slice(row_split, None)), (slice(None, col_split), slice(col_split, None))
         if self.array is not None:
-            return tuple(self._like(self.array[r, c]) for r in halves[0] for c in halves[1])
+            return tuple(self._like(self.array[r, c], self.den) for r in halves[0] for c in halves[1])
         return tuple(ExactMatrix(self.field, tuple(row[c] for row in self.entries[r]), _raw=True,
                                  cols=len(range(self.cols)[c])) for r in halves[0] for c in halves[1])
 
@@ -226,15 +242,15 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form: of the array by the field's rref_coeffs
+        """Reduced row echelon form: of the array by the field's rref_array
         when the matrix holds one, else by the field's `eliminate` hook when
         it has one, else by gauss_jordan.
 
         Returns (R, pivot_columns, rank).
         """
         if self.array is not None:
-            R, pivots = self.field.rref_coeffs(self.array)
-            return self._like(R), pivots, len(pivots)
+            R, den, pivots = self.field.rref_array(self.array)
+            return ExactMatrix.from_array(self.field, R, den), pivots, len(pivots)
         eliminate = getattr(self.field, "eliminate", None)
         rows, pivots = eliminate(self.entries) if eliminate is not None else gauss_jordan(self.field, self.entries)
         return ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)

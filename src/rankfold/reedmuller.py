@@ -68,8 +68,8 @@ solution.  decode, on a code over Q, runs the whole recursion mod p and
 lifts the error once, at the top: a zero syndrome, rank at most t and
 every modular fold rank equal to that rank make the answer the exact
 decoder's report, field for field.  That certificate stays on integer
-coordinates: between the lift and the elimination of E it runs no tower
-arithmetic, and Fraction arithmetic only on non-integer entries of E
+coordinates, on the Q arrays of linalg's storage rule: between the lift
+and the elimination of E it runs no tower arithmetic
 (RMCode._decode_certified).  Any doubt (a rank deficit or
 inconsistency mod p, a prime dividing a denominator, no lift within the
 prime budget, a failed certificate) leaves the decision to the exact path
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -257,6 +257,13 @@ def _hadamard_rows(Z: np.ndarray) -> np.ndarray:
     return Z.reshape(n, c)
 
 
+def _column_coords(M: ExactMatrix) -> tuple[int, list[int]]:
+    """integer_coords of M's entries read column by column (over Q, M's array)."""
+    if M.array is not None:
+        return M.den, M.array.T.ravel().tolist()
+    return integer_coords([e for col in zip(*M.entries) for e in col])
+
+
 def _embed(emb: SignEmbedding, d: int, ints: Sequence[int], shape: tuple[int, int]) -> Optional[np.ndarray]:
     """The (2^M, k, n) images mod emb.p of k vectors of n tower elements,
     shape = (k, n), from the integer_coords (d, ints) of their entries in
@@ -317,11 +324,13 @@ class RMCode:
 
     def matrix_from_vector(self, vec: Sequence) -> ExactMatrix:
         """Coordinate expansion: column j holds the base-field coordinates
-        of vec[j] along the code-direction basis monomials."""
-        cols = []
-        for x in vec:
-            x = self.field.coerce(x)
-            cols.append(x.blocks_over(self.base_height))
+        of vec[j] along the code-direction basis monomials.  Over Q these
+        are vec's integer coordinates, written into the matrix's array."""
+        vec = [self.field.coerce(x) for x in vec]
+        if self.base_height == 0:
+            d, ints = integer_coords(vec)
+            return ExactMatrix.from_array(self.base_field, np.array(ints, dtype=object).reshape(-1, self.size).T, d)
+        cols = [x.blocks_over(self.base_height) for x in vec]
         rows = tuple(tuple(col[i] for col in cols) for i in range(self.size))
         return ExactMatrix(self.base_field, rows, _raw=True)
 
@@ -463,10 +472,11 @@ class RMCode:
             return ExactMatrix.zeros(self.base_field, self.size, self.size)
         if bound < 1:
             raise ParameterMismatch(f"a rank-{t} error needs bound >= 1, got {bound}")
+        K = self.base_field
         for _ in range(_SAMPLE_ATTEMPTS):
-            X = [[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)]
-            Z = list(zip(*[[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)]))
-            E = ExactMatrix(self.base_field, [[sum(a * b for a, b in zip(x, z)) for z in Z] for x in X])
+            X = np.array([[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)], dtype=object)
+            Z = np.array([[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)], dtype=object)
+            E = ExactMatrix.from_array(K, X @ Z) if K.array_matrices else ExactMatrix(K, (X @ Z).tolist())
             if self._deepest_fold_rank_mod_p(E) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
                 return E
         raise RankfoldError(f"no rank-{t} error with stable folds in {_SAMPLE_ATTEMPTS} attempts")
@@ -482,7 +492,7 @@ class RMCode:
         """
         top = self.field
         emb = top.sign_embedding(0)
-        V = _embed(emb, *integer_coords([e for col in zip(*E.entries) for e in col]), (1, self.size))[:, 0]
+        V = _embed(emb, *_column_coords(E), (1, self.size))[:, 0]
         code = self
         for _ in range(self.r + 1):
             V = code._fold_mod(V, top, emb)[0]
@@ -602,13 +612,11 @@ class RMCode:
         take two primes, as they all do from m = 6 on.  An entry past the
         bound that reconstructs to a wrong value fails step 2.  The lift
         gives an in-range integer entry as an int (rational_lift), the
-        common case, and Fractions elsewhere.  E and C = Y - E are built
-        entry by entry as canonical elements of the base field, from the
-        lift and the (num, den) of Y's entries (C shares Y's element where
-        E is zero), and C's syndrome is _syndrome_ints of C's integer
-        coordinates, formed from Y's: no tower arithmetic and no
-        ExactMatrix subtraction, and Fraction arithmetic only on entries of
-        E that are no integers.  The certificate, in this order:
+        common case, and Fractions elsewhere.  Y, E and C = Y - E are Q
+        arrays (linalg's storage rule): Y's integer coordinates are read off
+        its array, E's array is the lift over its common denominator, C is
+        one array subtraction, and C's syndrome is _syndrome_ints of C's
+        array.  No tower arithmetic runs.  The certificate, in this order:
 
         1. E lifts within _PRIME_BUDGET primes, and no prime divides the
            denominators of Y;
@@ -625,7 +633,7 @@ class RMCode:
         here: the report is the exact decoder's.
         """
         n = self.size
-        d, ints = integer_coords([e for col in zip(*Y.entries) for e in col])
+        d, ints = _column_coords(Y)
         ranks: list[int] = []
 
         def images(i):
@@ -639,24 +647,12 @@ class RMCode:
         lift = self._lift(images, confirm=False)
         if lift is None:
             return None
-        # lift holds E column by column, as ints and Fractions
-        K = self.base_field
-
-        def entries(y, e):
-            """The canonical elements y - e and e of K; y itself where e = 0."""
-            if not e:
-                return y, K.zero
-            a, b = e.numerator, e.denominator
-            num, den = y.num[0] * b - a * y.den, y.den * b
-            g = gcd(num, den)
-            return MQElement(K, (num // g,), den // g), MQElement(K, (a,), b)
-
-        pairs = [[entries(y, e) for y, e in zip(row, lift[i::n])] for i, row in enumerate(Y.entries)]
-        C = ExactMatrix(K, tuple(tuple(c for c, _ in row) for row in pairs), _raw=True)
-        E = ExactMatrix(K, tuple(tuple(e for _, e in row) for row in pairs), _raw=True)
-        # C's integer coordinates over dC, column by column as ints lists Y's
-        dC = lcm(d, *(q.denominator for q in lift))
-        if self._syndrome_ints([u * (dC // d) - int(q * dC) for u, q in zip(ints, lift)])[0].any():
+        # lift holds E column by column, as ints and Fractions in lowest terms
+        dE = lcm(*(q.denominator for q in lift))
+        E_ints = np.array([q.numerator * (dE // q.denominator) for q in lift], dtype=object).reshape(n, n).T
+        E = ExactMatrix.from_array(self.base_field, E_ints, dE)
+        C = Y - E
+        if self._syndrome_ints(_column_coords(C)[1])[0].any():
             return None
         basis = E.row_space_basis()
         e = basis.rows

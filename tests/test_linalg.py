@@ -1,6 +1,8 @@
 """Exact matrices over pluggable fields: echelon form, solving, blocks."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,3 +278,87 @@ def test_prime_field_arrays_agree_with_entrywise_arithmetic(data):
     if A.array is not None and r and k:
         with pytest.raises(ValueError):
             A.array[0, 0] = 1
+
+
+# -- matrices over Q, the height-0 tower: one integer array over one denominator ----
+
+Q = mq_field(())
+
+
+def _assert_canonical(M):
+    """M holds a read-only (rows, cols) object array of Python ints over a
+    positive int den, with gcd(den, *array) = 1 (so den = 1 for zero)."""
+    A, den = M.array, M.den
+    assert A.dtype == object and A.shape == M.shape and not A.flags.writeable
+    assert all(type(u) is int for u in A.flat) and type(den) is int and den > 0
+    assert gcd(den, *A.flat) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_q_arrays_agree_with_entrywise_arithmetic(data):
+    """Every operation on Q's arrays equals the same operation done entry by
+    entry on MQElements (and rref equals gauss_jordan), on shapes with no
+    rows or no columns, with distinct or shared denominators, negative
+    entries and entries past 2^63, and every result is canonical."""
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+    def elements(rows, cols):
+        if data.draw(st.booleans(), label="shared denominator"):
+            dens = st.just(data.draw(st.sampled_from([1, 6, 2 ** 64 + 13])))
+        else:
+            dens = st.integers(1, 12)
+        return [[Q.scalar(Fraction(data.draw(numerators), data.draw(dens))) for _ in range(cols)]
+                for _ in range(rows)]
+
+    a, b, g = elements(r, k), elements(r, k), elements(k, c)
+    A, B, G = (ExactMatrix(Q, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
+    s = data.draw(st.sampled_from([0, -1, Fraction(-3, 7), Fraction(2 ** 65 + 1, 3)]), label="scale")
+
+    def rows(M):
+        _assert_canonical(M)
+        return [list(row) for row in M.entries]
+
+    assert rows(A) == a and rows(ExactMatrix.zeros(Q, r, k)) == [[Q.zero] * k for _ in range(r)]
+    assert rows(A + B) == [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert rows(A - B) == [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)]
+    assert rows(-A) == [[-x for x in u] for u in a]
+    assert rows(A.scale(s)) == [[x * s for x in u] for u in a]
+    assert rows(A @ G) == [[sum((u[i] * g[i][j] for i in range(k)), Q.zero) for j in range(c)] for u in a]
+    assert rows(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
+    assert (A == B) == (a == b) and A == ExactMatrix(Q, a, cols=k) and (A - A).is_zero()
+    i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
+    blocks = A.split_blocks(i, j)
+    assert [rows(M) for M in blocks] == [[u[:j] for u in a[:i]], [u[j:] for u in a[:i]],
+                                         [u[:j] for u in a[i:]], [u[j:] for u in a[i:]]]
+    tl, tr, bl, br = blocks
+    assert rows(ExactMatrix.block([[tl, tr], [bl, br]])) == a
+    assert rows(ExactMatrix.block([[A, B]])) == [u + v for u, v in zip(a, b)]
+    R, pivots, rank = A.rref()
+    assert (tuple(map(tuple, rows(R))), pivots) == gauss_jordan(Q, a) and rank == len(pivots)
+    assert rows(A.row_space_basis()) == rows(R)[:rank]
+    if r and k:
+        with pytest.raises(ValueError):
+            A.array[0, 0] = 1
+
+
+def test_q_arrays_refuse_other_fields_and_shapes():
+    # the errors of the element arithmetic: FieldMismatch between towers,
+    # DimensionMismatch between shapes
+    A, T = ExactMatrix(Q, [[1, 2], [3, 4]]), mq_field((2,))
+    B = ExactMatrix(T, [[1, 2], [3, 4]])
+    for op in (operator.add, operator.sub, operator.matmul, lambda X, Y: ExactMatrix.block([[X, Y]])):
+        with pytest.raises(FieldMismatch):
+            op(A, B)
+        with pytest.raises(FieldMismatch):
+            op(B, A)
+    with pytest.raises(FieldMismatch):
+        A.scale(T.alpha(1))
+    assert A != B and A != ExactMatrix(Q, [[1, 2]])
+    wide = ExactMatrix(Q, [[1, 2, 3]])
+    for op in (operator.add, operator.sub, operator.matmul):
+        with pytest.raises(DimensionMismatch):
+            op(A, wide)
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.block([[A], [wide]])
