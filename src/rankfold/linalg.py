@@ -186,7 +186,7 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         if self.array is not None:
-            return self._like(self.array.swapaxes(0, 1), self.den)
+            return ExactMatrix.from_array(self.field, self.array.swapaxes(0, 1), self.den)
         return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
                            cols=self.rows)
 
