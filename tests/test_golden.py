@@ -48,8 +48,8 @@ NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((2
 # 2147483659 the sums over GF(q^2) do not fit and its matrices hold no array
 LARGE_Q_CAMPAIGNS = [(1518500213, 4, 2, 0, 1, 20, 9), (1518500213, 4, 2, 0, 2, 20, 9), (2147483659, 1, 1, 1, 2, 5, 9)]
 # (m, r, words, seed) of the seeded Reed-Muller decodes on cli.standard_tower(m):
-# each trial decodes a word within the radius and one carrying two sampled
-# errors, which is over the radius
+# each trial decodes a word within the radius (at m = 4 also with its error
+# scaled by -5/6) and one carrying two sampled errors, which is over the radius
 RM_DECODES = [(3, 1, 3, 27), (4, 1, 3, 27), (5, 1, 2, 27), (5, 3, 2, 27)]
 # the finite fields of gf_elements.tsv: characteristic 2, a small and a
 # large prime (2147483659 is past the int64 bound of every kernel), GF(23^2)
