@@ -413,7 +413,7 @@ class MultiquadraticField:
 
     def random_element(self, rng, bound: int) -> "MQElement":
         """Element with integer coordinates drawn uniformly from [0, bound]."""
-        return MQElement(self, tuple(rng.randint(0, bound) for _ in range(self.dim)), 1)
+        return MQElement(self, tuple(rng.randints(self.dim, 0, bound)), 1)
 
     def _element(self, num, den) -> "MQElement":
         """The element num / den (den > 0), stored in canonical form."""

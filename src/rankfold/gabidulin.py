@@ -18,7 +18,9 @@ supplies its decoders over GF(q^2).
 Vectors over GF(q^m) are worked on as (n, m) int64 coefficient arrays
 (ExtField.coeff_array): row i holds the coefficients of entry i, and the
 decoders do no ExtElement arithmetic; elements appear only where vectors
-enter and leave.  A code keeps the Moore array of its points, g_i^(q^j)
+enter and leave, and a word given as its expansion (the m x n matrix
+over GF(q) holding the array transposed, as GabidulinMatrixCode passes
+it) builds none.  A code keeps the Moore array of its points, g_i^(q^j)
 for j < m, as one (n, m, m) array read off the field's Frobenius table,
 and its parity checks as one (n - k, n, m) array, the kernel of the Moore
 rows.  The interpolation system [y_i^(q^j) | g_i^(q^j)] has a Moore block
@@ -31,8 +33,9 @@ coefficient product gives the evaluation of f at every point (encoding
 and re-encoding) and the syndrome H y, linalg.solve_erasure_system
 decides the erasure system [H s_k | H y] (H s_k is an integer
 combination of H's columns), and the residual check is the GF(q)-rank of
-the error's m x n coefficient matrix.  Matrices over GF(q) hold arrays, so
-to_matrix and to_vector are a transpose and at most one (m, m) product.
+the error's expansion, which keeps that elimination (linalg).  Matrices
+over GF(q) hold arrays, so a change of expansion basis is a transpose
+and at most one (m, m) product.
 
 Overflow: every array step here forms sums of at most m products of two
 residues, or of at most m residues, and reduces mod q before the next
@@ -189,7 +192,7 @@ class GabidulinCode:
         if self.n > field.m:
             raise ValueError("more evaluation points than the extension degree")
         G = field.coeff_array(self.points)
-        if self._base_rank(G) != self.n:
+        if self._expand(G).rank() != self.n:
             raise ValueError("evaluation points must be GF(q)-independent")
         # Moore array: _moore[i, j] holds the coefficients of g_i^(q^j), j < m.
         self._moore = field.frobenius_powers(G, field.m)
@@ -199,10 +202,24 @@ class GabidulinCode:
         # half-distance error radius
         self.radius = (self.n - k) // 2
 
-    def _base_rank(self, X: np.ndarray) -> int:
-        """GF(q)-rank of the m x n matrix whose columns are the rows of the
-        (n, m) coefficient array X."""
-        return len(self.field.base.rref_array(X.T[:, :, None])[2])
+    def _expand(self, X: np.ndarray) -> ExactMatrix:
+        """The expansion of a word: the m x n matrix over GF(q) whose
+        columns are the rows of its (n, m) coefficient array X."""
+        return ExactMatrix.from_array(self.field.base, X.T[:, :, None])
+
+    def _word(self, y) -> np.ndarray:
+        """The (n, m) coefficient array of a word: n elements, or their expansion."""
+        if isinstance(y, ExactMatrix):
+            if y.field != self.field.base:
+                raise FieldMismatch(f"matrix over {y.field}, expected {self.field.base}")
+            if y.rows != self.field.m:
+                raise SingularBasis(f"matrix must have {self.field.m} rows")
+            Y = y.array[:, :, 0].T
+        else:
+            Y = self.field.coeff_array(y)
+        if len(Y) != self.n:
+            raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
+        return Y
 
     def _evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """(n, m) coefficient array of f(g_i) for every point, where row j
@@ -210,10 +227,13 @@ class GabidulinCode:
         x^(q^j) in f."""
         return self.field.product(self._moore[:, : len(coeffs)], coeffs)
 
-    def encode(self, message: Sequence) -> list:
+    def _encode(self, message: Sequence) -> np.ndarray:
         if len(message) != self.k:
             raise LengthMismatch(f"message length must be {self.k}, got {len(message)}")
-        return self.field.from_coeff_array(self._evaluate(self.field.coeff_array(message)))
+        return self._evaluate(self.field.coeff_array(message))
+
+    def encode(self, message: Sequence) -> list:
+        return self.field.from_coeff_array(self._encode(message))
 
     def random_message(self, rng) -> list:
         return [self.field.random_element(rng) for _ in range(self.k)]
@@ -263,17 +283,16 @@ class GabidulinCode:
         N[list(pivots)] = self.field.product(Q[:r], K[0])
         return K[0], N
 
-    def decode_errors(self, y: Sequence, t: Optional[int] = None) -> tuple[list, list]:
+    def decode_errors(self, y, t: Optional[int] = None) -> tuple:
         """Correct up to t rank errors (default: half distance).
 
-        Returns (codeword, error); raises DecodingFailure when no valid
-        codeword within radius t is found, and ParameterMismatch for t < 0.
-        The final rank check makes a wrong silent answer impossible.
+        y is n elements of GF(q^m) or their expansion.  Returns (codeword,
+        error) in y's form; raises DecodingFailure when no valid codeword
+        within radius t is found, and ParameterMismatch for t < 0.  The
+        final rank check makes a wrong silent answer impossible.
         """
         field = self.field
-        Y = field.coeff_array(y)
-        if len(Y) != self.n:
-            raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
+        Y = self._word(y)
         t = check_radius(self.radius if t is None else t)
         # Every t >= n - k gives V = x and the interpolant of degree < n.
         pair = self._interpolate(Y, min(t, self.n))
@@ -288,8 +307,11 @@ class GabidulinCode:
             raise DecodingFailure("quotient degree exceeds the code dimension")
         C = self._evaluate(f)
         E = (Y - C) % field.p
-        if self._base_rank(E) > t:
+        error = self._expand(E)
+        if error.rank() > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")
+        if isinstance(y, ExactMatrix):
+            return self._expand(C), error
         return field.from_coeff_array(C), field.from_coeff_array(E)
 
     @cached_property
@@ -302,10 +324,11 @@ class GabidulinCode:
         """Rows spanning the dual."""
         return ExactMatrix.from_array(self.field, self._parity)
 
-    def decode_erasures(self, y: Sequence, support: ExactMatrix) -> list:
-        """Recover the codeword when the error's row space (over GF(q), in
-        the expanded matrix view) is known to lie in `support`, a matrix
-        over GF(q); raises FieldMismatch for a support over another field.
+    def decode_erasures(self, y, support: ExactMatrix):
+        """Recover the codeword, in y's form (decode_errors), when the
+        error's row space (over GF(q), in the expanded matrix view) is known
+        to lie in `support`, a matrix over GF(q); raises FieldMismatch for a
+        support over another field.
 
         The error is sum_k x_k s_k over the support rows s_k, with x over
         GF(q^m) solving sum_k x_k H s_k = H y for the parity checks H.  H y
@@ -313,9 +336,7 @@ class GabidulinCode:
         and linalg.solve_erasure_system decides the system.
         """
         field, p = self.field, self.field.p
-        Y = field.coeff_array(y)
-        if len(Y) != self.n:
-            raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
+        Y = self._word(y)
         if support.rows and support.cols != self.n:
             raise DimensionMismatch("support width must match the code length")
         if support.field != field.base:
@@ -324,7 +345,8 @@ class GabidulinCode:
         HS = np.einsum("ki,jia->jka", S, H) % p
         M = ExactMatrix.from_array(field, np.concatenate((HS, field.product(H, Y)[:, None]), axis=1))
         x = solve_erasure_system(M).array[:, 0]
-        return field.from_coeff_array((Y - np.einsum("ka,ki->ia", x, S)) % p)
+        C = (Y - np.einsum("ka,ki->ia", x, S)) % p
+        return self._expand(C) if isinstance(y, ExactMatrix) else field.from_coeff_array(C)
 
     def minimum_rank_codeword(self) -> list:
         """A codeword of rank exactly d = n - k + 1: the annihilator of the
@@ -349,11 +371,11 @@ class GabidulinCode:
 class GabidulinMatrixCode(MatrixCode):
     """The same code viewed as m x n matrices over GF(q).
 
-    Carries the expansion basis and wraps the vector-side decoders.  The
-    decoders over GF(q^2), which a doubled code with a non-square twist
-    calls, come from MatrixCode; so does the matrix erasure solve, which
-    serves GF(q^2) inputs while decode_erasures keeps the faster vector
-    path for GF(q) inputs.
+    Carries the expansion basis and runs the vector-side code on
+    expansions (in the polynomial basis; _rebase).  The decoders over
+    GF(q^2), which a doubled code with a non-square twist calls, come from
+    MatrixCode; so does the matrix erasure solve, which serves GF(q^2)
+    inputs while decode_erasures keeps the array path for GF(q) inputs.
     """
 
     def __init__(self, code: GabidulinCode, basis: Optional[Sequence] = None):
@@ -370,29 +392,24 @@ class GabidulinMatrixCode(MatrixCode):
         self.dim = code.field.m * code.k
 
     @cached_property
-    def _coordinate_map(self) -> np.ndarray:
+    def _coordinate_map(self) -> Optional[np.ndarray]:
         """(m, m) array taking coefficient rows to coordinate rows in the
-        basis: the basis inverted once per code."""
-        return basis_inverse(self.field, self.basis).array[:, :, 0].T
+        basis, or None: the basis inverted once per code."""
+        return None if self._basis_array is None else basis_inverse(self.field, self.basis).array[:, :, 0].T
+
+    def _rebase(self, M: ExactMatrix, P: Optional[np.ndarray]) -> ExactMatrix:
+        """M with each column c replaced by P^T c: _basis_array changes into
+        the polynomial basis, _coordinate_map out of it; M for no P."""
+        return M if P is None else self.code._expand(self.code._word(M) @ P % self.field.p)
 
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
-        X = self.field.coeff_array(vec)
-        if self._basis_array is not None:
-            X = X @ self._coordinate_map % self.field.p
-        return ExactMatrix.from_array(self.base, X.T[:, :, None])
+        return self._rebase(self.code._expand(self.field.coeff_array(vec)), self._coordinate_map)
 
     def to_vector(self, M: ExactMatrix) -> list:
-        if M.field != self.base:
-            raise FieldMismatch(f"matrix over {M.field}, expected {self.base}")
-        if M.rows != self.rows:
-            raise SingularBasis(f"matrix must have {self.rows} rows")
-        X = M.array[:, :, 0].T
-        if self._basis_array is not None:
-            X = X @ self._basis_array % self.field.p
-        return self.field.from_coeff_array(X)
+        return self.field.from_coeff_array(self.code._word(self._rebase(M, self._basis_array)))
 
     def encode(self, message: Sequence) -> ExactMatrix:
-        return self.to_matrix(self.code.encode(message))
+        return self._rebase(self.code._expand(self.code._encode(message)), self._coordinate_map)
 
     def random_codeword(self, rng) -> ExactMatrix:
         return self.encode(self.code.random_message(rng))
@@ -409,11 +426,12 @@ class GabidulinMatrixCode(MatrixCode):
         return out
 
     def decode(self, Y: ExactMatrix, t: Optional[int] = None) -> tuple[ExactMatrix, ExactMatrix]:
-        c, e = self.code.decode_errors(self.to_vector(Y), t)
-        return self.to_matrix(c), self.to_matrix(e)
+        C, E = self.code.decode_errors(self._rebase(Y, self._basis_array), t)
+        return self._rebase(C, self._coordinate_map), self._rebase(E, self._coordinate_map)
 
     def decode_erasures(self, Y: ExactMatrix, support: ExactMatrix) -> ExactMatrix:
-        return self.to_matrix(self.code.decode_erasures(self.to_vector(Y), support))
+        return self._rebase(self.code.decode_erasures(self._rebase(Y, self._basis_array), support),
+                            self._coordinate_map)
 
     # Bound in this class too, for tools that patch its own names.
     decode_ext = MatrixCode.decode_ext

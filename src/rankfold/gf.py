@@ -488,6 +488,9 @@ class PrimeField(_PolyQuotient):
         NotASquare for non-residues."""
         return PrimeElement(self, (sqrt_mod(self.coerce(a).val, self.p),))
 
+    def _inverse_coeffs(self, coeffs):  # rref_array's pivot inverses, without an element
+        return [pow(coeffs[0], -1, self.p)]
+
     def smallest_nonresidue(self) -> int:
         return smallest_nonresidue(self.p)
 

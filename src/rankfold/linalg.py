@@ -15,7 +15,8 @@ reduce on integer rows this way (exactfield).  gauss_jordan serves QQ and
 primes beyond the int64 bound and is the tests' reference for the other
 paths; the reduced row echelon form is unique, so all paths agree.
 
-Matrices are immutable; all operations return fresh objects.  _syndrome
+Matrices are immutable; all operations return fresh objects, and rref
+keeps its result on the matrix for later calls.  _syndrome
 is the one row product that skips zero entries, for products of matrices
 without arrays, syndromes of such words and RMCode.naive_syndrome.
 
@@ -52,7 +53,7 @@ from .errors import (DecodingFailure, DimensionMismatch, FieldMismatch, LengthMi
 
 
 class ExactMatrix:
-    __slots__ = ("field", "rows", "cols", "_entries", "array", "den")
+    __slots__ = ("field", "rows", "cols", "_entries", "array", "den", "_rref")
 
     def __init__(self, field, entries: Sequence[Sequence], _raw: bool = False, cols: Optional[int] = None):
         """`cols` gives the width of a matrix without rows; otherwise the
@@ -60,7 +61,7 @@ class ExactMatrix:
         if not _raw:
             entries = tuple(tuple(field.coerce(e) for e in row) for row in entries)
         self.field = field
-        self._entries = entries
+        self._entries, self._rref = entries, None
         self.rows = len(entries)
         self.cols = cols if cols is not None else len(entries[0]) if entries else 0
         if not (isinstance(self.cols, int) and self.cols >= 0):
@@ -79,7 +80,7 @@ class ExactMatrix:
         in the field's canonical form; A is kept (not copied) read-only."""
         M = object.__new__(ExactMatrix)
         A.flags.writeable = False
-        M.field, M._entries, M.array, M.den = field, None, A, den
+        M.field, M._entries, M.array, M.den, M._rref = field, None, A, den, None
         M.rows, M.cols = A.shape[:2]
         return M
 
@@ -244,16 +245,20 @@ class ExactMatrix:
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
         """Reduced row echelon form: of the array by the field's rref_array
         when the matrix holds one, else by the field's `eliminate` hook when
-        it has one, else by gauss_jordan.
+        it has one, else by gauss_jordan; kept on the matrix.
 
         Returns (R, pivot_columns, rank).
         """
-        if self.array is not None:
-            R, den, pivots = self.field.rref_array(self.array)
-            return ExactMatrix.from_array(self.field, R, den), pivots, len(pivots)
-        eliminate = getattr(self.field, "eliminate", None)
-        rows, pivots = eliminate(self.entries) if eliminate is not None else gauss_jordan(self.field, self.entries)
-        return ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)
+        if self._rref is None:
+            if self.array is not None:
+                A, den, pivots = self.field.rref_array(self.array)
+                R = ExactMatrix.from_array(self.field, A, den)
+            else:
+                eliminate = getattr(self.field, "eliminate", None)
+                rows, pivots = eliminate(self.entries) if eliminate else gauss_jordan(self.field, self.entries)
+                R = ExactMatrix(self.field, rows, _raw=True, cols=self.cols)
+            self._rref = R, pivots, len(pivots)
+        return self._rref
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -497,12 +502,12 @@ class MatrixCode:
 
     decode_erasures = decode_erasures_ext
 
-    def decode_ext(self, Y: ExactMatrix, t: int) -> ExactMatrix:
-        """Decode over GF(q^2) through the two GF(q) parts of Y.
+    def decode_ext(self, Y: ExactMatrix, t: int) -> tuple[ExactMatrix, ExactMatrix]:
+        """(codeword, error) over GF(q^2), through the two GF(q) parts of Y.
 
         An error of GF(q^2)-rank t has parts of GF(q)-rank at most 2t, so
         both parts decode whenever 2t is within the code's radius; the
-        joined codeword is returned only if rank(Y - C) <= t over GF(q^2).
+        joined codeword C is returned only if rank(Y - C) <= t over GF(q^2).
         Raises ParameterMismatch for t < 0.
         """
         check_radius(t)
@@ -510,6 +515,7 @@ class MatrixCode:
         if getattr(ext, "base", None) != self.base or not hasattr(ext, "split"):
             raise DimensionMismatch("expected a matrix over the quadratic extension")
         C = ext.join(*(self.decode(part)[0] for part in ext.split(Y)))
-        if (Y - C).rank() > t:
+        E = Y - C
+        if E.rank() > t:
             raise DecodingFailure("extension residual rank exceeds the radius")
-        return C
+        return C, E

@@ -474,8 +474,8 @@ class RMCode:
             raise ParameterMismatch(f"a rank-{t} error needs bound >= 1, got {bound}")
         K = self.base_field
         for _ in range(_SAMPLE_ATTEMPTS):
-            X = np.array([[rng.randint(0, bound) for _ in range(t)] for _ in range(self.size)], dtype=object)
-            Z = np.array([[rng.randint(0, bound) for _ in range(self.size)] for _ in range(t)], dtype=object)
+            X = np.array(rng.randints(self.size * t, 0, bound), dtype=object).reshape(self.size, t)
+            Z = np.array(rng.randints(t * self.size, 0, bound), dtype=object).reshape(t, self.size)
             E = ExactMatrix.from_array(K, X @ Z) if K.array_matrices else ExactMatrix(K, (X @ Z).tolist())
             if self._deepest_fold_rank_mod_p(E) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
                 return E
@@ -572,10 +572,15 @@ class RMCode:
         0) first decodes in the sign embeddings mod p and certifies the
         result exactly (_decode_certified), which gives the exact decoder's
         report field for field; anything in doubt runs the exact decoder,
-        _decode_exact.
+        _decode_exact.  At r = m - 1 the radius is 0, and a Y with a zero
+        syndrome is a codeword: its report needs neither.
         """
         self._check_received(Y)
         if self.base_height == 0 and 0 <= self.r < self.m:
+            if self.t == 0 and not self._syndrome_ints(_column_coords(Y)[1])[0].any():
+                zero = ExactMatrix.zeros(self.base_field, self.size, self.size)  # no error at any level
+                trace = [{"order": self.r - k, "height": self.m - k, "fold_rank": 0} for k in range(self.r + 1)]
+                return DecodeReport(True, Y, zero, None, trace, ExactMatrix.zeros(self.base_field, 0, self.size))
             report = self._decode_certified(Y)
             if report is not None:
                 return report

@@ -5,6 +5,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankfold import (DegreeCollapse, DimensionMismatch, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield,
                       mq_field)
@@ -263,6 +264,18 @@ def test_rng_determinism():
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
     c = SplitMix64(43)
     assert a.next_u64() != c.next_u64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(0, 60), lo=st.integers(-2 ** 70, 2 ** 70),
+       span=st.one_of(st.integers(1, 2 ** 64), st.sampled_from([1, 2, 10, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 64])))
+def test_randints_draws_what_randint_draws(seed, count, lo, span):
+    # spans just past 2^63 reject about half of all draws
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert b.randints(count, lo, lo + span - 1) == [a.randint(lo, lo + span - 1) for _ in range(count)]
+    assert b.next_u64() == a.next_u64()
+    with pytest.raises(ValueError):
+        b.randints(1, lo, lo - 1)
 
 
 # -- sign embeddings mod p ------------------------------------------------------------

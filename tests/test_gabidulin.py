@@ -467,6 +467,38 @@ def test_matrix_code_random_basis_is_inverted_once(field, monkeypatch):
         assert mc.to_vector(M) == v
 
 
+def outcome(call):
+    """("ok", result) or ("failure", reason) of a decoder call."""
+    try:
+        return "ok", call()
+    except DecodingFailure as exc:
+        return "failure", str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_code_runs_the_vector_code_on_expansions(data):
+    """encode, decode and decode_erasures of a matrix code, which run on the
+    expansion's array, equal the vector code's results put through
+    to_matrix, failures and their reasons included, in the polynomial
+    basis and in a random one, within and beyond the radius."""
+    field = data.draw(st.sampled_from([F53, F238]), label="field")
+    code = GabidulinCode(field, data.draw(st.integers(0, field.m), label="k"))
+    rng = SplitMix64(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    mc = GabidulinMatrixCode(code, random_basis(field, rng) if data.draw(st.booleans(), label="basis") else None)
+    msg = code.random_message(rng)
+    assert mc.encode(msg) == mc.to_matrix(code.encode(msg))
+    E = rank_error(field.base, rng, data.draw(st.integers(0, code.n), label="error rank"), field.m, code.n)
+    Y = mc.encode(msg) + E
+    y = mc.to_vector(Y)
+    t = data.draw(st.integers(0, code.n), label="t")
+    assert outcome(lambda: mc.decode(Y, t)) == outcome(lambda: tuple(map(mc.to_matrix, code.decode_errors(y, t))))
+    extra = data.draw(st.integers(0, 2), label="extra support rows")
+    support = ExactMatrix.block([[E.row_space_basis()], [rank_error(field.base, rng, extra, extra, code.n)]])
+    assert outcome(lambda: mc.decode_erasures(Y, support)) == outcome(
+        lambda: mc.to_matrix(code.decode_erasures(y, support)))
+
+
 def test_code_refuses_fields_beyond_the_int64_rule():
     # 2147483659 is the first prime with 2 (p-1)^2 >= 2^63; x^2 + 1 is irreducible mod it
     F = ExtField(2147483659, 2)
@@ -532,7 +564,7 @@ def test_ext_decode_within_half_radius():
     for _ in range(3):
         C = ext_codeword(mc, ext, rng)
         E = rank_error(ext, rng, 1, 8, 8)
-        assert mc.decode_ext(C + E, 1) == C
+        assert mc.decode_ext(C + E, 1) == (C, E)
 
 
 def test_ext_decode_rejects_wrong_component():

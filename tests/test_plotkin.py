@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rankfold import DecodingFailure, SplitMix64, mq_field, plotkin
 from rankfold.errors import ParameterMismatch
 from rankfold.gabidulin import GabidulinCode, GabidulinMatrixCode
-from rankfold.gf import ExtField, PrimeField, QuadExtField
+from rankfold.gf import ExtField, PrimeField, QuadExtField, _PolyQuotient
 from rankfold.linalg import ExactMatrix, MatrixCode, flatten, random_rank_matrix
 from rankfold.modmat import batch_rank_mod, batch_rank_quad, sample_rank_exact
 from rankfold.plotkin import (
@@ -634,11 +634,39 @@ def test_plotkin_decode_refuses_a_negative_radius(a):
         code.decode(code.random_codeword(SplitMix64(31)), -1)
 
 
+@pytest.mark.parametrize("twist, eliminations", [(1, 7), (5, 7)])
+def test_decode_eliminates_each_residual_once(twist, eliminations, monkeypatch):
+    """The benchmark's codes (plotkin-square and plotkin-twisted) run seven
+    eliminations per decode.  Square: the two D components' interpolation
+    kernels and residual checks, the two erasure systems and the final
+    check.  Twisted: the same two kernels and checks over GF(q), the
+    residual over GF(q^2), one erasure system and the final check.  The
+    erasure supports reuse the residual checks' eliminations."""
+    if twist == 1:
+        code, t = gabidulin_plotkin(23, 8, 6, 4), 2
+    else:
+        F = ExtField(23, 6)
+        code, t = PlotkinCode(GabidulinMatrixCode(GabidulinCode(F, 5)), GabidulinMatrixCode(GabidulinCode(F, 2)),
+                              twist, radius=1), 1
+    rng = SplitMix64(33)
+    calls = []
+    rref_array = _PolyQuotient.rref_array
+    for _ in range(3):
+        C = code.random_codeword(rng)
+        E = random_rank_matrix(code.field, rng, code.rows, code.cols, t)
+        code.decode(C + E)  # warm: the Moore blocks are reduced once per code
+        monkeypatch.setattr(_PolyQuotient, "rref_array", lambda self, A: calls.append(A.shape) or rref_array(self, A))
+        assert code.decode(C + E) == (C, E)
+        monkeypatch.undo()
+        assert len(calls) == eliminations
+        calls.clear()
+
+
 def test_decode_ext_refuses_a_negative_radius():
     D = gabidulin_plotkin(23, 6, 4, 2).D
     ext = QuadExtField(GF23, 5)
     W = D.random_codeword(SplitMix64(32)).map_entries(ext.coerce, ext)
-    assert D.decode_ext(W, 0) == W
+    assert D.decode_ext(W, 0) == (W, ExactMatrix.zeros(ext, D.rows, D.cols))
     with pytest.raises(ParameterMismatch):
         D.decode_ext(W, -1)
 

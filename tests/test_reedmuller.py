@@ -988,6 +988,25 @@ def test_certificate_refuses_an_error_beyond_the_radius(monkeypatch):
     assert not rep.success and report_fields(rep) == report_fields(code._decode_exact(Y))
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_decode_at_radius_zero_reports_a_codeword_without_the_modular_decode(m, monkeypatch):
+    # r = m - 1 has radius 0: a word with zero syndrome gets the exact
+    # decoder's report from the syndrome alone, and a corrupted word takes
+    # the certified path, which fails as the exact decoder does
+    code = RMCode(mq_field((2, 3, 5, 7, 11, 13)[:m]), m - 1)
+    rng = SplitMix64(140 + m)
+    C = code.encode(code.random_message(rng))
+    x = ExactMatrix(code.base_field, [[rng.randint(-3, 3)] for _ in range(code.size)])
+    Y = C + x @ ExactMatrix(code.base_field, [[rng.randint(1, 3) for _ in range(code.size)]])
+    exact = code._decode_exact(C), code._decode_exact(Y)
+    with monkeypatch.context() as patch:
+        patch.setattr(RMCode, "_decode_certified", lambda self, Y: pytest.fail("the modular decode ran"))
+        rep = code.decode(C)
+    assert rep.success and rep.codeword == C and report_fields(rep) == report_fields(exact[0])
+    rep = code.decode(Y)
+    assert not rep.success and report_fields(rep) == report_fields(exact[1])
+
+
 def test_certified_decode_falls_back_on_a_prime_denominator():
     # every error entry over the first embedding prime: Y does not reduce mod p
     code, C, E = sampled_word(PRIMES[:4], 1, 123)
