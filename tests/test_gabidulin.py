@@ -491,6 +491,7 @@ def test_matrix_code_runs_the_vector_code_on_expansions(data):
     E = rank_error(field.base, rng, data.draw(st.integers(0, code.n), label="error rank"), field.m, code.n)
     Y = mc.encode(msg) + E
     y = mc.to_vector(Y)
+    assert expand_to_base(field, y, mc.basis) == Y
     t = data.draw(st.integers(0, code.n), label="t")
     assert outcome(lambda: mc.decode(Y, t)) == outcome(lambda: tuple(map(mc.to_matrix, code.decode_errors(y, t))))
     extra = data.draw(st.integers(0, 2), label="extra support rows")
