@@ -18,9 +18,8 @@ supplies its decoders over GF(q^2).
 Vectors over GF(q^m) are worked on as (n, m) int64 coefficient arrays
 (ExtField.coeff_array): row i holds the coefficients of entry i, and the
 decoders do no ExtElement arithmetic; elements appear only where vectors
-enter and leave, and a word given as its expansion (the m x n matrix
-over GF(q) holding the array transposed, as GabidulinMatrixCode passes
-it) builds none.  A code keeps the Moore array of its points, g_i^(q^j)
+enter and leave, and not at all for a word given as its expansion (the
+array transposed).  A code keeps the Moore array of its points, g_i^(q^j)
 for j < m, as one (n, m, m) array read off the field's Frobenius table,
 and its parity checks as one (n - k, n, m) array, the kernel of the Moore
 rows.  The interpolation system [y_i^(q^j) | g_i^(q^j)] has a Moore block
@@ -203,20 +202,16 @@ class GabidulinCode:
         self.radius = (self.n - k) // 2
 
     def _expand(self, X: np.ndarray) -> ExactMatrix:
-        """The expansion of a word: the m x n matrix over GF(q) whose
-        columns are the rows of its (n, m) coefficient array X."""
+        """The expansion of a word, the m x n matrix over GF(q) whose columns are the rows of X."""
         return ExactMatrix.from_array(self.field.base, X.T[:, :, None])
 
     def _word(self, y) -> np.ndarray:
         """The (n, m) coefficient array of a word: n elements, or their expansion."""
-        if isinstance(y, ExactMatrix):
-            if y.field != self.field.base:
-                raise FieldMismatch(f"matrix over {y.field}, expected {self.field.base}")
-            if y.rows != self.field.m:
-                raise SingularBasis(f"matrix must have {self.field.m} rows")
-            Y = y.array[:, :, 0].T
-        else:
-            Y = self.field.coeff_array(y)
+        if isinstance(y, ExactMatrix) and y.field != self.field.base:
+            raise FieldMismatch(f"matrix over {y.field}, expected {self.field.base}")
+        if isinstance(y, ExactMatrix) and y.rows != self.field.m:
+            raise SingularBasis(f"matrix must have {self.field.m} rows")
+        Y = y.array[:, :, 0].T if isinstance(y, ExactMatrix) else self.field.coeff_array(y)
         if len(Y) != self.n:
             raise LengthMismatch(f"need {self.n} symbols, got {len(Y)}")
         return Y
@@ -306,13 +301,12 @@ class GabidulinCode:
         if len(f) > self.k:
             raise DecodingFailure("quotient degree exceeds the code dimension")
         C = self._evaluate(f)
-        E = (Y - C) % field.p
-        error = self._expand(E)
-        if error.rank() > t:
+        E = self._expand((Y - C) % field.p)
+        if E.rank() > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")
         if isinstance(y, ExactMatrix):
-            return self._expand(C), error
-        return field.from_coeff_array(C), field.from_coeff_array(E)
+            return self._expand(C), E
+        return field.from_coeff_array(C), field.from_coeff_array(E.array[:, :, 0].T)
 
     @cached_property
     def _parity(self) -> np.ndarray:
@@ -393,8 +387,7 @@ class GabidulinMatrixCode(MatrixCode):
 
     @cached_property
     def _coordinate_map(self) -> Optional[np.ndarray]:
-        """(m, m) array taking coefficient rows to coordinate rows in the
-        basis, or None: the basis inverted once per code."""
+        """Coefficient rows times this are coordinate rows (None as _basis_array)."""
         return None if self._basis_array is None else basis_inverse(self.field, self.basis).array[:, :, 0].T
 
     def _rebase(self, M: ExactMatrix, P: Optional[np.ndarray]) -> ExactMatrix:
@@ -403,7 +396,7 @@ class GabidulinMatrixCode(MatrixCode):
         return M if P is None else self.code._expand(self.code._word(M) @ P % self.field.p)
 
     def to_matrix(self, vec: Sequence) -> ExactMatrix:
-        return self._rebase(self.code._expand(self.field.coeff_array(vec)), self._coordinate_map)
+        return self._rebase(self.code._expand(self.code._word(vec)), self._coordinate_map)
 
     def to_vector(self, M: ExactMatrix) -> list:
         return self.field.from_coeff_array(self.code._word(self._rebase(M, self._basis_array)))

@@ -15,10 +15,10 @@ reduce on integer rows this way (exactfield).  gauss_jordan serves QQ and
 primes beyond the int64 bound and is the tests' reference for the other
 paths; the reduced row echelon form is unique, so all paths agree.
 
-Matrices are immutable; all operations return fresh objects, and rref
-keeps its result on the matrix for later calls.  _syndrome
-is the one row product that skips zero entries, for products of matrices
-without arrays, syndromes of such words and RMCode.naive_syndrome.
+Matrices are immutable (rref keeps its result); all operations return
+fresh objects.  _syndrome is the one row product that skips zero entries,
+for products of matrices without arrays, syndromes of such words and
+RMCode.naive_syndrome.
 
 Storage rule: a matrix over a field whose `array_matrices` is true holds
 the read-only array `array` over the positive int `den`, in the field's
@@ -249,15 +249,13 @@ class ExactMatrix:
 
         Returns (R, pivot_columns, rank).
         """
-        if self._rref is None:
-            if self.array is not None:
-                A, den, pivots = self.field.rref_array(self.array)
-                R = ExactMatrix.from_array(self.field, A, den)
-            else:
-                eliminate = getattr(self.field, "eliminate", None)
-                rows, pivots = eliminate(self.entries) if eliminate else gauss_jordan(self.field, self.entries)
-                R = ExactMatrix(self.field, rows, _raw=True, cols=self.cols)
-            self._rref = R, pivots, len(pivots)
+        if self._rref is None and self.array is not None:
+            A, den, pivots = self.field.rref_array(self.array)
+            self._rref = ExactMatrix.from_array(self.field, A, den), pivots, len(pivots)
+        elif self._rref is None:
+            eliminate = getattr(self.field, "eliminate", None)
+            rows, pivots = eliminate(self.entries) if eliminate else gauss_jordan(self.field, self.entries)
+            self._rref = ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)
         return self._rref
 
     def rank(self) -> int:

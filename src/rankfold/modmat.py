@@ -94,7 +94,7 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
         factors[pr] = 0
         if factors.any():
             mult = (factors @ T % p).reshape(rows, m, m)
-            A[:, c:] = (A[:, c:] - A[pr, c:] @ mult) % p  # the pivot row times each row's multiplier
+            A[:, c:] = (A[:, c:] - np.einsum("cj,rjk->rck", A[pr, c:], mult)) % p
         pivots.append(c)
     return A, tuple(pivots)
 

@@ -55,25 +55,24 @@ def plotkin_encode(a, A0: ExactMatrix, A1: ExactMatrix, B0: ExactMatrix, B1: Exa
     )
 
 
-def plotkin_fold(Y: ExactMatrix, a, join, inv_a=None):
+def plotkin_fold(Y: ExactMatrix, a, join):
     """The fold (x^-1 I | I) Y (I ; -x^-1 I) over K[x]/(x^2 - a), where
     join(U, V) = U + xV is the caller's representation of that algebra.
 
     With Y = [[tl, tr], [bl, br]] over K this is
     join(bl - tr/a, (tl - br)/a).  On a codeword it equals
     2 B1 + (2x/a) B0; on an error it is a two-sided linear combination, so
-    the result never gains rank.  inv_a is 1/a in K, if the caller keeps it.
+    the result never gains rank.
     """
     rows, cols = Y.shape
     if rows % 2 or cols % 2:
         raise DimensionMismatch("foldable matrices have even dimensions")
-    if inv_a is None:
-        inv_a = Y.field.coerce(a).inverse()
+    inv_a = Y.field.coerce(a).inverse()
     tl, tr, bl, br = Y.split_blocks(rows // 2, cols // 2)
     return join(bl - tr.scale(inv_a), (tl - br).scale(inv_a))
 
 
-def doubling_decode(Y: ExactMatrix, W, a, algebra, decode_errors, decode_erasures, inverses=None) -> ExactMatrix:
+def doubling_decode(Y: ExactMatrix, W, a, algebra, decode_errors, decode_erasures) -> ExactMatrix:
     """Decoder for a doubled code, shared by PlotkinCode and RMCode.
 
     Y is a codeword [[A0 + B0, a(A1 - B1)], [A1 + B1, A0 - B0]] over K
@@ -83,15 +82,15 @@ def doubling_decode(Y: ExactMatrix, W, a, algebra, decode_errors, decode_erasure
     A-blocks and leaves 2 B1 + (2x/a) B0 plus the folded error.
     decode_errors(W) returns the D-codeword nearest W and the row space of
     their difference; decode_erasures(Z, support) returns the C-codeword
-    of Z whose difference from Z has its rows in `support`.  inverses is
-    (1/2, 1/a) in K, if the caller keeps them.
+    of Z whose difference from Z has its rows in `support`.
 
     The steps: decode D, peel B0 and B1 off Y, fold the bottom half on
     the right only (A1 - (x/a) A0 plus error rows inside the folded
     error's row space), erasure-decode C, and unpeel A0 and A1.
     """
     K = Y.field
-    half, inv_a = inverses or (K.coerce(2).inverse(), K.coerce(a).inverse())
+    half = K.coerce(2).inverse()
+    inv_a = K.coerce(a).inverse()
     W_hat, support = decode_errors(W)
     U, V = algebra.split(W_hat)
     B1, B0 = U.scale(half), V.scale(half * a)
@@ -183,7 +182,6 @@ class PlotkinCode(MatrixCode):
             self._algebra = _SplitAlgebra(self.field.sqrt(self.a))
         else:
             self._algebra = QuadExtField(self.field, self.a.val)
-        self._inverses = (self.field.coerce(2).inverse(), self.a.inverse())  # (1/2, 1/a)
         self.rows = 2 * C.rows
         self.cols = 2 * C.cols
         self.dim = 2 * (C.dim + D.dim)
@@ -234,8 +232,8 @@ class PlotkinCode(MatrixCode):
                 return W_hat, E.row_space_basis()
 
             decode_erasures = self.C.decode_erasures_ext
-        W = plotkin_fold(Y, self.a, algebra.join, self._inverses[1])
-        C_hat = doubling_decode(Y, W, self.a, algebra, decode_errors, decode_erasures, self._inverses)
+        W = plotkin_fold(Y, self.a, algebra.join)
+        C_hat = doubling_decode(Y, W, self.a, algebra, decode_errors, decode_erasures)
         E_hat = Y - C_hat
         if E_hat.rank() > t:
             raise DecodingFailure("residual rank exceeds the decoding radius")

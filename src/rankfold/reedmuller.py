@@ -572,8 +572,7 @@ class RMCode:
         0) first decodes in the sign embeddings mod p and certifies the
         result exactly (_decode_certified), which gives the exact decoder's
         report field for field; anything in doubt runs the exact decoder,
-        _decode_exact.  At r = m - 1 the radius is 0, and a Y with a zero
-        syndrome is a codeword: its report needs neither.
+        _decode_exact.  At r = m - 1 (radius 0) a zero syndrome needs neither.
         """
         self._check_received(Y)
         if self.base_height == 0 and 0 <= self.r < self.m:

@@ -24,8 +24,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z):
-    """The output scrambler, on an int or elementwise on a uint64 array."""
+def _mix(z):  # on an int, or elementwise on a uint64 array
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return z ^ (z >> 31)
@@ -54,9 +53,8 @@ class SplitMix64:
                 return lo + v % span
 
     def randints(self, count: int, lo: int, hi: int) -> list:
-        """count calls of randint(lo, hi): their values and end state, from
-        the outputs due computed as uint64 arrays (which wrap mod 2^64) up
-        to each rejected one."""
+        """count calls of randint(lo, hi), values and end state: each pass draws
+        the outputs still owed on uint64 arrays and keeps what randint keeps."""
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
@@ -64,10 +62,8 @@ class SplitMix64:
         out: list = []
         while len(out) < count:
             states = np.uint64(self._state) + np.arange(1, count - len(out) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-            v = _mix(states).tolist()
-            k = next((i for i, x in enumerate(v) if x >= limit), len(v))  # the rejected draw is consumed
-            out += [lo + x % span for x in v[:k]]
-            self._state = int(states[min(k, len(v) - 1)])
+            out += [lo + x % span for x in _mix(states).tolist() if x < limit]
+            self._state = int(states[-1])
         return out
 
 

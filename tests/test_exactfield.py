@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankfold import (DegreeCollapse, DimensionMismatch, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield,
                       mq_field)
+from rankfold import rng as splitmix
 from rankfold.exactfield import (
     MQElement,
     MultiquadraticField,
@@ -276,6 +277,18 @@ def test_randints_draws_what_randint_draws(seed, count, lo, span):
     assert b.next_u64() == a.next_u64()
     with pytest.raises(ValueError):
         b.randints(1, lo, lo - 1)
+
+
+def test_randints_keeps_every_accepted_draw_of_a_pass(monkeypatch):
+    # span 2^63 + 1 rejects about half of all draws; a pass keeps every draw
+    # below the limit, so a long count takes a few dozen passes, not one per rejection
+    lo, hi = 5, 5 + 2 ** 63
+    ref = SplitMix64(7)
+    want = [ref.randint(lo, hi) for _ in range(20000)]
+    passes, mix = [], splitmix._mix
+    monkeypatch.setattr(splitmix, "_mix", lambda z: passes.append(z) or mix(z))
+    assert SplitMix64(7).randints(20000, lo, hi) == want
+    assert len(passes) <= 40
 
 
 # -- sign embeddings mod p ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankfold import DecodingFailure, SplitMix64
-from rankfold.errors import DimensionMismatch, FieldMismatch, ParameterMismatch
+from rankfold.errors import DimensionMismatch, FieldMismatch, LengthMismatch, ParameterMismatch
 from rankfold.gabidulin import (
     GabidulinCode,
     GabidulinMatrixCode,
@@ -543,6 +543,16 @@ def test_matrix_decoders_refuse_a_foreign_prime_field():
             mc.decode(foreign)
         with pytest.raises(FieldMismatch):
             mc.decode_erasures(foreign, ExactMatrix(PrimeField(5), [[1, 0, 0]]))
+
+
+def test_matrix_code_refuses_a_word_of_the_wrong_length_in_every_basis():
+    code = GabidulinCode(F53, 2)
+    short, wide = F53.polynomial_basis()[:2], ExactMatrix.zeros(F53.base, 3, 4)
+    for mc in (GabidulinMatrixCode(code), GabidulinMatrixCode(code, basis=[b * 2 for b in F53.polynomial_basis()])):
+        for call in (lambda: mc.to_matrix(short), lambda: mc.to_vector(wide), lambda: mc.decode(wide),
+                     lambda: mc.decode_erasures(wide, ExactMatrix.zeros(F53.base, 0, 3))):
+            with pytest.raises(LengthMismatch):
+                call()
 
 
 # -- quadratic-extension decoders --------------------------------------------------
