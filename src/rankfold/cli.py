@@ -191,6 +191,9 @@ def cmd_rm_roundtrip(args) -> int:
     if args.bound < least:
         print("error: need --bound >= 1 when r <= m - 2" if least else "error: need --bound >= 0", file=sys.stderr)
         return 1
+    if args.bound >= 2 ** 64:  # the sampler draws from [0, bound] by SplitMix64, at most 2^64 values
+        print("error: need --bound < 2^64", file=sys.stderr)
+        return 1
     header = {"schema": SCHEMA, "command": "rm-roundtrip"}
     t0 = time.perf_counter()
     fixtures = []

@@ -25,25 +25,33 @@ coordinate i ^ j over dx * dy * D.  Inverses use the norm recursion
 generator, through the same kernel.  Every result is divided by the gcd
 of its integers.  Python ints are unbounded, so no kernel needs an
 overflow bound.  Elements are immutable, so they can be shared freely
-between threads and processes.  A tower is the fold algebra of plotkin
-over its subtower: join(U, V) = U + alpha_m V on matrices, and split.
+between threads and processes.
 
-Elimination.  MultiquadraticField.eliminate is the hook through which
-linalg.ExactMatrix.rref reduces matrices over a tower.  It runs
-Gauss-Jordan with gauss_jordan's pivot rule on integer rows: a row is
-its entries' coordinates over their least common denominator d (over Q,
-height 0, a flat list of ints; a matrix over Q is an integer array over
-one denominator, linalg's storage rule, and its rows are read off the
-array through rref_array, the field's hook for Q matrices beside
-matrix_array, array_entries, canonical_array, scale_array and product).
-The pivot row is multiplied by the pivot's inverse.  Each other row y =
-Y / dy with b = y_c becomes y - b * x for the pivot row x = X / dx,
-formed as (Y * dx * D - X * b) / (dy * dx * D) through the product
-kernel, and is divided by the gcd of its integers and denominator, so
-they do not grow beyond those of gauss_jordan's rational values.  Only
-the rows up to the rank become elements; the rows past the last pivot
-are zero and hold the field's shared zero.  The reduced row echelon form
-is unique, so the result equals gauss_jordan's, bit for bit.
+Matrices.  A tower supplies linalg's hooks for its matrices: a matrix
+over a tower of height m holds the integer coordinates of its entries as
+one canonical (rows, cols, 2^m) object array over one denominator.  QQ
+is the tower of height 0, mq_field(()), with one coordinate per entry.
+`product` is one integer matmul against the signed, scaled permutation
+matrix of each entry of the right factor: D b_i x puts
+x_(k ^ i) W[i & (k ^ i)] at coordinate k, so the product comes out over
+D times both denominators.  join and split, the fold algebra of plotkin
+over the subtower (join(U, V) = U + alpha_m V), are a concatenate and two
+slices on the last axis.
+
+Elimination.  MultiquadraticField.eliminate, linalg's rref_array, runs
+Gauss-Jordan on integer rows: a row is its entries' coordinates over one
+denominator d (over Q a flat list of ints, above Q one list of 2^m ints
+per entry), read off the array, where every row starts at d = 1.  The
+pivot of each column is its first nonzero entry at or below the current
+row, and the pivot row is multiplied by the pivot's inverse.  Each other
+row y = Y / dy with b = y_c becomes y - b * x for the pivot row
+x = X / dx, formed as (Y * dx * D - X * b) / (dy * dx * D) through the
+product kernel, and is divided by the gcd of its integers and
+denominator, so they do not grow beyond those of the rational values of
+Gauss-Jordan in the field's own arithmetic.  The rows come back as one
+canonical array over their least common denominator, and the reduced row
+echelon form is unique, so the result is that Gauss-Jordan's, bit for
+bit.
 
 Modular images.  For an odd prime p at which every a_k is a nonzero
 square, fixing roots r_k of a_k mod p gives 2^m ring maps onto GF(p), one
@@ -66,6 +74,7 @@ the certificates of RMCode.erasure_decode and RMCode.decode).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence
@@ -85,41 +94,6 @@ def is_rational_square(c: Fraction) -> bool:
     n, d = c.numerator, c.denominator
     rn, rd = isqrt(n), isqrt(d)
     return rn * rn == n and rd * rd == d
-
-
-class RationalField:
-    """Field handle for plain rationals, usable with the exact matrix layer."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, (Fraction, int)):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def element_to_json(self, x):
-        return str(x)
-
-    def element_from_json(self, data):
-        return Fraction(data)
-
-    def to_json(self):
-        return {"rationals": True}
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
-QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +348,7 @@ class MultiquadraticField:
         # data derived from this field by its users, such as a code's
         # generator and parity-check rows
         self.tables: dict = {}
-        self.array_matrices = self.m == 0
+        self.product_den = self._D  # `product` gives D A X
         self.zero = MQElement(self, (0,) * self.dim, 1)
         self.one = self.basis_element(0)
 
@@ -431,22 +405,59 @@ class MultiquadraticField:
             self._embeddings.append(SignEmbedding(self._primes[len(self._embeddings)], self.gens))
         return self._embeddings[i]
 
-    # -- elimination ---------------------------------------------------------
+    # -- matrices (linalg's storage rule) -------------------------------------
 
-    def eliminate(self, entries) -> tuple[tuple, tuple[int, ...]]:
-        """(rows, pivots) of the reduced row echelon form of a matrix over
-        this field, given as rows of elements: the hook that
-        linalg.ExactMatrix.rref consults above Q.  Over Q it also takes a
-        matrix's integer array (rref_array) and gives R as a canonical
-        (array, den) pair.
+    def matrix_array(self, entries, rows: int, cols: int) -> tuple[np.ndarray, int]:
+        """(A, d): integer_coords of a matrix's entries, row by row, as a
+        canonical (rows, cols, 2^m) object array over d."""
+        d, ints = integer_coords([e for row in entries for e in row])
+        return np.array(ints, dtype=object).reshape(rows, cols, self.dim), d
 
-        Gauss-Jordan with linalg.gauss_jordan's pivot rule on integer rows
-        (module docstring).  Row y is Y / d: over Q, Y holds one int per
-        entry (an array's rows start at d = 1: scaling a row leaves the
-        form unchanged); above Q, one list of 2^m ints per entry.
+    def array_entries(self, A: np.ndarray, den: int) -> tuple:
+        return tuple(tuple(self._element(u, den) for u in row) for row in A.tolist())
+
+    def canonical_array(self, A: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """A / den (den > 0) divided by gcd(den, *A); zero becomes 0 / 1."""
+        g = 1 if den == 1 else gcd(den, *A.flat)
+        return (A, den) if g == 1 else (A // g, den // g)
+
+    @cached_property
+    def _signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, w), (2^m, 2^m) each: D b_i x puts x[idx[i, k]] * w[i, k]
+        at coordinate k, with idx[i, k] = k ^ i and w[i, k] = W[i & (k ^ i)]
+        (module docstring), so a row of coordinates a times the matrix
+        x[idx] * w is D a x."""
+        i, k = np.arange(self.dim)[:, None], np.arange(self.dim)
+        return i ^ k, np.array(self._W, dtype=object)[i & (i ^ k)]
+
+    def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """D times the array of A X, for (rows, c, 2^m) and (c, s, 2^m)
+        integer arrays: one integer matmul against the signed, scaled
+        permutation matrix of each entry of X."""
+        idx, w = self._signed_permutation
+        (rows, c, d), s = A.shape, X.shape[1]
+        mult = (X[:, :, idx] * w).transpose(0, 2, 1, 3)  # (c, i, s, k)
+        return (A.reshape(rows, c * d) @ mult.reshape(c * d, s * d)).reshape(rows, s, d)
+
+    def scale_array(self, A: np.ndarray, den: int, c: "MQElement") -> tuple[np.ndarray, int]:
+        """A / den times the element c, canonical: the product of A's entries,
+        as one column, with c."""
+        P = self.product(A.reshape(-1, 1, self.dim), np.array([[c.num]], dtype=object)).reshape(A.shape)
+        return self.canonical_array(P, den * c.den * self._D)
+
+    def eliminate(self, A: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+        """(R, den, pivots): the reduced row echelon form R / den, canonical,
+        of the matrix whose (rows, cols, 2^m) array is A, and its pivot
+        columns; linalg's rref_array.
+
+        Gauss-Jordan with the first nonzero entry at or below the current
+        row as each column's pivot, on integer rows (module docstring).
+        Row y is Y / d: over Q, Y holds one int per entry; above Q, one list
+        of 2^m ints per entry.  The rows start at d = 1: scaling a row
+        leaves the form unchanged.
         """
         W, D, dim = self._W, self._D, self.dim
-        flat, array = self.m == 0, isinstance(entries, np.ndarray)
+        flat = self.m == 0
         nonzero = bool if flat else any
 
         def reduced(Y, d):
@@ -455,9 +466,8 @@ class MultiquadraticField:
                 return Y, d
             return ([s // g for s in Y] if flat else [[s // g for s in Yj] for Yj in Y]), d // g
 
-        rows = [(Y, 1) for Y in entries.tolist()] if array else [
-            (Y if flat else [Y[k:k + dim] for k in range(0, len(Y), dim)], d) for d, Y in map(integer_coords, entries)]
-        width = entries.shape[1] if array else len(entries[0]) if entries else 0
+        rows = [(Y, 1) for Y in (A[:, :, 0] if flat else A).tolist()]
+        width = A.shape[1]
         pivots: list[int] = []
         pr = 0
         for c in range(width):
@@ -499,39 +509,16 @@ class MultiquadraticField:
             pr += 1
             if pr == len(rows):
                 break
-        if array:  # canonical rows over their least common denominator: a canonical array
-            den = lcm(*(d for _, d in rows[:pr]))
-            R = [[s * (den // d) for s in Y] for Y, d in rows[:pr]] + [[0] * width] * (len(rows) - pr)
-            return (np.array(R, dtype=object).reshape(entries.shape), den), tuple(pivots)
-        # the rows past the last pivot are zero: the shared self.zero
-        zero_row = (self.zero,) * width
-        out = tuple(tuple(self._element([Yj] if flat else Yj, d) for Yj in Y) for Y, d in rows[:pr])
-        return out + (zero_row,) * (len(rows) - pr), tuple(pivots)
+        # canonical rows over their least common denominator: a canonical
+        # array; the rows past the last pivot are zero
+        den = lcm(*(d for _, d in rows[:pr]))
+        R = np.zeros(A.shape, dtype=object)
+        out = R.reshape(len(rows), width * dim)
+        for r, (Y, d) in enumerate(rows[:pr]):
+            out[r] = [s * (den // d) for s in (Y if flat else chain.from_iterable(Y))]
+        return R, den, tuple(pivots)
 
-    # -- matrices over Q (linalg's storage rule, height 0 only) ---------------
-
-    def matrix_array(self, entries, rows: int, cols: int) -> tuple[np.ndarray, int]:
-        """(A, d): integer_coords of a matrix's rows, a canonical (rows, cols) object array over d."""
-        d, ints = integer_coords([e for row in entries for e in row])
-        return np.array(ints, dtype=object).reshape(rows, cols), d
-
-    def array_entries(self, A: np.ndarray, den: int) -> tuple:
-        return tuple(tuple(self._element([u], den) for u in row) for row in A.tolist())
-
-    def canonical_array(self, A: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-        """A / den (den > 0) divided by gcd(den, *A); zero becomes 0 / 1."""
-        g = gcd(den, *A.flat)
-        return (A, den) if g == 1 else (A // g, den // g)
-
-    def scale_array(self, A: np.ndarray, den: int, c: "MQElement") -> tuple[np.ndarray, int]:
-        return self.canonical_array(A * c.num[0], den * c.den)
-
-    product = staticmethod(np.matmul)
-
-    def rref_array(self, A: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-        (R, den), pivots = self.eliminate(A)
-        return R, den, pivots
-
+    rref_array = eliminate
 
     # -- structure ---------------------------------------------------------
 
@@ -543,26 +530,29 @@ class MultiquadraticField:
         return sub
 
     def join(self, U: ExactMatrix, V: ExactMatrix) -> ExactMatrix:
-        """The matrix U + alpha_m V from two matrices over the subtower;
-        with split, the algebra sub[x]/(x^2 - a_m) of plotkin_fold and
-        doubling_decode.  Entry by entry it is MQElement.join."""
-        sub = self.subfield(self.m - 1)  # Q itself when m = 0: MQElement.join refuses that
+        """The matrix U + alpha_m V from two matrices over the subtower:
+        their arrays side by side on the last axis, over one denominator.
+        With split, the algebra sub[x]/(x^2 - a_m) of plotkin_fold and
+        doubling_decode."""
+        if self.m == 0:
+            raise TowerHeightZero("cannot join into Q")
+        sub = self.subfield(self.m - 1)
         if U.field != sub or V.field != sub:
             raise FieldMismatch("join parts must live in the subtower")
         if U.shape != V.shape:
             raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
-        rows = tuple(tuple(MQElement.join(self, u, v) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
-        return ExactMatrix(self, rows, _raw=True, cols=U.cols)
+        den = lcm(U.den, V.den)  # canonical parts over it: canonical
+        return ExactMatrix.from_array(self, np.concatenate((U._over(den), V._over(den)), axis=2), den)
 
     def split(self, W: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, V) with W = U + alpha_m V, both over the subtower; inverse
-        of join.  Entry by entry it is MQElement.split."""
+        """(U, V) with W = U + alpha_m V, both over the subtower: the two
+        halves of W's last axis; inverse of join."""
         if W.field != self:
             raise FieldMismatch(f"expected a matrix over {self}")
-        parts = [[e.split() for e in row] for row in W.entries]
-        sub = self.subfield(self.m - 1)
-        return tuple(ExactMatrix(sub, tuple(tuple(p[i] for p in row) for row in parts), _raw=True, cols=W.cols)
-                     for i in (0, 1))
+        if self.m == 0:
+            raise TowerHeightZero("cannot split a matrix over Q")
+        sub, h = self.subfield(self.m - 1), self.dim // 2
+        return tuple(ExactMatrix.from_array(sub, *sub.canonical_array(W.array[:, :, k:k + h], W.den)) for k in (0, h))
 
     def basis_label(self, j: int) -> str:
         parts = [f"r{i + 1}" for i in range(self.m) if j >> i & 1]
@@ -581,7 +571,9 @@ class MultiquadraticField:
         return [str(c) for c in x.coords]
 
     def element_from_json(self, data) -> "MQElement":
-        return self.element([Fraction(s) for s in data])
+        """The element of a list of coordinate strings, or, as QQ's entries
+        were once written, of one string."""
+        return self.element([Fraction(s) for s in ([data] if isinstance(data, str) else data)])
 
     def __eq__(self, other):
         return isinstance(other, MultiquadraticField) and self.gens == other.gens
@@ -701,16 +693,6 @@ class MQElement(_FieldElement):
         num = tuple(-s if (j & mask).bit_count() & 1 else s for j, s in enumerate(self.num))
         return MQElement(self.field, num, self.den)
 
-    def mul_by_alpha(self, i: int) -> "MQElement":
-        """Multiply by sqrt(a_i): a coordinate permutation plus at most
-        2^m integer scalings, cheaper than a general product."""
-        if not 1 <= i <= self.field.m:
-            raise ValueError(f"no generator {i}")
-        bit = 1 << (i - 1)
-        a = self.field.gens[i - 1]
-        n, d, num = a.numerator, a.denominator, self.num
-        return self.field._element([num[k ^ bit] * (d if k & bit else n) for k in range(len(num))], self.den * d)
-
     def split(self) -> tuple["MQElement", "MQElement"]:
         """Write x = x0 + x1*alpha_m and return (x0, x1) in the subtower."""
         if self.field.m == 0:
@@ -758,11 +740,6 @@ class MQElement(_FieldElement):
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __repr__(self):
         terms = []
         for j, c in enumerate(self.coords):
@@ -770,3 +747,8 @@ class MQElement(_FieldElement):
                 label = self.field.basis_label(j)
                 terms.append(str(c) if label == "1" else f"{c}*{label}")
         return " + ".join(terms) if terms else "0"
+
+
+# Q is the tower of height 0; RationalField is the former name of its class.
+QQ = mq_field(())
+RationalField = MultiquadraticField

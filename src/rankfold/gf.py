@@ -37,9 +37,13 @@ residues need modmat.poly_fits_int64(p, m).
 Each field builds once, on the instance, its multiplication tensor
 T[i, j] = x^(i+j) mod f (mul_tensor), and with it the kernels of linalg's
 storage rule on (rows, cols, m) coefficient arrays, with den = 1:
-rref_array (modmat.rref_poly) and `product`, one matmul of c m products
-per entry for inner dimension c while poly_fits_int64(p, c m), else each
-entry product reduced first.
+rref_array (modmat.rref_poly) and `product`.  The arrays and T are int64
+while modmat.poly_fits_int64(p, m) and Python ints in object arrays past
+it (`dtype`), through the same kernels: `product` is one matmul of c m
+products per entry for inner dimension c on Python ints, and on int64
+while poly_fits_int64(p, c m), else each entry product is reduced first.
+GF(p^2)'s join and split are a concatenate and two slices of the last
+axis, cast to each field's dtype.
 
 The package's number theory lives here too: is_prime, sqrt_mod and
 smallest_nonresidue serve PrimeField and the tower's sign embeddings
@@ -399,14 +403,15 @@ class _PolyQuotient:
         return self._element(self, tuple([rng.randint(0, self.p - 1) for _ in range(self.degree)]))
 
     @cached_property
-    def array_matrices(self) -> bool:
-        """Whether linalg.ExactMatrix holds matrices over this field as arrays."""
-        return modmat.poly_fits_int64(self.p, self.degree)
+    def dtype(self):
+        """int64 while modmat.poly_fits_int64(p, m), else object (Python ints):
+        the dtype of this field's coefficient arrays and multiplication tensor."""
+        return np.int64 if modmat.poly_fits_int64(self.p, self.degree) else object
 
     def matrix_array(self, entries, rows: int, cols: int) -> tuple[np.ndarray, int]:
         """(A, 1): the (rows, cols, m) coefficient array of a matrix's rows of elements."""
         values = chain.from_iterable(map(self._coeffs, chain.from_iterable(entries)))
-        return np.fromiter(values, np.int64, rows * cols * self.degree).reshape(rows, cols, self.degree), 1
+        return np.fromiter(values, self.dtype, rows * cols * self.degree).reshape(rows, cols, self.degree), 1
 
     def array_entries(self, A: np.ndarray, den: int) -> tuple:
         return tuple(tuple(map(self._from_coeffs, row)) for row in A.tolist())
@@ -414,20 +419,24 @@ class _PolyQuotient:
     def canonical_array(self, A: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         return A % self.p, 1
 
+    product_den = 1  # `product` gives A X itself
+
     @cached_property
     def mul_tensor(self) -> np.ndarray:
         """(m, m, m) array: T[i, j] holds the coefficients of x^(i+j) mod f."""
         m = self.degree
-        return np.array([[self._reduce([0] * (i + j) + [1]) for j in range(m)] for i in range(m)], dtype=np.int64)
+        return np.array([[self._reduce([0] * (i + j) + [1]) for j in range(m)] for i in range(m)], dtype=self.dtype)
 
     def product(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Coefficient array of A X for a (rows, c, m) array A and a (c, m) or
-        (c, s, m) array X; mult[c, b, s] is x^b times X's entry (c, s)."""
+        (c, s, m) array X; mult[c, b, s] is x^b times X's entry (c, s).  On
+        object arrays, and on int64 ones while poly_fits_int64(p, c m), one
+        matmul; else each entry product is reduced before the sum."""
         p, m = self.p, self.degree
         rows, c = A.shape[:2]
         s = X.shape[1] if X.ndim == 3 else 1
         mult = np.einsum("csa,abl->cbsl", X.reshape(c, s, m), self.mul_tensor) % p
-        if modmat.poly_fits_int64(p, c * m):
+        if object in (A.dtype, mult.dtype) or modmat.poly_fits_int64(p, c * m):
             out = A.reshape(rows, c * m) @ mult.reshape(c * m, s * m) % p
         else:
             out = (np.einsum("rcb,cbsl->rcsl", A, mult) % p).sum(axis=1) % p
@@ -435,12 +444,12 @@ class _PolyQuotient:
 
     def scale_array(self, A: np.ndarray, den: int, c) -> tuple[np.ndarray, int]:
         """(A c, 1) for the coefficient array A and the element c."""
-        return A @ (np.einsum("a,abl->bl", self._coeffs(c), self.mul_tensor) % self.p) % self.p, 1
+        coeffs = np.array(self._coeffs(c), dtype=self.dtype)
+        return A @ (np.einsum("a,abl->bl", coeffs, self.mul_tensor) % self.p) % self.p, 1
 
     def rref_array(self, A: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
         """modmat.rref_poly of a (rows, cols, m) coefficient array over this
-        field: (R, 1, pivot columns).  Raises ValueError unless
-        poly_fits_int64(p, m)."""
+        field: (R, 1, pivot columns), in the array's dtype."""
         R, pivots = modmat.rref_poly(A, self.mul_tensor, self.p, self._inverse_coeffs)
         return R, 1, pivots
 
@@ -572,18 +581,15 @@ class QuadExtField(_PolyQuotient):
             raise DimensionMismatch(f"join parts of shapes {U.shape} and {V.shape}")
         if U.field != self.base or V.field != self.base:
             raise FieldMismatch(f"join parts must be over {self.base}")
-        if self.array_matrices:
-            return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2))
-        return U.map_entries(self.coerce, self) + V.map_entries(self.coerce, self).scale(self.sqrt_nonresidue)
+        return ExactMatrix.from_array(self, np.concatenate((U.array, V.array), axis=2).astype(self.dtype, copy=False))
 
     def split(self, M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
         """(U, V) with M = U + sV, both over GF(p); inverse of join."""
         if M.field != self:
             raise FieldMismatch(f"expected a matrix over {self}, got one over {M.field}")
         base = self.base
-        if M.array is not None:
-            return ExactMatrix.from_array(base, M.array[:, :, :1]), ExactMatrix.from_array(base, M.array[:, :, 1:])
-        return M.map_entries(lambda e: base.element(e.u), base), M.map_entries(lambda e: base.element(e.v), base)
+        return tuple(ExactMatrix.from_array(base, M.array[:, :, i:i + 1].astype(base.dtype, copy=False))
+                     for i in (0, 1))
 
     def to_json(self):
         return {"p": self.p, "nonresidue": self.n}

@@ -1,38 +1,26 @@
 """Exact dense linear algebra over pluggable fields.
 
-A field handle must expose `zero`, `one` and `coerce`; entries must
-support +, -, *, / and truth testing.  Rationals, multiquadratic towers
-and the finite fields in this package all qualify.  gauss_jordan
-eliminates with naive Gaussian steps in the field's own arithmetic and a
-deterministic pivot rule (first row with a nonzero entry in the current
-column), so results are reproducible and there is no numerical-stability
-concern: arithmetic is exact.
+A field handle exposes `zero`, `one` and `coerce`, and its elements
+support +, -, *, / and truth testing; multiquadratic towers (Q is the
+height-0 tower) and the finite fields of gf qualify.
 
-A field handle may also expose `eliminate(entries) -> (rows, pivots)`,
-the reduced row echelon form of a tuple of row tuples, which
-ExactMatrix.rref calls instead of gauss_jordan; multiquadratic towers
-reduce on integer rows this way (exactfield).  gauss_jordan serves QQ and
-primes beyond the int64 bound and is the tests' reference for the other
-paths; the reduced row echelon form is unique, so all paths agree.
-
-Matrices are immutable (rref keeps its result); all operations return
-fresh objects.  _syndrome is the one row product that skips zero entries,
-for products of matrices without arrays, syndromes of such words and
-RMCode.naive_syndrome.
-
-Storage rule: a matrix over a field whose `array_matrices` is true holds
-the read-only array `array` over the positive int `den`, in the field's
-canonical form, and builds `entries` on first access.  gf's GF(p),
-GF(p^2) and GF(p^m), GF(p)[x]/(f) with deg f = m, while
-modmat.poly_fits_int64(p, m), hold (rows, cols, m) int64 coefficients mod
-p over den = 1; their @ is one matmul while c m (p-1)^2 < 2^63 for inner
-dimension c, else each entry product is reduced before the sum.  Q, the
-height-0 tower (exactfield), holds a (rows, cols) object array of Python
-ints with gcd(den, *array) = 1 (den = 1 for zero), and its @ is one
-integer matmul.  The field's hooks matrix_array, array_entries,
-canonical_array, scale_array, product and rref_array serve +, -, scale,
-==, transpose, block, split_blocks, zeros, rref and @; slices, transposes
-and products over den = 1 need no canonical_array.
+Storage rule: every matrix holds one read-only (rows, cols, d) array,
+`array`, over one positive int `den`, in its field's canonical form, and
+builds `entries`, its rows as tuples of elements, on first access; d is
+the field's dimension over its prime field.  A tower of height h holds
+the 2^h integer coordinates of each entry as Python ints in an object
+array, with gcd(den, *array) = 1 (den = 1 for zero); GF(p), GF(p^2) and
+GF(p^m), GF(p)[x]/(f) with deg f = m, hold the m coefficients mod p of
+each entry over den = 1, as int64 while modmat.poly_fits_int64(p, m) and
+as Python ints in an object array past it.  The field's hooks
+matrix_array, array_entries, canonical_array, scale_array, product (whose
+array is product_den times A X) and rref_array serve +, -, scale, ==,
+transpose, block, split_blocks, zeros, rref and @; slices, transposes and
+products over den = 1 need no canonical_array.  Every rref takes the
+first nonzero entry at or below the current row as a column's pivot, and
+the reduced row echelon form is unique, so all fields' eliminations give
+what Gauss-Jordan in the field's own arithmetic gives.  Matrices are
+immutable (rref keeps its result); all operations return fresh objects.
 
 MatrixCode derives, once, parity checks, erasure decoding and decoding
 over GF(q^2) from a matrix code's basis and error decoder; Gabidulin
@@ -69,15 +57,13 @@ class ExactMatrix:
         for row in entries:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
-        self.array, self.den = None, 1
-        if getattr(field, "array_matrices", False):
-            self.array, self.den = field.matrix_array(entries, self.rows, self.cols)
-            self.array.flags.writeable = False
+        self.array, self.den = field.matrix_array(entries, self.rows, self.cols)
+        self.array.flags.writeable = False
 
     @staticmethod
     def from_array(field, A: np.ndarray, den: int = 1) -> "ExactMatrix":
-        """The matrix A / den over a field with array_matrices, for A and den
-        in the field's canonical form; A is kept (not copied) read-only."""
+        """The matrix A / den over `field`, for A and den in the field's
+        canonical form; A is kept (not copied) read-only."""
         M = object.__new__(ExactMatrix)
         A.flags.writeable = False
         M.field, M._entries, M.array, M.den, M._rref = field, None, A, den, None
@@ -95,11 +81,8 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(field, rows: int, cols: int) -> "ExactMatrix":
-        if getattr(field, "array_matrices", False):
-            A = field.matrix_array((), 0, 0)[0]  # the field's dtype and entry shape
-            return ExactMatrix.from_array(field, np.zeros((rows, cols) + A.shape[2:], A.dtype))
-        z = field.zero
-        return ExactMatrix(field, tuple((z,) * cols for _ in range(rows)), _raw=True, cols=cols)
+        A = field.matrix_array((), 0, 0)[0]  # the field's dtype and entry shape
+        return ExactMatrix.from_array(field, np.zeros((rows, cols) + A.shape[2:], A.dtype))
 
     @staticmethod
     def identity(field, n: int) -> "ExactMatrix":
@@ -127,17 +110,17 @@ class ExactMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not (self.array.any() if self.array is not None else any(any(row) for row in self.entries))
+        return not self.array.any()
 
     # -- arithmetic --------------------------------------------------------------
+
+    def _same_field(self, other: "ExactMatrix"):
+        if self.field != other.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _same_shape(self, other: "ExactMatrix"):
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} vs {other.shape}")
-
-    def _arrays(self, other: "ExactMatrix") -> bool:
-        """Whether both matrices hold arrays over the same field."""
-        return self.array is not None and other.array is not None and self.field == other.field
 
     def _like(self, A: np.ndarray, den: int = 1) -> "ExactMatrix":
         """A / den over self's field, made canonical unless den = 1."""
@@ -150,14 +133,12 @@ class ExactMatrix:
         return self.array if den == self.den else self.array * (den // self.den)
 
     def _combine(self, other: "ExactMatrix", op) -> "ExactMatrix":
-        """op (+ or -) entry by entry; one numpy call on arrays."""
+        """op (+ or -) entry by entry, one numpy call."""
+        self._same_field(other)
         self._same_shape(other)
-        if self._arrays(other):
-            den = lcm(self.den, other.den)
-            A = op(self._over(den), other._over(den))
-            return ExactMatrix.from_array(self.field, *self.field.canonical_array(A, den))
-        return ExactMatrix(self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-                           _raw=True, cols=self.cols)
+        den = lcm(self.den, other.den)
+        A, den = self.field.canonical_array(op(self._over(den), other._over(den)), den)
+        return ExactMatrix.from_array(self.field, A, den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, operator.add)
@@ -169,34 +150,20 @@ class ExactMatrix:
         return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        c = self.field.coerce(c)
-        if self.array is not None:
-            return ExactMatrix.from_array(self.field, *self.field.scale_array(self.array, self.den, c))
-        return ExactMatrix(self.field, tuple(tuple(c * a for a in row) for row in self.entries), _raw=True,
-                           cols=self.cols)
+        return ExactMatrix.from_array(self.field, *self.field.scale_array(self.array, self.den, self.field.coerce(c)))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        self._same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        if self._arrays(other):
-            return self._like(self.field.product(self.array, other.array), self.den * other.den)
-        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-        zero = self.field.zero
-        return ExactMatrix(self.field, tuple(tuple(_syndrome(cols, row, zero)) for row in self.entries), _raw=True,
-                           cols=other.cols)
+        return self._like(self.field.product(self.array, other.array), self.den * other.den * self.field.product_den)
 
     def transpose(self) -> "ExactMatrix":
-        if self.array is not None:
-            return ExactMatrix.from_array(self.field, self.array.swapaxes(0, 1), self.den)
-        return ExactMatrix(self.field, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, _raw=True,
-                           cols=self.rows)
+        return ExactMatrix.from_array(self.field, self.array.swapaxes(0, 1), self.den)
 
     def __eq__(self, other):
-        if not (isinstance(other, ExactMatrix) and self.field == other.field and self.shape == other.shape):
-            return False
-        if self._arrays(other):
-            return self.den == other.den and bool(np.array_equal(self.array, other.array))
-        return all(a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
+        return (isinstance(other, ExactMatrix) and self.field == other.field and self.shape == other.shape
+                and self.den == other.den and bool(np.array_equal(self.array, other.array)))
 
     def map_entries(self, fn: Callable, field=None) -> "ExactMatrix":
         """Apply fn entry-wise, optionally moving to another field."""
@@ -219,43 +186,29 @@ class ExactMatrix:
                 raise DimensionMismatch("block widths differ between bands")
             if any(blk.rows != band[0].rows for blk in band):
                 raise DimensionMismatch("block heights differ within a band")
-        if all(blk.array is not None for band in grid for blk in band):
-            den = lcm(*(blk.den for band in grid for blk in band))  # canonical blocks over it: canonical
-            bands = [np.concatenate([blk._over(den) for blk in band], axis=1) for band in grid]
-            return ExactMatrix.from_array(field, np.concatenate(bands), den)
-        rows = tuple(sum((blk.entries[i] for blk in band), ()) for band in grid for i in range(band[0].rows))
-        return ExactMatrix(field, rows, _raw=True, cols=width)
+        den = lcm(*(blk.den for band in grid for blk in band))  # canonical blocks over it: canonical
+        bands = [np.concatenate([blk._over(den) for blk in band], axis=1) for band in grid]
+        return ExactMatrix.from_array(field, np.concatenate(bands), den)
 
     def split_blocks(self, row_split: int, col_split: int):
         """Cut into a 2x2 grid at the given indices; returns (tl, tr, bl, br)."""
         halves = (slice(None, row_split), slice(row_split, None)), (slice(None, col_split), slice(col_split, None))
-        if self.array is not None:
-            return tuple(self._like(self.array[r, c], self.den) for r in halves[0] for c in halves[1])
-        return tuple(ExactMatrix(self.field, tuple(row[c] for row in self.entries[r]), _raw=True,
-                                 cols=len(range(self.cols)[c])) for r in halves[0] for c in halves[1])
+        return tuple(self._like(self.array[r, c], self.den) for r in halves[0] for c in halves[1])
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix.block([[self, other]])
 
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix.block([[self], [other]])
-
     # -- elimination ---------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form: of the array by the field's rref_array
-        when the matrix holds one, else by the field's `eliminate` hook when
-        it has one, else by gauss_jordan; kept on the matrix.
+        """Reduced row echelon form of the array, by the field's rref_array;
+        kept on the matrix.
 
         Returns (R, pivot_columns, rank).
         """
-        if self._rref is None and self.array is not None:
+        if self._rref is None:
             A, den, pivots = self.field.rref_array(self.array)
             self._rref = ExactMatrix.from_array(self.field, A, den), pivots, len(pivots)
-        elif self._rref is None:
-            eliminate = getattr(self.field, "eliminate", None)
-            rows, pivots = eliminate(self.entries) if eliminate else gauss_jordan(self.field, self.entries)
-            self._rref = ExactMatrix(self.field, rows, _raw=True, cols=self.cols), pivots, len(pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -320,35 +273,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def gauss_jordan(field, entries: Sequence[Sequence]) -> tuple[tuple, tuple[int, ...]]:
-    """(rows, pivots) of the reduced row echelon form, by Gauss-Jordan steps
-    in the field's own arithmetic.  The pivot of each column is its first
-    nonzero entry at or below the current row."""
-    rows = [list(r) for r in entries]
-    pivots = []
-    pr = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = field.one / rows[pr][c]
-        rows[pr] = [inv * e for e in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == len(rows):
-            break
-    return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
 def _kernel_from_rref(field, R: Sequence[Sequence], pivots: Sequence[int], cols: int) -> list[list]:
@@ -444,12 +368,6 @@ def flatten(mats) -> list[list]:
     return [[e for row in M.entries for e in row] for M in mats]
 
 
-def _syndrome(checks, v: Sequence, zero) -> list:
-    """Each check row dotted with v, skipping zero entries."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((x * row[j] for j, x in nz if row[j]), zero) for row in checks]
-
-
 class MatrixCode:
     """A linear code of rows x cols matrices over the prime field `base`.
 
@@ -485,13 +403,8 @@ class MatrixCode:
         if support.field not in (base, field):
             raise FieldMismatch(f"support over {support.field}, expected {base} or {field}")
         rows, n, r = self.rows, self.cols, support.rows
-        if Y.array is None:
-            gens = [[field.zero] * (i * n) + list(s) + [field.zero] * ((rows - 1 - i) * n)
-                    for i in range(rows) for s in support.entries]
-            c = solve_erasures(field, lambda v: _syndrome(self._checks.entries, v, field.zero), flatten([Y])[0], gens)
-            return ExactMatrix(field, tuple(tuple(c[i * n:(i + 1) * n]) for i in range(rows)), _raw=True)
         m, H = field.degree, self._checks.array  # H: (checks, rows n, 1) residues
-        S = np.zeros((r, n, m), dtype=np.int64)  # the support's coefficients in Y's field
+        S = np.zeros((r, n, m), dtype=Y.array.dtype)  # the support's coefficients in Y's field
         S[:, :, :support.field.degree] = support.array.reshape(r, n, support.field.degree)
         HS = base.product(H.reshape(-1, n, 1), S.transpose(1, 0, 2).reshape(n, r * m, 1)).reshape(len(H), rows * r, m)
         Hy = base.product(H, Y.array.reshape(rows * n, m, 1)).reshape(len(H), 1, m)

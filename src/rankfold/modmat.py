@@ -10,8 +10,8 @@ Every field here is GF(p)[x]/(f) for an f of degree m: GF(p) itself
 (m = 1), GF(p^2) = GF(p)[x]/(x^2 - nonresidue), and the fields of gf.  An
 entry is its length-m coefficient vector, and the field's multiplication
 tensor T[i, j] = x^(i+j) mod f turns the product by an element c into the
-m x m matrix sum_i c_i T[i].  rref_poly eliminates one matrix this way and
-is the kernel behind ExactMatrix.rref over the fields of gf;
+m x m matrix sum_i c_i T[i].  rref_poly eliminates one matrix this way
+and is the kernel behind ExactMatrix.rref over the fields of gf;
 batch_rref_mod brings a batch over GF(p) to reduced echelon form in
 lockstep, for batch_solve_mod and the Reed-Muller decoder.
 
@@ -35,8 +35,10 @@ to the power p - 2, and they reduce mod p before the next product;
 batch_rank_ff's row update subtracts two such sums, each in
 [0, m (p-1)^2], and reduces the difference.  Beyond the bound they raise
 ValueError: over GF(p) from p = 3037000507 on, over GF(p^2) from
-p = 2147483659 on.  Batched matrix products sum inner-dimension many
-products and check that bound explicitly.
+p = 2147483659 on; rref_poly then runs on an object array of Python
+ints, exact for any p, as gf's fields hold it there.  Batched matrix
+products sum inner-dimension many products and check that bound
+explicitly.
 """
 
 from __future__ import annotations
@@ -58,18 +60,23 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
     """Reduced row echelon form of one matrix over GF(p)[x]/(f).
 
     A is (R, C, m): entry (r, c) is the coefficient vector of a residue
-    mod f.  T is the (m, m, m) multiplication tensor of f, and
-    `inverse` maps the coefficient list of a nonzero entry to that of its
-    inverse.  The pivot of each column is its first nonzero entry at or
-    below the current row; the pivot row is scaled to a leading one and
-    the column is cleared in every other row at once.  Returns (R, pivot
-    columns); the input is not modified.
+    mod f, as int64, which needs poly_fits_int64(p, m) (ValueError
+    otherwise), or as Python ints in an object array, for any p.  T is
+    the (m, m, m) multiplication tensor of f, and `inverse` maps the
+    coefficient list of a nonzero entry to that of its inverse.  The
+    pivot of each column is its first nonzero entry at or below the
+    current row; the pivot row is scaled to a leading one and the column
+    is cleared in every other row at once.  Returns (R, pivot columns), R
+    in A's dtype; the input is not modified.
     """
-    A = np.asarray(A, dtype=np.int64) % p
+    A = np.asarray(A)
     rows, cols, m = A.shape
-    if not poly_fits_int64(p, m):
-        raise ValueError(f"p = {p}, m = {m}: m (p-1)^2 overflows int64")
-    T = np.asarray(T, dtype=np.int64).reshape(m, m * m)
+    if A.dtype != object:
+        if not poly_fits_int64(p, m):
+            raise ValueError(f"p = {p}, m = {m}: m (p-1)^2 overflows int64")
+        A = A.astype(np.int64, copy=False)
+    A = A % p
+    T = np.asarray(T, dtype=A.dtype).reshape(m, m * m)
     one = [1] + [0] * (m - 1)
     pivots = []
     for c in range(cols):
@@ -88,7 +95,7 @@ def rref_poly(A: np.ndarray, T: np.ndarray, p: int, inverse) -> tuple[np.ndarray
         lead = A[pr, c].tolist()
         if lead != one:
             # row vector times the matrix of multiplication by the inverse
-            scale = np.asarray(inverse(lead), dtype=np.int64) @ T % p
+            scale = np.asarray(inverse(lead), dtype=A.dtype) @ T % p
             A[pr, c:] = A[pr, c:] @ scale.reshape(m, m) % p
         factors = A[:, c].copy()
         factors[pr] = 0

@@ -74,7 +74,11 @@ and the elimination of E it runs no tower arithmetic
 inconsistency mod p, a prime dividing a denominator, no lift within the
 prime budget, a failed certificate) leaves the decision to the exact path
 (linalg.solve_erasures, the exact decoder, the exact ranks), so results
-and failure reasons are those of the exact path.
+and failure reasons are those of the exact path.  Its matrices hold
+integer arrays as well, over every tower of the recursion: the
+coordinate expansion writes a vector's integer coordinates into one
+(n, n', 2^s) array, the fold splits, scales and joins arrays, and each
+level's residual is eliminated on its array's rows.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from . import modmat
 from .errors import (DecodingFailure, DimensionMismatch, LengthMismatch, NoSolution, NotUnique, ParameterMismatch,
                      RankfoldError)
 from .exactfield import MQElement, MultiquadraticField, SignEmbedding, integer_coords, mq_field, rational_lift
-from .linalg import ExactMatrix, _peel, _syndrome, solve_erasures
+from .linalg import ExactMatrix, _peel, solve_erasures
 from .plotkin import doubling_decode, plotkin_fold
 
 # RMCode.sample_error draws this many candidates before giving up
@@ -258,10 +262,10 @@ def _hadamard_rows(Z: np.ndarray) -> np.ndarray:
 
 
 def _column_coords(M: ExactMatrix) -> tuple[int, list[int]]:
-    """integer_coords of M's entries read column by column (over Q, M's array)."""
-    if M.array is not None:
-        return M.den, M.array.T.ravel().tolist()
-    return integer_coords([e for col in zip(*M.entries) for e in col])
+    """integer_coords of M's entries read column by column: M's array over
+    its denominator (the lcm of its entries' denominators, as it is
+    canonical)."""
+    return M.den, M.array.transpose(1, 0, 2).ravel().tolist()
 
 
 def _embed(emb: SignEmbedding, d: int, ints: Sequence[int], shape: tuple[int, int]) -> Optional[np.ndarray]:
@@ -324,20 +328,19 @@ class RMCode:
 
     def matrix_from_vector(self, vec: Sequence) -> ExactMatrix:
         """Coordinate expansion: column j holds the base-field coordinates
-        of vec[j] along the code-direction basis monomials.  Over Q these
-        are vec's integer coordinates, written into the matrix's array."""
-        vec = [self.field.coerce(x) for x in vec]
-        if self.base_height == 0:
-            d, ints = integer_coords(vec)
-            return ExactMatrix.from_array(self.base_field, np.array(ints, dtype=object).reshape(-1, self.size).T, d)
-        cols = [x.blocks_over(self.base_height) for x in vec]
-        rows = tuple(tuple(col[i] for col in cols) for i in range(self.size))
-        return ExactMatrix(self.base_field, rows, _raw=True)
+        of vec[j] along the code-direction basis monomials, that is vec's
+        integer coordinates, written into the matrix's array."""
+        d, ints = integer_coords([self.field.coerce(x) for x in vec])
+        A = np.array(ints, dtype=object).reshape(len(vec), self.size, self.base_field.dim).transpose(1, 0, 2)
+        return ExactMatrix.from_array(self.base_field, A, d)
 
     def vector_from_matrix(self, M: ExactMatrix) -> list:
+        """Inverse of matrix_from_vector: column j of M's array is the
+        integer coordinates of entry j."""
         if M.rows != self.size:
             raise DimensionMismatch(f"need {self.size} rows, got {M.rows}")
-        return [MQElement.from_blocks(self.field, M.col(j)) for j in range(M.cols)]
+        coords = M.array.transpose(1, 0, 2).reshape(M.cols, self.field.dim).tolist()
+        return [self.field._element(u, M.den) for u in coords]
 
     def theta_matrix(self, F: ThetaPolynomial) -> ExactMatrix:
         """Matrix of the map F, by the signed-monomial rule.  Flips of base
@@ -388,8 +391,7 @@ class RMCode:
 
     def naive_syndrome(self, y: Sequence) -> list:
         """Parity-check times vector, as a plain matrix product."""
-        y = self._coerce_vector(y)
-        return _syndrome(self.parity_check_matrix().entries, y, self.field.zero)
+        return list((self.parity_check_matrix() @ ExactMatrix.column(self.field, self._coerce_vector(y))).col(0))
 
     def fast_syndrome(self, y: Sequence) -> list:
         """Parity-check times vector, from the signed-monomial rule: the
@@ -476,7 +478,9 @@ class RMCode:
         for _ in range(_SAMPLE_ATTEMPTS):
             X = np.array(rng.randints(self.size * t, 0, bound), dtype=object).reshape(self.size, t)
             Z = np.array(rng.randints(t * self.size, 0, bound), dtype=object).reshape(t, self.size)
-            E = ExactMatrix.from_array(K, X @ Z) if K.array_matrices else ExactMatrix(K, (X @ Z).tolist())
+            A = np.zeros((self.size, self.size, K.dim), dtype=object)
+            A[:, :, 0] = X @ Z  # integers: rational coordinates only
+            E = ExactMatrix.from_array(K, A)
             if self._deepest_fold_rank_mod_p(E) == t or (E.rank() == t and self.folds_preserve_rank(E, t)):
                 return E
         raise RankfoldError(f"no rank-{t} error with stable folds in {_SAMPLE_ATTEMPTS} attempts")
@@ -653,8 +657,8 @@ class RMCode:
             return None
         # lift holds E column by column, as ints and Fractions in lowest terms
         dE = lcm(*(q.denominator for q in lift))
-        E_ints = np.array([q.numerator * (dE // q.denominator) for q in lift], dtype=object).reshape(n, n).T
-        E = ExactMatrix.from_array(self.base_field, E_ints, dE)
+        E_ints = np.array([q.numerator * (dE // q.denominator) for q in lift], dtype=object).reshape(n, n, 1)
+        E = ExactMatrix.from_array(self.base_field, E_ints.transpose(1, 0, 2), dE)
         C = Y - E
         if self._syndrome_ints(_column_coords(C)[1])[0].any():
             return None

@@ -30,6 +30,15 @@ def _mix(z):  # on an int, or elementwise on a uint64 array
     return z ^ (z >> 31)
 
 
+def _span(lo: int, hi: int) -> tuple[int, int]:
+    """(span, limit) of [lo, hi]: draws are taken below limit, the largest
+    multiple of span up to 2^64, and the rest rejected."""
+    span = hi - lo + 1
+    if not 1 <= span <= _MASK + 1:
+        raise ValueError("empty range" if span < 1 else f"range of {span} integers exceeds 2^64")
+    return span, (_MASK + 1) - ((_MASK + 1) % span)
+
+
 class SplitMix64:
     """Seedable 64-bit generator with uniform integer helpers."""
 
@@ -41,12 +50,9 @@ class SplitMix64:
         return _mix(self._state)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], via rejection sampling (no modulo bias)."""
-        if hi < lo:
-            raise ValueError("empty range")
-        span = hi - lo + 1
-        # Draw from the largest multiple of span below 2^64 and reject the rest.
-        limit = (_MASK + 1) - ((_MASK + 1) % span)
+        """Uniform integer in [lo, hi], via rejection sampling (no modulo bias);
+        ValueError for an empty range or one of more than 2^64 integers."""
+        span, limit = _span(lo, hi)
         while True:
             v = self.next_u64()
             if v < limit:
@@ -55,10 +61,7 @@ class SplitMix64:
     def randints(self, count: int, lo: int, hi: int) -> list:
         """count calls of randint(lo, hi), values and end state: each pass draws
         the outputs still owed on uint64 arrays and keeps what randint keeps."""
-        if hi < lo:
-            raise ValueError("empty range")
-        span = hi - lo + 1
-        limit = (_MASK + 1) - ((_MASK + 1) % span)
+        span, limit = _span(lo, hi)
         out: list = []
         while len(out) < count:
             states = np.uint64(self._state) + np.arange(1, count - len(out) + 1, dtype=np.uint64) * np.uint64(_GAMMA)

@@ -1,8 +1,9 @@
 """Field (de)serialization dispatch.
 
 Field descriptions are plain JSON objects; the key set identifies the
-kind: {"generators": [...]} is a multiquadratic tower, {"rationals": true}
-is Q, {"p": ...} alone is GF(p), with "nonresidue" it is GF(p^2) and with
+kind: {"generators": [...]} is a multiquadratic tower, and Q, the tower
+of height 0, writes {"generators": []} and also reads {"rationals": true};
+{"p": ...} alone is GF(p), with "nonresidue" it is GF(p^2) and with
 "m"/"modulus" it is GF(p^m).
 """
 

@@ -261,27 +261,29 @@ def test_criterion_09_fold_drop_rate_bound():
 
 def test_criterion_10_syndrome_speedup_trend(monkeypatch):
     # Work is counted, not timed: the tower coordinate products formed by
-    # the one integer product kernel (every general product) and by
-    # mul_by_alpha, and the fast syndrome's integer body, one coordinate
+    # the element product kernel, by the matrix product (one per term of its
+    # integer matmul and one per entry of the multiplication matrices it
+    # builds), and by the fast syndrome's integer body, one coordinate
     # product per nonzero entry of the array its butterfly transforms, so
     # the trend is the same on every run and machine.
     products = [0]
-    kernel, by_alpha, butterfly = exactfield._mul_into, exactfield.MQElement.mul_by_alpha, reedmuller._hadamard_rows
+    kernel, butterfly = exactfield._mul_into, reedmuller._hadamard_rows
+    matrix_product = exactfield.MultiquadraticField.product
 
     def counted_kernel(out, xs, ys, W):
         products[0] += len(xs) * len(ys)
         kernel(out, xs, ys, W)
 
-    def counted_by_alpha(x, i):
-        products[0] += x.field.dim
-        return by_alpha(x, i)
+    def counted_product(field, A, X):
+        products[0] += (A.size * X.shape[1] + X.size) * field.dim
+        return matrix_product(field, A, X)
 
     def counted_butterfly(Z):
         products[0] += int(np.count_nonzero(Z))
         return butterfly(Z)
 
     monkeypatch.setattr(exactfield, "_mul_into", counted_kernel)
-    monkeypatch.setattr(exactfield.MQElement, "mul_by_alpha", counted_by_alpha)
+    monkeypatch.setattr(exactfield.MultiquadraticField, "product", counted_product)
     monkeypatch.setattr(reedmuller, "_hadamard_rows", counted_butterfly)
     rng = SplitMix64(1010)
     ratios = []

@@ -206,12 +206,14 @@ PK_ARGS = ["plotkin-roundtrip", "--q", "5", "--m", "4", "--k1", "3", "--k2", "2"
     RM_ARGS + ["--bound", "-1", "--jobs", "1"],
     RM_ARGS + ["--bound", "0", "--trials", "1", "--jobs", "1"],
     ["rm-roundtrip", "--m", "4", "--r", "2", "--bound", "0", "--trials", "1", "--jobs", "1"],
+    # [0, 2^64] holds more values than one SplitMix64 draw chooses between
+    RM_ARGS + ["--bound", str(2 ** 64), "--trials", "1", "--jobs", "1"],
 ])
 def test_campaign_bad_counts_are_error_lines(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_fold_prob_report(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mul_by_alpha
 from rankfold import (DegreeCollapse, DimensionMismatch, FieldMismatch, QQ, SplitMix64, TowerHeightZero, exactfield,
                       mq_field)
 from rankfold import rng as splitmix
@@ -122,7 +123,7 @@ def test_mul_by_alpha_matches_general_mul():
     for _ in range(1000):
         x = L.random_element(rng, 9)
         i = rng.randint(1, 3)
-        assert x.mul_by_alpha(i) == x * L.alpha(i)
+        assert mul_by_alpha(x, i) == x * L.alpha(i)
 
 
 def test_galois_action():
@@ -181,7 +182,7 @@ def test_split_join_roundtrip():
         with pytest.raises(FieldMismatch):
             T.join(W, W)
         with pytest.raises(FieldMismatch):
-            T.join(U, ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+            T.join(U, ExactMatrix(mq_field((7,)), [[1, 2, 3], [4, 5, 6]]))
         with pytest.raises(DimensionMismatch):
             T.join(U, ExactMatrix(sub, [[sub.one] * 3]))
         with pytest.raises(FieldMismatch):
@@ -275,8 +276,12 @@ def test_randints_draws_what_randint_draws(seed, count, lo, span):
     a, b = SplitMix64(seed), SplitMix64(seed)
     assert b.randints(count, lo, lo + span - 1) == [a.randint(lo, lo + span - 1) for _ in range(count)]
     assert b.next_u64() == a.next_u64()
-    with pytest.raises(ValueError):
-        b.randints(1, lo, lo - 1)
+    # an empty range, and one past 2^64, whose rejection limit would be 0
+    for hi in (lo - 1, lo + 2 ** 64):
+        with pytest.raises(ValueError):
+            b.randint(lo, hi)
+        with pytest.raises(ValueError):
+            b.randints(1, lo, hi)
 
 
 def test_randints_keeps_every_accepted_draw_of_a_pass(monkeypatch):

@@ -599,7 +599,7 @@ def test_ext_erasure_roundtrip():
     # a support of rank 2 that misses the error: rank(E - A R) <= 4 < d, so
     # no codeword absorbs the difference and the system is inconsistent
     other = rank_error(ext, rng, 2, 8, 8).row_space_basis()
-    assert other.vstack(E.row_space_basis()).rank() > 2
+    assert ExactMatrix.block([[other], [E.row_space_basis()]]).rank() > 2
     with pytest.raises(DecodingFailure, match="inconsistent"):
         mc.decode_erasures_ext(C + E, other)
     with pytest.raises(DimensionMismatch):
@@ -655,7 +655,7 @@ def test_ext_erasure_ambiguous_support_fails():
     C = ext_codeword(mc, ext, rng)
     E = rank_error(ext, rng, 1, 8, 8)
     with pytest.raises(DecodingFailure, match="hides a codeword"):
-        mc.decode_erasures_ext(C + E.scale(0), support.vstack(E.row_space_basis()))
+        mc.decode_erasures_ext(C + E.scale(0), ExactMatrix.block([[support], [E.row_space_basis()]]))
 
 
 # -- serialization -----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,15 +115,17 @@ def test_quadext_arithmetic():
 
 @pytest.mark.parametrize("p, other_nonresidue", [(23, 7), (2147483659, 3)])
 def test_quadext_join_and_split(p, other_nonresidue):
-    """join(U, V) = U + sV entry by entry and split undoes it, on arrays
-    and, at 2147483659, where GF(p^2) matrices hold none, on elements;
-    both refuse parts of unequal shapes or over the wrong field."""
+    """join(U, V) = U + sV entry by entry and split undoes it, on int64
+    arrays and, at 2147483659, where GF(p^2) matrices hold Python ints and
+    GF(p) ones int64, on arrays of each field's dtype; both refuse parts of
+    unequal shapes or over the wrong field."""
     F = PrimeField(p)
     E = QuadExtField(F)
     rng = SplitMix64(p)
     U, V = (ExactMatrix(F, [[F.random_element(rng) for _ in range(3)] for _ in range(2)]) for _ in "UV")
     W = E.join(U, V)
-    assert (W.array is None) == (p == 2147483659)
+    assert W.array.dtype == (object if p == 2147483659 else np.int64)
+    assert all(M.array.dtype == np.int64 for M in E.split(W))
     assert W.field == E and W.entries == tuple(
         tuple(E.element(u.val, v.val) for u, v in zip(ru, rv)) for ru, rv in zip(U.entries, V.entries))
     assert E.split(W) == (U, V)

@@ -45,14 +45,15 @@ NESTED_CAMPAIGNS = [((7, 4, 3, 2), 1, 1, 4, 5), ((23, 6, 4, 2), 1, 1, 2, 5), ((2
 # (q, m, k1, k2, a, trials, seed) of gabidulin_plotkin: 1518500213 is the
 # largest prime with poly_fits_int64(q, 4), so the array sums over GF(q^4)
 # reach the edge of int64, at a square and a non-square twist; at
-# 2147483659 the sums over GF(q^2) do not fit and its matrices hold no array
+# 2147483659 the sums over GF(q^2) do not fit int64, so its matrices hold
+# Python ints in object arrays, through the same kernels
 LARGE_Q_CAMPAIGNS = [(1518500213, 4, 2, 0, 1, 20, 9), (1518500213, 4, 2, 0, 2, 20, 9), (2147483659, 1, 1, 1, 2, 5, 9)]
 # (m, r, words, seed) of the seeded Reed-Muller decodes on cli.standard_tower(m):
 # each trial decodes a word within the radius (at m = 4 also with its error
 # scaled by -5/6) and one carrying two sampled errors, which is over the radius
 RM_DECODES = [(3, 1, 3, 27), (4, 1, 3, 27), (5, 1, 2, 27), (5, 3, 2, 27)]
 # the finite fields of gf_elements.tsv: characteristic 2, a small and a
-# large prime (2147483659 is past the int64 bound of every kernel), GF(23^2)
+# large prime (2147483659, whose GF(p^2) matrices hold Python ints), GF(23^2)
 # with the twist 5, and the extensions of the benchmark and of the int64 edge
 GF_FIELDS = [lambda: PrimeField(2), lambda: PrimeField(23), lambda: PrimeField(2147483659),
              lambda: QuadExtField(23, 5), lambda: QuadExtField(2147483659), lambda: ExtField(2, 5),
@@ -73,7 +74,7 @@ def golden_elements() -> dict:
                   x.inverse(), y.inverse(), x / y, x ** 3, y ** -2, x.scale(Fraction(-3, 4)),
                   x + 2, Fraction(1, 3) - y, Fraction(5, 7) * y]
         for i in range(1, F.m + 1):
-            values += [x.mul_by_alpha(i), F.alpha(i).inverse(), (x * y).galois([i])]
+            values += [x * F.alpha(i), F.alpha(i).inverse(), (x * y).galois([i])]
         if F.m:
             values += list(x.split()) + x.blocks_over(1) + [x.split()[1].embed(F)]
         M = ExactMatrix(F, [[x, y, z, F.one], [y, z, x * y, x], [x + y, y + z, x * y + z, x + F.one]])

@@ -4,12 +4,14 @@ import operator
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gauss_jordan
 from rankfold import DimensionMismatch, FieldMismatch, NoSolution, NotUnique, QQ, SplitMix64, mq_field
 from rankfold.gf import ExtField, PrimeField, QuadExtField
-from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
+from rankfold.linalg import ExactMatrix, random_rank_matrix
 
 
 def _random_matrix(field, rng, rows, cols, bound=9):
@@ -120,7 +122,7 @@ def test_row_space_basis_is_echelon_and_spans():
     A = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     B = A.row_space_basis()
     assert B.rows == 2
-    stacked = B.vstack(A)
+    stacked = ExactMatrix.block([[B], [A]])
     assert stacked.rank() == 2  # same span
 
 
@@ -129,7 +131,7 @@ def test_block_split_roundtrip():
     A = _random_matrix(QQ, rng, 4, 4)
     tl, tr, bl, br = A.split_blocks(2, 2)
     assert ExactMatrix.block([[tl, tr], [bl, br]]) == A
-    assert tl.hstack(tr).vstack(bl.hstack(br)) == A
+    assert ExactMatrix.block([[tl.hstack(tr)], [bl.hstack(br)]]) == A
 
 
 def test_block_refuses_blocks_over_other_fields():
@@ -138,9 +140,9 @@ def test_block_refuses_blocks_over_other_fields():
     F = PrimeField(23)
     for other, field in ((PrimeField(7), F), (F, QuadExtField(F))):
         A, B = ExactMatrix.identity(field, 2), ExactMatrix.identity(other, 2)
-        for stacked in (lambda: A.hstack(B), lambda: A.vstack(B), lambda: ExactMatrix.block([[A, A], [B, A]])):
+        for grid in ([[A, B]], [[A], [B]], [[A, A], [B, A]]):
             with pytest.raises(FieldMismatch):
-                stacked()
+                ExactMatrix.block(grid)
 
 
 def test_matmul_block_compatibility():
@@ -160,7 +162,7 @@ def test_matmul_block_compatibility():
 def test_map_entries():
     F = PrimeField(5)
     A = ExactMatrix(QQ, [[1, 7], [3, 4]])
-    B = A.map_entries(lambda e: F.element(int(e)), F)
+    B = A.map_entries(lambda e: F.element(e.num[0]), F)
     assert B.field == F and B[0, 1] == F.element(2)
 
 
@@ -183,6 +185,9 @@ def test_serialization_roundtrip():
     F = PrimeField(23)
     B = ExactMatrix(F, [[1, 22], [0, 5]])
     assert EM.from_json(B.to_json()) == B
+    # a record of a matrix over Q as Q's entries were once written
+    old = {"rows": 1, "cols": 2, "field": {"rationals": True}, "entries": [["1/2", "-3"]]}
+    assert EM.from_json(old) == ExactMatrix(QQ, [[Fraction(1, 2), -3]]) == EM.from_json(EM.from_json(old).to_json())
 
 
 # -- matrices without rows or columns keep their shape ---------------------------
@@ -195,7 +200,7 @@ def test_zeros_without_rows_keeps_its_width():
     assert Z.shape == (0, 3)
     assert Z.transpose().shape == (3, 0)
     assert Z.transpose().transpose() == Z
-    assert (Z + Z).shape == (-Z).shape == Z.scale(2).shape == Z.vstack(Z).shape == (0, 3)
+    assert (Z + Z).shape == (-Z).shape == Z.scale(2).shape == ExactMatrix.block([[Z], [Z]]).shape == (0, 3)
     assert Z != ExactMatrix.zeros(GF5, 0, 2)
 
 
@@ -232,7 +237,7 @@ def test_random_rank_matrix_refuses_an_impossible_rank(rank):
 
 # GF(p) on both sides of the int64 bounds (the product reduces entry products
 # before summing from inner dimension 3 at 2^31 - 1 and 2 at 3037000493, and
-# 3037000507 holds no array), GF(p^2) within the bound and at 2147483659
+# 3037000507 holds Python ints), GF(p^2) within the bound and at 2147483659
 # beyond it, and GF(p^m)
 ARRAY_FIELDS = [PrimeField(p) for p in (3, 23, 2147483647, 3037000493, 3037000507)] + [
     QuadExtField(23, 5), QuadExtField(2147483647), QuadExtField(2147483659), ExtField(23, 8), ExtField(2, 5)]
@@ -241,25 +246,28 @@ ARRAY_FIELDS = [PrimeField(p) for p in (3, 23, 2147483647, 3037000493, 303700050
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_prime_field_arrays_agree_with_entrywise_arithmetic(data):
-    """A matrix over GF(p), GF(p^2) or GF(p^m) holds a (rows, cols, m) int64
-    array exactly when m (p-1)^2 < 2^63, and every operation agrees with
-    the field's own element arithmetic and with gauss_jordan."""
+    """A matrix over GF(p), GF(p^2) or GF(p^m) holds a (rows, cols, m)
+    array, int64 exactly when m (p-1)^2 < 2^63 and Python ints in an object
+    array past it, and every operation keeps that array and agrees with the
+    field's own element arithmetic and with gauss_jordan."""
     F = data.draw(st.sampled_from(ARRAY_FIELDS), label="field")
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
     element = st.lists(st.integers(0, F.p - 1), min_size=F.degree, max_size=F.degree).map(F._from_coeffs)
+    dtype = np.int64 if F.degree * (F.p - 1) ** 2 < 2 ** 63 else object
 
     def elements(rows, cols):
         return data.draw(st.lists(st.lists(element, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
     a, b, g = elements(r, k), elements(r, k), elements(k, c)
     A, B, G = (ExactMatrix(F, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
-    assert (A.array is None) == (F.degree * (F.p - 1) ** 2 >= 2 ** 63)
-    assert A.array is None or A.array.shape == (r, k, F.degree)
     s = data.draw(element)
 
     def rows(M):
+        assert M.array.dtype == dtype and M.array.shape == M.shape + (F.degree,) and M.den == 1
+        assert all(0 <= u < F.p for u in M.array.flat)
         return [list(row) for row in M.entries]
 
+    assert rows(A) == a and rows(ExactMatrix.zeros(F, r, k)) == [[F.zero] * k for _ in range(r)]
     assert rows(A + B) == [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
     assert rows(A - B) == [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)]
     assert rows(-A) == [[-x for x in u] for u in a]
@@ -271,25 +279,28 @@ def test_prime_field_arrays_agree_with_entrywise_arithmetic(data):
     i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
     tl, tr, bl, br = A.split_blocks(i, j)
     assert [M.shape for M in (tl, tr, bl, br)] == [(i, j), (i, k - j), (r - i, j), (r - i, k - j)]
-    assert ExactMatrix.block([[tl, tr], [bl, br]]) == A == tl.hstack(tr).vstack(bl.hstack(br))
+    assert ExactMatrix.block([[tl, tr], [bl, br]]) == A == ExactMatrix.block([[tl.hstack(tr)], [bl.hstack(br)]])
     R, pivots, rank = A.rref()
-    assert (R.entries, pivots) == gauss_jordan(F, A.entries) and rank == len(pivots)
+    assert (tuple(map(tuple, rows(R))), pivots) == gauss_jordan(F, a) and rank == len(pivots)
     assert A.row_space_basis().shape == (rank, k)
-    if A.array is not None and r and k:
+    if r and k:
         with pytest.raises(ValueError):
             A.array[0, 0] = 1
 
 
-# -- matrices over Q, the height-0 tower: one integer array over one denominator ----
+# -- matrices over Q and the towers: one integer array over one denominator ---------
 
 Q = mq_field(())
+# heights 0 to 3; the last tower has a negative and a non-integer generator
+ARRAY_TOWERS = [Q, mq_field((2,)), mq_field((2, 3)), mq_field((-1, Fraction(3, 5), 7))]
 
 
 def _assert_canonical(M):
-    """M holds a read-only (rows, cols) object array of Python ints over a
-    positive int den, with gcd(den, *array) = 1 (so den = 1 for zero)."""
+    """M holds a read-only (rows, cols, 2^h) object array of Python ints
+    over a positive int den, with gcd(den, *array) = 1 (so den = 1 for
+    zero)."""
     A, den = M.array, M.den
-    assert A.dtype == object and A.shape == M.shape and not A.flags.writeable
+    assert A.dtype == object and A.shape == M.shape + (M.field.dim,) and not A.flags.writeable
     assert all(type(u) is int for u in A.flat) and type(den) is int and den > 0
     assert gcd(den, *A.flat) == 1
 
@@ -297,11 +308,13 @@ def _assert_canonical(M):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_q_arrays_agree_with_entrywise_arithmetic(data):
-    """Every operation on Q's arrays equals the same operation done entry by
-    entry on MQElements (and rref equals gauss_jordan), on shapes with no
-    rows or no columns, with distinct or shared denominators, negative
-    entries and entries past 2^63, and every result is canonical."""
-    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    """Every operation on the arrays of Q and of towers of height 1 to 3
+    equals the same operation done entry by entry on MQElements (and rref
+    equals gauss_jordan), on shapes with no rows or no columns, with
+    distinct or shared denominators, negative entries and entries past
+    2^63, and every result is canonical."""
+    F = data.draw(st.sampled_from(ARRAY_TOWERS), label="tower")
+    r, k, c = (data.draw(st.integers(0, 4 if F.m < 2 else 3)) for _ in range(3))
     numerators = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
 
     def elements(rows, cols):
@@ -309,25 +322,28 @@ def test_q_arrays_agree_with_entrywise_arithmetic(data):
             dens = st.just(data.draw(st.sampled_from([1, 6, 2 ** 64 + 13])))
         else:
             dens = st.integers(1, 12)
-        return [[Q.scalar(Fraction(data.draw(numerators), data.draw(dens))) for _ in range(cols)]
-                for _ in range(rows)]
+        return [[F.element([Fraction(data.draw(numerators), data.draw(dens)) for _ in range(F.dim)])
+                 for _ in range(cols)] for _ in range(rows)]
 
     a, b, g = elements(r, k), elements(r, k), elements(k, c)
-    A, B, G = (ExactMatrix(Q, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
-    s = data.draw(st.sampled_from([0, -1, Fraction(-3, 7), Fraction(2 ** 65 + 1, 3)]), label="scale")
+    A, B, G = (ExactMatrix(F, x, cols=w) for x, w in ((a, k), (b, k), (g, c)))
+    scales = [0, -1, Fraction(-3, 7), Fraction(2 ** 65 + 1, 3)]
+    if F.m:
+        scales += [F.alpha(F.m), F.element([Fraction(j - 2, j + 1) for j in range(F.dim)])]
+    s = F.coerce(data.draw(st.sampled_from(scales), label="scale"))
 
     def rows(M):
         _assert_canonical(M)
         return [list(row) for row in M.entries]
 
-    assert rows(A) == a and rows(ExactMatrix.zeros(Q, r, k)) == [[Q.zero] * k for _ in range(r)]
+    assert rows(A) == a and rows(ExactMatrix.zeros(F, r, k)) == [[F.zero] * k for _ in range(r)]
     assert rows(A + B) == [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
     assert rows(A - B) == [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)]
     assert rows(-A) == [[-x for x in u] for u in a]
     assert rows(A.scale(s)) == [[x * s for x in u] for u in a]
-    assert rows(A @ G) == [[sum((u[i] * g[i][j] for i in range(k)), Q.zero) for j in range(c)] for u in a]
+    assert rows(A @ G) == [[sum((u[i] * g[i][j] for i in range(k)), F.zero) for j in range(c)] for u in a]
     assert rows(A.transpose()) == [[a[i][j] for i in range(r)] for j in range(k)]
-    assert (A == B) == (a == b) and A == ExactMatrix(Q, a, cols=k) and (A - A).is_zero()
+    assert (A == B) == (a == b) and A == ExactMatrix(F, a, cols=k) and (A - A).is_zero()
     i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
     blocks = A.split_blocks(i, j)
     assert [rows(M) for M in blocks] == [[u[:j] for u in a[:i]], [u[j:] for u in a[:i]],
@@ -336,7 +352,7 @@ def test_q_arrays_agree_with_entrywise_arithmetic(data):
     assert rows(ExactMatrix.block([[tl, tr], [bl, br]])) == a
     assert rows(ExactMatrix.block([[A, B]])) == [u + v for u, v in zip(a, b)]
     R, pivots, rank = A.rref()
-    assert (tuple(map(tuple, rows(R))), pivots) == gauss_jordan(Q, a) and rank == len(pivots)
+    assert (tuple(map(tuple, rows(R))), pivots) == gauss_jordan(F, a) and rank == len(pivots)
     assert rows(A.row_space_basis()) == rows(R)[:rank]
     if r and k:
         with pytest.raises(ValueError):

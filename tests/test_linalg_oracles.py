@@ -10,8 +10,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import gauss_jordan
 from rankfold import QQ, mq_field
-from rankfold.linalg import ExactMatrix, gauss_jordan
+from rankfold.linalg import ExactMatrix
 
 # heights 0 to 3; the last tower has a negative and a non-integer generator
 TOWERS = [mq_field(()), mq_field((2,)), mq_field((2, 3)), mq_field((2, 3, 5)), mq_field([-1, Fraction(3, 5), 7])]
@@ -33,7 +34,7 @@ def multiplication_matrix(x):
         y = x
         for i in range(F.m):
             if j >> i & 1:
-                y = y.mul_by_alpha(i + 1)
+                y = y * F.alpha(i + 1)
         cols.append(y.coords)
     return [list(row) for row in zip(*cols)]
 
@@ -79,14 +80,20 @@ def test_tower_rank_is_rational_rank_of_rho_over_degree(case):
     M, k = case
     rank = M.rank()
     assert rank * M.field.dim == rho(M).rank()
-    assert rank == len(M.field.eliminate(M.entries)[1]) <= k
+    assert rank == len(M.field.eliminate(M.array)[2]) <= k
+
+
+def eliminated_rows(F, A):
+    """(rows, pivots) of F.eliminate on the array A, its rows as elements."""
+    R, den, pivots = F.eliminate(A)
+    return F.array_entries(R, den), pivots
 
 
 @oracle_settings
 @given(tower_matrices())
 def test_eliminate_equals_gauss_jordan(case):
     M, _ = case
-    rows, pivots = M.field.eliminate(M.entries)
+    rows, pivots = eliminated_rows(M.field, M.array)
     expected = gauss_jordan(M.field, M.entries)
     assert (rows, pivots) == expected
     assert [[x.coords for x in row] for row in rows] == [[x.coords for x in row] for row in expected[0]]
@@ -102,22 +109,22 @@ def test_eliminate_on_thin_and_full_rank_shapes(F, shape):
     ]
     entries[0][0] = F.zero  # the first pivot comes from a later row, when there is one
     M = ExactMatrix(F, entries)
-    reduced = F.eliminate(M.entries)
+    reduced = eliminated_rows(F, M.array)
     assert reduced == gauss_jordan(F, M.entries)
     assert rho(M).rank() == len(reduced[1]) * F.dim
 
 
 def test_eliminate_of_empty_and_zero_matrices():
     F = TOWERS[2]
-    assert F.eliminate(()) == ((), ())
+    assert eliminated_rows(F, ExactMatrix(F, ()).array) == ((), ())
     Z = ExactMatrix.zeros(F, 3, 2)
-    assert F.eliminate(Z.entries) == gauss_jordan(F, Z.entries) == (Z.entries, ())
+    assert eliminated_rows(F, Z.array) == gauss_jordan(F, Z.entries) == (Z.entries, ())
 
 
 @pytest.mark.parametrize("F", [TOWERS[0], TOWERS[2]], ids=str)
 def test_eliminate_builds_only_the_rows_up_to_the_rank(F, monkeypatch):
-    # a rank-3 16 x 16 matrix: 3 x 16 elements are built, and the 13 rows
-    # past the last pivot hold the field's shared zero
+    # a rank-3 16 x 16 matrix: the elimination builds no element, and its
+    # canonical array holds zeros in the 13 rows past the last pivot
     X = ExactMatrix(F, [[(5 * i + 3 * k) % 7 - 3 for k in range(3)] for i in range(16)])
     Z = ExactMatrix(F, [[(j * j + k * j + 2 * k) % 5 - 2 for j in range(16)] for k in range(3)]).map_entries(
         lambda x: x * F.element(range(1, F.dim + 1)))
@@ -126,7 +133,6 @@ def test_eliminate_builds_only_the_rows_up_to_the_rank(F, monkeypatch):
     built = []
     element = type(F)._element
     monkeypatch.setattr(type(F), "_element", lambda self, num, den: built.append(den) or element(self, num, den))
-    rows, pivots = F.eliminate(M.entries)
-    assert (rows, pivots) == expected and len(pivots) == 3
-    assert len(built) == 3 * 16
-    assert all(x is F.zero for row in rows[3:] for x in row)
+    R, den, pivots = F.eliminate(M.array)
+    assert not built and pivots == expected[1] == (0, 1, 2) and not R[3:].any()
+    assert F.array_entries(R, den) == expected[0]

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gauss_jordan
 from rankfold import NoSolution, NotUnique, SplitMix64, modmat
 from rankfold.gf import ExtField, PrimeField, QuadExtField, is_prime
-from rankfold.linalg import ExactMatrix, gauss_jordan, random_rank_matrix
+from rankfold.linalg import ExactMatrix, random_rank_matrix
 from rankfold.modmat import batch_matmul_mod, batch_rank_mod, batch_rank_quad, sample_rank_exact, sample_rank_factors
 
 
@@ -273,7 +274,7 @@ def test_leading_block_certificate_properties(field, k, extra, wide, kinds, seed
 
 
 # -- rref_poly: the finite-field elimination kernel behind ExactMatrix.rref ----
-# gauss_jordan, the generic elimination that Q and towers use, is the oracle.
+# gauss_jordan, Gauss-Jordan in the field's own element arithmetic, is the oracle.
 
 KERNEL_FIELDS = [PrimeField(2), PrimeField(23), QuadExtField(23, 5), ExtField(2, 5), ExtField(3, 4), ExtField(23, 8)]
 FIELD_IDS = [repr(F) for F in KERNEL_FIELDS]
@@ -379,8 +380,10 @@ def test_rref_poly_within_int64_bound_at_the_largest_prime():
         assert_matches_oracle(M)
 
 
-def test_rref_beyond_int64_bound_uses_generic_elimination(monkeypatch):
-    # 3037000507 is the smallest prime with (p-1)^2 >= 2^63
+def test_rref_beyond_int64_bound_runs_on_python_ints(monkeypatch):
+    # 3037000507 is the smallest prime with (p-1)^2 >= 2^63: rref_poly
+    # refuses int64 there, and the field's matrices hold Python ints, which
+    # rref_poly eliminates exactly
     p = 3037000507
     F = PrimeField(p)
     assert not modmat.poly_fits_int64(p, 1)
@@ -388,13 +391,12 @@ def test_rref_beyond_int64_bound_uses_generic_elimination(monkeypatch):
     M = ExactMatrix(F, [[F.element(p - 1 - rng.randint(0, 3)) for _ in range(5)] for _ in range(4)])
     with pytest.raises(ValueError):
         modmat.rref_poly(np.array([[[p - 1]]]), F.mul_tensor, p, F._inverse_coeffs)
-
-    def forbidden(*args):
-        raise AssertionError("rref_poly called beyond its bound")
-
-    monkeypatch.setattr(modmat, "rref_poly", forbidden)
-    assert M.array is None
+    dtypes = []
+    rref_poly = modmat.rref_poly
+    monkeypatch.setattr(modmat, "rref_poly", lambda A, *args: dtypes.append(A.dtype) or rref_poly(A, *args))
+    assert M.array.dtype == object
     R, pivots, rank = M.rref()
+    assert dtypes == [object] and R.array.dtype == object
     assert (R.entries, pivots) == gauss_jordan(F, M.entries) and rank == 4
 
 

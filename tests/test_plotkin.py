@@ -622,7 +622,7 @@ def test_erasure_decoders_are_sound(q, kind, ext, data):
     for part in field.split(C) if ext else (C,):
         assert ExactMatrix(base, flatten(basis + [part])).rank() == code.dim
     if support.rows:
-        assert support.vstack(Y - C).rank() == support.rank()
+        assert ExactMatrix.block([[support], [Y - C]]).rank() == support.rank()
     else:
         assert C == Y
 

@@ -480,11 +480,11 @@ def test_exact_erasure_systems_of_an_m5_decode_reduce_in_the_tower(monkeypatch):
     # m=5 r=1 decode: n - k syndrome rows, one column per support row plus
     # the right-hand side, and a unique solution
     shapes = []
-    eliminate = MultiquadraticField.eliminate
+    eliminate = MultiquadraticField.rref_array
 
-    def spy(self, entries):
-        out = eliminate(self, entries)
-        shapes.append((self.m, len(entries), len(entries[0]), out[1]))
+    def spy(self, A):
+        out = eliminate(self, A)
+        shapes.append((self.m,) + A.shape[:2] + (out[2],))
         return out
 
     code = RMCode(mq_field(PRIMES[:5]), 1)
@@ -496,7 +496,7 @@ def test_exact_erasure_systems_of_an_m5_decode_reduce_in_the_tower(monkeypatch):
     monkeypatch.setattr(RMCode, "_erasure_decode_embedded",
                         lambda self, y, rows: seen.append((self, y, rows)) or fast_path(self, y, rows))
     assert code._decode_exact(C + E).codeword == C
-    monkeypatch.setattr(MultiquadraticField, "eliminate", spy)
+    monkeypatch.setattr(MultiquadraticField, "rref_array", spy)
     for ecode, y, rows in seen:
         assert exact_outcome(ecode, y, rows) == fast_path(ecode, y, rows)
     assert [s[:3] for s in shapes] == [(5, 7, 8), (5, 11, 8)]
@@ -679,9 +679,9 @@ def test_decode_eliminates_each_residual_once(monkeypatch):
     C = code.encode(code.random_message(rng))
     E = code.sample_error(rng)
     calls = []
-    eliminate = MultiquadraticField.eliminate
-    monkeypatch.setattr(MultiquadraticField, "eliminate",
-                        lambda self, entries: calls.append(self.m) or eliminate(self, entries))
+    eliminate = MultiquadraticField.rref_array
+    monkeypatch.setattr(MultiquadraticField, "rref_array",
+                        lambda self, A: calls.append(self.m) or eliminate(self, A))
     rep = code._decode_exact(C + E)
     assert rep.success and rep.codeword == C
     assert len(calls) == 3
@@ -1074,9 +1074,9 @@ def test_certified_decode_falls_back_on_a_perturbed_lift(monkeypatch, perturb):
 def test_certified_decode_eliminates_once_and_never_folds_exactly(monkeypatch):
     code, C, E = sampled_word(PRIMES[:4], 1, 126)
     calls = []
-    eliminate = MultiquadraticField.eliminate
-    monkeypatch.setattr(MultiquadraticField, "eliminate",
-                        lambda self, entries: calls.append("eliminate") or eliminate(self, entries))
+    eliminate = MultiquadraticField.rref_array
+    monkeypatch.setattr(MultiquadraticField, "rref_array",
+                        lambda self, A: calls.append("eliminate") or eliminate(self, A))
     for name in ("fold", "erasure_decode"):
         monkeypatch.setattr(RMCode, name, lambda self, *args, name=name: calls.append(name))
     rep = code.decode(C + E)
@@ -1123,7 +1123,7 @@ def test_np_encode_matches_exact_encode():
         exact = code.encode(msg)
         rows = [np.array([int(c) for c in L.coerce(v).coords], dtype=np.int64) for v in msg]
         fast = _np_encode(L, code.exponents(), rows, _P)
-        ref = np.array([[int(e.rational_value()) for e in row] for row in exact.entries], dtype=np.int64) % _P
+        ref = np.array([[int(Fraction(e.num[0], e.den)) for e in row] for row in exact.entries], dtype=np.int64) % _P
         assert np.array_equal(fast, ref)
 
 
